@@ -194,22 +194,24 @@ def build_filter_bank(f0: TemplateFunction, f1: TemplateFunction,
 def max_tree(values) -> float:
     """Exact maximum of values in [0, 1] via the pairwise ReLU tree.
 
-    The list is zero-padded to the next power of two and reduced pairwise
-    by (y, z) -> ((y - z)_+ + z)_+, which equals max(y, z) for nonnegative
-    inputs; the result is bit-exact against the plain maximum.
+    The list is zero-padded to the next power of two and reduced pairwise:
+    the ReLU unit (y - z)_+ decides each pair, and the winning input is
+    carried forward unchanged.  The rounded difference of two doubles is
+    positive exactly when y > z, so the result is bit-exact against the
+    plain maximum, which (y - z)_+ + z is not.
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise EmptyList("max_tree needs at least one value")
-    if np.any(v < 0) or np.any(v > 1):
+    if not np.all((v >= 0) & (v <= 1)):
         raise InvalidParams("max_tree inputs must lie in [0, 1]")
     size = 1 << (int(v.size - 1).bit_length() if v.size > 1 else 0)
     buf = np.zeros(size)
     buf[: v.size] = v
     while buf.size > 1:
         y, z = buf[0::2], buf[1::2]
-        buf = np.maximum(np.maximum(y - z, 0.0) + z, 0.0)
-    return float(np.maximum(buf[0], 0.0))
+        buf = np.where(np.maximum(y - z, 0.0) > 0, y, z)
+    return float(buf[0])
 
 
 def softmax_pair(z0: float, z1: float, beta: float) -> tuple[float, float]:

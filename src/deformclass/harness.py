@@ -230,10 +230,12 @@ def _normalized(data: Dataset) -> Dataset:
 def _risk_trained(train: Dataset, test: Dataset, arch: ArchSpec, opt: OptSpec,
                   seed: int) -> float:
     net = train_least_squares(_normalized(train), arch, replace(opt, seed=seed))
-    wrong = 0
-    for item in _normalized(test).items:
-        wrong += int(net.predict(item.image) != item.label)
-    return wrong / len(test.items)
+    x = np.stack([normalize_l2(item.image).pixels for item in test.items])
+    labels = np.array([item.label for item in test.items])
+    # Chunks no larger than the training batch, so prediction never holds
+    # more forward state than training did.
+    predicted = net.predict_batch(x, min(opt.batch_size, len(train)))
+    return int(np.count_nonzero(predicted != labels)) / len(test.items)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +363,8 @@ def parse_template_spec(spec: str) -> TemplateFunction:
             key, _, value = part.partition("=")
             if not value:
                 raise ConfigError(f"template spec part {part!r} is not key=value")
-            kwargs[key.strip()] = float(value)
+            key = key.strip()
+            kwargs[key] = _num(value, f"template parameter {key!r}")
     try:
         if name == "tent":
             center = (kwargs.pop("cx", 0.5), kwargs.pop("cy", 0.5))

@@ -6,6 +6,14 @@ tempered two-class softmax.  The loss is the mean squared difference
 between the class-1 probability and the 0/1 label, minimized by Adam.
 Gradients are hand-derived and checked against central finite differences;
 max-pool ties route the subgradient to the first argmax in both paths.
+
+The convolution is one matmul over an im2col layout (Chellapilla, Puri and
+Simard 2006), and pooling comes before the ReLU: the raw map is max-pooled
+per channel and the ReLU is applied to the pooled (B, n_filters) values.
+This is exact, not an approximation, because ReLU is monotone, so
+max(relu(c)) = relu(max(c)) value for value.  Where the maximum is
+positive the first argmax is also the same in both orders; where it is
+not, the channel is dead, its output is 0 and it passes no gradient.
 """
 from __future__ import annotations
 
@@ -17,7 +25,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cnn import Filter
 from .datagen import Dataset, LabeledImage
-from .errors import DataError, EmptyDataset, InvalidParams, TruncatedPayload
+from .errors import (DataError, DimMismatch, EmptyDataset, InvalidParams,
+                     TruncatedPayload)
 from .model import GrayImage
 
 _MAGIC = b"DCNN"
@@ -36,7 +45,7 @@ class ArchSpec:
             raise InvalidParams("need at least one filter of positive size")
         if any(w < 1 for w in self.dense_widths):
             raise InvalidParams("dense widths must be positive")
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise InvalidParams(f"temperature must be positive, got {self.beta}")
 
 
@@ -116,23 +125,23 @@ class TrainableCnn:
         """Class-1 probabilities for a (B, d, d) batch, plus a backward cache."""
         k = self.arch.filter_size
         padded = np.pad(x, ((0, 0), (k, k), (k, k)))
-        windows = sliding_window_view(padded, (k, k), axis=(1, 2))
-        conv = np.tensordot(windows, self.conv_w, axes=([3, 4], [1, 2]))
-        conv = np.moveaxis(conv, 3, 1) + self.conv_b[None, :, None, None]
-        act = np.maximum(conv, 0.0)
-        b, nf, p, _ = act.shape
-        flat = act.reshape(b, nf, p * p)
-        pool_idx = flat.argmax(axis=2)
-        h = np.take_along_axis(flat, pool_idx[:, :, None], axis=2)[:, :, 0]
+        b, p = len(x), padded.shape[1] - k + 1
+        # im2col: row i*k + j holds pixel (i, j) of every patch, so the conv
+        # map comes out of one matmul as a contiguous (B, nf, P) array.
+        cols = sliding_window_view(padded, (p, p), axis=(1, 2)).reshape(
+            b, k * k, p * p)
+        conv = self.conv_w.reshape(-1, k * k) @ cols
+        conv += self.conv_b[:, None]
+        pool_idx = conv.argmax(axis=2)
+        raw_max = np.take_along_axis(conv, pool_idx[:, :, None], axis=2)[:, :, 0]
 
-        hidden = [h]
+        hidden = [np.maximum(raw_max, 0.0)]
         for w, bias in self.dense[:-1]:
             hidden.append(np.maximum(hidden[-1] @ w.T + bias, 0.0))
         w_out, b_out = self.dense[-1]
         z = hidden[-1] @ w_out.T + b_out
         p1 = _sigmoid(self.beta * (z[:, 1] - z[:, 0]))
-        cache = {"windows": windows, "act_pos": conv > 0, "pool_idx": pool_idx,
-                 "hidden": hidden, "p1": p1, "shape": (b, nf, p)}
+        cache = {"cols": cols, "pool_idx": pool_idx, "hidden": hidden}
         return p1, cache
 
     def forward(self, img: GrayImage) -> tuple[float, float]:
@@ -143,16 +152,26 @@ class TrainableCnn:
     def predict(self, img: GrayImage) -> int:
         return int(self.forward(img)[1] > 0.5)
 
+    def predict_batch(self, x: np.ndarray, chunk: int) -> np.ndarray:
+        """0/1 labels for a (B, d, d) batch, forwarded ``chunk`` images at a time."""
+        p1 = [self.forward_batch(x[s: s + chunk])[0]
+              for s in range(0, len(x), chunk)]
+        return (np.concatenate(p1) > 0.5).astype(int)
+
     def loss_batch(self, x: np.ndarray, y: np.ndarray) -> float:
         p1, _ = self.forward_batch(x)
         return float(np.mean((y - p1) ** 2))
 
     def gradients(self, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
         """Analytic gradient of the mean squared loss, per parameter array."""
+        return self.loss_and_gradients(x, y)[1]
+
+    def loss_and_gradients(self, x: np.ndarray, y: np.ndarray
+                           ) -> tuple[float, list[np.ndarray]]:
+        """``loss_batch`` and ``gradients`` from a single forward pass."""
         p1, cache = self.forward_batch(x)
-        b, nf, p = cache["shape"]
         # d loss / d z, through p1 = sigmoid(beta (z1 - z0))
-        gp = 2.0 * (p1 - y) / b
+        gp = 2.0 * (p1 - y) / len(x)
         gt = gp * self.beta * p1 * (1.0 - p1)
         gz = np.stack([-gt, gt], axis=1)
 
@@ -164,26 +183,20 @@ class TrainableCnn:
             gw = gcur.T @ hidden[layer]
             gb = gcur.sum(axis=0)
             grads_dense.append((gw, gb))
-            if layer > 0:
-                gcur = (gcur @ w) * (hidden[layer] > 0)
+            gcur = (gcur @ w) * (hidden[layer] > 0)
         grads_dense.reverse()
 
-        gh = gcur @ self.dense[0][0]
-        # Route pooled gradients to the first argmax, masked by the ReLU.
-        pool_idx = cache["pool_idx"]
-        qi, ri = np.divmod(pool_idx, p)
-        bi = np.arange(b)[:, None]
-        fi = np.arange(nf)[None, :]
-        live = cache["act_pos"][bi, fi, qi, ri]
-        gc = gh * live
-        patches = cache["windows"][bi, qi, ri]
-        gw_conv = np.einsum("bf,bfij->fij", gc, patches)
-        gb_conv = gc.sum(axis=0)
+        # gcur now carries the pooled gradient masked by the ReLU (live
+        # channels have raw max > 0); route it to the first argmax patch.
+        patches = np.take_along_axis(cache["cols"], cache["pool_idx"][:, None, :],
+                                     axis=2)
+        gw_conv = np.einsum("bf,bkf->fk", gcur, patches).reshape(self.conv_w.shape)
+        gb_conv = gcur.sum(axis=0)
 
         grads = [gw_conv, gb_conv]
         for gw, gb in grads_dense:
             grads.extend((gw, gb))
-        return grads
+        return float(np.mean((y - p1) ** 2)), grads
 
 
 def train_least_squares(data: Dataset, arch: ArchSpec | None = None,
@@ -215,8 +228,8 @@ def train_least_squares(data: Dataset, arch: ArchSpec | None = None,
         for start in range(0, n, opt.batch_size):
             idx = order[start: start + opt.batch_size]
             xb, yb = x[idx], y[idx]
-            total += net.loss_batch(xb, yb) * idx.size
-            grads = net.gradients(xb, yb)
+            loss, grads = net.loss_and_gradients(xb, yb)
+            total += loss * idx.size
             t += 1
             for a, g, mi, vi in zip(params, grads, m, v):
                 mi *= opt.beta1
@@ -257,8 +270,10 @@ def grad_check(net: TrainableCnn, sample: LabeledImage, eps: float,
     y = np.array([float(sample.label)])
 
     def pool_pattern() -> np.ndarray:
+        # Only live channels (raw max > 0) pass gradient, so only their
+        # argmax is a kink; a dead channel's argmax may move freely.
         _, cache = net.forward_batch(x)
-        return cache["pool_idx"].copy()
+        return np.where(cache["hidden"][0] > 0, cache["pool_idx"], -1)
 
     base_pattern = pool_pattern()
     analytic = np.concatenate([g.ravel() for g in net.gradients(x, y)])
@@ -321,8 +336,13 @@ def load_checkpoint(blob: bytes) -> TrainableCnn:
     pos += 2 * n_widths
     (beta,) = struct.unpack("<d", blob[pos: pos + 8])
     pos += 8
-    net = TrainableCnn(ArchSpec(n_filters=nf, filter_size=k,
-                                dense_widths=tuple(widths), beta=beta))
+    arch = ArchSpec(n_filters=nf, filter_size=k, dense_widths=tuple(widths),
+                    beta=beta)
+    try:
+        arch.validate()
+    except InvalidParams as exc:
+        raise DimMismatch(f"checkpoint header: {exc}") from exc
+    net = TrainableCnn(arch)
     expected = sum(a.size for a in net.param_arrays()) * 8
     if len(blob) - pos != expected:
         raise TruncatedPayload(

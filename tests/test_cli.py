@@ -103,6 +103,12 @@ class TestSep:
         assert "separation: d_fg=0.000000" in out
         assert out.count("gamma~") == 2
 
+    def test_non_numeric_template_parameter_exits_2(self, capsys):
+        code = main(["sep", "--template0", "tent:delta=abc",
+                     "--template1", "tent:delta=0.25"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestBench:
     CONFIG = ("task.template0 = tent:delta=0.25\n"

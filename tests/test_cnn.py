@@ -107,6 +107,10 @@ class TestMaxTree:
     def test_matches_plain_max_property(self, values):
         assert max_tree(values) == max(values)
 
+    def test_carries_the_winner_unchanged(self):
+        # (y - z)_+ + z rounds this pair to 0.9989999999999999
+        assert max_tree([0.999, 0.29953860585274433]) == 0.999
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyList):
             max_tree([])
@@ -116,6 +120,8 @@ class TestMaxTree:
             max_tree([0.5, -0.1])
         with pytest.raises(InvalidParams):
             max_tree([0.5, 1.1])
+        with pytest.raises(InvalidParams):
+            max_tree([0.5, float("nan")])
 
 
 class TestSoftmaxPair:

@@ -58,7 +58,8 @@ class TestTemplateSpec:
         assert parse_template_spec("cross").params == (1 / 16, 1 / 16)
 
     def test_errors(self):
-        for bad in ("blob", "tent:delta", "tent:delta=0.9", "tent:wobble=1"):
+        for bad in ("blob", "tent:delta", "tent:delta=0.9", "tent:wobble=1",
+                    "tent:delta=abc"):
             with pytest.raises(ConfigError):
                 parse_template_spec(bad)
 
