@@ -19,9 +19,9 @@ from .errors import (AllZeroImage, BadMagic, ConfigError, DataError,
                      DeformClassError, DegenerateCurve, DimMismatch,
                      EmptyDataset, EmptyGallery, EmptyList, EmptyMask,
                      EmptySupport, FilterTooLarge, InvalidDistribution,
-                     InvalidFixtureParams, InvalidParams, MultipleComponents,
-                     NumericError, ResolutionMismatch, ResolutionTooSmall,
-                     TruncatedPayload, ZeroNorm)
+                     InvalidFixtureParams, InvalidParams, MalformedHeader,
+                     MultipleComponents, NumericError, ResolutionMismatch,
+                     ResolutionTooSmall, TruncatedPayload, ZeroNorm)
 from .geometry import (BoundaryCurve, GammaScan, estimate_gamma, gamma_scan,
                        trace_boundary)
 from .harness import (ExperimentConfig, MnistPair, MultiTemplate, RiskReport,
@@ -51,7 +51,7 @@ __all__ = [
     "EmptyList", "EmptyMask", "EmptySupport", "ExperimentConfig", "Filter",
     "FilterBank", "FilterTooLarge", "GammaScan", "GradCheckResult",
     "GrayImage", "IDENTITY", "InvalidDistribution", "InvalidFixtureParams",
-    "InvalidParams", "LabeledImage", "MnistPair", "MultiTemplate",
+    "InvalidParams", "LabeledImage", "MalformedHeader", "MnistPair", "MultiTemplate",
     "MultipleComponents", "NonIdentifiablePair", "NumericError", "OptSpec",
     "RectSupport", "ResolutionMismatch", "ResolutionTooSmall", "RiemannRow",
     "RiskReport", "RiskRow", "SearchConfig", "SeparationResult",

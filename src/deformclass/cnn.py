@@ -6,6 +6,16 @@ invariant to object translation within the frame.  The explicit classifier
 enumerates one filter per template per discretized scale pair and reads the
 class decision off the larger of the two channel maxima; no training is
 involved.  A trainable counterpart lives in the training module.
+
+The bank is held as arrays, never as one object per entry: the live filters
+of class k with quadratic support of side s form the rows of one float32
+matrix, so a query costs one pruned matrix product per (side, class).  A
+patch is pruned from a class-k product only when its L2 norm, which bounds
+the response of any unit filter there, is below a response some class-k
+filter already reached; so each channel maximum stays exact on its own,
+however far apart the two are.  ``FilterBank.filter_at`` rebuilds any
+single entry in float64 from the templates on demand, which keeps the exact
+sliding-window path available for every entry.
 """
 from __future__ import annotations
 
@@ -79,21 +89,29 @@ def feature_max(filt: Filter, img: GrayImage) -> float:
 # Scale-indexed filter bank
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FilterBank:
-    """One filter per class per scale pair on the grid step 1/d.
+    """One filter per class per scale pair on the grid step 1/d, as arrays.
 
-    Holds exactly 2*(2*Xi*d+1)**2 entries, ordered class-major, then the
-    first scale, then the second, each scale running -Xi..Xi.
+    The bank has 2*(2*Xi*d+1)**2 entries, ordered class-major, then the
+    first scale, then the second, each scale running -Xi..Xi.  Only the
+    live filters are stored: ``stacks[(side, k)]`` is a read-only float32
+    array with one raveled side x side class-k filter per row.  A scale is
+    live when one of its sample arguments lands in the support band
+    (``live``); every other entry is null.  ``filter_at`` rebuilds one
+    entry in float64 from the templates on demand.  Every row has unit
+    norm, which is what lets ``classify_bank`` prune each class's patches
+    by their norm alone and stay exact.
     """
 
-    filters: list[Filter]
+    templates: tuple[TemplateFunction, TemplateFunction]
     xi_max: int
     d: int
-    _stacks: dict | None = field(default=None, repr=False, compare=False)
+    live: np.ndarray
+    stacks: dict[tuple[int, int], np.ndarray] = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.filters)
+        return 2 * self.live.size ** 2
 
     def scale_grid(self) -> np.ndarray:
         n = 2 * self.xi_max * self.d + 1
@@ -101,35 +119,36 @@ class FilterBank:
 
     def filter_at(self, k: int, i: int, j: int) -> Filter:
         """Filter of class k at scale-grid indices (i, j)."""
-        n = 2 * self.xi_max * self.d + 1
-        return self.filters[(k * n + i) * n + j]
+        xi, xi_prime = ((m - self.xi_max * self.d) / self.d for m in (i, j))
+        meta = (k, xi, xi_prime)
+        if not (self.live[i] and self.live[j]):
+            return Filter(None, meta)
+        grid = np.arange(1, self.d + 1) / self.d
+        w = self.templates[k]((xi * grid)[:, None], (xi_prime * grid)[None, :])
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            return Filter(None, meta)
+        w = w / norm
+        (r0,), (c0,), (side,) = _crop_boxes(w.any(axis=1)[None],
+                                            w.any(axis=0)[None])
+        return Filter(w[r0: r0 + side, c0: c0 + side], meta)
 
 
-def _crop_square(w: np.ndarray, d: int) -> np.ndarray | None:
-    """Crop to the quadratic support: the smallest square holding all
-    nonzero entries, extended symmetrically where the grid allows and
-    capped at side d."""
-    rows = np.flatnonzero(w.any(axis=1))
-    cols = np.flatnonzero(w.any(axis=0))
-    if rows.size == 0:
-        return None
-    r0, r1 = int(rows[0]), int(rows[-1]) + 1
-    c0, c1 = int(cols[0]), int(cols[-1]) + 1
-    side = min(max(r1 - r0, c1 - c0), d)
+def _crop_boxes(rows: np.ndarray, cols: np.ndarray):
+    """Quadratic supports from the (m, d) masks of nonzero rows and columns.
 
-    def widen(lo: int, hi: int) -> tuple[int, int]:
-        while hi - lo < side:
-            if hi < d:
-                hi += 1
-            elif lo > 0:
-                lo -= 1
-            else:
-                break
-        return lo, hi
-
-    r0, r1 = widen(r0, r1)
-    c0, c1 = widen(c0, c1)
-    return w[r0:r1, c0:c1]
+    The box is the smallest square holding all nonzero entries, capped at
+    side d; where it is wider than the nonzero extent along an axis it grows
+    toward higher indices until it meets the grid edge, then toward lower
+    ones.  Returns the first row, first column and side per grid.
+    """
+    d = rows.shape[1]
+    r0, c0 = rows.argmax(axis=1), cols.argmax(axis=1)
+    r1 = d - rows[:, ::-1].argmax(axis=1)
+    c1 = d - cols[:, ::-1].argmax(axis=1)
+    side = np.minimum(np.maximum(r1 - r0, c1 - c0), d)
+    return (np.minimum(d, r0 + side) - side, np.minimum(d, c0 + side) - side,
+            side)
 
 
 def build_filter_bank(f0: TemplateFunction, f1: TemplateFunction,
@@ -139,7 +158,9 @@ def build_filter_bank(f0: TemplateFunction, f1: TemplateFunction,
     Filter entries are f_k(xi*j/d, xi'*j'/d) for j, j' = 1..d, normalized to
     unit Frobenius norm over the grid and cropped to their quadratic
     support.  Scale pairs whose arguments miss the support band entirely
-    become null filters.
+    become null filters and are never evaluated; within a live pair only
+    the samples whose two arguments both lie in the band are, since the
+    template is 0 outside it.
     """
     if xi_max < 1:
         raise InvalidParams(f"scale limit must be >= 1, got {xi_max}")
@@ -148,43 +169,43 @@ def build_filter_bank(f0: TemplateFunction, f1: TemplateFunction,
     xi_max = int(xi_max)
     n = 2 * xi_max * d + 1
     scales = (np.arange(n) - xi_max * d) / d
-    j = np.arange(1, d + 1) / d
+    args = scales[:, None] * (np.arange(1, d + 1) / d)[None, :]
+    band = (args >= SUPPORT_LO) & (args <= SUPPORT_HI)
+    live = band.any(axis=1)
 
-    # A scale can contribute only if some sample argument lands inside the
-    # support band; everything else is null without evaluation.
-    args = scales[:, None] * j[None, :]
-    live = ((args >= SUPPORT_LO) & (args <= SUPPORT_HI)).any(axis=1)
-    live_idx = np.flatnonzero(live)
-
-    # One flattened argument array covers every live partner scale.
-    y_args = (scales[live_idx, None] * j[None, :]).ravel()
-
-    filters: list[Filter] = [None] * (2 * n * n)
-    for k, f in ((0, f0), (1, f1)):
-        base = k * n * n
-        for i in range(n):
-            row_off = base + i * n
-            meta_x = float(scales[i])
-            if not live[i]:
-                for jj in range(n):
-                    filters[row_off + jj] = Filter(None, (k, meta_x, float(scales[jj])))
-                continue
-            x_args = scales[i] * j
-            block = f(x_args[:, None], y_args[None, :]).reshape(d, live_idx.size, d)
-            pos = 0
-            for jj in range(n):
-                meta = (k, meta_x, float(scales[jj]))
-                if not live[jj]:
-                    filters[row_off + jj] = Filter(None, meta)
-                    continue
-                w = block[:, pos, :]
-                pos += 1
-                norm = float(np.linalg.norm(w))
-                if norm == 0.0:
-                    filters[row_off + jj] = Filter(None, meta)
-                    continue
-                filters[row_off + jj] = Filter(_crop_square(w / norm, d), meta)
-    return FilterBank(filters=filters, xi_max=xi_max, d=d)
+    # Each live first scale fills the in-band samples of one (d, partners*d)
+    # block that holds the grids of all live partner scales side by side.
+    y_args = args[live].ravel()
+    y_band = np.flatnonzero(band[live].ravel())
+    block = np.zeros((d, y_args.size))
+    pieces: dict[tuple[int, int], list[np.ndarray]] = {}
+    for k, f in enumerate((f0, f1)):
+        for x_args, rows in zip(args[live], band[live]):
+            # arguments grow along a positive scale, so the band is one run
+            lo = int(rows.argmax())
+            hi = lo + int(rows.sum())
+            block[lo:hi, y_band] = f(x_args[lo:hi, None], y_args[None, y_band])
+            grids = block[lo:hi].reshape(hi - lo, -1, d)
+            norms = np.sqrt(np.einsum("imj,imj->m", grids, grids))
+            grids /= np.where(norms > 0.0, norms, 1.0)[:, None]
+            part = np.flatnonzero(norms > 0.0)
+            row_mask = np.zeros((part.size, d), dtype=bool)
+            row_mask[:, lo:hi] = grids.any(axis=2).T[part]
+            r0, c0, side = _crop_boxes(row_mask, grids.any(axis=0)[part])
+            c0 += part * d
+            for s in np.unique(side):
+                sel = side == s
+                crops = sliding_window_view(block, (s, s))[r0[sel], c0[sel]]
+                pieces.setdefault((int(s), k), []).append(
+                    crops.reshape(crops.shape[0], -1).astype(np.float32))
+            block[lo:hi] = 0.0
+    stacks = {}
+    for key in sorted(pieces):
+        stacks[key] = np.concatenate(pieces.pop(key))
+        stacks[key].flags.writeable = False
+    live.flags.writeable = False
+    return FilterBank(templates=(f0, f1), xi_max=xi_max, d=d, live=live,
+                      stacks=stacks)
 
 
 # ---------------------------------------------------------------------------
@@ -242,34 +263,6 @@ class BankDecision:
     z1: float
 
 
-_BUCKET_STEP = 8
-
-
-def _bank_stacks(bank: FilterBank) -> dict:
-    """Group non-null filters into padded same-size stacks for one-matmul
-    evaluation per group; cached on the bank."""
-    if bank._stacks is not None:
-        return bank._stacks
-    groups: dict[int, list[tuple[np.ndarray, int]]] = {}
-    for f in bank.filters:
-        if f.is_null:
-            continue
-        side = max(f.side, min(-(-f.side // _BUCKET_STEP) * _BUCKET_STEP, bank.d))
-        groups.setdefault(side, []).append((f.weights, f.meta[0]))
-    stacks = {}
-    for side, entries in groups.items():
-        mat = np.zeros((len(entries), side * side), dtype=np.float32)
-        labels = np.empty(len(entries), dtype=np.int64)
-        for r, (w, k) in enumerate(entries):
-            padded = np.zeros((side, side), dtype=np.float32)
-            padded[: w.shape[0], : w.shape[1]] = w
-            mat[r] = padded.ravel()
-            labels[r] = k
-        stacks[side] = (mat, labels)
-    bank._stacks = stacks
-    return stacks
-
-
 # Slack added to the pruning threshold so float32 rounding in the window
 # norms and dot products can never discard the true channel argmax.
 _PRUNE_MARGIN = 1e-3
@@ -288,17 +281,20 @@ def _window_norms(crop: np.ndarray, side: int) -> np.ndarray:
 
 
 def _channel_maxima_fast(bank: FilterBank, pixels: np.ndarray) -> tuple[float, float]:
-    """max feature_max per class channel, via grouped matrix products.
+    """max feature_max per class channel, via one matrix product per stack.
 
     The image is cropped to its support box; each stack correlates against
-    patches of the crop framed by stack-wide zero borders, which covers all
-    shifts with nonzero overlap.  Padding a filter with zero rows or widening
-    the frame never changes its ReLU'd maximum.
+    patches of the crop framed by side-1 zeros, which covers all shifts with
+    nonzero overlap.  Widening the frame never changes a ReLU'd maximum.
 
-    Filters have unit norm, so a patch response never exceeds the patch L2
-    norm.  One probe at the best-norm position per stack yields channel lower
-    bounds; positions whose norm falls below both bounds cannot carry either
-    channel maximum and are skipped before the matrix product.
+    Filters have unit norm, so by Cauchy-Schwarz a response at a patch
+    never exceeds the patch L2 norm.  z[k] always holds a response that some
+    class-k filter reaches, so a patch whose norm is below z[k] cannot raise
+    it.  One probe per stack at its best-norm patch seeds both values; each
+    class-k stack then multiplies only the patches with norm >= z[k] (less a
+    float32 margin), and z[k] grows as the stacks are done.  Class k's
+    threshold never depends on the other class, so the pruning is exact per
+    class however far apart z0 and z1 are.
     """
     rows = np.flatnonzero(pixels.any(axis=1))
     cols = np.flatnonzero(pixels.any(axis=0))
@@ -306,32 +302,21 @@ def _channel_maxima_fast(bank: FilterBank, pixels: np.ndarray) -> tuple[float, f
         return 0.0, 0.0
     crop = pixels[rows[0]: rows[-1] + 1, cols[0]: cols[-1] + 1].astype(np.float32)
 
-    buckets = []
-    lb = [0.0, 0.0]
-    for side, (mat, labels) in _bank_stacks(bank).items():
-        patches = sliding_window_view(np.pad(crop, side - 1), (side, side))
-        norms = _window_norms(crop, side)
-        probe = np.unravel_index(int(np.argmax(norms)), norms.shape)
-        resp = mat @ patches[probe].reshape(-1)
-        for k in (0, 1):
-            sel = resp[labels == k]
-            if sel.size:
-                lb[k] = max(lb[k], float(sel.max()))
-        buckets.append((mat, labels, patches, norms))
-
-    thresh = min(lb) - _PRUNE_MARGIN
-    z = [max(lb[0], 0.0), max(lb[1], 0.0)]
-    for mat, labels, patches, norms in buckets:
-        keep = norms >= thresh
-        if not keep.any():
-            continue
-        cols_mat = patches[keep].reshape(keep.sum(), -1).T
-        per_filter = (mat @ cols_mat).max(axis=1)
-        for k in (0, 1):
-            sel = per_filter[labels == k]
-            if sel.size:
-                z[k] = max(z[k], float(sel.max()))
-    return max(z[0], 0.0), max(z[1], 0.0)
+    windows = {side: (sliding_window_view(np.pad(crop, side - 1), (side, side)),
+                      _window_norms(crop, side))
+               for side in {side for side, _ in bank.stacks}}
+    z = [0.0, 0.0]
+    for (side, k), mat in bank.stacks.items():
+        patches, norms = windows[side]
+        probe = patches[np.unravel_index(int(np.argmax(norms)), norms.shape)]
+        z[k] = max(z[k], float((mat @ probe.reshape(-1)).max()))
+    for (side, k), mat in bank.stacks.items():
+        patches, norms = windows[side]
+        keep = norms >= z[k] - _PRUNE_MARGIN
+        if keep.any():
+            cols_mat = patches[keep].reshape(int(keep.sum()), -1).T
+            z[k] = max(z[k], float((mat @ cols_mat).max()))
+    return z[0], z[1]
 
 
 def classify_bank(bank: FilterBank, img: GrayImage, beta: float | None = None,
@@ -341,6 +326,8 @@ def classify_bank(bank: FilterBank, img: GrayImage, beta: float | None = None,
     z_k is the maximum pooled response over all class-k filters; the label
     is the argmax channel and the probabilities are the tempered softmax of
     (z0, z1).  The image is expected pre-normalized to unit Frobenius norm.
+    ``fast=False`` runs ``feature_max`` on every live filter in float64:
+    the exact oracle of the float32 stacks, and slow on a large bank.
     """
     if bank.d != img.d:
         raise ResolutionMismatch(f"bank built for d={bank.d}, image has d={img.d}")
@@ -349,15 +336,10 @@ def classify_bank(bank: FilterBank, img: GrayImage, beta: float | None = None,
     if fast:
         z0, z1 = _channel_maxima_fast(bank, img.pixels)
     else:
-        z0, z1 = 0.0, 0.0
-        for f in bank.filters:
-            if f.is_null:
-                continue
-            v = feature_max(f, img)
-            if f.meta[0] == 0:
-                z0 = max(z0, v)
-            else:
-                z1 = max(z1, v)
+        live = np.flatnonzero(bank.live)
+        z0, z1 = (max((feature_max(bank.filter_at(k, i, j), img)
+                       for i in live for j in live), default=0.0)
+                  for k in (0, 1))
     p0, p1 = softmax_pair(z0, z1, beta)
     label = 0 if z0 >= z1 else 1
     return BankDecision(p0=p0, p1=p1, label=label, z0=z0, z1=z1)

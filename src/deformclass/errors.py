@@ -93,6 +93,10 @@ class TruncatedPayload(DataError):
     """Byte stream ends before the declared payload is complete."""
 
 
+class MalformedHeader(DataError):
+    """A header field is not a well-formed value of its type."""
+
+
 class DimMismatch(DataError):
     """Declared dimensions are unsupported or internally inconsistent."""
 

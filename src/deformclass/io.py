@@ -17,7 +17,7 @@ import numpy as np
 
 from .datagen import Dataset, LabeledImage
 from .errors import (BadMagic, DimMismatch, EmptyDataset, InvalidParams,
-                     TruncatedPayload)
+                     MalformedHeader, TruncatedPayload)
 from .model import DeformParams, GrayImage
 
 _IMAGE_MAGIC = b"\x00\x00\x08\x03"
@@ -137,9 +137,14 @@ def read_pgm(data: bytes) -> GrayImage:
             tokens.append(data[start:pos])
     if tokens[0] != b"P5":
         raise BadMagic(f"PGM magic {tokens[0]!r}, expected b'P5'")
-    w, h, max_val = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if w != h:
-        raise DimMismatch(f"image must be square, got {w}x{h}")
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise MalformedHeader(f"PGM size and maxval must be decimal integers, "
+                              f"got {b' '.join(tokens[1:])!r}")
+    w, h, max_val = (int(t) for t in tokens[1:])
+    if not 1 <= max_val <= 255:
+        raise DimMismatch(f"PGM maxval {max_val} unsupported, only 8-bit 1..255")
+    if w != h or w < 1:
+        raise DimMismatch(f"image must be square and non-empty, got {w}x{h}")
     body = data[pos + 1:]
     if len(body) != w * h:
         raise TruncatedPayload(f"payload has {len(body)} bytes, expected {w * h}")

@@ -71,10 +71,10 @@ def tent(delta: float, center: tuple[float, float] = (0.5, 0.5)) -> TemplateFunc
     """
     cx, cy = float(center[0]), float(center[1])
     delta = float(delta)
-    if delta <= 0:
+    if not delta > 0:
         raise InvalidParams(f"tent needs delta > 0, got {delta}")
-    if (cx - delta < SUPPORT_LO - _BOUND_TOL or cx + delta > SUPPORT_HI + _BOUND_TOL
-            or cy - delta < SUPPORT_LO - _BOUND_TOL or cy + delta > SUPPORT_HI + _BOUND_TOL):
+    if not (SUPPORT_LO - _BOUND_TOL <= cx - delta and cx + delta <= SUPPORT_HI + _BOUND_TOL
+            and SUPPORT_LO - _BOUND_TOL <= cy - delta and cy + delta <= SUPPORT_HI + _BOUND_TOL):
         raise InvalidParams(
             f"tent support (center ({cx}, {cy}), delta {delta}) leaves the box")
 
@@ -89,10 +89,10 @@ def cone(radius: float = 0.2, center: tuple[float, float] = (0.5, 0.5)) -> Templ
     """Circular cone (radius - dist)_+ whose support is a disk."""
     cx, cy = float(center[0]), float(center[1])
     radius = float(radius)
-    if radius <= 0:
+    if not radius > 0:
         raise InvalidParams(f"cone needs radius > 0, got {radius}")
-    if (cx - radius < SUPPORT_LO - _BOUND_TOL or cx + radius > SUPPORT_HI + _BOUND_TOL
-            or cy - radius < SUPPORT_LO - _BOUND_TOL or cy + radius > SUPPORT_HI + _BOUND_TOL):
+    if not (SUPPORT_LO - _BOUND_TOL <= cx - radius and cx + radius <= SUPPORT_HI + _BOUND_TOL
+            and SUPPORT_LO - _BOUND_TOL <= cy - radius and cy + radius <= SUPPORT_HI + _BOUND_TOL):
         raise InvalidParams(
             f"cone support (center ({cx}, {cy}), radius {radius}) leaves the box")
 

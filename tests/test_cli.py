@@ -70,6 +70,15 @@ class TestCnn:
         assert code == 0
         assert "label=" in capsys.readouterr().out
 
+    def test_bank_malformed_image_exits_3(self, tmp_path, capsys):
+        query = tmp_path / "deep.pgm"
+        query.write_bytes(b"P5\n16 16\n65535\n" + bytes(512))
+        code = main(["cnn", "bank", "--template0", "tent:delta=0.25",
+                     "--template1", "cross:arm=0.25,taper=0.08",
+                     "--image", str(query), "--d", "16", "--xi-max", "1"])
+        assert code == 3
+        assert "maxval 65535 unsupported" in capsys.readouterr().err
+
     def test_train_then_classify(self, dataset_dir, tmp_path, capsys):
         ckpt = tmp_path / "net.ckpt"
         code = main(["cnn", "train", "--data", str(dataset_dir),
@@ -105,6 +114,12 @@ class TestSep:
 
     def test_non_numeric_template_parameter_exits_2(self, capsys):
         code = main(["sep", "--template0", "tent:delta=abc",
+                     "--template1", "tent:delta=0.25"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_nan_template_parameter_exits_2(self, capsys):
+        code = main(["sep", "--template0", "tent:delta=nan",
                      "--template1", "tent:delta=0.25"])
         assert code == 2
         assert "config error" in capsys.readouterr().err

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from deformclass import (
+    DeformDistribution,
     DeformParams,
     EmptyList,
     Filter,
@@ -16,8 +17,10 @@ from deformclass import (
     feature_max,
     max_tree,
     normalize_l2,
+    generate_dataset,
     rasterize,
     softmax_pair,
+    tent,
 )
 
 IDENT = DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
@@ -32,6 +35,31 @@ def direct_shift_max(w: np.ndarray, x: np.ndarray) -> float:
         for c in range(p.shape[1] - s + 1):
             best = max(best, float((p[r: r + s, c: c + s] * w).sum()))
     return best
+
+
+def direct_filter(f, xi: float, xi_prime: float, d: int) -> np.ndarray | None:
+    """Reference bank entry: f(xi*j/d, xi'*j'/d) over j, j' = 1..d, normalized
+    and cropped to its quadratic support by growing the nonzero box one step
+    at a time, high side first; None for an all-zero grid."""
+    grid = np.arange(1, d + 1) / d
+    w = f((xi * grid)[:, None], (xi_prime * grid)[None, :])
+    norm = float(np.linalg.norm(w))
+    if norm == 0.0:
+        return None
+    w = w / norm
+    rows = np.flatnonzero(w.any(axis=1))
+    cols = np.flatnonzero(w.any(axis=0))
+    side = min(max(rows[-1] + 1 - rows[0], cols[-1] + 1 - cols[0]), d)
+    box = []
+    for lo, hi in ((rows[0], rows[-1] + 1), (cols[0], cols[-1] + 1)):
+        while hi - lo < side:
+            if hi < d:
+                hi += 1
+            else:
+                lo -= 1
+        box.append((lo, hi))
+    (r0, r1), (c0, c1) = box
+    return w[r0:r1, c0:c1]
 
 
 class TestFilter:
@@ -174,6 +202,44 @@ class TestBuildFilterBank:
         for j in range(len(bank.scale_grid())):
             assert bank.filter_at(0, zero_idx, j).is_null
 
+    def test_filter_at_matches_direct_definition(self, tent_template,
+                                                 cross_template):
+        d = 8
+        bank = build_filter_bank(tent_template, cross_template, 1, d)
+        grid = bank.scale_grid()
+        n_live = 0
+        for k, f in enumerate((tent_template, cross_template)):
+            for i, xi in enumerate(grid):
+                for j, xi_prime in enumerate(grid):
+                    got = bank.filter_at(k, i, j)
+                    want = direct_filter(f, xi, xi_prime, d)
+                    assert got.meta == (k, xi, xi_prime)
+                    if want is None:
+                        assert got.weights is None
+                    else:
+                        n_live += 1
+                        assert got.weights.shape == want.shape
+                        assert np.array_equal(got.weights, want)
+        stacked = sum(len(rows) for rows in bank.stacks.values())
+        assert n_live == stacked > 0
+
+    def test_stacks_hold_the_float32_filters(self, tent_template,
+                                             cross_template):
+        bank = build_filter_bank(tent_template, cross_template, 1, 8)
+        grid = bank.scale_grid()
+        rows = {}
+        for k in (0, 1):
+            for i in range(len(grid)):
+                for j in range(len(grid)):
+                    w = bank.filter_at(k, i, j).weights
+                    if w is not None:
+                        rows.setdefault((w.shape[0], k), []).append(
+                            w.astype(np.float32).ravel())
+        assert sorted(rows) == sorted(bank.stacks)
+        for key, mat in bank.stacks.items():
+            assert mat.dtype == np.float32
+            assert np.array_equal(mat, np.stack(rows[key]))
+
     def test_scale_limit_validation(self, tent_template):
         with pytest.raises(InvalidParams):
             build_filter_bank(tent_template, tent_template, 0, 8)
@@ -225,3 +291,41 @@ class TestClassifyBank:
         auto = classify_bank(small_bank, img)
         manual = classify_bank(small_bank, img, beta=8.0)
         assert auto.p0 == manual.p0
+
+    def test_all_zero_image(self, small_bank):
+        decision = classify_bank(small_bank, GrayImage(np.zeros((8, 8))))
+        assert (decision.z0, decision.z1) == (0.0, 0.0)
+        assert decision.label == 0
+
+    def test_fast_path_matches_oracle_on_both_classes(self, cross_template):
+        f0 = tent(0.1)
+        bank = build_filter_bank(f0, cross_template, 1, 16)
+        q = DeformDistribution(eta_range=(0.8, 1.2), xi_range=(1.0, 1.5),
+                               seed=5)
+        data = generate_dataset([f0], [cross_template], q, 6, 16)
+        assert {item.label for item in data.items} == {0, 1}
+        gaps = []
+        for item in data.items:
+            img = normalize_l2(item.image)
+            fast = classify_bank(bank, img, fast=True)
+            slow = classify_bank(bank, img, fast=False)
+            assert fast.label == slow.label
+            assert fast.z0 == pytest.approx(slow.z0, abs=1e-6)
+            assert fast.z1 == pytest.approx(slow.z1, abs=1e-6)
+            gaps.append(abs(slow.z0 - slow.z1))
+        # a wide gap means the weaker class is pruned against its own,
+        # lower bound; a shared bound would drop patches it needs
+        assert max(gaps) > 0.2
+
+    def test_side_with_one_class_only(self):
+        f0, f1 = tent(0.1), tent(0.25)
+        bank = build_filter_bank(f0, f1, 1, 8)
+        sides = [{s for s, k in bank.stacks if k == c} for c in (0, 1)]
+        assert sides[0] - sides[1] and sides[1] - sides[0]
+        for f in (f0, f1):
+            img = normalize_l2(rasterize(f, IDENT, 8))
+            fast = classify_bank(bank, img, fast=True)
+            slow = classify_bank(bank, img, fast=False)
+            assert fast.label == slow.label
+            assert fast.z0 == pytest.approx(slow.z0, abs=1e-6)
+            assert fast.z1 == pytest.approx(slow.z1, abs=1e-6)

@@ -59,7 +59,8 @@ class TestTemplateSpec:
 
     def test_errors(self):
         for bad in ("blob", "tent:delta", "tent:delta=0.9", "tent:wobble=1",
-                    "tent:delta=abc"):
+                    "tent:delta=abc", "tent:delta=nan", "cone:radius=nan",
+                    "tent:cx=nan", "cone:cy=nan"):
             with pytest.raises(ConfigError):
                 parse_template_spec(bad)
 

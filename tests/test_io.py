@@ -10,6 +10,7 @@ from deformclass import (
     EmptyDataset,
     GrayImage,
     InvalidParams,
+    MalformedHeader,
     TruncatedPayload,
     generate_dataset,
     load_idx_pair,
@@ -141,6 +142,24 @@ class TestPgm:
             read_pgm(b"P5\n2 3\n255\n" + bytes(6))
         with pytest.raises(TruncatedPayload):
             read_pgm(b"P5\n2 2\n255\n" + bytes(3))
+
+    def test_zero_maxval_rejected(self):
+        with pytest.raises(DimMismatch, match="maxval 0 unsupported"):
+            read_pgm(b"P5\n2 2\n0\n" + bytes(4))
+
+    def test_sixteen_bit_rejected(self):
+        with pytest.raises(DimMismatch, match="maxval 65535 unsupported"):
+            read_pgm(b"P5\n2 2\n65535\n" + bytes(8))
+
+    def test_non_integer_header_token(self):
+        for header in (b"P5\n2 x\n255\n", b"P5\n-2 -2\n255\n",
+                       b"P5\n2 2\n2.5\n"):
+            with pytest.raises(MalformedHeader):
+                read_pgm(header + bytes(4))
+
+    def test_empty_image_rejected(self):
+        with pytest.raises(DimMismatch):
+            read_pgm(b"P5\n0 0\n255\n")
 
     def test_roundtrip_within_quantization(self, pgm_safe_dataset):
         img = pgm_safe_dataset.items[0].image

@@ -43,6 +43,15 @@ class TestTemplates:
         with pytest.raises(InvalidParams):
             tent(-0.1)
 
+    def test_nan_parameters_rejected(self):
+        nan = float("nan")
+        for make in (lambda: tent(nan), lambda: cone(nan),
+                     lambda: tent(0.2, center=(nan, 0.5)),
+                     lambda: tent(0.2, center=(0.5, nan)),
+                     lambda: cone(0.2, center=(nan, 0.5))):
+            with pytest.raises(InvalidParams):
+                make()
+
     def test_tent_boundary_tolerance(self):
         # 0.53 + 0.22 lands a hair above 0.75 in binary floats; the
         # constructor must not reject an exactly admissible shape for that.
