@@ -8,8 +8,7 @@ classifier and a small trainable CNN with verified gradients.
 """
 
 from .align import (AlignedRep, RectSupport, align_transform, build_gallery,
-                    classify_1nn, classify_1nn_flips, rect_support,
-                    resample_box)
+                    classify_1nn, rect_support, resample_box)
 from .cnn import (BankDecision, Filter, FilterBank, build_filter_bank,
                   classify_bank, feature_max, max_tree, softmax_pair)
 from .datagen import (Dataset, DeformDistribution, LabeledImage,
@@ -24,8 +23,8 @@ from .errors import (AllZeroImage, BadMagic, ConfigError, DataError,
                      ResolutionTooSmall, TruncatedPayload, ZeroNorm)
 from .geometry import (BoundaryCurve, GammaScan, estimate_gamma, gamma_scan,
                        trace_boundary)
-from .harness import (ExperimentConfig, MnistPair, MultiTemplate, RiskReport,
-                      RiskRow, TwoTemplates, emit_report, parse_config,
+from .harness import (ExperimentConfig, MnistPair, RiskReport, RiskRow,
+                      TwoTemplates, emit_report, parse_config,
                       parse_template_spec, run_experiment)
 from .io import (load_idx_pair, parse_idx_images, parse_idx_labels,
                  read_dataset, read_pgm, serialize_idx_images,
@@ -51,14 +50,14 @@ __all__ = [
     "EmptyList", "EmptyMask", "EmptySupport", "ExperimentConfig", "Filter",
     "FilterBank", "FilterTooLarge", "GammaScan", "GradCheckResult",
     "GrayImage", "IDENTITY", "InvalidDistribution", "InvalidFixtureParams",
-    "InvalidParams", "LabeledImage", "MalformedHeader", "MnistPair", "MultiTemplate",
+    "InvalidParams", "LabeledImage", "MalformedHeader", "MnistPair",
     "MultipleComponents", "NonIdentifiablePair", "NumericError", "OptSpec",
     "RectSupport", "ResolutionMismatch", "ResolutionTooSmall", "RiemannRow",
     "RiskReport", "RiskRow", "SearchConfig", "SeparationResult",
     "TemplateFunction", "TrainableCnn", "TruncatedPayload", "TwoTemplates",
     "ZeroNorm",
     "align_transform", "build_filter_bank", "build_gallery", "classify_1nn",
-    "classify_1nn_flips", "classify_bank", "cone", "cross",
+    "classify_bank", "cone", "cross",
     "discrete_l2_norm", "emit_report", "estimate_gamma",
     "estimate_separation", "feature_max", "gamma_scan", "generate_dataset",
     "grad_check", "grid_inner_product", "load_checkpoint", "load_idx_pair",

@@ -119,50 +119,26 @@ def _stack_gallery(gallery: Sequence[GalleryEntry]) -> tuple[np.ndarray, np.ndar
     return grids, labels, m
 
 
-def classify_1nn(gallery: Sequence[GalleryEntry], query: AlignedRep) -> tuple[int, int, float]:
+def classify_1nn(gallery: Sequence[GalleryEntry], query: AlignedRep,
+                 flips: bool = False) -> tuple[int, int, float, int]:
     """Nearest neighbour under the discrete L2 distance (Frobenius / m).
 
-    Returns (label, gallery index, distance).  Ties go to the smallest
-    gallery index.
+    With ``flips`` the query grid is also compared in its three other
+    axis-reversal orientations.  Returns (label, gallery index, distance,
+    orientation index); the orientation is 0 without ``flips``.  Ties go
+    to the smallest gallery index, then the smallest orientation.
     """
     grids, labels, m = _stack_gallery(gallery)
     if query.m != m:
         raise ResolutionMismatch(f"query grid size {query.m} != gallery {m}")
-    diffs = grids - query.grid.reshape(-1)
-    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs)) / m
-    best = int(np.argmin(dists))  # argmin takes the first minimum
-    return int(labels[best]), best, float(dists[best])
-
-
-def classify_1nn_flips(gallery: Sequence[GalleryEntry], img: GrayImage,
-                       m: int | None = None,
-                       threshold: float = 0.0) -> tuple[int, int, float, int]:
-    """Flip-aware nearest neighbour.
-
-    The query's support crop is compared in all four axis-reversal
-    orientations, every orientation normalized by the same original norm,
-    and the minimum is taken over gallery entries and orientations.
-    Returns (label, gallery index, distance, orientation index).  Ties
-    resolve to the smallest gallery index, then the smallest orientation.
-    """
-    grids, labels, gm = _stack_gallery(gallery)
-    if m is None:
-        m = gm
-    if m != gm:
-        raise ResolutionMismatch(f"requested grid size {m} != gallery {gm}")
-    z = resample_box(img, rect_support(img, threshold), m)
-    norm = float(np.linalg.norm(z))
-    if norm == 0.0:
-        raise ZeroNorm("resampled support grid is identically zero")
-    best: tuple[float, int, int] | None = None
-    for r, variant in enumerate(_oriented_variants(z / norm)):
+    variants = _oriented_variants(query.grid) if flips else [query.grid]
+    candidates = []
+    for r, variant in enumerate(variants):
         diffs = grids - variant.reshape(-1)
         dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs)) / m
-        idx = int(np.argmin(dists))
-        cand = (float(dists[idx]), idx, r)
-        if best is None or cand < best:
-            best = cand
-    dist, idx, r = best
+        idx = int(np.argmin(dists))  # argmin takes the first minimum
+        candidates.append((float(dists[idx]), idx, r))
+    dist, idx, r = min(candidates)
     return int(labels[idx]), idx, dist, r
 
 

@@ -4,18 +4,18 @@ Subcommands: ``gen`` writes a synthetic dataset to disk, ``align`` classifies
 a query image against a dataset directory, ``cnn`` builds/trains/applies the
 convolutional classifiers, ``sep`` reports separation and boundary-regularity
 estimates for two templates, ``bench`` runs a full experiment from a config
-file.  Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+file.  Exit codes: 0 success, 1 when ``bench`` wrote its reports but some
+rows failed, 2 config error, 3 data error, 4 numeric failure.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .align import align_transform, build_gallery, classify_1nn, classify_1nn_flips
+from .align import align_transform, build_gallery, classify_1nn
 from .cnn import build_filter_bank, classify_bank
-from .datagen import DeformDistribution, generate_dataset
+from .datagen import DeformDistribution, generate_dataset, normalized
 from .errors import ConfigError, DataError, DeformClassError, NumericError
 from .geometry import gamma_scan, trace_boundary
 from .harness import (emit_report, parse_config, parse_template_spec,
@@ -132,14 +132,10 @@ def _cmd_align(args) -> int:
     data = read_dataset(args.gallery)
     gallery = build_gallery([it.image for it in data.items],
                             [it.label for it in data.items], m=args.m)
-    query = _load_query(args.query)
-    if args.flips:
-        label, index, dist, orientation = classify_1nn_flips(gallery, query, m=args.m)
-        print(f"label={label} neighbor={index} distance={dist:.6f} "
-              f"orientation={orientation}")
-    else:
-        label, index, dist = classify_1nn(gallery, align_transform(query, m=args.m))
-        print(f"label={label} neighbor={index} distance={dist:.6f}")
+    query = align_transform(_load_query(args.query), m=args.m)
+    label, index, dist, orientation = classify_1nn(gallery, query, args.flips)
+    print(f"label={label} neighbor={index} distance={dist:.6f}"
+          + (f" orientation={orientation}" if args.flips else ""))
     return 0
 
 
@@ -154,10 +150,7 @@ def _cmd_cnn(args) -> int:
               f"z0={decision.z0:.6f} z1={decision.z1:.6f}")
         return 0
     if args.cnn_command == "train":
-        data = read_dataset(args.data)
-        items = tuple(replace(it, image=normalize_l2(it.image))
-                      for it in data.items)
-        data = replace(data, items=items)
+        data = normalized(read_dataset(args.data))
         arch = ArchSpec(n_filters=args.n_filters, filter_size=args.filter_size,
                         beta=args.beta)
         opt = OptSpec(learning_rate=args.learning_rate, epochs=args.epochs,
@@ -213,6 +206,10 @@ def _cmd_bench(args) -> int:
         print(f"aggregates at {args.aggregate_out}")
     else:
         sys.stdout.write(agg.decode("utf-8"))
+    failed = sum(1 for row in report.rows if row.error)
+    if failed:
+        print(f"{failed} of {len(report.rows)} rows failed", file=sys.stderr)
+        return 1
     return 0
 
 

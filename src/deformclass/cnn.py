@@ -241,7 +241,7 @@ def softmax_pair(z0: float, z1: float, beta: float) -> tuple[float, float]:
     The outputs sum to 1 exactly; large beta sharpens the pair toward the
     one-hot limit.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise InvalidParams(f"temperature must be positive, got {beta}")
     m = max(z0, z1)
     e0 = float(np.exp(beta * (z0 - m)))

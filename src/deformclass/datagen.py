@@ -6,7 +6,7 @@ depend on how many other items are generated or in which order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +21,7 @@ from .model import (
     DeformParams,
     GrayImage,
     TemplateFunction,
+    normalize_l2,
     rasterize,
     reparametrize,
     shift_bounds,
@@ -119,6 +120,12 @@ class Dataset:
 
     def labels(self) -> np.ndarray:
         return np.array([it.label for it in self.items], dtype=int)
+
+
+def normalized(data: Dataset) -> Dataset:
+    """The dataset with every image scaled to unit discrete L2 norm."""
+    return replace(data, items=tuple(replace(it, image=normalize_l2(it.image))
+                                     for it in data.items))
 
 
 def generate_dataset(templates0: Sequence[TemplateFunction],

@@ -5,24 +5,22 @@ set and a fresh test set are drawn from the task distribution, each
 requested classifier is fitted (or built) and scored, and the empirical
 misclassification risk is recorded.  Aggregation takes the median across
 repetitions.  Every random draw derives from the experiment seed through
-named substreams, so reports are byte-identical across runs and across
-worker counts.
+named substreams, so reports are byte-identical across runs.  Items run
+one after another; a failing item yields NaN rows and does not stop the
+sweep.
 """
 from __future__ import annotations
 
-import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .align import (align_transform, build_gallery, classify_1nn,
-                    classify_1nn_flips)
+from .align import align_transform, build_gallery, classify_1nn
 from .cnn import FilterBank, build_filter_bank, classify_bank
 from .datagen import (Dataset, DeformDistribution, LabeledImage,
-                      generate_dataset)
+                      generate_dataset, normalized)
 from .errors import (ConfigError, DataError, InvalidDistribution,
                      InvalidParams)
 from .io import load_idx_pair
@@ -30,8 +28,6 @@ from .model import GrayImage, TemplateFunction, normalize_l2
 from .train import ArchSpec, OptSpec, train_least_squares
 
 CLASSIFIERS = ("IAC", "IAC_FLIPS", "CNN_EXPLICIT", "CNN_TRAINED")
-
-THREADS_ENV = "DEFORMCLASS_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -43,20 +39,6 @@ class TwoTemplates:
     f0: TemplateFunction
     f1: TemplateFunction
 
-    def template_lists(self) -> tuple[tuple, tuple]:
-        return (self.f0,), (self.f1,)
-
-
-@dataclass(frozen=True)
-class MultiTemplate:
-    class0: tuple[TemplateFunction, ...]
-    class1: tuple[TemplateFunction, ...]
-
-    def template_lists(self) -> tuple[tuple, tuple]:
-        if not self.class0 or not self.class1:
-            raise ConfigError("each class needs at least one template")
-        return tuple(self.class0), tuple(self.class1)
-
 
 @dataclass(frozen=True)
 class MnistPair:
@@ -66,7 +48,7 @@ class MnistPair:
     labels_path: str
 
 
-Task = TwoTemplates | MultiTemplate | MnistPair
+Task = TwoTemplates | MnistPair
 
 
 @dataclass(frozen=True)
@@ -101,8 +83,10 @@ class ExperimentConfig:
                                   "not an image corpus")
         elif self.q is None:
             raise ConfigError("template tasks need a deformation distribution q")
-        if isinstance(self.task, MultiTemplate) and "CNN_EXPLICIT" in self.classifiers:
-            raise ConfigError("CNN_EXPLICIT supports single-template classes only")
+        if self.align_m is not None and self.align_m < 2:
+            raise ConfigError(f"align.m must be >= 2, got {self.align_m}")
+        if self.bank_beta is not None and not self.bank_beta > 0:
+            raise ConfigError(f"bank.beta must be positive, got {self.bank_beta}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +123,7 @@ def _derived_seed(*key: int) -> int:
 
 def _draw_template_sets(cfg: ExperimentConfig, rep: int, n: int
                         ) -> tuple[Dataset, Dataset]:
-    t0, t1 = cfg.task.template_lists()
+    t0, t1 = (cfg.task.f0,), (cfg.task.f1,)
     q_train = replace(cfg.q, seed=_derived_seed(cfg.seed, rep, n, 0))
     q_test = replace(cfg.q, seed=_derived_seed(cfg.seed, rep, n, 1))
     train = generate_dataset(t0, t1, q_train, n, cfg.d)
@@ -204,10 +188,8 @@ def _risk_iac(train: Dataset, test: Dataset, m: int | None, flips: bool) -> floa
     gallery = build_gallery(images, labels, m=m)
     wrong = 0
     for item in test.items:
-        if flips:
-            label, _, _, _ = classify_1nn_flips(gallery, item.image, m=m)
-        else:
-            label, _, _ = classify_1nn(gallery, align_transform(item.image, m=m))
+        label, _, _, _ = classify_1nn(gallery, align_transform(item.image, m=m),
+                                      flips)
         wrong += int(label != item.label)
     return wrong / len(test.items)
 
@@ -220,16 +202,9 @@ def _risk_bank(bank: FilterBank, test: Dataset, beta: float | None) -> float:
     return wrong / len(test.items)
 
 
-def _normalized(data: Dataset) -> Dataset:
-    items = tuple(LabeledImage(image=normalize_l2(it.image), label=it.label,
-                               template_index=it.template_index, params=it.params)
-                  for it in data.items)
-    return Dataset(items=items, d=data.d, meta=data.meta)
-
-
 def _risk_trained(train: Dataset, test: Dataset, arch: ArchSpec, opt: OptSpec,
                   seed: int) -> float:
-    net = train_least_squares(_normalized(train), arch, replace(opt, seed=seed))
+    net = train_least_squares(normalized(train), arch, replace(opt, seed=seed))
     x = np.stack([normalize_l2(item.image).pixels for item in test.items])
     labels = np.array([item.label for item in test.items])
     # Chunks no larger than the training batch, so prediction never holds
@@ -242,16 +217,6 @@ def _risk_trained(train: Dataset, test: Dataset, arch: ArchSpec, opt: OptSpec,
 # Runner
 # ---------------------------------------------------------------------------
 
-def _worker_count() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    return min(os.cpu_count() or 1, 8)
-
-
 def run_experiment(cfg: ExperimentConfig) -> RiskReport:
     """Run the full sweep; returns one row per (classifier, n, repetition)."""
     cfg.validate()
@@ -262,8 +227,7 @@ def run_experiment(cfg: ExperimentConfig) -> RiskReport:
 
     bank = None
     if "CNN_EXPLICIT" in cfg.classifiers:
-        f0, f1 = cfg.task.template_lists()
-        bank = build_filter_bank(f0[0], f1[0], cfg.bank_xi_max, cfg.d)
+        bank = build_filter_bank(cfg.task.f0, cfg.task.f1, cfg.bank_xi_max, cfg.d)
     pool = _MnistPool(cfg.task) if isinstance(cfg.task, MnistPair) else None
 
     def run_item(rep: int, n: int) -> list[RiskRow]:
@@ -293,15 +257,8 @@ def run_experiment(cfg: ExperimentConfig) -> RiskReport:
                             risk=float("nan"), error=str(exc))
                     for name in cfg.classifiers]
 
-    items = [(rep, n) for rep in range(cfg.repetitions) for n in cfg.n_list]
-    workers = _worker_count()
-    if workers == 1:
-        results = [run_item(rep, n) for rep, n in items]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(lambda rn: run_item(*rn), items))
-
-    rows = [row for batch in results for row in batch]
+    rows = [row for rep in range(cfg.repetitions) for n in cfg.n_list
+            for row in run_item(rep, n)]
     rows.sort(key=lambda r: (r.classifier, r.n, r.repetition))
     return RiskReport(rows=tuple(rows), n_test=cfg.n_test)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from deformclass import (
+    AlignedRep,
     DeformParams,
     EmptyGallery,
     EmptySupport,
@@ -11,7 +12,6 @@ from deformclass import (
     align_transform,
     build_gallery,
     classify_1nn,
-    classify_1nn_flips,
     rasterize,
     rect_support,
     resample_box,
@@ -127,7 +127,8 @@ class TestClassify1nn:
         gallery, f0, f1 = self._gallery()
         p = DeformParams(eta=1.6, xi=1.0, xi_prime=1.0, tau=0.125, tau_prime=0.0)
         query = align_transform(rasterize(f0, p, 32))
-        label, idx, dist = classify_1nn(gallery, query)
+        label, idx, dist, orient = classify_1nn(gallery, query)
+        assert orient == 0
         assert label == 0
         assert idx == 0
         assert dist == pytest.approx(0.0, abs=1e-12)
@@ -142,16 +143,27 @@ class TestClassify1nn:
         gallery, f0, _ = self._gallery()
         query = align_transform(rasterize(f0, DeformParams(
             eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0), 32), m=16)
-        with pytest.raises(ResolutionMismatch):
-            classify_1nn(gallery, query)
+        for flips in (False, True):
+            with pytest.raises(ResolutionMismatch):
+                classify_1nn(gallery, query, flips)
 
     def test_tie_goes_to_first_entry(self):
         grid = np.zeros((4, 4))
         grid[1, 1] = 1.0
         rep = align_transform(GrayImage(grid), m=2)
         gallery = [(rep, 0), (rep, 1)]
-        label, idx, dist = classify_1nn(gallery, rep)
-        assert (label, idx) == (0, 0)
+        for flips in (False, True):
+            label, idx, dist, orient = classify_1nn(gallery, rep, flips)
+            assert (label, idx, orient) == (0, 0, 0)
+
+    def test_each_axis_reversal_is_found(self):
+        grid = np.arange(16, dtype=float).reshape(4, 4)
+        rep = AlignedRep(grid=grid / np.linalg.norm(grid), m=4)
+        gallery = [(AlignedRep(grid=np.ones((4, 4)) / 4, m=4), 0), (rep, 1)]
+        variants = [grid, grid[::-1, :], grid[:, ::-1], grid[::-1, ::-1]]
+        for r, variant in enumerate(variants):
+            query = AlignedRep(grid=variant / np.linalg.norm(variant), m=4)
+            assert classify_1nn(gallery, query, flips=True) == (1, 1, 0.0, r)
 
     def test_flip_aware_variant(self):
         d = 32
@@ -165,13 +177,14 @@ class TestClassify1nn:
         flipped = DeformParams(eta=1.0, xi=-1.0, xi_prime=1.0, tau=-1.0,
                                tau_prime=0.0, allow_flips=True)
         img = rasterize(f, flipped, d)
-        label, idx, dist, orient = classify_1nn_flips(gallery, img)
+        label, idx, dist, orient = classify_1nn(gallery, align_transform(img),
+                                                flips=True)
         assert label == 0
         assert orient > 0
         # a negative scale shifts the sample lattice by one pixel, so the
         # match is close but not bit-exact
         assert dist < 0.03
-        _, _, plain_dist = classify_1nn(gallery, align_transform(img))
+        _, _, plain_dist, _ = classify_1nn(gallery, align_transform(img))
         assert plain_dist > dist
 
     def test_build_gallery_validates_lengths(self):

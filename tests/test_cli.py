@@ -70,6 +70,15 @@ class TestCnn:
         assert code == 0
         assert "label=" in capsys.readouterr().out
 
+    def test_bank_nan_beta_exits_2(self, dataset_dir, capsys):
+        query = next(iter(sorted(dataset_dir.glob("*.pgm"))))
+        code = main(["cnn", "bank", "--template0", "tent:delta=0.25",
+                     "--template1", "cross:arm=0.25,taper=0.08",
+                     "--image", str(query), "--d", "16", "--xi-max", "1",
+                     "--beta", "nan"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_bank_malformed_image_exits_3(self, tmp_path, capsys):
         query = tmp_path / "deep.pgm"
         query.write_bytes(b"P5\n16 16\n65535\n" + bytes(512))
@@ -157,6 +166,18 @@ class TestBench:
         out = capsys.readouterr().out
         assert "classifier,n,repetition,R_N" in out
         assert "classifier,n,median_R_N" in out
+
+    def test_failed_rows_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG + "experiment.d = 2\n")
+        raw = tmp_path / "raw.csv"
+        agg = tmp_path / "agg.csv"
+        code = main(["bench", "--config", str(cfg), "--out", str(raw),
+                     "--aggregate-out", str(agg)])
+        assert code == 1
+        assert raw.read_text().splitlines()[1:] == ["IAC,2,0,nan", "IAC,2,1,nan"]
+        assert agg.read_text().splitlines() == ["classifier,n,median_R_N"]
+        assert "2 of 2 rows failed" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["bench", "--config", str(tmp_path / "nope.cfg")])

@@ -167,7 +167,7 @@ class TestSoftmaxPair:
         assert 0.5 < mild < sharp < 1.0
 
     def test_temperature_must_be_positive(self):
-        for beta in (0.0, -2.0):
+        for beta in (0.0, -2.0, float("nan")):
             with pytest.raises(InvalidParams):
                 softmax_pair(1.0, 0.0, beta)
 

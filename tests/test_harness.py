@@ -6,7 +6,6 @@ from deformclass import (
     DeformDistribution,
     ExperimentConfig,
     MnistPair,
-    MultiTemplate,
     OptSpec,
     RiskReport,
     RiskRow,
@@ -95,6 +94,9 @@ class TestParseConfig:
     def test_bad_numeric(self):
         with pytest.raises(ConfigError, match="experiment.d"):
             parse_config(MINIMAL_CONFIG + "experiment.d = many\n")
+        for bad in ("align.m = 1", "bank.beta = -1", "bank.beta = nan"):
+            with pytest.raises(ConfigError, match=bad.split(" ")[0]):
+                parse_config(MINIMAL_CONFIG + bad + "\n")
 
     def test_missing_templates(self):
         with pytest.raises(ConfigError, match="template"):
@@ -126,24 +128,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
-    def test_multi_template_excludes_explicit_bank(self):
-        t = parse_template_spec("tent")
-        cfg = tiny_config(task=MultiTemplate((t,), (t, t)),
-                          classifiers=("CNN_EXPLICIT",))
-        with pytest.raises(ConfigError):
-            cfg.validate()
-
     def test_template_task_needs_q(self):
         with pytest.raises(ConfigError):
             tiny_config(q=None).validate()
 
     def test_count_floors(self):
-        with pytest.raises(ConfigError):
-            tiny_config(repetitions=0).validate()
-        with pytest.raises(ConfigError):
-            tiny_config(n_test=0).validate()
-        with pytest.raises(ConfigError):
-            tiny_config(n_list=()).validate()
+        for bad in (dict(repetitions=0), dict(n_test=0), dict(n_list=()),
+                    dict(align_m=1), dict(bank_beta=-1.0),
+                    dict(bank_beta=float("nan"))):
+            with pytest.raises(ConfigError):
+                tiny_config(**bad).validate()
 
 
 class TestRunExperiment:
