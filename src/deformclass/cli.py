@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .align import align_transform, build_gallery, classify_1nn
-from .cnn import build_filter_bank, classify_bank
+from .cnn import build_filter_bank, check_temperature, classify_bank
 from .datagen import DeformDistribution, generate_dataset, normalized
 from .errors import ConfigError, DataError, DeformClassError, NumericError
 from .geometry import gamma_scan, trace_boundary
@@ -144,6 +144,8 @@ def _cmd_cnn(args) -> int:
         f0 = parse_template_spec(args.template0)
         f1 = parse_template_spec(args.template1)
         img = _load_query(args.image)
+        if args.beta is not None:
+            check_temperature(args.beta)
         bank = build_filter_bank(f0, f1, args.xi_max, args.d)
         decision = classify_bank(bank, normalize_l2(img), beta=args.beta)
         print(f"label={decision.label} p0={decision.p0:.6f} p1={decision.p1:.6f} "

@@ -235,14 +235,19 @@ def max_tree(values) -> float:
     return float(buf[0])
 
 
+def check_temperature(beta: float) -> None:
+    """Reject a softmax temperature that is not positive (NaN included)."""
+    if not beta > 0:
+        raise InvalidParams(f"temperature must be positive, got {beta}")
+
+
 def softmax_pair(z0: float, z1: float, beta: float) -> tuple[float, float]:
     """Tempered two-class softmax, computed in max-shifted form.
 
     The outputs sum to 1 exactly; large beta sharpens the pair toward the
     one-hot limit.
     """
-    if not beta > 0:
-        raise InvalidParams(f"temperature must be positive, got {beta}")
+    check_temperature(beta)
     m = max(z0, z1)
     e0 = float(np.exp(beta * (z0 - m)))
     e1 = float(np.exp(beta * (z1 - m)))

@@ -167,11 +167,13 @@ def gamma_scan(curve: BoundaryCurve | np.ndarray, sample_budget: int = 256) -> G
     taken, and the ratio to the chord length is recorded.  Pairs with
     chord below 1e-9 are skipped and counted as singular.  The result is
     a lower estimate of the true regularity constant that never decreases
-    as the budget grows.
+    as the budget grows.  Non-finite points raise ``DegenerateCurve``.
     """
     pts = curve.points if isinstance(curve, BoundaryCurve) else np.asarray(curve, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise DegenerateCurve(f"need at least 3 planar points, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise DegenerateCurve("curve points must be finite")
     if sample_budget < 3:
         raise InvalidParams(f"sample budget must be >= 3, got {sample_budget}")
 
@@ -181,27 +183,30 @@ def gamma_scan(curve: BoundaryCurve | np.ndarray, sample_budget: int = 256) -> G
     diff = p[:, None, :] - p[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
+    # Row i scores every pair (i, k), k > i, at once: row r of s is the
+    # detour sum through each curve point for k = i + 1 + r.
+    j = np.arange(n)
     best = -1.0
     best_pair = (0, 0)
     singular = 0
     for i in range(n - 1):
-        row_i = dist[i]
-        chords = dist[i, i + 1:]
-        for off, chord in enumerate(chords):
-            k = i + 1 + off
-            if chord < _SINGULAR_EPS:
-                singular += 1
-                continue
-            s = row_i + dist[k]
-            inner = s[i:k + 1].max()
-            outer_max = max(s[k:].max(), s[:i + 1].max())
-            ratio = min(inner, outer_max) / chord
-            if ratio > best:
-                best = ratio
-                best_pair = (int(sel[i]), int(sel[k]))
+        k = j[i + 1:, None]
+        chord = dist[i, i + 1:]
+        s = dist[i][None, :] + dist[i + 1:]
+        inner = s.max(axis=1, where=(j >= i) & (j <= k), initial=-np.inf)
+        outer = s.max(axis=1, where=(j >= k) | (j <= i), initial=-np.inf)
+        ok = chord >= _SINGULAR_EPS
+        singular += int(np.count_nonzero(~ok))
+        if not ok.any():
+            continue
+        ratio = np.minimum(inner[ok], outer[ok]) / chord[ok]
+        r = int(np.argmax(ratio))
+        if ratio[r] > best:
+            best = float(ratio[r])
+            best_pair = (int(sel[i]), int(sel[i + 1 + np.flatnonzero(ok)[r]]))
     if best < 0:
         raise DegenerateCurve("all point pairs are singular")
-    return GammaScan(estimate=float(best), points_used=n,
+    return GammaScan(estimate=best, points_used=n,
                      singular_pairs=singular, argmax_pair=best_pair)
 
 

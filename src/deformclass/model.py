@@ -37,8 +37,10 @@ _BOUND_TOL = 1e-12
 class TemplateFunction:
     """Bivariate intensity function with support in [1/4, 3/4]^2.
 
-    ``fn`` evaluates pointwise on numpy arrays (broadcasting) and must
-    return 0 outside the support box, in particular outside [0, 1]^2.
+    ``fn`` evaluates pointwise on numpy arrays and must return 0 outside
+    the support box, in particular outside [0, 1]^2.  It must broadcast:
+    given an (n, 1) array of x and a (1, m) array of y it returns the
+    (n, m) grid of values, so callers pass axis vectors, not meshgrids.
 
     ``lipschitz_const`` is the normalized constant C such that
     |f(x, y) - f(x', y')| <= C * l1_norm * (|x - x'| + |y - y'|).
@@ -59,8 +61,7 @@ class TemplateFunction:
 def _estimate_l1(fn, resolution: int = 1024) -> float:
     """Midpoint-rule estimate of the integral of ``fn`` over [0, 1]^2."""
     t = (np.arange(resolution) + 0.5) / resolution
-    x, y = np.meshgrid(t, t, indexing="ij")
-    return float(fn(x, y).mean())
+    return float(fn(t[:, None], t[None, :]).mean())
 
 
 def tent(delta: float, center: tuple[float, float] = (0.5, 0.5)) -> TemplateFunction:
@@ -315,8 +316,8 @@ def rasterize(f: TemplateFunction, p: DeformParams, d: int) -> GrayImage:
         raise ResolutionTooSmall(f"resolution {d} below minimum {MIN_RESOLUTION}")
     p.validate()
     t = np.arange(1, d + 1) / d
-    x, y = np.meshgrid(p.xi * t - p.tau, p.xi_prime * t - p.tau_prime, indexing="ij")
-    return GrayImage(p.eta * f.fn(x, y))
+    return GrayImage(p.eta * f.fn((p.xi * t - p.tau)[:, None],
+                                  (p.xi_prime * t - p.tau_prime)[None, :]))
 
 
 def normalize_l2(img: GrayImage) -> GrayImage:

@@ -149,8 +149,7 @@ def _direction(f: TemplateFunction, g: TemplateFunction, cfg: SearchConfig) -> t
     """Upper bound of dist(f, g) over the configured search domain."""
     q_c = cfg.coarse_quadrature
     t = _midpoints(q_c)
-    gx, gy = np.meshgrid(t, t, indexing="ij")
-    G = g(gx, gy)
+    G = g(t[:, None], t[None, :])
     norm_g2 = float(np.mean(G * G))
     if norm_g2 == 0.0:
         raise InvalidParams("second template is identically zero on the grid")
@@ -160,8 +159,7 @@ def _direction(f: TemplateFunction, g: TemplateFunction, cfg: SearchConfig) -> t
     f_mass2 = None
     if not cfg.restrict_scales:
         tf = _midpoints(2048)
-        fx, fy = np.meshgrid(tf, tf, indexing="ij")
-        f_mass2 = float(np.mean(f(fx, fy) ** 2))
+        f_mass2 = float(np.mean(f(tf[:, None], tf[None, :]) ** 2))
 
     g_fft_cache: dict[tuple, np.ndarray] = {}
     best = (np.inf, (1.0, 1.0, 1.0, 0.0, 0.0))
@@ -209,7 +207,7 @@ def _direction(f: TemplateFunction, g: TemplateFunction, cfg: SearchConfig) -> t
 
     # Refine the winner (and re-score it) at the fine quadrature.
     tq = _midpoints(cfg.quadrature)
-    qx, qy = np.meshgrid(tq, tq, indexing="ij")
+    qx, qy = tq[:, None], tq[None, :]
     Gq = g(qx, qy)
     norm_gq2 = float(np.mean(Gq * Gq))
 
@@ -316,16 +314,15 @@ def riemann_error_report(h: TemplateFunction, g: TemplateFunction,
     if any(d < 4 for d in d_list):
         raise InvalidParams("resolutions must be >= 4")
     t = _midpoints(reference_resolution)
-    rx, ry = np.meshgrid(t, t, indexing="ij")
+    rx, ry = t[:, None], t[None, :]
     ref_ip = float(np.mean(h(rx, ry) * g(rx, ry)))
     ref_norm_h = float(np.sqrt(np.mean(h(rx, ry) ** 2)))
 
     rows = []
     for d in d_list:
         s = np.arange(1, d + 1) / d
-        sx, sy = np.meshgrid(s, s, indexing="ij")
-        H = h(sx, sy)
-        G = g(sx, sy)
+        H = h(s[:, None], s[None, :])
+        G = g(s[:, None], s[None, :])
         ip = float(np.mean(H * G))
         norm_h = float(np.sqrt(np.mean(H * H)))
         lh, lg = h.lipschitz_const, g.lipschitz_const

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deformclass import GrayImage, write_pgm
+from deformclass import GrayImage, cli, write_pgm
 from deformclass.cli import main
 
 GEN_ARGS = ["gen", "--template0", "tent:delta=0.25",
@@ -70,14 +70,20 @@ class TestCnn:
         assert code == 0
         assert "label=" in capsys.readouterr().out
 
-    def test_bank_nan_beta_exits_2(self, dataset_dir, capsys):
+    def test_bank_nan_beta_exits_2(self, dataset_dir, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("bank built before the temperature check")
+
+        monkeypatch.setattr(cli, "build_filter_bank", unreachable)
         query = next(iter(sorted(dataset_dir.glob("*.pgm"))))
-        code = main(["cnn", "bank", "--template0", "tent:delta=0.25",
-                     "--template1", "cross:arm=0.25,taper=0.08",
-                     "--image", str(query), "--d", "16", "--xi-max", "1",
-                     "--beta", "nan"])
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
+        for beta in ("nan", "-1", "0"):
+            code = main(["cnn", "bank", "--template0", "tent:delta=0.25",
+                         "--template1", "cross:arm=0.25,taper=0.08",
+                         "--image", str(query), "--d", "16", "--xi-max", "1",
+                         "--beta", beta])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "config error: temperature must be positive" in err
 
     def test_bank_malformed_image_exits_3(self, tmp_path, capsys):
         query = tmp_path / "deep.pgm"
@@ -120,6 +126,19 @@ class TestSep:
         out = capsys.readouterr().out
         assert "separation: d_fg=0.000000" in out
         assert out.count("gamma~") == 2
+
+    def test_golden_output(self, capsys):
+        # Golden text: speed-ups of the search or the gamma scan must not
+        # move a printed digit.
+        code = main(["sep", "--template0", "tent:delta=0.25",
+                     "--template1", "cross:arm=0.25,taper=0.08",
+                     "--step", "0.25", "--refine-iters", "2",
+                     "--gamma-budget", "64", "--gamma-d", "64"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "separation: d_fg=0.321056 d_gf=0.280532 D=0.321056\n"
+            "template0: gamma~1.6886 (boundary points 124, scan points 64)\n"
+            "template1: gamma~1.6438 (boundary points 124, scan points 64)\n")
 
     def test_non_numeric_template_parameter_exits_2(self, capsys):
         code = main(["sep", "--template0", "tent:delta=abc",

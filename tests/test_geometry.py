@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from deformclass import (
     BoundaryCurve,
@@ -10,10 +11,47 @@ from deformclass import (
     MultipleComponents,
     estimate_gamma,
     gamma_scan,
+    GammaScan,
+    cone,
+    cross,
     rasterize,
     tent,
     trace_boundary,
 )
+from deformclass.geometry import _SINGULAR_EPS, _nested_subset
+
+
+def gamma_scan_loop(curve, sample_budget=256):
+    """Reference: the pairwise double loop that ``gamma_scan`` vectorizes."""
+    pts = curve.points if isinstance(curve, BoundaryCurve) else np.asarray(curve, dtype=float)
+    sel = _nested_subset(pts.shape[0], sample_budget)
+    p = pts[sel]
+    n = p.shape[0]
+    diff = p[:, None, :] - p[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+    best = -1.0
+    best_pair = (0, 0)
+    singular = 0
+    for i in range(n - 1):
+        row_i = dist[i]
+        chords = dist[i, i + 1:]
+        for off, chord in enumerate(chords):
+            k = i + 1 + off
+            if chord < _SINGULAR_EPS:
+                singular += 1
+                continue
+            s = row_i + dist[k]
+            inner = s[i:k + 1].max()
+            outer_max = max(s[k:].max(), s[:i + 1].max())
+            ratio = min(inner, outer_max) / chord
+            if ratio > best:
+                best = ratio
+                best_pair = (int(sel[i]), int(sel[k]))
+    if best < 0:
+        raise DegenerateCurve("all point pairs are singular")
+    return GammaScan(estimate=float(best), points_used=n,
+                     singular_pairs=singular, argmax_pair=best_pair)
 
 
 def circle_points(n=256, radius=1.0):
@@ -101,3 +139,36 @@ class TestGammaScan:
             gamma_scan(np.zeros((8, 2)))  # all pairs singular
         with pytest.raises(InvalidParams):
             gamma_scan(circle_points(16), sample_budget=2)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_point_rejected(self, bad):
+        pts = circle_points(32)
+        pts[5, 1] = bad
+        with pytest.raises(DegenerateCurve, match="finite"):
+            gamma_scan(pts)
+        with pytest.raises(DegenerateCurve, match="finite"):
+            gamma_scan(BoundaryCurve(pts))
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                    min_size=3, max_size=24),
+           st.data())
+    def test_equals_loop_oracle(self, cells, data):
+        # A 5x5 lattice makes duplicated points (singular pairs), collinear
+        # runs and tied ratios common.
+        pts = np.array(cells, dtype=float) / 4.0
+        budget = data.draw(st.integers(3, len(pts)))
+        try:
+            expected = gamma_scan_loop(pts, budget)
+        except DegenerateCurve:
+            with pytest.raises(DegenerateCurve):
+                gamma_scan(pts, budget)
+            return
+        assert gamma_scan(pts, budget) == expected
+
+    @pytest.mark.parametrize("template", [tent(0.25), cross(0.25, 0.08), cone(0.22)],
+                             ids=["tent", "cross", "cone"])
+    @pytest.mark.parametrize("budget", [64, 128])
+    def test_traced_boundaries_equal_loop_oracle(self, template, budget):
+        p = DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
+        curve = trace_boundary(rasterize(template, p, 128).support_mask())
+        assert gamma_scan(curve, budget) == gamma_scan_loop(curve, budget)

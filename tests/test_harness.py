@@ -141,16 +141,14 @@ class TestConfigValidation:
 
 
 class TestRunExperiment:
-    def test_deterministic_across_thread_counts(self, monkeypatch):
+    def test_deterministic_across_reruns(self):
         cfg = tiny_config(classifiers=("IAC", "CNN_TRAINED"),
                           cnn_arch=ArchSpec(n_filters=4, filter_size=3,
                                             dense_widths=(8,)),
                           cnn_opt=OptSpec(epochs=2, batch_size=4))
-        monkeypatch.setenv("DEFORMCLASS_THREADS", "1")
-        serial = emit_report(run_experiment(cfg))
-        monkeypatch.setenv("DEFORMCLASS_THREADS", "8")
-        threaded = emit_report(run_experiment(cfg))
-        assert serial == threaded
+        first = emit_report(run_experiment(cfg))
+        second = emit_report(run_experiment(cfg))
+        assert first == second
 
     def test_seed_changes_output(self):
         arch = ArchSpec(n_filters=4, filter_size=3, dense_widths=(8,))

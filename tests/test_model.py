@@ -112,6 +112,29 @@ class TestTemplates:
             reparametrize(f, 1.0, 0.0, 0.0, 1.0, 0.0)
 
 
+AXIS_TEMPLATES = {
+    "tent": tent(0.25),
+    "cone": cone(0.22),
+    "cross": cross(0.25, 0.08),
+    "raster_interp": raster_interp(np.arange(20.0).reshape(4, 5)),
+    "template_sum": template_sum([tent(0.2), cone(0.15)]),
+    "reparametrize": reparametrize(cross(0.2, 0.05), 1.5, -1.25, 1.1, 0.8, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_TEMPLATES))
+def test_axis_vectors_match_meshgrid(name):
+    # Callers evaluate templates on an (n, 1) x and a (1, m) y.
+    f = AXIS_TEMPLATES[name]
+    x = np.linspace(-0.1, 1.1, 37)
+    y = np.linspace(0.0, 1.0, 23)
+    gx, gy = np.meshgrid(x, y, indexing="ij")
+    grid = f(x[:, None], y[None, :])
+    assert grid.shape == (37, 23)
+    assert np.array_equal(grid, f(gx, gy))
+    assert grid.any()
+
+
 class TestRasterInterp:
     def test_nodes_reproduced(self):
         g = np.zeros((5, 5))
