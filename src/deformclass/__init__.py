@@ -23,9 +23,9 @@ from .errors import (AllZeroImage, BadMagic, ConfigError, DataError,
                      ResolutionTooSmall, TruncatedPayload, ZeroNorm)
 from .geometry import (BoundaryCurve, GammaScan, estimate_gamma, gamma_scan,
                        trace_boundary)
-from .harness import (ExperimentConfig, MnistPair, RiskReport, RiskRow,
-                      TwoTemplates, emit_report, parse_config,
-                      parse_template_spec, run_experiment)
+from .harness import (ExperimentConfig, RiskReport, RiskRow, TwoTemplates,
+                      emit_report, parse_config, parse_template_spec,
+                      run_experiment)
 from .io import (load_idx_pair, parse_idx_images, parse_idx_labels,
                  read_dataset, read_pgm, serialize_idx_images,
                  serialize_idx_labels, write_dataset, write_pgm)
@@ -50,7 +50,7 @@ __all__ = [
     "EmptyList", "EmptyMask", "EmptySupport", "ExperimentConfig", "Filter",
     "FilterBank", "FilterTooLarge", "GammaScan", "GradCheckResult",
     "GrayImage", "IDENTITY", "InvalidDistribution", "InvalidFixtureParams",
-    "InvalidParams", "LabeledImage", "MalformedHeader", "MnistPair",
+    "InvalidParams", "LabeledImage", "MalformedHeader",
     "MultipleComponents", "NonIdentifiablePair", "NumericError", "OptSpec",
     "RectSupport", "ResolutionMismatch", "ResolutionTooSmall", "RiemannRow",
     "RiskReport", "RiskRow", "SearchConfig", "SeparationResult",

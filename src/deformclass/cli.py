@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError, DeformClassError, NumericError
 from .geometry import gamma_scan, trace_boundary
 from .harness import (emit_report, parse_config, parse_template_spec,
                       run_experiment)
-from .io import read_dataset, read_pgm, write_dataset, write_pgm
+from .io import read_bytes, read_dataset, read_pgm, write_dataset
 from .model import IDENTITY, normalize_l2, rasterize
 from .separation import SearchConfig, estimate_separation
 from .train import (ArchSpec, OptSpec, load_checkpoint, save_checkpoint,
@@ -105,15 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_bytes(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}")
-
-
 def _load_query(path: str):
-    return read_pgm(_read_bytes(path))
+    return read_pgm(read_bytes(path))
 
 
 def _cmd_gen(args) -> int:
@@ -162,7 +155,7 @@ def _cmd_cnn(args) -> int:
         print(f"final epoch loss {net.loss_history[-1]:.6f}; "
               f"checkpoint at {args.out}")
         return 0
-    net = load_checkpoint(_read_bytes(args.checkpoint))
+    net = load_checkpoint(read_bytes(args.checkpoint))
     img = normalize_l2(_load_query(args.image))
     p0, p1 = net.forward(img)
     print(f"label={int(p1 > 0.5)} p0={p0:.6f} p1={p1:.6f}")

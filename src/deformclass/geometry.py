@@ -34,6 +34,8 @@ class BoundaryCurve:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
             raise InvalidParams(f"curve needs at least 3 points of dim 2, got {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise InvalidParams("curve points must be finite")
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -167,7 +169,8 @@ def gamma_scan(curve: BoundaryCurve | np.ndarray, sample_budget: int = 256) -> G
     taken, and the ratio to the chord length is recorded.  Pairs with
     chord below 1e-9 are skipped and counted as singular.  The result is
     a lower estimate of the true regularity constant that never decreases
-    as the budget grows.  Non-finite points raise ``DegenerateCurve``.
+    as the budget grows.  Non-finite points in a raw array raise
+    ``DegenerateCurve``; a ``BoundaryCurve`` cannot hold them.
     """
     pts = curve.points if isinstance(curve, BoundaryCurve) else np.asarray(curve, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:

@@ -1,7 +1,7 @@
 """Experiment harness: sample-size sweeps with repetition medians.
 
 For every repetition and every training-set size, a fresh balanced train
-set and a fresh test set are drawn from the task distribution, each
+set and a fresh test set are drawn from the two deformed templates, each
 requested classifier is fitted (or built) and scored, and the empirical
 misclassification risk is recorded.  Aggregation takes the median across
 repetitions.  Every random draw derives from the experiment seed through
@@ -19,20 +19,15 @@ import numpy as np
 
 from .align import align_transform, build_gallery, classify_1nn
 from .cnn import FilterBank, build_filter_bank, classify_bank
-from .datagen import (Dataset, DeformDistribution, LabeledImage,
-                      generate_dataset, normalized)
-from .errors import (ConfigError, DataError, InvalidDistribution,
-                     InvalidParams)
-from .io import load_idx_pair
-from .model import GrayImage, TemplateFunction, normalize_l2
+from .datagen import Dataset, DeformDistribution, generate_dataset, normalized
+from .errors import ConfigError, InvalidDistribution, InvalidParams
+from .io import read_bytes, read_pgm
+from .model import (TemplateFunction, cone, cross, normalize_l2, raster_interp,
+                    tent)
 from .train import ArchSpec, OptSpec, train_least_squares
 
 CLASSIFIERS = ("IAC", "IAC_FLIPS", "CNN_EXPLICIT", "CNN_TRAINED")
 
-
-# ---------------------------------------------------------------------------
-# Tasks
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TwoTemplates:
@@ -41,19 +36,8 @@ class TwoTemplates:
 
 
 @dataclass(frozen=True)
-class MnistPair:
-    class_a: int
-    class_b: int
-    images_path: str
-    labels_path: str
-
-
-Task = TwoTemplates | MnistPair
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    task: Task
+    task: TwoTemplates
     q: DeformDistribution | None = None
     n_list: tuple[int, ...] = (2, 4, 8, 16, 32, 64)
     n_test: int = 100
@@ -77,12 +61,8 @@ class ExperimentConfig:
         for c in self.classifiers:
             if c not in CLASSIFIERS:
                 raise ConfigError(f"unknown classifier {c!r}; valid: {CLASSIFIERS}")
-        if isinstance(self.task, MnistPair):
-            if "CNN_EXPLICIT" in self.classifiers:
-                raise ConfigError("CNN_EXPLICIT needs template functions, "
-                                  "not an image corpus")
-        elif self.q is None:
-            raise ConfigError("template tasks need a deformation distribution q")
+        if self.q is None:
+            raise ConfigError("the experiment needs a deformation distribution q")
         if self.align_m is not None and self.align_m < 2:
             raise ConfigError(f"align.m must be >= 2, got {self.align_m}")
         if self.bank_beta is not None and not self.bank_beta > 0:
@@ -129,53 +109,6 @@ def _draw_template_sets(cfg: ExperimentConfig, rep: int, n: int
     train = generate_dataset(t0, t1, q_train, n, cfg.d)
     test = generate_dataset(t0, t1, q_test, cfg.n_test, cfg.d)
     return train, test
-
-
-class _MnistPool:
-    """MNIST-style corpus restricted to two digit classes, drawn without
-    replacement per repetition."""
-
-    def __init__(self, task: MnistPair):
-        pairs = load_idx_pair(_read(task.images_path), _read(task.labels_path))
-        self.by_class: dict[int, list[GrayImage]] = {task.class_a: [], task.class_b: []}
-        for img, lab in pairs:
-            if lab in self.by_class:
-                self.by_class[lab].append(img)
-        for cls, items in self.by_class.items():
-            if not items:
-                raise ConfigError(f"class {cls} absent from the label file")
-        self.classes = (task.class_a, task.class_b)
-
-    def draw(self, seed: int, n: int, n_test: int, d: int) -> tuple[Dataset, Dataset]:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        half_tr = [n - n // 2, n // 2]
-        half_te = [n_test - n_test // 2, n_test // 2]
-        items: list[list[LabeledImage]] = [[], []]
-        for k, cls in enumerate(self.classes):
-            pool = self.by_class[cls]
-            need = half_tr[k] + half_te[k]
-            if need > len(pool):
-                raise ConfigError(f"class {cls} has {len(pool)} images, "
-                                  f"needs {need}")
-            chosen = rng.choice(len(pool), size=need, replace=False)
-            for pos, j in enumerate(chosen):
-                split = 0 if pos < half_tr[k] else 1
-                items[split].append(LabeledImage(image=pool[j], label=k,
-                                                 template_index=0, params=None))
-        out = []
-        for group in items:
-            order = rng.permutation(len(group))
-            out.append(Dataset(items=tuple(group[i] for i in order),
-                               d=group[0].image.d, meta={"origin": "idx"}))
-        return out[0], out[1]
-
-
-def _read(path: str) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +161,10 @@ def run_experiment(cfg: ExperimentConfig) -> RiskReport:
     bank = None
     if "CNN_EXPLICIT" in cfg.classifiers:
         bank = build_filter_bank(cfg.task.f0, cfg.task.f1, cfg.bank_xi_max, cfg.d)
-    pool = _MnistPool(cfg.task) if isinstance(cfg.task, MnistPair) else None
 
     def run_item(rep: int, n: int) -> list[RiskRow]:
         try:
-            if pool is not None:
-                seed = _derived_seed(cfg.seed, rep, n, 2)
-                train, test = pool.draw(seed, n, cfg.n_test, cfg.d)
-            else:
-                train, test = _draw_template_sets(cfg, rep, n)
+            train, test = _draw_template_sets(cfg, rep, n)
             rows = []
             for name in cfg.classifiers:
                 if name == "IAC":
@@ -298,10 +226,9 @@ def emit_report(report: RiskReport, fmt: str = "csv", view: str = "raw") -> byte
 # ---------------------------------------------------------------------------
 
 _KNOWN_KEYS = {
-    "experiment.task", "experiment.n_list", "experiment.n_test",
-    "experiment.repetitions", "experiment.d", "experiment.classifiers",
-    "experiment.seed", "task.template0", "task.template1",
-    "task.mnist_images", "task.mnist_labels", "task.class_a", "task.class_b",
+    "experiment.n_list", "experiment.n_test", "experiment.repetitions",
+    "experiment.d", "experiment.classifiers", "experiment.seed",
+    "task.template0", "task.template1",
     "q.eta_range", "q.xi_range", "q.xi_prime_range", "q.flip_prob",
     "align.m", "bank.xi_max", "bank.beta", "cnn.n_filters", "cnn.filter_size",
     "cnn.dense_widths", "cnn.beta", "cnn.learning_rate", "cnn.epochs",
@@ -310,12 +237,19 @@ _KNOWN_KEYS = {
 
 
 def parse_template_spec(spec: str) -> TemplateFunction:
-    """Template from a spec string like ``tent:delta=0.25`` or ``cone:radius=0.2``."""
-    from .model import cone, cross, tent
+    """Template from a spec string like ``tent:delta=0.25`` or ``cone:radius=0.2``.
 
+    ``pgm:path=<file>`` reads a binary PGM and interpolates it bilinearly
+    over the support box (``raster_interp``); everything after ``path=`` is
+    the file name, relative to the working directory.
+    """
     name, _, rest = spec.partition(":")
     kwargs = {}
-    if rest:
+    if name == "pgm":
+        path = rest.removeprefix("path=")
+        if path == rest or not path:
+            raise ConfigError(f"template spec {spec!r} needs path=<file>")
+    elif rest:
         for part in rest.split(","):
             key, _, value = part.partition("=")
             if not value:
@@ -323,6 +257,8 @@ def parse_template_spec(spec: str) -> TemplateFunction:
             key = key.strip()
             kwargs[key] = _num(value, f"template parameter {key!r}")
     try:
+        if name == "pgm":
+            return raster_interp(read_pgm(read_bytes(path)).pixels)
         if name == "tent":
             center = (kwargs.pop("cx", 0.5), kwargs.pop("cy", 0.5))
             return tent(kwargs.pop("delta", 0.25), center=center, **kwargs)
@@ -336,7 +272,7 @@ def parse_template_spec(spec: str) -> TemplateFunction:
         raise ConfigError(f"bad arguments for template {name!r}: {exc}")
     except InvalidParams as exc:
         raise ConfigError(f"invalid template {spec!r}: {exc}")
-    raise ConfigError(f"unknown template kind {name!r} (tent, cone, cross)")
+    raise ConfigError(f"unknown template kind {name!r} (tent, cone, cross, pgm)")
 
 
 def _parse_pair(value: str, key: str) -> tuple[float, float]:
@@ -379,37 +315,21 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         kv[key] = value.strip()
 
-    task_kind = kv.get("experiment.task", "two_templates")
-    if task_kind == "two_templates":
-        if "task.template0" not in kv or "task.template1" not in kv:
-            raise ConfigError("two_templates task needs task.template0 and "
-                              "task.template1")
-        task = TwoTemplates(parse_template_spec(kv["task.template0"]),
-                            parse_template_spec(kv["task.template1"]))
-    elif task_kind == "mnist_pair":
-        for need in ("task.mnist_images", "task.mnist_labels"):
-            if need not in kv:
-                raise ConfigError(f"mnist_pair task needs {need}")
-        task = MnistPair(class_a=_int(kv.get("task.class_a", "0"), "task.class_a"),
-                         class_b=_int(kv.get("task.class_b", "1"), "task.class_b"),
-                         images_path=kv["task.mnist_images"],
-                         labels_path=kv["task.mnist_labels"])
-    else:
-        raise ConfigError(f"unknown task kind {task_kind!r}")
+    if "task.template0" not in kv or "task.template1" not in kv:
+        raise ConfigError("config needs task.template0 and task.template1")
+    task = TwoTemplates(parse_template_spec(kv["task.template0"]),
+                        parse_template_spec(kv["task.template1"]))
 
-    q = None
-    if not isinstance(task, MnistPair):
-        try:
-            q = DeformDistribution(
-                eta_range=_parse_pair(kv.get("q.eta_range", "1,1"), "q.eta_range"),
-                xi_range=_parse_pair(kv.get("q.xi_range", "1,1"), "q.xi_range"),
-                xi_prime_range=(_parse_pair(kv["q.xi_prime_range"],
-                                            "q.xi_prime_range")
-                                if "q.xi_prime_range" in kv else None),
-                flip_prob=_num(kv.get("q.flip_prob", "0"), "q.flip_prob"))
-            q.validate()
-        except (InvalidParams, InvalidDistribution) as exc:
-            raise ConfigError(f"invalid distribution: {exc}")
+    try:
+        q = DeformDistribution(
+            eta_range=_parse_pair(kv.get("q.eta_range", "1,1"), "q.eta_range"),
+            xi_range=_parse_pair(kv.get("q.xi_range", "1,1"), "q.xi_range"),
+            xi_prime_range=(_parse_pair(kv["q.xi_prime_range"], "q.xi_prime_range")
+                            if "q.xi_prime_range" in kv else None),
+            flip_prob=_num(kv.get("q.flip_prob", "0"), "q.flip_prob"))
+        q.validate()
+    except (InvalidParams, InvalidDistribution) as exc:
+        raise ConfigError(f"invalid distribution: {exc}")
 
     try:
         arch = ArchSpec(

@@ -16,12 +16,25 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import Dataset, LabeledImage
-from .errors import (BadMagic, DimMismatch, EmptyDataset, InvalidParams,
-                     MalformedHeader, TruncatedPayload)
+from .errors import (BadMagic, DataError, DimMismatch, EmptyDataset,
+                     InvalidParams, MalformedHeader, TruncatedPayload)
 from .model import DeformParams, GrayImage
 
 _IMAGE_MAGIC = b"\x00\x00\x08\x03"
 _LABEL_MAGIC = b"\x00\x00\x08\x01"
+
+
+def read_bytes(path: str | Path) -> bytes:
+    """Whole contents of a file; an unreadable path raises ``DataError``.
+
+    That covers a missing file, a directory and a path with a NUL byte
+    (which ``open`` rejects with ``ValueError``).
+    """
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read {path}: {exc}")
 
 
 def _parse_idx_header(data: bytes, magic: bytes) -> tuple[tuple[int, ...], int]:
@@ -135,8 +148,8 @@ def read_pgm(data: bytes) -> GrayImage:
             while pos < len(data) and not data[pos:pos + 1].isspace():
                 pos += 1
             tokens.append(data[start:pos])
-    if tokens[0] != b"P5":
-        raise BadMagic(f"PGM magic {tokens[0]!r}, expected b'P5'")
+            if tokens[0] != b"P5":
+                raise BadMagic(f"PGM magic {tokens[0]!r}, expected b'P5'")
     if not all(t.isdigit() for t in tokens[1:]):
         raise MalformedHeader(f"PGM size and maxval must be decimal integers, "
                               f"got {b' '.join(tokens[1:])!r}")
@@ -197,7 +210,7 @@ def read_dataset(directory: str | Path) -> Dataset:
         if reader.fieldnames is None or tuple(reader.fieldnames) != _MANIFEST_COLUMNS:
             raise DimMismatch(f"manifest columns {reader.fieldnames} unexpected")
         for row in reader:
-            img = read_pgm((directory / row["file"]).read_bytes())
+            img = read_pgm(read_bytes(directory / row["file"]))
             params = DeformParams(eta=float(row["eta"]), xi=float(row["xi"]),
                                   xi_prime=float(row["xi_prime"]),
                                   tau=float(row["tau"]),

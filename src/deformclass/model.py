@@ -58,6 +58,17 @@ class TemplateFunction:
         return self.fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
+def _template(fn, raw_lipschitz: float, l1: float, kind: str,
+              params: tuple) -> TemplateFunction:
+    """Template whose Lipschitz constant is ``raw_lipschitz`` normalized by
+    the l1 mass, which must be positive and finite: a tiny template
+    underflows its mass to 0, and an all-zero raster has none."""
+    if not (np.isfinite(l1) and l1 > 0):
+        raise InvalidParams(f"{kind} template has l1 mass {l1}; "
+                            f"it must be positive and finite")
+    return TemplateFunction(fn, raw_lipschitz / l1, l1, kind, params)
+
+
 def _estimate_l1(fn, resolution: int = 1024) -> float:
     """Midpoint-rule estimate of the integral of ``fn`` over [0, 1]^2."""
     t = (np.arange(resolution) + 0.5) / resolution
@@ -82,8 +93,7 @@ def tent(delta: float, center: tuple[float, float] = (0.5, 0.5)) -> TemplateFunc
     def fn(x, y):
         return np.maximum(delta - np.abs(x - cx) - np.abs(y - cy), 0.0)
 
-    l1 = 2.0 * delta ** 3 / 3.0
-    return TemplateFunction(fn, 1.0 / l1, l1, "tent", (delta, cx, cy))
+    return _template(fn, 1.0, 2.0 * delta ** 3 / 3.0, "tent", (delta, cx, cy))
 
 
 def cone(radius: float = 0.2, center: tuple[float, float] = (0.5, 0.5)) -> TemplateFunction:
@@ -101,8 +111,7 @@ def cone(radius: float = 0.2, center: tuple[float, float] = (0.5, 0.5)) -> Templ
         rho = np.hypot(x - cx, y - cy)
         return np.maximum(radius - rho, 0.0)
 
-    l1 = np.pi * radius ** 3 / 3.0
-    return TemplateFunction(fn, 1.0 / l1, l1, "cone", (radius, cx, cy))
+    return _template(fn, 1.0, np.pi * radius ** 3 / 3.0, "cone", (radius, cx, cy))
 
 
 def cross(arm_halfwidth: float = 1.0 / 16.0, taper: float = 1.0 / 16.0) -> TemplateFunction:
@@ -130,8 +139,7 @@ def cross(arm_halfwidth: float = 1.0 / 16.0, taper: float = 1.0 / 16.0) -> Templ
     # both factors are bounded by 1; the max of Lipschitz functions keeps
     # the bound.
     raw = max(1.0 / tp, 1.0 / w)
-    l1 = _estimate_l1(fn)
-    return TemplateFunction(fn, raw / l1, l1, "cross", (w, tp))
+    return _template(fn, raw, _estimate_l1(fn), "cross", (w, tp))
 
 
 def raster_interp(grid: np.ndarray, l1_resolution: int = 512) -> TemplateFunction:
@@ -178,10 +186,8 @@ def raster_interp(grid: np.ndarray, l1_resolution: int = 512) -> TemplateFunctio
     dx = np.abs(np.diff(g, axis=0)).max(initial=0.0) * 2.0 * (rows - 1)
     dy = np.abs(np.diff(g, axis=1)).max(initial=0.0) * 2.0 * (cols - 1)
     raw = float(max(dx, dy))
-    l1 = _estimate_l1(fn, l1_resolution)
-    if l1 <= 0:
-        raise InvalidParams("raster template is identically zero")
-    return TemplateFunction(fn, raw / l1, l1, "raster", (rows, cols))
+    return _template(fn, raw, _estimate_l1(fn, l1_resolution), "raster",
+                     (rows, cols))
 
 
 def template_sum(parts: Sequence[TemplateFunction]) -> TemplateFunction:
@@ -196,10 +202,10 @@ def template_sum(parts: Sequence[TemplateFunction]) -> TemplateFunction:
             total = total + p(x, y)
         return total
 
-    l1 = sum(p.l1_norm for p in parts)
     # Raw constants add; renormalize by the combined l1 mass.
     raw = sum(p.lipschitz_const * p.l1_norm for p in parts)
-    return TemplateFunction(fn, raw / l1, l1, "sum", tuple(p.kind for p in parts))
+    return _template(fn, raw, sum(p.l1_norm for p in parts), "sum",
+                     tuple(p.kind for p in parts))
 
 
 def reparametrize(f: TemplateFunction, amplitude: float,
@@ -219,8 +225,8 @@ def reparametrize(f: TemplateFunction, amplitude: float,
 
     l1 = amplitude * f.l1_norm / abs(scale_x * scale_y)
     raw = f.lipschitz_const * f.l1_norm * amplitude * max(abs(scale_x), abs(scale_y))
-    return TemplateFunction(fn, raw / l1, l1, kind,
-                            (f.kind, amplitude, scale_x, shift_x, scale_y, shift_y))
+    return _template(fn, raw, l1, kind,
+                     (f.kind, amplitude, scale_x, shift_x, scale_y, shift_y))
 
 
 # ---------------------------------------------------------------------------

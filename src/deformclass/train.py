@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cnn import Filter
 from .datagen import Dataset, LabeledImage
 from .errors import (DataError, DimMismatch, EmptyDataset, InvalidParams,
                      TruncatedPayload)
@@ -94,10 +93,6 @@ class TrainableCnn:
             fan_in = width
         self.loss_history: list[float] = []
 
-    @property
-    def conv_filters(self) -> list[Filter]:
-        return [Filter(w) for w in self.conv_w]
-
     # -- parameter plumbing ------------------------------------------------
 
     def param_arrays(self) -> list[np.ndarray]:
@@ -149,9 +144,6 @@ class TrainableCnn:
         p1, _ = self.forward_batch(img.pixels[None])
         return 1.0 - float(p1[0]), float(p1[0])
 
-    def predict(self, img: GrayImage) -> int:
-        return int(self.forward(img)[1] > 0.5)
-
     def predict_batch(self, x: np.ndarray, chunk: int) -> np.ndarray:
         """0/1 labels for a (B, d, d) batch, forwarded ``chunk`` images at a time."""
         p1 = [self.forward_batch(x[s: s + chunk])[0]
@@ -162,13 +154,10 @@ class TrainableCnn:
         p1, _ = self.forward_batch(x)
         return float(np.mean((y - p1) ** 2))
 
-    def gradients(self, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-        """Analytic gradient of the mean squared loss, per parameter array."""
-        return self.loss_and_gradients(x, y)[1]
-
     def loss_and_gradients(self, x: np.ndarray, y: np.ndarray
                            ) -> tuple[float, list[np.ndarray]]:
-        """``loss_batch`` and ``gradients`` from a single forward pass."""
+        """``loss_batch`` and its analytic gradient per parameter array, from a
+        single forward pass."""
         p1, cache = self.forward_batch(x)
         # d loss / d z, through p1 = sigmoid(beta (z1 - z0))
         gp = 2.0 * (p1 - y) / len(x)
@@ -276,7 +265,7 @@ def grad_check(net: TrainableCnn, sample: LabeledImage, eps: float,
         return np.where(cache["hidden"][0] > 0, cache["pool_idx"], -1)
 
     base_pattern = pool_pattern()
-    analytic = np.concatenate([g.ravel() for g in net.gradients(x, y)])
+    analytic = np.concatenate([g.ravel() for g in net.loss_and_gradients(x, y)[1]])
     flat = net.get_flat()
     rng = np.random.default_rng(seed)
     count = min(n_params, flat.size)

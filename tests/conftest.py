@@ -5,10 +5,12 @@ from hypothesis import HealthCheck, settings
 from deformclass import (
     DeformDistribution,
     DeformParams,
+    GrayImage,
     cone,
     cross,
     generate_dataset,
     tent,
+    write_pgm,
 )
 
 settings.register_profile(
@@ -48,6 +50,21 @@ def small_dataset(tent_template, cross_template, mild_q):
 @pytest.fixture(scope="session")
 def identity_params():
     return DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
+
+
+@pytest.fixture(scope="session")
+def glyph_pgms(tmp_path_factory):
+    """Two 28 x 28 glyph PGMs, a ring and a bar, for ``pgm:path=`` templates."""
+    r, c = np.mgrid[0:28, 0:28] - 13.5
+    ring = np.clip(1.0 - np.abs(np.hypot(r, c) - 8.0) / 2.5, 0.0, 1.0)
+    bar = np.clip(1.0 - np.abs(c) / 2.5, 0.0, 1.0) * (np.abs(r) <= 8)
+    out = tmp_path_factory.mktemp("glyphs")
+    paths = []
+    for name, px in (("ring", ring), ("bar", bar)):
+        path = out / f"{name}.pgm"
+        path.write_bytes(write_pgm(GrayImage(px)))
+        paths.append(path)
+    return tuple(paths)
 
 
 def rng(seed: int = 0) -> np.random.Generator:

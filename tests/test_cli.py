@@ -153,6 +153,43 @@ class TestSep:
         assert "config error" in capsys.readouterr().err
 
 
+class TestPgmTemplates:
+    def test_gen_sep_and_bank(self, glyph_pgms, tmp_path, capsys):
+        ring, bar = (f"pgm:path={p}" for p in glyph_pgms)
+        out = tmp_path / "glyphs"
+        assert main(["gen", "--template0", ring, "--template1", bar,
+                     "--n", "4", "--d", "16", "--out", str(out)]) == 0
+        assert main(["cnn", "bank", "--template0", ring, "--template1", bar,
+                     "--image", str(out / "item_00000.pgm"), "--d", "16",
+                     "--xi-max", "1"]) == 0
+        assert main(["sep", "--template0", ring, "--template1", bar,
+                     "--step", "0.25", "--refine-iters", "0",
+                     "--gamma-d", "64", "--gamma-budget", "64"]) == 0
+        out = capsys.readouterr().out
+        assert "wrote 4 images" in out and "label=" in out
+        assert "separation:" in out and out.count("gamma~") == 2
+
+    def test_spec_errors(self, tmp_path, capsys):
+        (tmp_path / "blank.pgm").write_bytes(write_pgm(GrayImage(np.zeros((8, 8)))))
+        (tmp_path / "notes.txt").write_text("not an image\n")
+        cases = [("pgm:path=" + str(tmp_path / "absent.pgm"), 3, "data error"),
+                 ("pgm:path=" + str(tmp_path), 3, "data error"),
+                 ("pgm:path=" + str(tmp_path / "notes.txt"), 3, "PGM magic"),
+                 ("pgm:path=" + str(tmp_path / "blank.pgm"), 2, "invalid template"),
+                 ("pgm:", 2, "needs path="),
+                 ("pgm:path=", 2, "needs path=")]
+        for spec, code, message in cases:
+            assert main(["sep", "--template0", spec, "--template1", "cone"]) == code
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_tiny_templates_exit_2(self, capsys):
+        for spec in ("tent:delta=1e-110", "cone:radius=1e-200", "cross:arm=1e-320"):
+            assert main(["sep", "--template0", spec, "--template1", "cone"]) == 2
+            assert "l1 mass 0.0" in capsys.readouterr().err
+
+
 class TestBench:
     CONFIG = ("task.template0 = tent:delta=0.25\n"
               "task.template1 = cross:arm=0.25,taper=0.08\n"
@@ -201,6 +238,42 @@ class TestBench:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["bench", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2
+
+    def test_glyph_templates_all_classifiers(self, glyph_pgms, tmp_path, capsys):
+        cfg = tmp_path / "glyphs.cfg"
+        cfg.write_text(f"task.template0 = pgm:path={glyph_pgms[0]}\n"
+                       f"task.template1 = pgm:path={glyph_pgms[1]}\n"
+                       "q.eta_range = 0.8,1.2\n"
+                       "q.xi_range = 1.0,1.5\n"
+                       "experiment.n_list = 2,8\n"
+                       "experiment.n_test = 20\n"
+                       "experiment.repetitions = 3\n"
+                       "experiment.d = 32\n"
+                       "experiment.classifiers = IAC,IAC_FLIPS,CNN_EXPLICIT,"
+                       "CNN_TRAINED\n"
+                       "cnn.n_filters = 4\n"
+                       "cnn.dense_widths = 8\n"
+                       "cnn.epochs = 5\n")
+        agg = tmp_path / "agg.csv"
+        code = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "raw.csv"),
+                     "--aggregate-out", str(agg)])
+        assert code == 0
+        assert "failed" not in capsys.readouterr().err
+        medians = {(c, int(n)): float(r) for c, n, r in
+                   (line.split(",") for line in agg.read_text().splitlines()[1:])}
+        assert sorted(medians) == [(c, n) for c in ("CNN_EXPLICIT", "CNN_TRAINED",
+                                                    "IAC", "IAC_FLIPS")
+                                   for n in (2, 8)]
+        # A ring and a bar are far apart; the model-based classifiers
+        # separate them from two examples.
+        for name in ("IAC", "IAC_FLIPS", "CNN_EXPLICIT"):
+            assert medians[name, 2] <= 0.1 and medians[name, 8] <= 0.1
+
+    def test_task_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG + "experiment.task = two_templates\n")
+        assert main(["bench", "--config", str(cfg)]) == 2
+        assert "line 9: unknown key 'experiment.task'" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

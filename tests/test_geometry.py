@@ -146,8 +146,8 @@ class TestGammaScan:
         pts[5, 1] = bad
         with pytest.raises(DegenerateCurve, match="finite"):
             gamma_scan(pts)
-        with pytest.raises(DegenerateCurve, match="finite"):
-            gamma_scan(BoundaryCurve(pts))
+        with pytest.raises(InvalidParams, match="finite"):
+            BoundaryCurve(pts)
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                     min_size=3, max_size=24),

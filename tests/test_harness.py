@@ -1,19 +1,28 @@
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from deformclass import (
     ArchSpec,
+    BadMagic,
     ConfigError,
+    DataError,
+    DeformClassError,
     DeformDistribution,
     ExperimentConfig,
-    MnistPair,
+    GrayImage,
     OptSpec,
     RiskReport,
     RiskRow,
+    TemplateFunction,
     TwoTemplates,
     emit_report,
     parse_config,
     parse_template_spec,
+    raster_interp,
+    read_pgm,
     run_experiment,
+    write_pgm,
 )
 
 MINIMAL_CONFIG = """
@@ -64,6 +73,74 @@ class TestTemplateSpec:
                 parse_template_spec(bad)
 
 
+@pytest.fixture(scope="module")
+def spec_paths(tmp_path_factory, glyph_pgms):
+    """The only files a ``pgm:`` spec under test may name: reading an
+    arbitrary path could block (``/dev/zero`` never ends)."""
+    base = tmp_path_factory.mktemp("specs")
+    (base / "blank.pgm").write_bytes(write_pgm(GrayImage(np.zeros((8, 8)))))
+    (base / "notes.txt").write_text("not an image\n")
+    (base / "folder").mkdir()
+    return {"glyph": str(glyph_pgms[0]), "blank": str(base / "blank.pgm"),
+            "text": str(base / "notes.txt"), "directory": str(base / "folder"),
+            "missing": str(base / "absent.pgm"), "nul": "a\0b"}
+
+
+def key_value_parts():
+    keys = st.sampled_from(["delta", "radius", "arm", "taper", "cx", "cy",
+                            "path", "center", ""]) | st.text(max_size=4)
+    values = (st.floats().map(repr) | st.sampled_from(["1e-110", "1e-320"])
+              | st.text(max_size=4))
+    return st.lists(st.builds(lambda k, v: f"{k}={v}", keys, values), max_size=4)
+
+
+class TestPgmSpec:
+    def test_glyph_becomes_raster_template(self, glyph_pgms):
+        f = parse_template_spec(f"pgm:path={glyph_pgms[0]}")
+        ref = raster_interp(read_pgm(glyph_pgms[0].read_bytes()).pixels)
+        assert f.kind == "raster" and f.params == (28, 28)
+        t = np.linspace(0.0, 1.0, 41)
+        assert np.array_equal(f(t[:, None], t[None, :]), ref(t[:, None], t[None, :]))
+        assert f.l1_norm == ref.l1_norm
+
+    def test_path_is_verbatim_and_relative_to_cwd(self, glyph_pgms, tmp_path,
+                                                  monkeypatch):
+        (tmp_path / "a,b=c.pgm").write_bytes(glyph_pgms[1].read_bytes())
+        monkeypatch.chdir(tmp_path)
+        assert parse_template_spec("pgm:path=a,b=c.pgm").kind == "raster"
+
+    @pytest.mark.parametrize("name, error, match", [
+        ("missing", DataError, "cannot read"),
+        ("directory", DataError, "cannot read"),
+        ("nul", DataError, "cannot read"),
+        ("text", BadMagic, "PGM magic"),
+        ("blank", ConfigError, "invalid template"),
+    ])
+    def test_file_errors(self, spec_paths, name, error, match):
+        with pytest.raises(error, match=match):
+            parse_template_spec(f"pgm:path={spec_paths[name]}")
+
+    def test_needs_path(self):
+        for bad in ("pgm", "pgm:", "pgm:path=", "pgm:file=x.pgm", "pgm:Path=x"):
+            with pytest.raises(ConfigError, match="needs path="):
+                parse_template_spec(bad)
+
+    @given(data=st.data())
+    def test_any_spec_is_a_template_or_a_package_error(self, spec_paths, data):
+        spec = data.draw(
+            st.text().filter(lambda s: not s.startswith("pgm:"))
+            | st.builds(lambda kind, parts: kind + ":" + ",".join(parts),
+                        st.sampled_from(["tent", "cone", "cross", "blob", ""]),
+                        key_value_parts())
+            | st.sampled_from(sorted(spec_paths.values())).map(
+                lambda path: "pgm:path=" + path)
+            | st.sampled_from(["pgm", "pgm:", "pgm:path=", "pgm:file=x"]))
+        try:
+            assert isinstance(parse_template_spec(spec), TemplateFunction)
+        except DeformClassError:
+            pass
+
+
 class TestParseConfig:
     def test_happy_path(self):
         cfg = parse_config(MINIMAL_CONFIG)
@@ -102,14 +179,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="template"):
             parse_config("experiment.n_test = 5\n")
 
-    def test_mnist_task_needs_paths(self):
-        with pytest.raises(ConfigError, match="mnist"):
-            parse_config("experiment.task = mnist_pair\n")
-
-    def test_unknown_task_kind(self):
-        with pytest.raises(ConfigError, match="task kind"):
-            parse_config("experiment.task = sorting_hat\n")
-
     def test_unknown_classifier_rejected(self):
         with pytest.raises(ConfigError, match="classifier"):
             parse_config(MINIMAL_CONFIG + "experiment.classifiers = ORACLE\n")
@@ -121,13 +190,6 @@ class TestParseConfig:
 
 
 class TestConfigValidation:
-    def test_mnist_excludes_explicit_bank(self):
-        cfg = ExperimentConfig(
-            task=MnistPair(0, 1, "img", "lab"),
-            classifiers=("CNN_EXPLICIT",))
-        with pytest.raises(ConfigError):
-            cfg.validate()
-
     def test_template_task_needs_q(self):
         with pytest.raises(ConfigError):
             tiny_config(q=None).validate()

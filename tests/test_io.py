@@ -5,6 +5,7 @@ import pytest
 
 from deformclass import (
     BadMagic,
+    DataError,
     DeformDistribution,
     DimMismatch,
     EmptyDataset,
@@ -23,6 +24,7 @@ from deformclass import (
     write_dataset,
     write_pgm,
 )
+from deformclass.io import read_bytes
 
 IMAGE_MAGIC = b"\x00\x00\x08\x03"
 LABEL_MAGIC = b"\x00\x00\x08\x01"
@@ -136,6 +138,8 @@ class TestPgm:
     def test_read_errors(self):
         with pytest.raises(BadMagic):
             read_pgm(b"P2\n1 1\n255\n\xff")
+        with pytest.raises(BadMagic):
+            read_pgm(b"not an image\n")  # fewer than four header tokens
         with pytest.raises(TruncatedPayload):
             read_pgm(b"P5\n1 1\n")
         with pytest.raises(DimMismatch):
@@ -196,9 +200,27 @@ class TestDatasetManifest:
         with pytest.raises(DimMismatch):
             read_dataset(tmp_path)
 
+    def test_missing_image_file(self, tmp_path, pgm_safe_dataset):
+        write_dataset(pgm_safe_dataset, tmp_path / "d")
+        (tmp_path / "d" / "item_00000.pgm").unlink()
+        with pytest.raises(DataError, match="cannot read"):
+            read_dataset(tmp_path / "d")
+
     def test_header_only_manifest(self, tmp_path, pgm_safe_dataset):
         manifest = write_dataset(pgm_safe_dataset, tmp_path / "d")
         text = manifest.read_text().splitlines()[0] + "\n"
         manifest.write_text(text)
         with pytest.raises(EmptyDataset):
             read_dataset(tmp_path / "d")
+
+
+class TestReadBytes:
+    def test_reads_whole_file(self, tmp_path):
+        (tmp_path / "f.bin").write_bytes(b"\x00P5\n")
+        assert read_bytes(tmp_path / "f.bin") == b"\x00P5\n"
+        assert read_bytes(str(tmp_path / "f.bin")) == b"\x00P5\n"
+
+    @pytest.mark.parametrize("name", ["absent.pgm", ".", "a\0b"])
+    def test_unreadable_path_is_data_error(self, tmp_path, name):
+        with pytest.raises(DataError, match="cannot read"):
+            read_bytes(tmp_path / name)

@@ -64,6 +64,16 @@ class TestTemplates:
         assert f(0.5, 0.71) == 0.0
         assert f.l1_norm == pytest.approx(np.pi * 0.2**3 / 3)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("make", [lambda: tent(1e-110),
+                                      lambda: cone(1e-200),
+                                      lambda: cross(1e-320)])
+    def test_underflowing_mass_rejected(self, make):
+        # The l1 mass underflows to 0; dividing by it used to raise
+        # ZeroDivisionError.
+        with pytest.raises(InvalidParams, match="l1 mass 0.0"):
+            make()
+
     def test_cross_shape(self):
         f = cross(0.0625, 0.0625)
         assert f(0.5, 0.5) == pytest.approx(1.0)
@@ -156,7 +166,7 @@ class TestRasterInterp:
             raster_interp(np.ones((1, 5)))
         with pytest.raises(InvalidParams):
             raster_interp(-np.ones((4, 4)))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="l1 mass"):
             raster_interp(np.zeros((4, 4)))
 
 

@@ -44,13 +44,6 @@ class TestNetwork:
         p0, p1 = net.forward(small_dataset.items[0].image)
         assert p0 + p1 == 1.0
         assert 0.0 < p1 < 1.0
-        assert net.predict(small_dataset.items[0].image) in (0, 1)
-
-    def test_conv_filters_exposed(self):
-        net = TrainableCnn(SMALL_ARCH, seed=0)
-        filters = net.conv_filters
-        assert len(filters) == SMALL_ARCH.n_filters
-        assert filters[0].side == SMALL_ARCH.filter_size
 
     def test_flat_roundtrip(self):
         net = TrainableCnn(SMALL_ARCH, seed=3)
@@ -94,16 +87,15 @@ class TestForwardBackward:
         net = TrainableCnn(SMALL_ARCH, seed=4)
         x = np.stack([it.image.pixels for it in small_dataset.items[:5]])
         y = np.array([it.label for it in small_dataset.items[:5]], dtype=float)
-        loss, grads = net.loss_and_gradients(x, y)
+        loss, _ = net.loss_and_gradients(x, y)
         assert loss == net.loss_batch(x, y)
-        for g, ref in zip(grads, net.gradients(x, y), strict=True):
-            assert np.array_equal(g, ref)
 
     def test_batched_prediction_matches_per_image(self, small_dataset):
         net = train_least_squares(small_dataset, SMALL_ARCH,
                                   OptSpec(epochs=10, batch_size=4, seed=3))
         x = np.stack([it.image.pixels for it in small_dataset.items])
-        per_image = [net.predict(it.image) for it in small_dataset.items]
+        per_image = [int(net.forward(it.image)[1] > 0.5)
+                     for it in small_dataset.items]
         for chunk in (1, 3, 4, len(x)):
             assert net.predict_batch(x, chunk).tolist() == per_image
 
@@ -116,7 +108,7 @@ class TestTraining:
             OptSpec(epochs=200, batch_size=8, learning_rate=0.01, seed=0))
         assert len(net.loss_history) == 200
         assert net.loss_history[-1] < 0.01
-        correct = sum(net.predict(it.image) == it.label
+        correct = sum(int(net.forward(it.image)[1] > 0.5) == it.label
                       for it in small_dataset.items)
         assert correct == len(small_dataset.items)
 
