@@ -1,7 +1,7 @@
 """Image alignment transform and nearest-neighbour classification.
 
-The transform crops an image to the bounding box of its thresholded
-support, resamples the crop onto a fixed m x m grid, and normalizes.
+The transform crops an image to the bounding box of its support (the
+positive pixels), resamples the crop onto a fixed m x m grid, and normalizes.
 Scales and shifts of the generating deformation mostly cancel out, so a
 single prototype per class is enough for nearest-neighbour classification
 when the classes are separated.
@@ -25,7 +25,7 @@ from .model import GrayImage
 
 @dataclass(frozen=True)
 class RectSupport:
-    """1-based inclusive pixel index bounds of the thresholded support."""
+    """1-based inclusive pixel index bounds of the positive pixels."""
 
     j_lo: int
     j_hi: int
@@ -50,13 +50,13 @@ class AlignedRep:
         object.__setattr__(self, "grid", g)
 
 
-def rect_support(img: GrayImage, threshold: float = 0.0) -> RectSupport:
-    """Bounding box (1-based, inclusive) of pixels strictly above threshold."""
-    mask = img.support_mask(threshold)
+def rect_support(img: GrayImage) -> RectSupport:
+    """Bounding box (1-based, inclusive) of the positive pixels."""
+    mask = img.support_mask()
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
     if rows.size == 0:
-        raise EmptySupport(f"no pixel exceeds threshold {threshold}")
+        raise EmptySupport("no pixel is positive")
     return RectSupport(j_lo=int(rows[0]) + 1, j_hi=int(rows[-1]) + 1,
                        l_lo=int(cols[0]) + 1, l_hi=int(cols[-1]) + 1)
 
@@ -80,18 +80,17 @@ def resample_box(img: GrayImage, r: RectSupport, m: int) -> np.ndarray:
     return img.pixels[np.ix_(j_idx, l_idx)].copy()
 
 
-def align_transform(img: GrayImage, m: int | None = None,
-                    threshold: float = 0.0) -> AlignedRep:
-    """Crop to the thresholded support box, resample to m x m, normalize.
+def align_transform(img: GrayImage, m: int | None = None) -> AlignedRep:
+    """Crop to the box of the positive pixels, resample to m x m, normalize.
 
     ``m`` defaults to the image resolution.  Raises EmptySupport when no
-    pixel clears the threshold and ZeroNorm when the resampled grid is
+    pixel is positive and ZeroNorm when the resampled grid is
     identically zero (possible when the box corners land between the
     support pixels).
     """
     if m is None:
         m = img.d
-    z = resample_box(img, rect_support(img, threshold), m)
+    z = resample_box(img, rect_support(img), m)
     norm = float(np.linalg.norm(z))
     if norm == 0.0:
         raise ZeroNorm("resampled support grid is identically zero")
@@ -143,11 +142,11 @@ def classify_1nn(gallery: Sequence[GalleryEntry], query: AlignedRep,
 
 
 def build_gallery(images: Sequence[GrayImage], labels: Sequence[int],
-                  m: int | None = None, threshold: float = 0.0) -> list[GalleryEntry]:
+                  m: int | None = None) -> list[GalleryEntry]:
     """Align every image and pair it with its label."""
     if len(images) != len(labels):
         raise InvalidParams("images and labels must have equal length")
     if m is None and images:
         m = images[0].d
-    return [(align_transform(img, m, threshold), int(lab))
+    return [(align_transform(img, m), int(lab))
             for img, lab in zip(images, labels)]

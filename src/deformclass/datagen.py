@@ -6,7 +6,7 @@ depend on how many other items are generated or in which order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -113,7 +113,6 @@ class LabeledImage:
 class Dataset:
     items: tuple[LabeledImage, ...]
     d: int
-    meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -171,9 +170,7 @@ def generate_dataset(templates0: Sequence[TemplateFunction],
         img = rasterize(pool[t_idx], params, d)
         items.append(LabeledImage(image=img, label=label,
                                   template_index=t_idx, params=params))
-    meta = {"marginals": "uniform", "balanced": balanced, "pi": pi,
-            "n": n, "d": d, "seed": q.seed, "flip_prob": q.flip_prob}
-    return Dataset(items=tuple(items), d=d, meta=meta)
+    return Dataset(items=tuple(items), d=d)
 
 
 # ---------------------------------------------------------------------------

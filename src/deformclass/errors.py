@@ -60,7 +60,7 @@ class AllZeroImage(NumericError):
 
 
 class EmptySupport(NumericError):
-    """No pixel exceeds the support threshold."""
+    """No pixel of the image is positive."""
 
 
 class EmptyGallery(NumericError):

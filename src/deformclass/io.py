@@ -58,8 +58,8 @@ def parse_idx_images(data: bytes) -> list[GrayImage]:
     payload = data[offset:]
     if len(payload) != expected:
         raise TruncatedPayload(f"payload has {len(payload)} bytes, expected {expected}")
-    if h != w:
-        raise DimMismatch(f"images must be square, got {h}x{w}")
+    if h != w or h < 1:
+        raise DimMismatch(f"images must be square and non-empty, got {h}x{w}")
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w)
     return [GrayImage(block / 255.0) for block in raw]
 
@@ -150,9 +150,10 @@ def read_pgm(data: bytes) -> GrayImage:
             tokens.append(data[start:pos])
             if tokens[0] != b"P5":
                 raise BadMagic(f"PGM magic {tokens[0]!r}, expected b'P5'")
-    if not all(t.isdigit() for t in tokens[1:]):
-        raise MalformedHeader(f"PGM size and maxval must be decimal integers, "
-                              f"got {b' '.join(tokens[1:])!r}")
+    # The digit cap keeps int() below its conversion limit.
+    if not all(t.isdigit() and len(t) <= 10 for t in tokens[1:]):
+        raise MalformedHeader(f"PGM size and maxval must be decimal integers "
+                              f"of at most 10 digits, got {b' '.join(tokens[1:])!r}")
     w, h, max_val = (int(t) for t in tokens[1:])
     if not 1 <= max_val <= 255:
         raise DimMismatch(f"PGM maxval {max_val} unsupported, only 8-bit 1..255")
@@ -221,5 +222,4 @@ def read_dataset(directory: str | Path) -> Dataset:
                                       params=params))
     if not items:
         raise EmptyDataset(f"manifest under {directory} lists no items")
-    return Dataset(items=tuple(items), d=items[0].image.d,
-                   meta={"origin": str(directory)})
+    return Dataset(items=tuple(items), d=items[0].image.d)

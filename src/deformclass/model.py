@@ -128,8 +128,10 @@ def cross(arm_halfwidth: float = 1.0 / 16.0, taper: float = 1.0 / 16.0) -> Templ
         raise InvalidParams(f"cross needs half-width and taper in (0, 1/4], got {w}, {tp}")
 
     def bar(long_c, wide_c):
-        along = np.clip((0.25 - np.abs(long_c - 0.5)) / tp, 0.0, 1.0)
-        across = np.clip((w - np.abs(wide_c - 0.5)) / w, 0.0, 1.0)
+        # Clip before dividing: the quotient is the same double, and a
+        # subnormal w or tp cannot overflow it.
+        along = np.clip(0.25 - np.abs(long_c - 0.5), 0.0, tp) / tp
+        across = np.clip(w - np.abs(wide_c - 0.5), 0.0, w) / w
         return along * across
 
     def fn(x, y):
@@ -142,13 +144,14 @@ def cross(arm_halfwidth: float = 1.0 / 16.0, taper: float = 1.0 / 16.0) -> Templ
     return _template(fn, raw, _estimate_l1(fn), "cross", (w, tp))
 
 
-def raster_interp(grid: np.ndarray, l1_resolution: int = 512) -> TemplateFunction:
+def raster_interp(grid: np.ndarray) -> TemplateFunction:
     """Template built from a raster by bilinear interpolation.
 
     The raster is embedded so that it exactly fills the support box: node
     (i, j) of an R x C grid sits at x = 1/4 + i/(2(R-1)), y = 1/4 + j/(2(C-1)).
-    Values are clamped to zero outside the box.  The Lipschitz and l1
-    metadata are numeric estimates at the raster's own resolution.
+    Values are clamped to zero outside the box.  The Lipschitz constant is
+    taken at the raster's own resolution; the l1 mass is a 512 x 512
+    midpoint-rule estimate.
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 2 or g.shape[0] < 2 or g.shape[1] < 2:
@@ -186,7 +189,7 @@ def raster_interp(grid: np.ndarray, l1_resolution: int = 512) -> TemplateFunctio
     dx = np.abs(np.diff(g, axis=0)).max(initial=0.0) * 2.0 * (rows - 1)
     dy = np.abs(np.diff(g, axis=1)).max(initial=0.0) * 2.0 * (cols - 1)
     raw = float(max(dx, dy))
-    return _template(fn, raw, _estimate_l1(fn, l1_resolution), "raster",
+    return _template(fn, raw, _estimate_l1(fn, 512), "raster",
                      (rows, cols))
 
 
@@ -308,9 +311,9 @@ class GrayImage:
     def d(self) -> int:
         return self.pixels.shape[0]
 
-    def support_mask(self, threshold: float = 0.0) -> np.ndarray:
-        """Boolean mask of pixels strictly above ``threshold``."""
-        return self.pixels > threshold
+    def support_mask(self) -> np.ndarray:
+        """Boolean mask of the positive pixels."""
+        return self.pixels > 0
 
 
 def rasterize(f: TemplateFunction, p: DeformParams, d: int) -> GrayImage:

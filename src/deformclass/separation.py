@@ -9,8 +9,8 @@ The reported separation is the maximum of the two directions.  The search
 scans a coarse grid of scale pairs, sweeps all lattice-aligned shifts per
 pair with an FFT correlation, solves the amplitude in closed form, and
 then refines the best candidate by pattern search at a finer quadrature.
-The result is an upper bound of the restricted-domain infimum and never
-increases as the budget grows.
+The result is an upper bound of the infimum over the model's deformations
+(see ``SearchConfig``) and never increases as the budget grows.
 """
 from __future__ import annotations
 
@@ -37,11 +37,10 @@ def grid_inner_product(h: np.ndarray, g: np.ndarray) -> float:
 class SearchConfig:
     """Knobs of the separation search.
 
-    Scales are searched over +/-[1/2, xi_max] in steps of ``coarse_step``
-    (the restricted domain keeps the reparametrized support inside the
-    unit square).  With ``restrict_scales`` off, magnitudes down to
-    ``min_scale`` are also scanned; their support exceeds the unit square,
-    and the mass outside is accounted for in closed form.
+    The search domain is the model's deformations: each axis scale has
+    magnitude in [1/2, xi_max], scanned in steps of ``coarse_step``, with
+    both signs unless ``include_flips`` is off, so the reparametrized
+    support stays inside the unit square; the amplitude is nonnegative.
     """
 
     xi_max: float = 2.0
@@ -49,22 +48,17 @@ class SearchConfig:
     refine_iters: int = 12
     quadrature: int = 512
     coarse_quadrature: int = 128
-    nonneg_amplitude: bool = True
-    restrict_scales: bool = True
     include_flips: bool = True
-    min_scale: float = 0.05
 
     def validate(self) -> None:
-        if self.xi_max < 0.5:
-            raise InvalidParams(f"xi_max must be >= 1/2, got {self.xi_max}")
+        if not (0.5 <= self.xi_max < np.inf):
+            raise InvalidParams(f"xi_max must be finite and >= 1/2, got {self.xi_max}")
         if not (0 < self.coarse_step <= 0.25):
             raise InvalidParams(f"coarse_step must be in (0, 1/4], got {self.coarse_step}")
         if self.refine_iters < 0:
             raise InvalidParams("refine_iters must be >= 0")
         if self.quadrature < 16 or self.coarse_quadrature < 16:
             raise InvalidParams("quadrature resolutions must be >= 16")
-        if not (0 < self.min_scale < 0.5):
-            raise InvalidParams(f"min_scale must be in (0, 1/2), got {self.min_scale}")
 
 
 @dataclass(frozen=True)
@@ -89,23 +83,8 @@ def _shift_interval(b: float) -> tuple[float, float]:
     return (0.75 - max(b, 0.0), 0.25 - min(b, 0.0))
 
 
-def _overlap_interval(b: float) -> tuple[float, float]:
-    """Shifts for which the support of x -> f(b*x + c) meets [0, 1] at all."""
-    if b > 0:
-        return (0.25 - b, 0.75)
-    return (0.25, 0.75 - b)
-
-
-def _scale_magnitudes(cfg: SearchConfig) -> np.ndarray:
-    mags = np.arange(0.5, cfg.xi_max + cfg.coarse_step / 2, cfg.coarse_step)
-    if not cfg.restrict_scales:
-        small = np.arange(cfg.min_scale, 0.5 - cfg.coarse_step / 2, cfg.coarse_step)
-        mags = np.concatenate([small, mags])
-    return mags
-
-
 def _candidate_scales(cfg: SearchConfig) -> np.ndarray:
-    mags = _scale_magnitudes(cfg)
+    mags = np.arange(0.5, cfg.xi_max + cfg.coarse_step / 2, cfg.coarse_step)
     if cfg.include_flips:
         return np.concatenate([mags, -mags])
     return mags
@@ -119,10 +98,10 @@ class _AxisPlan:
     consecutive lattice cells holds one candidate's samples.
     """
 
-    def __init__(self, b: float, q_res: int, contained: bool):
+    def __init__(self, b: float, q_res: int):
         self.b = b
         step = abs(b) / q_res
-        lo, hi = _shift_interval(b) if contained else _overlap_interval(b)
+        lo, hi = _shift_interval(b)
         k_lo = int(np.ceil(lo / step - 1e-9))
         k_hi = int(np.floor(hi / step + 1e-9))
         self.valid = k_hi >= k_lo
@@ -154,24 +133,15 @@ def _direction(f: TemplateFunction, g: TemplateFunction, cfg: SearchConfig) -> t
     if norm_g2 == 0.0:
         raise InvalidParams("second template is identically zero on the grid")
 
-    # Continuous squared mass of f, for candidates whose support exceeds
-    # the unit square (only reachable with restrict_scales off).
-    f_mass2 = None
-    if not cfg.restrict_scales:
-        tf = _midpoints(2048)
-        f_mass2 = float(np.mean(f(tf[:, None], tf[None, :]) ** 2))
-
     g_fft_cache: dict[tuple, np.ndarray] = {}
     best = (np.inf, (1.0, 1.0, 1.0, 0.0, 0.0))
 
     for bx in _candidate_scales(cfg):
-        contained_x = abs(bx) >= 0.5
-        px = _AxisPlan(bx, q_c, contained_x)
+        px = _AxisPlan(bx, q_c)
         if not px.valid:
             continue
         for by in _candidate_scales(cfg):
-            contained_y = abs(by) >= 0.5
-            py = _AxisPlan(by, q_c, contained_y)
+            py = _AxisPlan(by, q_c)
             if not py.valid:
                 continue
             F = f(px.points[:, None], py.points[None, :])
@@ -184,18 +154,12 @@ def _direction(f: TemplateFunction, g: TemplateFunction, cfg: SearchConfig) -> t
             corr = np.fft.irfft2(np.fft.rfft2(F, s=fft_n) * g_fft_cache[key], s=fft_n)
             ip = corr[: px.count, : py.count] / (q_c * q_c)
 
-            if contained_x and contained_y:
-                # Every admissible window holds the full support, so the
-                # window mass is shift-invariant and one total does.
-                norm_f2 = float(np.sum(F * F)) / (q_c * q_c)
-            else:
-                norm_f2 = f_mass2 / abs(bx * by)
+            # Every admissible window holds the full support, so the window
+            # mass is shift-invariant and one total does.
+            norm_f2 = float(np.sum(F * F)) / (q_c * q_c)
             if norm_f2 <= 0:
                 continue
-            if cfg.nonneg_amplitude:
-                ip_eff = np.maximum(ip, 0.0)
-            else:
-                ip_eff = ip
+            ip_eff = np.maximum(ip, 0.0)
             dist2 = norm_g2 - ip_eff * ip_eff / norm_f2
             kx, ky = np.unravel_index(int(np.argmin(dist2)), dist2.shape)
             val = float(dist2[kx, ky])
@@ -214,18 +178,13 @@ def _direction(f: TemplateFunction, g: TemplateFunction, cfg: SearchConfig) -> t
     def objective(b: float, b2: float, c: float, c2: float) -> tuple[float, float]:
         F = f(b * qx + c, b2 * qy + c2)
         nf2 = float(np.mean(F * F))
-        if not cfg.restrict_scales and (abs(b) < 0.5 or abs(b2) < 0.5):
-            nf2 = f_mass2 / abs(b * b2)
         if nf2 <= 0:
             return norm_gq2, 0.0
-        ip = float(np.mean(F * Gq))
-        if cfg.nonneg_amplitude:
-            ip = max(ip, 0.0)
+        ip = max(float(np.mean(F * Gq)), 0.0)
         return norm_gq2 - ip * ip / nf2, ip / nf2
 
     def clamp(b: float, c: float) -> float:
-        lo, hi = _shift_interval(b) if abs(b) >= 0.5 else _overlap_interval(b)
-        return float(np.clip(c, lo, hi))
+        return float(np.clip(c, *_shift_interval(b)))
 
     _, (a0, b0, b20, c0, c20) = best
     cur = (b0, b20, clamp(b0, c0), clamp(b20, c20))
@@ -237,7 +196,6 @@ def _direction(f: TemplateFunction, g: TemplateFunction, cfg: SearchConfig) -> t
 
     step_b = cfg.coarse_step / 2
     step_c = max(abs(b0), abs(b20)) / q_c / 2
-    min_mag = 0.5 if cfg.restrict_scales else cfg.min_scale
     for _ in range(cfg.refine_iters):
         improved = False
         for idx in range(4):
@@ -247,7 +205,7 @@ def _direction(f: TemplateFunction, g: TemplateFunction, cfg: SearchConfig) -> t
                 trial[idx] += sign * step
                 if idx < 2:
                     mag = abs(trial[idx])
-                    if mag < min_mag or mag > cfg.xi_max:
+                    if mag < 0.5 or mag > cfg.xi_max:
                         continue
                     trial[2] = clamp(trial[0], trial[2])
                     trial[3] = clamp(trial[1], trial[3])
@@ -275,7 +233,6 @@ def estimate_separation(f: TemplateFunction, g: TemplateFunction,
     meta = {"coarse_step": cfg.coarse_step, "xi_max": cfg.xi_max,
             "coarse_quadrature": cfg.coarse_quadrature,
             "quadrature": cfg.quadrature, "refine_iters": cfg.refine_iters,
-            "restrict_scales": cfg.restrict_scales,
             "include_flips": cfg.include_flips}
     return SeparationResult(d_fg=d_fg, d_gf=d_gf, best_fg=best_fg,
                             best_gf=best_gf, meta=meta)

@@ -31,6 +31,11 @@ from .model import GrayImage
 _MAGIC = b"DCNN"
 _VERSION = 1
 
+# Adam's moment decays and denominator guard, at Kingma and Ba's defaults.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class ArchSpec:
@@ -51,18 +56,14 @@ class ArchSpec:
 @dataclass(frozen=True)
 class OptSpec:
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 20
     batch_size: int = 16
     seed: int = 0
 
     def validate(self) -> None:
-        if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
-            raise InvalidParams("optimizer spec must have positive rate/epochs/batch")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise InvalidParams("moment decays must lie in [0, 1)")
+        if not (0 < self.learning_rate < np.inf) or self.epochs < 1 or self.batch_size < 1:
+            raise InvalidParams(
+                "optimizer spec must have a finite positive rate and positive epochs/batch")
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -221,13 +222,13 @@ def train_least_squares(data: Dataset, arch: ArchSpec | None = None,
             total += loss * idx.size
             t += 1
             for a, g, mi, vi in zip(params, grads, m, v):
-                mi *= opt.beta1
-                mi += (1 - opt.beta1) * g
-                vi *= opt.beta2
-                vi += (1 - opt.beta2) * g * g
-                m_hat = mi / (1 - opt.beta1 ** t)
-                v_hat = vi / (1 - opt.beta2 ** t)
-                a -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
+                mi *= _BETA1
+                mi += (1 - _BETA1) * g
+                vi *= _BETA2
+                vi += (1 - _BETA2) * g * g
+                m_hat = mi / (1 - _BETA1 ** t)
+                v_hat = vi / (1 - _BETA2 ** t)
+                a -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
         net.loss_history.append(total / n)
     return net
 
@@ -331,10 +332,13 @@ def load_checkpoint(blob: bytes) -> TrainableCnn:
         arch.validate()
     except InvalidParams as exc:
         raise DimMismatch(f"checkpoint header: {exc}") from exc
-    net = TrainableCnn(arch)
-    expected = sum(a.size for a in net.param_arrays()) * 8
+    # Check the size before building: the constructor fills every layer the
+    # header declares, which a short file must not be able to inflate.
+    fans = (nf, *widths, 2)
+    expected = 8 * (nf * (k * k + 1) + sum(o * (i + 1) for i, o in zip(fans, fans[1:])))
     if len(blob) - pos != expected:
         raise TruncatedPayload(
             f"checkpoint body has {len(blob) - pos} bytes, expected {expected}")
+    net = TrainableCnn(arch)
     net.set_flat(np.frombuffer(blob[pos:], dtype="<f8").astype(float))
     return net

@@ -35,16 +35,6 @@ class TestRectSupport:
         assert (r.j_lo, r.j_hi, r.l_lo, r.l_hi) == (2, 3, 2, 3)
         assert r.spans() == (1, 1)
 
-    def test_threshold(self):
-        img = _image([
-            [0, 0, 0, 0],
-            [0, 1, 2, 0],
-            [0, 0, 3, 0],
-            [0, 0, 0, 0],
-        ])
-        r = rect_support(img, threshold=1.5)
-        assert (r.j_lo, r.j_hi, r.l_lo, r.l_hi) == (2, 3, 3, 3)
-
     def test_empty_support(self):
         with pytest.raises(EmptySupport):
             rect_support(_image([[0, 0], [0, 0]]))

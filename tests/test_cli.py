@@ -107,6 +107,13 @@ class TestCnn:
         assert code == 0
         assert "label=" in capsys.readouterr().out
 
+    def test_train_nan_learning_rate_exits_2(self, dataset_dir, tmp_path, capsys):
+        code = main(["cnn", "train", "--data", str(dataset_dir),
+                     "--out", str(tmp_path / "net.ckpt"), "--learning-rate", "nan"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "finite positive rate" in err and "Traceback" not in err
+
     def test_garbage_checkpoint_exits_3(self, dataset_dir, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"not a checkpoint")
@@ -146,6 +153,14 @@ class TestSep:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_non_finite_xi_max_exits_2(self, capsys):
+        for value in ("nan", "inf"):
+            code = main(["sep", "--template0", "tent:delta=0.25",
+                         "--template1", "cone", "--xi-max", value])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "xi_max must be finite" in err and "Traceback" not in err
+
     def test_nan_template_parameter_exits_2(self, capsys):
         code = main(["sep", "--template0", "tent:delta=nan",
                      "--template1", "tent:delta=0.25"])
@@ -183,7 +198,6 @@ class TestPgmTemplates:
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_tiny_templates_exit_2(self, capsys):
         for spec in ("tent:delta=1e-110", "cone:radius=1e-200", "cross:arm=1e-320"):
             assert main(["sep", "--template0", spec, "--template1", "cone"]) == 2
@@ -274,6 +288,14 @@ class TestBench:
         cfg.write_text(self.CONFIG + "experiment.task = two_templates\n")
         assert main(["bench", "--config", str(cfg)]) == 2
         assert "line 9: unknown key 'experiment.task'" in capsys.readouterr().err
+
+    def test_nan_learning_rate_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG + "experiment.classifiers = CNN_TRAINED\n"
+                       "cnn.learning_rate = nan\n")
+        assert main(["bench", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "finite positive rate" in err and "Traceback" not in err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from deformclass import (
     ArchSpec,
@@ -24,6 +24,7 @@ from deformclass import (
     run_experiment,
     write_pgm,
 )
+from deformclass.harness import _KNOWN_KEYS
 
 MINIMAL_CONFIG = """
 # minimal sweep over two synthetic shapes
@@ -187,6 +188,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="distribution"):
             parse_config("task.template0 = tent\ntask.template1 = cone\n"
                          "q.xi_range = 0.2,0.4\n")
+
+    @given(text=st.text()
+           | st.lists(st.builds(
+               lambda k, v: f"{k} = {v}",
+               st.sampled_from(sorted(_KNOWN_KEYS)) | st.text(max_size=6),
+               st.sampled_from(["nan", "inf", "-1", "0", "2", "0.5,1", "1,2,3", "",
+                                "tent", "cone:radius=1e-200", "IAC,CNN_TRAINED"])
+               | st.integers().map(str) | st.floats().map(repr)
+               | st.text(max_size=8)), max_size=8).map(
+               lambda lines: MINIMAL_CONFIG + "\n".join(lines)))
+    def test_any_text_is_a_config_or_a_package_error(self, text):
+        # Reading a named file could block (``/dev/zero`` never ends).
+        assume("pgm:" not in text)
+        try:
+            assert isinstance(parse_config(text), ExperimentConfig)
+        except DeformClassError:
+            pass
 
 
 class TestConfigValidation:

@@ -2,10 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from deformclass import (
     BadMagic,
     DataError,
+    DeformClassError,
     DeformDistribution,
     DimMismatch,
     EmptyDataset,
@@ -63,9 +65,10 @@ class TestIdxImages:
             parse_idx_images(data[:-1])
 
     def test_non_square_rejected(self):
-        data = IMAGE_MAGIC + struct.pack(">3I", 1, 2, 3) + bytes(6)
-        with pytest.raises(DimMismatch):
-            parse_idx_images(data)
+        for dims, size in (((1, 2, 3), 6), ((1, 0, 0), 0)):
+            data = IMAGE_MAGIC + struct.pack(">3I", *dims) + bytes(size)
+            with pytest.raises(DimMismatch):
+                parse_idx_images(data)
 
     def test_bytes_roundtrip_exactly(self):
         images = parse_idx_images(tiny_image_file())
@@ -157,7 +160,7 @@ class TestPgm:
 
     def test_non_integer_header_token(self):
         for header in (b"P5\n2 x\n255\n", b"P5\n-2 -2\n255\n",
-                       b"P5\n2 2\n2.5\n"):
+                       b"P5\n2 2\n2.5\n", b"P5\n" + b"1" * 5000 + b" 2\n255\n"):
             with pytest.raises(MalformedHeader):
                 read_pgm(header + bytes(4))
 
@@ -224,3 +227,47 @@ class TestReadBytes:
     def test_unreadable_path_is_data_error(self, tmp_path, name):
         with pytest.raises(DataError, match="cannot read"):
             read_bytes(tmp_path / name)
+
+
+def _idx_bytes(magic: bytes, rank: int):
+    """Arbitrary bytes, bytes after a right magic, and small well-formed
+    headers with arbitrary payloads."""
+    dims = st.lists(st.integers(0, 4), min_size=rank, max_size=rank)
+    header = dims.map(lambda ds: magic + struct.pack(f">{rank}I", *ds))
+    return (st.binary()
+            | st.binary().map(lambda b: magic + b)
+            | st.builds(bytes.__add__, header, st.binary(max_size=64)))
+
+
+def _pgm_bytes():
+    token = st.integers(0, 300).map(str) | st.sampled_from(["x", "-1", "2.5", "", "#c\n"])
+    header = st.lists(token, min_size=0, max_size=4).map(
+        lambda ts: ("P5\n" + " ".join(ts) + "\n").encode("ascii"))
+    return (st.binary()
+            | st.binary().map(lambda b: b"P5" + b)
+            | st.builds(bytes.__add__, header, st.binary(max_size=64)))
+
+
+class TestByteBoundaries:
+    """Any input either parses or raises a package error."""
+
+    @given(data=_pgm_bytes())
+    def test_read_pgm(self, data):
+        try:
+            assert isinstance(read_pgm(data), GrayImage)
+        except DeformClassError:
+            pass
+
+    @given(data=_idx_bytes(IMAGE_MAGIC, 3))
+    def test_parse_idx_images(self, data):
+        try:
+            assert all(isinstance(img, GrayImage) for img in parse_idx_images(data))
+        except DeformClassError:
+            pass
+
+    @given(data=_idx_bytes(LABEL_MAGIC, 1))
+    def test_parse_idx_labels(self, data):
+        try:
+            assert all(0 <= v <= 255 for v in parse_idx_labels(data))
+        except DeformClassError:
+            pass

@@ -228,7 +228,7 @@ class TestGrayImage:
 
     def test_support_mask(self):
         img = GrayImage(np.array([[0.0, 0.2], [0.1, 0.0]]))
-        assert img.support_mask(0.15).sum() == 1
+        assert img.support_mask().sum() == 2
 
 
 class TestRasterize:

@@ -45,8 +45,9 @@ class TestSearchConfig:
         SearchConfig().validate()
 
     def test_rejects_bad_values(self):
-        with pytest.raises(InvalidParams):
-            SearchConfig(xi_max=0.3).validate()
+        for xi_max in (0.3, float("nan"), float("inf")):
+            with pytest.raises(InvalidParams):
+                SearchConfig(xi_max=xi_max).validate()
         with pytest.raises(InvalidParams):
             SearchConfig(coarse_step=0.0).validate()
         with pytest.raises(InvalidParams):

@@ -2,10 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from deformclass import (
     ArchSpec,
     DataError,
+    DeformClassError,
     DimMismatch,
     GrayImage,
     InvalidParams,
@@ -18,10 +20,13 @@ from deformclass import (
     save_checkpoint,
     train_least_squares,
 )
+from deformclass import train
 from deformclass.model import IDENTITY
 from deformclass.train import _sigmoid
 
 SMALL_ARCH = ArchSpec(n_filters=4, filter_size=3, dense_widths=(16,))
+TINY_BLOB = save_checkpoint(TrainableCnn(ArchSpec(n_filters=2, filter_size=2,
+                                                  dense_widths=(3,))))
 
 
 class TestSpecs:
@@ -32,8 +37,9 @@ class TestSpecs:
                 bad.validate()
 
     def test_opt_validation(self):
-        for bad in [OptSpec(learning_rate=0.0), OptSpec(epochs=0),
-                    OptSpec(batch_size=0), OptSpec(beta1=1.0)]:
+        for bad in [OptSpec(learning_rate=0.0), OptSpec(learning_rate=float("nan")),
+                    OptSpec(learning_rate=float("inf")), OptSpec(epochs=0),
+                    OptSpec(batch_size=0)]:
             with pytest.raises(InvalidParams):
                 bad.validate()
 
@@ -201,6 +207,27 @@ class TestCheckpoints:
         header = struct.pack("<4sHHHHHd", b"DCNN", 1, nf, k, 1, width, 1.0)
         with pytest.raises(DimMismatch):
             load_checkpoint(header)
+
+    def test_oversized_header_checked_before_building(self, monkeypatch):
+        def unbuildable(*args, **kwargs):
+            raise AssertionError("network built before the size check")
+
+        monkeypatch.setattr(train, "TrainableCnn", unbuildable)
+        header = struct.pack("<4sHHHHHd", b"DCNN", 1, 65535, 65535, 1, 65535, 1.0)
+        with pytest.raises(TruncatedPayload, match="expected"):
+            load_checkpoint(header + bytes(64))
+
+    @given(blob=st.binary()
+           | st.binary().map(lambda b: b"DCNN\x01\x00" + b)
+           | st.builds(lambda i, byte, cut: (TINY_BLOB[:i] + bytes([byte])
+                                             + TINY_BLOB[i + 1:])[:cut],
+                       st.integers(0, len(TINY_BLOB) - 1), st.integers(0, 255),
+                       st.integers(0, len(TINY_BLOB))))
+    def test_any_bytes_load_or_raise_a_package_error(self, blob):
+        try:
+            assert isinstance(load_checkpoint(blob), TrainableCnn)
+        except DeformClassError:
+            pass
 
     def test_version_gate(self):
         blob = save_checkpoint(TrainableCnn(SMALL_ARCH, seed=0))
