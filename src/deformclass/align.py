@@ -98,11 +98,16 @@ def align_transform(img: GrayImage, m: int | None = None) -> AlignedRep:
 
 
 def _oriented_variants(z: np.ndarray) -> list[np.ndarray]:
-    """The four axis-reversal orientations of a grid, original first."""
-    return [z, z[::-1, :], z[:, ::-1], z[::-1, ::-1]]
+    """The four axis-reversal orientations of a grid (or of a stack of grids
+    along the last two axes), original first."""
+    return [z, z[..., ::-1, :], z[..., :, ::-1], z[..., ::-1, ::-1]]
 
 
 GalleryEntry = tuple[AlignedRep, int]
+
+# Queries per screening product: the screen holds at most four times this
+# many rows of gallery length.
+_QUERY_BLOCK = 256
 
 
 def _stack_gallery(gallery: Sequence[GalleryEntry]) -> tuple[np.ndarray, np.ndarray, int]:
@@ -118,27 +123,73 @@ def _stack_gallery(gallery: Sequence[GalleryEntry]) -> tuple[np.ndarray, np.ndar
     return grids, labels, m
 
 
-def classify_1nn(gallery: Sequence[GalleryEntry], query: AlignedRep,
-                 flips: bool = False) -> tuple[int, int, float, int]:
-    """Nearest neighbour under the discrete L2 distance (Frobenius / m).
+def classify_1nn(gallery: Sequence[GalleryEntry], queries: Sequence[AlignedRep],
+                 flips: bool = False) -> list[tuple[int, int, float, int]]:
+    """Nearest neighbour of each query under the discrete L2 distance
+    (Frobenius / m).
 
-    With ``flips`` the query grid is also compared in its three other
-    axis-reversal orientations.  Returns (label, gallery index, distance,
-    orientation index); the orientation is 0 without ``flips``.  Ties go
+    Returns one (label, gallery index, distance, orientation index) per
+    query, in query order; an empty ``queries`` gives ``[]``.  With
+    ``flips`` each query grid is also compared in its three other
+    axis-reversal orientations; without it the orientation is 0.  Ties go
     to the smallest gallery index, then the smallest orientation.
+
+    The result is exact: each distance is ``sqrt(sum((g - v)**2)) / m``
+    evaluated per (entry, orientation) pair, exactly as a loop over the
+    gallery would.  One matrix product first screens every pair by the
+    approximate squared distance ``|g|^2 + |v|^2 - 2 v.g``; only the
+    pairs within a rounding slack of a query's approximate minimum are
+    then evaluated exactly, and that slack provably keeps every pair that
+    could tie the exact minimum.
     """
     grids, labels, m = _stack_gallery(gallery)
-    if query.m != m:
-        raise ResolutionMismatch(f"query grid size {query.m} != gallery {m}")
-    variants = _oriented_variants(query.grid) if flips else [query.grid]
-    candidates = []
-    for r, variant in enumerate(variants):
-        diffs = grids - variant.reshape(-1)
-        dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs)) / m
-        idx = int(np.argmin(dists))  # argmin takes the first minimum
-        candidates.append((float(dists[idx]), idx, r))
-    dist, idx, r = min(candidates)
-    return int(labels[idx]), idx, dist, r
+    for query in queries:
+        if query.m != m:
+            raise ResolutionMismatch(f"query grid size {query.m} != gallery {m}")
+    if len(queries) == 0:
+        return []
+    n_orient = 4 if flips else 1
+    g_sq = np.einsum("ij,ij->i", grids, grids)
+    results = []
+    for start in range(0, len(queries), _QUERY_BLOCK):
+        block = queries[start:start + _QUERY_BLOCK]
+        z = np.stack([query.grid for query in block])
+        # Row q * n_orient + r holds query q in orientation r.
+        v = (np.stack(_oriented_variants(z), axis=1) if flips else z
+             ).reshape(-1, m * m)
+        v_sq = np.einsum("ij,ij->i", v, v)
+        approx = (v_sq[:, None] + g_sq[None, :] - 2.0 * (v @ grids.T)
+                  ).reshape(len(block), n_orient * len(grids))
+        # The slack.  Let u = eps/2, n = m*m and S = max|g|^2 + max|v|^2.  A
+        # length-n dot product summed in any order is off by at most
+        # gamma_n|a||b| ~ n*u|a||b|.  So the screened value of a pair is
+        # within E_a ~ (2n + 6)u*S of its true squared distance, and the
+        # exact form's sum of rounded squared differences (true value
+        # <= 2S) within E_c ~ (2n + 4)u*S.  Two sums whose distances compare
+        # equal after sqrt and /m differ by at most ~8u of 2S.  Every pair
+        # whose distance can tie the computed minimum therefore screens
+        # within 2(E_a + E_c) + 16u*S = (4n + 18)eps*S of the smallest
+        # screened value.  16n*eps*S covers that for every m >= 2, and is
+        # more than twice E_a + E_c alone.
+        slack = 16 * m * m * np.finfo(float).eps * (g_sq.max() + v_sq.max())
+        # Written as "not above" so that a query with a non-finite grid keeps
+        # every pair instead of none.
+        keep = ~(approx > approx.min(axis=1, keepdims=True) + slack)
+        q_idx, pair = np.nonzero(keep)
+        r_idx, g_idx = np.divmod(pair, len(grids))
+        v_idx = q_idx * n_orient + r_idx
+        dists = np.empty(len(pair))
+        # At most one gallery's worth of differences at a time, however many
+        # pairs tie.
+        for lo in range(0, len(pair), len(grids)):
+            hi = lo + len(grids)
+            diffs = grids[g_idx[lo:hi]] - v[v_idx[lo:hi]]
+            dists[lo:hi] = np.sqrt(np.einsum("ij,ij->i", diffs, diffs)) / m
+        order = np.lexsort((r_idx, g_idx, dists, q_idx))
+        first = order[np.searchsorted(q_idx[order], np.arange(len(block)))]
+        results.extend((int(labels[g_idx[k]]), int(g_idx[k]), float(dists[k]),
+                        int(r_idx[k])) for k in first)
+    return results
 
 
 def build_gallery(images: Sequence[GrayImage], labels: Sequence[int],

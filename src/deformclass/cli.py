@@ -126,7 +126,8 @@ def _cmd_align(args) -> int:
     gallery = build_gallery([it.image for it in data.items],
                             [it.label for it in data.items], m=args.m)
     query = align_transform(_load_query(args.query), m=args.m)
-    label, index, dist, orientation = classify_1nn(gallery, query, args.flips)
+    label, index, dist, orientation = classify_1nn(gallery, [query],
+                                                   args.flips)[0]
     print(f"label={label} neighbor={index} distance={dist:.6f}"
           + (f" orientation={orientation}" if args.flips else ""))
     return 0

@@ -52,6 +52,10 @@ class DeformDistribution:
     seed: int = 0
 
     def validate(self) -> None:
+        for name, rng in (("eta_range", self.eta_range), ("xi_range", self.xi_range),
+                          ("xi_prime_range", self.scale_range_y())):
+            if not np.isfinite(rng).all():
+                raise InvalidDistribution(f"{name} bounds must be finite, got {rng}")
         e_lo, e_hi = self.eta_range
         if not (0 < e_lo <= e_hi):
             raise InvalidDistribution(f"amplitude range must be 0 < lo <= hi, got {self.eta_range}")

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .align import align_transform, build_gallery, classify_1nn
+from .align import (AlignedRep, GalleryEntry, align_transform, build_gallery,
+                    classify_1nn)
 from .cnn import FilterBank, build_filter_bank, classify_bank
 from .datagen import Dataset, DeformDistribution, generate_dataset, normalized
 from .errors import ConfigError, InvalidDistribution, InvalidParams
@@ -115,15 +116,19 @@ def _draw_template_sets(cfg: ExperimentConfig, rep: int, n: int
 # Classifier runners
 # ---------------------------------------------------------------------------
 
-def _risk_iac(train: Dataset, test: Dataset, m: int | None, flips: bool) -> float:
-    images = [item.image for item in train.items]
-    labels = [item.label for item in train.items]
-    gallery = build_gallery(images, labels, m=m)
-    wrong = 0
-    for item in test.items:
-        label, _, _, _ = classify_1nn(gallery, align_transform(item.image, m=m),
-                                      flips)
-        wrong += int(label != item.label)
+def _align_sets(train: Dataset, test: Dataset, m: int | None
+                ) -> tuple[list[GalleryEntry], list[AlignedRep]]:
+    """The aligned train gallery and test queries that both IAC runners use."""
+    gallery = build_gallery([item.image for item in train.items],
+                            [item.label for item in train.items], m=m)
+    return gallery, [align_transform(item.image, m=m) for item in test.items]
+
+
+def _risk_iac(gallery: list[GalleryEntry], queries: list[AlignedRep],
+              test: Dataset, flips: bool) -> float:
+    results = classify_1nn(gallery, queries, flips)
+    wrong = sum(int(label != item.label)
+                for (label, _, _, _), item in zip(results, test.items))
     return wrong / len(test.items)
 
 
@@ -165,12 +170,13 @@ def run_experiment(cfg: ExperimentConfig) -> RiskReport:
     def run_item(rep: int, n: int) -> list[RiskRow]:
         try:
             train, test = _draw_template_sets(cfg, rep, n)
+            aligned = None  # built by the first IAC runner, shared by both
             rows = []
             for name in cfg.classifiers:
-                if name == "IAC":
-                    risk = _risk_iac(train, test, cfg.align_m, flips=False)
-                elif name == "IAC_FLIPS":
-                    risk = _risk_iac(train, test, cfg.align_m, flips=True)
+                if name in ("IAC", "IAC_FLIPS"):
+                    if aligned is None:
+                        aligned = _align_sets(train, test, cfg.align_m)
+                    risk = _risk_iac(*aligned, test, flips=name == "IAC_FLIPS")
                 elif name == "CNN_EXPLICIT":
                     risk = _risk_bank(bank, test, cfg.bank_beta)
                 else:

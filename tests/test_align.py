@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from deformclass import (
     AlignedRep,
+    DeformDistribution,
     DeformParams,
     EmptyGallery,
     EmptySupport,
@@ -12,11 +16,30 @@ from deformclass import (
     align_transform,
     build_gallery,
     classify_1nn,
+    generate_dataset,
     rasterize,
     rect_support,
     resample_box,
     tent,
 )
+from deformclass.align import _oriented_variants, _stack_gallery
+
+
+def classify_1nn_loop(gallery, query, flips=False):
+    """Reference: the one-query loop over orientations that ``classify_1nn``
+    batches and screens."""
+    grids, labels, m = _stack_gallery(gallery)
+    if query.m != m:
+        raise ResolutionMismatch(f"query grid size {query.m} != gallery {m}")
+    variants = _oriented_variants(query.grid) if flips else [query.grid]
+    candidates = []
+    for r, variant in enumerate(variants):
+        diffs = grids - variant.reshape(-1)
+        dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs)) / m
+        idx = int(np.argmin(dists))  # argmin takes the first minimum
+        candidates.append((float(dists[idx]), idx, r))
+    dist, idx, r = min(candidates)
+    return int(labels[idx]), idx, dist, r
 
 
 def _image(rows):
@@ -117,7 +140,7 @@ class TestClassify1nn:
         gallery, f0, f1 = self._gallery()
         p = DeformParams(eta=1.6, xi=1.0, xi_prime=1.0, tau=0.125, tau_prime=0.0)
         query = align_transform(rasterize(f0, p, 32))
-        label, idx, dist, orient = classify_1nn(gallery, query)
+        label, idx, dist, orient = classify_1nn(gallery, [query])[0]
         assert orient == 0
         assert label == 0
         assert idx == 0
@@ -127,7 +150,7 @@ class TestClassify1nn:
         rep = align_transform(rasterize(tent(0.25), DeformParams(
             eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0), 16))
         with pytest.raises(EmptyGallery):
-            classify_1nn([], rep)
+            classify_1nn([], [rep])
 
     def test_size_mismatch(self):
         gallery, f0, _ = self._gallery()
@@ -135,7 +158,7 @@ class TestClassify1nn:
             eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0), 32), m=16)
         for flips in (False, True):
             with pytest.raises(ResolutionMismatch):
-                classify_1nn(gallery, query, flips)
+                classify_1nn(gallery, [query], flips)
 
     def test_tie_goes_to_first_entry(self):
         grid = np.zeros((4, 4))
@@ -143,7 +166,7 @@ class TestClassify1nn:
         rep = align_transform(GrayImage(grid), m=2)
         gallery = [(rep, 0), (rep, 1)]
         for flips in (False, True):
-            label, idx, dist, orient = classify_1nn(gallery, rep, flips)
+            label, idx, dist, orient = classify_1nn(gallery, [rep], flips)[0]
             assert (label, idx, orient) == (0, 0, 0)
 
     def test_each_axis_reversal_is_found(self):
@@ -153,7 +176,7 @@ class TestClassify1nn:
         variants = [grid, grid[::-1, :], grid[:, ::-1], grid[::-1, ::-1]]
         for r, variant in enumerate(variants):
             query = AlignedRep(grid=variant / np.linalg.norm(variant), m=4)
-            assert classify_1nn(gallery, query, flips=True) == (1, 1, 0.0, r)
+            assert classify_1nn(gallery, [query], flips=True)[0] == (1, 1, 0.0, r)
 
     def test_flip_aware_variant(self):
         d = 32
@@ -167,16 +190,76 @@ class TestClassify1nn:
         flipped = DeformParams(eta=1.0, xi=-1.0, xi_prime=1.0, tau=-1.0,
                                tau_prime=0.0, allow_flips=True)
         img = rasterize(f, flipped, d)
-        label, idx, dist, orient = classify_1nn(gallery, align_transform(img),
-                                                flips=True)
+        label, idx, dist, orient = classify_1nn(gallery, [align_transform(img)],
+                                                flips=True)[0]
         assert label == 0
         assert orient > 0
         # a negative scale shifts the sample lattice by one pixel, so the
         # match is close but not bit-exact
         assert dist < 0.03
-        _, _, plain_dist, _ = classify_1nn(gallery, align_transform(img))
+        _, _, plain_dist, _ = classify_1nn(gallery, [align_transform(img)])[0]
         assert plain_dist > dist
+
+    def test_empty_query_sequence(self):
+        gallery, _, _ = self._gallery()
+        for flips in (False, True):
+            assert classify_1nn(gallery, [], flips) == []
+
+    def test_generated_test_set_equals_loop_oracle(self, tent_template,
+                                                   cross_template):
+        q = DeformDistribution(eta_range=(0.8, 1.2), xi_range=(1.0, 1.5),
+                               flip_prob=0.5, seed=3)
+        train = generate_dataset([tent_template], [cross_template], q, 16, 24)
+        test = generate_dataset([tent_template], [cross_template],
+                                replace(q, seed=4), 40, 24)
+        gallery = build_gallery([it.image for it in train.items],
+                                [it.label for it in train.items])
+        queries = [align_transform(it.image) for it in test.items]
+        for flips in (False, True):
+            assert classify_1nn(gallery, queries, flips) == [
+                classify_1nn_loop(gallery, query, flips) for query in queries]
 
     def test_build_gallery_validates_lengths(self):
         with pytest.raises(InvalidParams):
             build_gallery([GrayImage(np.ones((4, 4)))], [0, 1])
+
+
+@st.composite
+def _gallery_and_queries(draw):
+    """Small galleries with planted exact ties, one-ulp neighbours and axis
+    reversals of the queries among their entries."""
+    m = draw(st.sampled_from([2, 3, 4, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def unit(z):
+        return AlignedRep(grid=z / np.linalg.norm(z), m=m)
+
+    queries = [unit(rng.random((m, m)) + 0.01)
+               for _ in range(draw(st.integers(1, 5)))]
+    gallery = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["random", "duplicate", "ulp", "reversal"]))
+        label = draw(st.integers(0, 1))
+        if kind == "random" or (kind == "duplicate" and not gallery):
+            gallery.append((unit(rng.random((m, m)) + 0.01), label))
+        elif kind == "duplicate":
+            gallery.append((gallery[draw(st.integers(0, len(gallery) - 1))][0],
+                            label))
+        else:
+            z = queries[draw(st.integers(0, len(queries) - 1))].grid
+            z = _oriented_variants(z)[draw(st.integers(0, 3))].copy()
+            if kind == "ulp":
+                i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+                z[i, j] = np.nextafter(z[i, j], draw(st.sampled_from([0.0, 2.0])))
+            gallery.append((AlignedRep(grid=z, m=m), label))
+    return gallery, queries
+
+
+class TestScreenedSearchProperty:
+    @given(case=_gallery_and_queries(), flips=st.booleans())
+    def test_equals_loop_oracle(self, case, flips):
+        gallery, queries = case
+        got = classify_1nn(gallery, queries, flips)
+        expected = [classify_1nn_loop(gallery, query, flips) for query in queries]
+        # Tuples compare labels, indices and orientations, and distances by ==.
+        assert got == expected

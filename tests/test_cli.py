@@ -27,6 +27,12 @@ class TestGen:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_infinite_range_exits_2(self, tmp_path, capsys):
+        code = main(GEN_ARGS + ["--eta-range", "1,inf", "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "eta_range bounds must be finite" in err and "Traceback" not in err
+
 
 class TestAlign:
     def test_classifies_member_image(self, dataset_dir, capsys):
@@ -43,6 +49,23 @@ class TestAlign:
                      "--query", str(query), "--flips"])
         assert code == 0
         assert "orientation=" in capsys.readouterr().out
+
+    def test_flips_golden_output(self, tmp_path, capsys):
+        """A query off the gallery, matched in orientation 2; the line was
+        recorded with the one-query loop search."""
+        gallery, queries = tmp_path / "gallery", tmp_path / "queries"
+        assert main(GEN_ARGS + ["--flip-prob", "0.5", "--out", str(gallery)]) == 0
+        assert main(["gen", "--template0", "tent:delta=0.25",
+                     "--template1", "cross:arm=0.25,taper=0.08", "--n", "2",
+                     "--d", "16", "--seed", "2", "--flip-prob", "0.5",
+                     "--eta-range", "0.8,1.2", "--xi-range", "1.0,1.5",
+                     "--out", str(queries)]) == 0
+        capsys.readouterr()
+        code = main(["align", "--gallery", str(gallery),
+                     "--query", str(queries / "item_00001.pgm"), "--flips"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "label=0 neighbor=5 distance=0.026304 orientation=2\n")
 
     def test_missing_gallery_exits_3(self, tmp_path, capsys):
         query = tmp_path / "q.pgm"
@@ -248,6 +271,34 @@ class TestBench:
         assert raw.read_text().splitlines()[1:] == ["IAC,2,0,nan", "IAC,2,1,nan"]
         assert agg.read_text().splitlines() == ["classifier,n,median_R_N"]
         assert "2 of 2 rows failed" in capsys.readouterr().err
+
+    def test_iac_golden_raw_csv(self, tmp_path, capsys):
+        """Both IAC classifiers on flipped data; the CSV was recorded with the
+        one-query loop search and per-classifier alignment."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("task.template0 = tent:delta=0.25\n"
+                       "task.template1 = cross:arm=0.25,taper=0.08\n"
+                       "q.eta_range = 0.8,1.2\n"
+                       "q.xi_range = 1.0,1.5\n"
+                       "q.flip_prob = 0.5\n"
+                       "experiment.n_list = 2,4,8\n"
+                       "experiment.n_test = 20\n"
+                       "experiment.repetitions = 3\n"
+                       "experiment.d = 16\n"
+                       "experiment.classifiers = IAC,IAC_FLIPS\n")
+        raw = tmp_path / "raw.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(raw),
+                     "--aggregate-out", str(tmp_path / "agg.csv")]) == 0
+        assert raw.read_text() == (
+            "classifier,n,repetition,R_N\n"
+            "IAC,2,0,0.100000\nIAC,2,1,0.000000\nIAC,2,2,0.100000\n"
+            "IAC,4,0,0.000000\nIAC,4,1,0.000000\nIAC,4,2,0.250000\n"
+            "IAC,8,0,0.050000\nIAC,8,1,0.100000\nIAC,8,2,0.000000\n"
+            "IAC_FLIPS,2,0,0.100000\nIAC_FLIPS,2,1,0.000000\n"
+            "IAC_FLIPS,2,2,0.100000\nIAC_FLIPS,4,0,0.000000\n"
+            "IAC_FLIPS,4,1,0.000000\nIAC_FLIPS,4,2,0.250000\n"
+            "IAC_FLIPS,8,0,0.050000\nIAC_FLIPS,8,1,0.100000\n"
+            "IAC_FLIPS,8,2,0.000000\n")
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["bench", "--config", str(tmp_path / "nope.cfg")])

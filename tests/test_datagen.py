@@ -27,6 +27,13 @@ class TestDistribution:
         with pytest.raises(InvalidDistribution):
             DeformDistribution(eta_range=(1.0, 1.0), xi_range=(1.0, 1.0),
                                flip_prob=1.5).validate()
+        inf = float("inf")
+        for ranges in (dict(eta_range=(1.0, inf), xi_range=(1.0, 1.0)),
+                       dict(eta_range=(1.0, 1.0), xi_range=(1.0, inf)),
+                       dict(eta_range=(1.0, 1.0), xi_range=(1.0, 1.0),
+                            xi_prime_range=(inf, inf))):
+            with pytest.raises(InvalidDistribution, match="finite"):
+                DeformDistribution(**ranges).validate()
 
     def test_separate_y_range(self):
         q = DeformDistribution(eta_range=(1.0, 1.0), xi_range=(1.0, 2.0),

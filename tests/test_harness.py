@@ -247,6 +247,36 @@ class TestRunExperiment:
         assert len(report.rows) == 2 * 2 * 2
         assert all(r.error == "" for r in report.rows)
 
+    def test_iac_classifiers_share_one_alignment_per_image(self, monkeypatch):
+        import deformclass.align as align
+        import deformclass.harness as harness
+
+        aligned, searches = [], []
+
+        def counting_align(img, m=None):
+            aligned.append(img)
+            return align_transform(img, m)
+
+        def counting_classify(gallery, queries, flips=False):
+            searches.append(len(queries))
+            return classify_1nn(gallery, queries, flips)
+
+        # build_gallery aligns through the align module's binding, the test
+        # queries through the harness's.
+        align_transform, classify_1nn = align.align_transform, align.classify_1nn
+        monkeypatch.setattr(align, "align_transform", counting_align)
+        monkeypatch.setattr(harness, "align_transform", counting_align)
+        monkeypatch.setattr(harness, "classify_1nn", counting_classify)
+        cfg = tiny_config(classifiers=("IAC", "IAC_FLIPS"), n_list=(2, 4))
+        report = run_experiment(cfg)
+        assert all(r.error == "" for r in report.rows)
+        # Per item: n train images and n_test test images, each aligned once.
+        assert len(aligned) == cfg.repetitions * sum(n + cfg.n_test
+                                                     for n in cfg.n_list)
+        assert len({id(img) for img in aligned}) == len(aligned)
+        # One search per item and classifier, over the whole test set.
+        assert searches == [cfg.n_test] * (2 * cfg.repetitions * len(cfg.n_list))
+
     def test_empty_classifiers_warns(self, capsys):
         report = run_experiment(tiny_config(classifiers=()))
         assert report.rows == ()
