@@ -26,7 +26,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (EmptyList, FilterTooLarge, InvalidParams,
                      ResolutionMismatch)
-from .model import SUPPORT_HI, SUPPORT_LO, GrayImage, TemplateFunction
+from .model import (SUPPORT_HI, SUPPORT_LO, GrayImage, TemplateFunction,
+                    mask_spans, nonzero_boxes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,9 +144,7 @@ def _crop_boxes(rows: np.ndarray, cols: np.ndarray):
     ones.  Returns the first row, first column and side per grid.
     """
     d = rows.shape[1]
-    r0, c0 = rows.argmax(axis=1), cols.argmax(axis=1)
-    r1 = d - rows[:, ::-1].argmax(axis=1)
-    c1 = d - cols[:, ::-1].argmax(axis=1)
+    (r0, r1), (c0, c1) = mask_spans(rows), mask_spans(cols)
     side = np.minimum(np.maximum(r1 - r0, c1 - c0), d)
     return (np.minimum(d, r0 + side) - side, np.minimum(d, c0 + side) - side,
             side)
@@ -301,11 +300,10 @@ def _channel_maxima_fast(bank: FilterBank, pixels: np.ndarray) -> tuple[float, f
     threshold never depends on the other class, so the pruning is exact per
     class however far apart z0 and z1 are.
     """
-    rows = np.flatnonzero(pixels.any(axis=1))
-    cols = np.flatnonzero(pixels.any(axis=0))
-    if rows.size == 0:
+    (r0,), (r1,), (c0,), (c1,) = nonzero_boxes(pixels[None])
+    if r1 == r0:
         return 0.0, 0.0
-    crop = pixels[rows[0]: rows[-1] + 1, cols[0]: cols[-1] + 1].astype(np.float32)
+    crop = pixels[r0:r1, c0:c1].astype(np.float32)
 
     windows = {side: (sliding_window_view(np.pad(crop, side - 1), (side, side)),
                       _window_norms(crop, side))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import re
 import struct
 import warnings
 from pathlib import Path
@@ -130,40 +131,37 @@ def write_pgm(img: GrayImage, max_val_policy: str = "fixed") -> bytes:
     return header + body.tobytes()
 
 
+# Up to four header tokens, each after any run of whitespace and comments.
+# A comment is a '#' where a token would start, through the next newline or
+# the end of the data; a token runs to the next whitespace byte.  Every
+# byte has one reading, so a shorter match never finds other tokens.
+_PGM_TOKEN = rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)"
+_PGM_HEADER = re.compile(_PGM_TOKEN + (rb"(?:" + _PGM_TOKEN) * 3 + rb")?" * 3)
+
+
 def read_pgm(data: bytes) -> GrayImage:
     """Decode binary PGM back to a [0, 1]-valued image."""
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        if pos >= len(data):
-            raise TruncatedPayload("PGM header ended early")
-        chunk = data[pos:pos + 1]
-        if chunk == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-        elif chunk.isspace():
-            pos += 1
-        else:
-            start = pos
-            while pos < len(data) and not data[pos:pos + 1].isspace():
-                pos += 1
-            tokens.append(data[start:pos])
-            if tokens[0] != b"P5":
-                raise BadMagic(f"PGM magic {tokens[0]!r}, expected b'P5'")
+    m = _PGM_HEADER.match(data)
+    if m is not None and m[1] != b"P5":
+        raise BadMagic(f"PGM magic {m[1]!r}, expected b'P5'")
+    if m is None or m[4] is None:
+        raise TruncatedPayload("PGM header ended early")
+    tokens = m.groups()[1:]
     # The digit cap keeps int() below its conversion limit.
-    if not all(t.isdigit() and len(t) <= 10 for t in tokens[1:]):
+    if not all(t.isdigit() and len(t) <= 10 for t in tokens):
         raise MalformedHeader(f"PGM size and maxval must be decimal integers "
-                              f"of at most 10 digits, got {b' '.join(tokens[1:])!r}")
-    w, h, max_val = (int(t) for t in tokens[1:])
+                              f"of at most 10 digits, got {b' '.join(tokens)!r}")
+    w, h, max_val = (int(t) for t in tokens)
     if not 1 <= max_val <= 255:
         raise DimMismatch(f"PGM maxval {max_val} unsupported, only 8-bit 1..255")
     if w != h or w < 1:
         raise DimMismatch(f"image must be square and non-empty, got {w}x{h}")
-    body = data[pos + 1:]
-    if len(body) != w * h:
-        raise TruncatedPayload(f"payload has {len(body)} bytes, expected {w * h}")
-    raw = np.frombuffer(body, dtype=np.uint8).reshape(h, w)
-    return GrayImage(raw / max_val)
+    # One whitespace byte ends the header.
+    start = min(m.end() + 1, len(data))
+    if len(data) - start != w * h:
+        raise TruncatedPayload(f"payload has {len(data) - start} bytes, expected {w * h}")
+    raw = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=start)
+    return GrayImage(raw.reshape(h, w) / max_val)
 
 
 # ---------------------------------------------------------------------------

@@ -62,14 +62,20 @@ def _template(fn, raw_lipschitz: float, l1: float, kind: str,
               params: tuple) -> TemplateFunction:
     """Template whose Lipschitz constant is ``raw_lipschitz`` normalized by
     the l1 mass, which must be positive and finite: a tiny template
-    underflows its mass to 0, and an all-zero raster has none."""
+    underflows its mass to 0, and an all-zero raster has none.  The
+    normalized constant must be finite too, which a subnormal width whose
+    raw slope overflows is not."""
     if not (np.isfinite(l1) and l1 > 0):
         raise InvalidParams(f"{kind} template has l1 mass {l1}; "
                             f"it must be positive and finite")
-    return TemplateFunction(fn, raw_lipschitz / l1, l1, kind, params)
+    lipschitz = raw_lipschitz / l1
+    if not np.isfinite(lipschitz):
+        raise InvalidParams(f"{kind} template has normalized Lipschitz constant "
+                            f"{lipschitz}; it must be finite")
+    return TemplateFunction(fn, lipschitz, l1, kind, params)
 
 
-def _estimate_l1(fn, resolution: int = 1024) -> float:
+def _estimate_l1(fn, resolution: int) -> float:
     """Midpoint-rule estimate of the integral of ``fn`` over [0, 1]^2."""
     t = (np.arange(resolution) + 0.5) / resolution
     return float(fn(t[:, None], t[None, :]).mean())
@@ -141,7 +147,27 @@ def cross(arm_halfwidth: float = 1.0 / 16.0, taper: float = 1.0 / 16.0) -> Templ
     # both factors are bounded by 1; the max of Lipschitz functions keeps
     # the bound.
     raw = max(1.0 / tp, 1.0 / w)
-    return _template(fn, raw, _estimate_l1(fn), "cross", (w, tp))
+    return _template(fn, raw, _cross_mass(bar, w, tp), "cross", (w, tp))
+
+
+def _cross_mass(bar, w: float, tp: float) -> float:
+    """Integral of max(bar(x, y), bar(y, x)) over the plane.
+
+    Each bar integrates to (1/2 - tp) * w exactly: the along-profile is a
+    plateau with two linear ramps, the across-profile a triangle.  The max
+    is the sum less the min, which vanishes outside the central square
+    [1/2 - w, 1/2 + w]^2.  When w + tp <= 1/4 both along-profiles are 1
+    on that square and the min of the two triangles integrates to 4w^2/3;
+    otherwise the midpoint rule integrates it on a 1024² grid fitted to
+    the square, so no arm is narrower than the grid spacing.
+    """
+    if w + tp <= 0.25:
+        overlap = 4.0 * w * w / 3.0
+    else:
+        t = 0.5 - w + (np.arange(1024) + 0.5) * (2.0 * w / 1024)
+        x, y = t[:, None], t[None, :]
+        overlap = float(np.minimum(bar(x, y), bar(y, x)).mean()) * (2.0 * w) ** 2
+    return 2.0 * (0.5 - tp) * w - overlap
 
 
 def raster_interp(grid: np.ndarray) -> TemplateFunction:
@@ -290,6 +316,26 @@ IDENTITY = DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
 # ---------------------------------------------------------------------------
 # images
 # ---------------------------------------------------------------------------
+
+def mask_spans(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index and one past the last index of True in each row of an
+    (m, n) boolean mask; a row with no True gets (0, 0)."""
+    hit = mask.any(axis=1)
+    lo = np.where(hit, mask.argmax(axis=1), 0)
+    hi = np.where(hit, mask.shape[1] - mask[:, ::-1].argmax(axis=1), 0)
+    return lo, hi
+
+
+def nonzero_boxes(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Bounding box of the nonzero pixels of each image in a (B, h, w) stack.
+
+    Returns the first row, end row, first column and end column (half-open)
+    per image; an all-zero image gets the empty box (0, 0, 0, 0).  Any pixel
+    that is not 0 counts, negative and NaN pixels included.
+    """
+    nz = x != 0
+    return (*mask_spans(nz.any(axis=2)), *mask_spans(nz.any(axis=1)))
+
 
 @dataclass(frozen=True)
 class GrayImage:

@@ -14,6 +14,17 @@ This is exact, not an approximation, because ReLU is monotone, so
 max(relu(c)) = relu(max(c)) value for value.  Where the maximum is
 positive the first argmax is also the same in both orders; where it is
 not, the channel is dead, its output is 0 and it passes no gradient.
+
+The images are supports on a zero background, so the conv runs only on
+each image's support box: the nonzero bounding box, framed by k - 1 zeros
+so that every patch touching it is included, copied to one canvas sized
+for the batch's largest box.  Any patch off the box holds only zeros and
+yields exactly the bias, so one all-zero column, put before the canvas
+patches in the im2col, stands for the whole background.  This is exact:
+translation keeps the row-major order of the support patches, and the
+full frame's first patch is background too, so the first argmax picks the
+same patch, and where no support patch exceeds the bias (ties included)
+the pooled value is the bias and the routed patch is all zeros.
 """
 from __future__ import annotations
 
@@ -26,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .datagen import Dataset, LabeledImage
 from .errors import (DataError, DimMismatch, EmptyDataset, InvalidParams,
                      TruncatedPayload)
-from .model import GrayImage
+from .model import GrayImage, nonzero_boxes
 
 _MAGIC = b"DCNN"
 _VERSION = 1
@@ -118,14 +129,28 @@ class TrainableCnn:
     # -- forward / backward ------------------------------------------------
 
     def forward_batch(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Class-1 probabilities for a (B, d, d) batch, plus a backward cache."""
+        """Class-1 probabilities for a (B, d, d) batch, plus a backward cache.
+
+        The conv runs on each image's support box framed by k - 1 zeros, on
+        one canvas sized for the batch's largest box; column 0 of the im2col
+        (``cache["cols"]``) is the all-zero background patch, and
+        ``cache["pool_idx"]`` indexes those columns.
+        """
         k = self.arch.filter_size
-        padded = np.pad(x, ((0, 0), (k, k), (k, k)))
-        b, p = len(x), padded.shape[1] - k + 1
+        b = len(x)
+        r0, r1, c0, c1 = nonzero_boxes(x)
+        ph = int((r1 - r0).max(initial=0)) + k - 1
+        pw = int((c1 - c0).max(initial=0)) + k - 1
+        canvas = np.zeros((b, ph + k - 1, pw + k - 1))
+        for dst, img, top, bottom, left, right in zip(canvas, x, r0, r1, c0, c1):
+            dst[k - 1: k - 1 + bottom - top, k - 1: k - 1 + right - left] = (
+                img[top:bottom, left:right])
         # im2col: row i*k + j holds pixel (i, j) of every patch, so the conv
-        # map comes out of one matmul as a contiguous (B, nf, P) array.
-        cols = sliding_window_view(padded, (p, p), axis=(1, 2)).reshape(
-            b, k * k, p * p)
+        # map comes out of one matmul as a contiguous (B, nf, 1 + P) array.
+        # Splitting the axes of the column slice is always a view.
+        cols = np.zeros((b, k * k, 1 + ph * pw))
+        cols[:, :, 1:].reshape(b, k, k, ph, pw)[...] = sliding_window_view(
+            canvas, (ph, pw), axis=(1, 2))
         conv = self.conv_w.reshape(-1, k * k) @ cols
         conv += self.conv_b[:, None]
         pool_idx = conv.argmax(axis=2)
@@ -261,7 +286,9 @@ def grad_check(net: TrainableCnn, sample: LabeledImage, eps: float,
 
     def pool_pattern() -> np.ndarray:
         # Only live channels (raw max > 0) pass gradient, so only their
-        # argmax is a kink; a dead channel's argmax may move freely.
+        # argmax is a kink; a dead channel's argmax may move freely.  The
+        # image is fixed, so its canvas is too, and index 0 (background)
+        # against any support patch still shows a move between the two.
         _, cache = net.forward_batch(x)
         return np.where(cache["hidden"][0] > 0, cache["pool_idx"], -1)
 

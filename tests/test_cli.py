@@ -222,9 +222,11 @@ class TestPgmTemplates:
             assert message in err and "Traceback" not in err
 
     def test_tiny_templates_exit_2(self, capsys):
-        for spec in ("tent:delta=1e-110", "cone:radius=1e-200", "cross:arm=1e-320"):
+        for spec, message in (("tent:delta=1e-110", "l1 mass 0.0"),
+                              ("cone:radius=1e-200", "l1 mass 0.0"),
+                              ("cross:arm=1e-320", "Lipschitz constant inf")):
             assert main(["sep", "--template0", spec, "--template1", "cone"]) == 2
-            assert "l1 mass 0.0" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
 
 
 class TestBench:

@@ -138,6 +138,30 @@ class TestPgm:
         img = read_pgm(data)
         assert img.pixels[1, 1] == 1.0
 
+    def test_comment_between_every_token(self):
+        data = (b"# leading\nP5# not a comment start\n#a\n2#b\n# c d\n2\n#\n"
+                b"255\n" + bytes([0, 64, 128, 255]))
+        with pytest.raises(BadMagic):
+            read_pgm(data)  # '#' inside a token belongs to the token
+        data = (b"# leading\nP5\n#a\n2\n# c d\n2 #e\t#f\n#\n255\n"
+                + bytes([0, 64, 128, 255]))
+        assert read_pgm(data).pixels[1, 1] == 1.0
+
+    def test_tab_and_cr_whitespace(self):
+        img = read_pgm(b"P5\t2\r2\r\n\t255\r" + bytes([255, 0, 0, 51]))
+        assert img.pixels.tolist() == [[1.0, 0.0], [0.0, 0.2]]
+        # exactly one whitespace byte ends the header; "\r\n" leaves the
+        # "\n" in the body
+        with pytest.raises(TruncatedPayload, match="payload has 5 bytes"):
+            read_pgm(b"P5 2 2 255\r\n" + bytes(4))
+
+    def test_unterminated_comment_is_truncation(self):
+        # a comment runs to the next newline, here the end of the data
+        for data in (b"P5 2 2 #255 \x00\x00\x00\x00", b"P5 2 #2 255",
+                     b"#P5 2 2 255 ab"):
+            with pytest.raises(TruncatedPayload, match="header ended early"):
+                read_pgm(data)
+
     def test_read_errors(self):
         with pytest.raises(BadMagic):
             read_pgm(b"P2\n1 1\n255\n\xff")
@@ -246,6 +270,74 @@ def _pgm_bytes():
     return (st.binary()
             | st.binary().map(lambda b: b"P5" + b)
             | st.builds(bytes.__add__, header, st.binary(max_size=64)))
+
+
+def byte_walk_read_pgm(data: bytes) -> GrayImage:
+    """Oracle of ``read_pgm``: the header walked one byte at a time."""
+    tokens = []
+    pos = 0
+    while len(tokens) < 4:
+        if pos >= len(data):
+            raise TruncatedPayload("PGM header ended early")
+        chunk = data[pos:pos + 1]
+        if chunk == b"#":
+            while pos < len(data) and data[pos:pos + 1] != b"\n":
+                pos += 1
+        elif chunk.isspace():
+            pos += 1
+        else:
+            start = pos
+            while pos < len(data) and not data[pos:pos + 1].isspace():
+                pos += 1
+            tokens.append(data[start:pos])
+            if tokens[0] != b"P5":
+                raise BadMagic(f"PGM magic {tokens[0]!r}, expected b'P5'")
+    if not all(t.isdigit() and len(t) <= 10 for t in tokens[1:]):
+        raise MalformedHeader(f"PGM size and maxval must be decimal integers "
+                              f"of at most 10 digits, got {b' '.join(tokens[1:])!r}")
+    w, h, max_val = (int(t) for t in tokens[1:])
+    if not 1 <= max_val <= 255:
+        raise DimMismatch(f"PGM maxval {max_val} unsupported, only 8-bit 1..255")
+    if w != h or w < 1:
+        raise DimMismatch(f"image must be square and non-empty, got {w}x{h}")
+    body = data[pos + 1:]
+    if len(body) != w * h:
+        raise TruncatedPayload(f"payload has {len(body)} bytes, expected {w * h}")
+    return GrayImage(np.frombuffer(body, dtype=np.uint8).reshape(h, w) / max_val)
+
+
+def _outcome(read, data: bytes):
+    try:
+        img = read(data)
+    except DeformClassError as exc:
+        return type(exc), str(exc)
+    return img.pixels.shape, img.pixels.tobytes()
+
+
+_SEPARATOR = st.lists(st.sampled_from([b" ", b"\n", b"\r", b"\t", b"\x0b", b"\x0c",
+                                       b"#c\n", b"# a b\n", b"#\r\n"]),
+                      min_size=1, max_size=3).map(b"".join)
+_ODD_TOKEN = st.sampled_from([b"P2", b"x", b"#", b"1" * 11, b"2#", b"0", b"3",
+                              b"\x00", b"\xff"])
+
+
+@st.composite
+def _pgm_like(draw):
+    """A 2 x 2 PGM with each header token, separator and the body length
+    possibly off."""
+    parts = []
+    for token in (b"P5", b"2", b"2", b"255"):
+        keep = draw(st.sampled_from([True, True, True, False]))
+        parts += [draw(_SEPARATOR), token if keep else draw(_ODD_TOKEN)]
+    parts.append(draw(st.just(b"\n") | _SEPARATOR))
+    parts.append(draw(st.binary(min_size=3, max_size=5) | st.binary()))
+    return b"".join(parts)
+
+
+class TestPgmHeaderOracle:
+    @given(data=_pgm_like())
+    def test_same_outcome_as_byte_walk(self, data):
+        assert _outcome(read_pgm, data) == _outcome(byte_walk_read_pgm, data)
 
 
 class TestByteBoundaries:

@@ -20,6 +20,28 @@ from deformclass import (
     template_sum,
     tent,
 )
+from deformclass.model import _estimate_l1, nonzero_boxes
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
+                          st.sampled_from([1.0, -0.5, np.nan])),
+                max_size=6),
+       st.integers(1, 7))
+def test_nonzero_boxes_match_flatnonzero(pixels, side):
+    # negative and NaN pixels count as support; -0.0 does not
+    x = np.zeros((3, side, side + 1))
+    x[2, 0, 0] = -0.0
+    for r, c, v in pixels:
+        x[1, r % side, c % (side + 1)] = v
+    r0, r1, c0, c1 = nonzero_boxes(x)
+    for b in range(3):
+        rows = np.flatnonzero((x[b] != 0).any(axis=1))
+        cols = np.flatnonzero((x[b] != 0).any(axis=0))
+        if rows.size == 0:
+            assert (r0[b], r1[b], c0[b], c1[b]) == (0, 0, 0, 0)
+        else:
+            assert (r0[b], r1[b]) == (rows[0], rows[-1] + 1)
+            assert (c0[b], c1[b]) == (cols[0], cols[-1] + 1)
 
 
 class TestTemplates:
@@ -65,14 +87,33 @@ class TestTemplates:
         assert f.l1_norm == pytest.approx(np.pi * 0.2**3 / 3)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.parametrize("make", [lambda: tent(1e-110),
-                                      lambda: cone(1e-200),
-                                      lambda: cross(1e-320)])
-    def test_underflowing_mass_rejected(self, make):
+    @pytest.mark.parametrize("make, match", [
+        pytest.param(lambda: tent(1e-110), "l1 mass 0.0", id="<lambda>0"),
+        pytest.param(lambda: cone(1e-200), "l1 mass 0.0", id="<lambda>1"),
+        pytest.param(lambda: cross(1e-320), "Lipschitz constant inf",
+                     id="<lambda>2")])
+    def test_underflowing_mass_rejected(self, make, match):
         # The l1 mass underflows to 0; dividing by it used to raise
-        # ZeroDivisionError.
-        with pytest.raises(InvalidParams, match="l1 mass 0.0"):
+        # ZeroDivisionError.  The subnormal cross keeps a positive exact
+        # mass, but its raw slope 1/w overflows.
+        with pytest.raises(InvalidParams, match=match):
             make()
+
+    @pytest.mark.parametrize("w", [1e-4, 5e-4, 0.0625])
+    def test_cross_mass_closed_form(self, w):
+        # two bars of mass (1/2 - taper) w, less the min of two triangles
+        # on the central square
+        f = cross(w, 0.08)
+        assert f.l1_norm == pytest.approx(2 * (0.5 - 0.08) * w - 4 * w * w / 3,
+                                          rel=1e-12)
+        assert f.lipschitz_const == pytest.approx((1 / w) / f.l1_norm, rel=1e-12)
+
+    @pytest.mark.parametrize("w, taper", [(0.25, 0.08), (0.2, 0.1), (0.25, 0.25)])
+    def test_cross_mass_with_tapered_overlap(self, w, taper):
+        # w + taper > 1/4: the tip ramps reach the central square, and the
+        # overlap is integrated there; check against the whole-square rule
+        f = cross(w, taper)
+        assert f.l1_norm == pytest.approx(_estimate_l1(f, 2048), rel=1e-5)
 
     def test_cross_shape(self):
         f = cross(0.0625, 0.0625)

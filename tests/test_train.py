@@ -1,13 +1,16 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from deformclass import (
     ArchSpec,
     DataError,
     DeformClassError,
+    DeformDistribution,
     DimMismatch,
     GrayImage,
     InvalidParams,
@@ -15,12 +18,16 @@ from deformclass import (
     OptSpec,
     TrainableCnn,
     TruncatedPayload,
+    cone,
+    generate_dataset,
     grad_check,
     load_checkpoint,
     save_checkpoint,
+    tent,
     train_least_squares,
 )
 from deformclass import train
+from deformclass.datagen import normalized
 from deformclass.model import IDENTITY
 from deformclass.train import _sigmoid
 
@@ -77,6 +84,172 @@ def sliding_window_forward(net: TrainableCnn, x: np.ndarray) -> np.ndarray:
         h = np.maximum(h @ w.T + bias, 0.0)
     z = h @ net.dense[-1][0].T + net.dense[-1][1]
     return _sigmoid(net.beta * (z[:, 1] - z[:, 0]))
+
+
+def full_frame_forward(net: TrainableCnn, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Oracle of ``forward_batch``: im2col over the whole frame, zero-padded
+    k wide on every side, so patch 0 is all zeros."""
+    k = net.arch.filter_size
+    padded = np.pad(x, ((0, 0), (k, k), (k, k)))
+    b, p = len(x), padded.shape[1] - k + 1
+    cols = sliding_window_view(padded, (p, p), axis=(1, 2)).reshape(
+        b, k * k, p * p)
+    conv = net.conv_w.reshape(-1, k * k) @ cols
+    conv += net.conv_b[:, None]
+    pool_idx = conv.argmax(axis=2)
+    raw_max = np.take_along_axis(conv, pool_idx[:, :, None], axis=2)[:, :, 0]
+    hidden = [np.maximum(raw_max, 0.0)]
+    for w, bias in net.dense[:-1]:
+        hidden.append(np.maximum(hidden[-1] @ w.T + bias, 0.0))
+    w_out, b_out = net.dense[-1]
+    z = hidden[-1] @ w_out.T + b_out
+    p1 = _sigmoid(net.beta * (z[:, 1] - z[:, 0]))
+    return p1, {"cols": cols, "pool_idx": pool_idx, "hidden": hidden}
+
+
+def full_frame_loss_and_gradients(net: TrainableCnn, x: np.ndarray, y: np.ndarray):
+    """Oracle of ``loss_and_gradients`` on ``full_frame_forward``."""
+    p1, cache = full_frame_forward(net, x)
+    gp = 2.0 * (p1 - y) / len(x)
+    gt = gp * net.beta * p1 * (1.0 - p1)
+    gcur = np.stack([-gt, gt], axis=1)
+    hidden = cache["hidden"]
+    grads_dense = []
+    for layer in range(len(net.dense) - 1, -1, -1):
+        w, _ = net.dense[layer]
+        grads_dense.append((gcur.T @ hidden[layer], gcur.sum(axis=0)))
+        gcur = (gcur @ w) * (hidden[layer] > 0)
+    grads_dense.reverse()
+    patches = np.take_along_axis(cache["cols"], cache["pool_idx"][:, None, :],
+                                 axis=2)
+    gw_conv = np.einsum("bf,bkf->fk", gcur, patches).reshape(net.conv_w.shape)
+    grads = [gw_conv, gcur.sum(axis=0)]
+    for gw, gb in grads_dense:
+        grads.extend((gw, gb))
+    return float(np.mean((y - p1) ** 2)), grads
+
+
+def pooled_and_routed(net: TrainableCnn, cache: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Raw (pre-ReLU) pooled values and the patch each one was taken from."""
+    k = net.arch.filter_size
+    conv = net.conv_w.reshape(-1, k * k) @ cache["cols"] + net.conv_b[:, None]
+    idx = cache["pool_idx"]
+    return (np.take_along_axis(conv, idx[:, :, None], axis=2)[:, :, 0],
+            np.take_along_axis(cache["cols"], idx[:, None, :], axis=2))
+
+
+def assert_matches_full_frame(net: TrainableCnn, x: np.ndarray, y: np.ndarray):
+    p1, cache = net.forward_batch(x)
+    ref_p1, ref_cache = full_frame_forward(net, x)
+    assert np.array_equal(p1, ref_p1)
+    for got, ref in zip(pooled_and_routed(net, cache),
+                        pooled_and_routed(net, ref_cache)):
+        assert np.array_equal(got, ref)
+    for got, ref in zip(cache["hidden"], ref_cache["hidden"]):
+        assert np.array_equal(got, ref)
+    loss, grads = net.loss_and_gradients(x, y)
+    ref_loss, ref_grads = full_frame_loss_and_gradients(net, x, y)
+    assert loss == ref_loss
+    for got, ref in zip(grads, ref_grads):
+        assert np.array_equal(got, ref)
+
+
+def sparse_net(k: int, conv_b: list[float], seed: int, coarse: bool) -> TrainableCnn:
+    net = TrainableCnn(ArchSpec(n_filters=len(conv_b), filter_size=k,
+                                dense_widths=(5,)), seed=seed)
+    net.conv_b[:] = conv_b
+    if coarse:
+        # weights on a coarse grid, zeros included, so that responses tie
+        # each other and the background exactly
+        net.conv_w[...] = np.round(net.conv_w * 2.0) / 2.0
+    return net
+
+
+_PIXEL = st.sampled_from([0.25, 0.5, 1.0, -0.5, 0.3]) | st.floats(-2.0, 2.0)
+
+
+@st.composite
+def sparse_batches(draw):
+    """A (B, d, d) batch of images, each nonzero only inside its own box."""
+    d = draw(st.integers(1, 12))
+    b = draw(st.integers(1, 5))
+    x = np.zeros((b, d, d))
+    for img in x:
+        r0, r1 = sorted(draw(st.tuples(st.integers(0, d), st.integers(0, d))))
+        c0, c1 = sorted(draw(st.tuples(st.integers(0, d), st.integers(0, d))))
+        for _ in range(draw(st.integers(0, 6)) if r1 > r0 and c1 > c0 else 0):
+            img[draw(st.integers(r0, r1 - 1)),
+                draw(st.integers(c0, c1 - 1))] = draw(_PIXEL)
+    y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]),
+                               min_size=b, max_size=b)))
+    return x, y
+
+
+class TestSupportCanvas:
+    """``forward_batch`` convolves only each image's support box; every
+    output and gradient equals the full-frame computation bit for bit."""
+
+    @given(batch=sparse_batches(), k=st.integers(1, 5),
+           conv_b=st.lists(st.sampled_from([0.0, 0.1, -0.3]) | st.floats(-1, 1),
+                           min_size=1, max_size=4),
+           seed=st.integers(0, 3), coarse=st.booleans())
+    def test_matches_full_frame(self, batch, k, conv_b, seed, coarse):
+        x, y = batch
+        assert_matches_full_frame(sparse_net(k, conv_b, seed, coarse), x, y)
+
+    @staticmethod
+    def dot(d: int, r: int, c: int) -> np.ndarray:
+        img = np.zeros((d, d))
+        img[r, c] = 0.7
+        return img
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_named_cases(self, k):
+        rng = np.random.default_rng(k)
+        d = 10
+        wide = np.zeros((d, d))
+        wide[1:9, 2:7] = rng.uniform(0.1, 1.0, (8, 5))
+        cases = {
+            "mixed box sizes": np.stack([wide, self.dot(d, 4, 5)]),
+            "touches every border": np.stack(
+                [self.dot(d, 0, 3), self.dot(d, d - 1, 3), self.dot(d, 3, 0),
+                 self.dot(d, 3, d - 1), rng.uniform(0.1, 1.0, (d, d))]),
+            "single pixel": self.dot(d, 6, 2)[None],
+            "all zero": np.stack([np.zeros((d, d)), wide]),
+            "all zero alone": np.zeros((2, d, d)),
+            "negative pixels": np.stack([-wide, wide - 0.5]),
+        }
+        for conv_b in ([0.1, -0.2, 0.0], [-0.5, -0.5, -0.5]):
+            for coarse in (False, True):
+                net = sparse_net(k, conv_b, seed=k, coarse=coarse)
+                for x in cases.values():
+                    assert_matches_full_frame(net, x, np.arange(len(x)) % 2.0)
+
+    def test_negative_bias_background_wins(self):
+        # all weights negative on a positive image: every support response
+        # is below the negative bias, so the pooled value is the bias and
+        # the routed patch is the all-zero background
+        net = sparse_net(3, [-0.3, -0.3], seed=0, coarse=False)
+        net.conv_w[...] = -np.abs(net.conv_w)
+        x = np.stack([self.dot(8, 2, 5), self.dot(8, 7, 7)])
+        _, cache = net.forward_batch(x)
+        pooled, routed = pooled_and_routed(net, cache)
+        assert np.array_equal(pooled, np.full((2, 2), -0.3))
+        assert not routed.any()
+        assert_matches_full_frame(net, x, np.array([0.0, 1.0]))
+
+    def test_golden_training_run(self):
+        # loss_history and parameters of one fixed run, recorded with the
+        # full-frame convolution
+        q = DeformDistribution(eta_range=(0.5, 1.5), xi_range=(1.0, 2.0),
+                               flip_prob=0.5, seed=3)
+        data = normalized(generate_dataset([tent(0.25)], [cone(0.22)], q, n=12, d=24))
+        net = train_least_squares(data, SMALL_ARCH,
+                                  OptSpec(epochs=3, batch_size=5, seed=2))
+        assert [v.hex() for v in net.loss_history] == [
+            "0x1.0a79a1abd18fcp-2", "0x1.0110fd836e5f3p-2", "0x1.fd4adcfcade3fp-3"]
+        assert hashlib.sha256(net.get_flat().astype("<f8").tobytes()).hexdigest() == (
+            "8019459c9dcfddee00c33a679a9e9345c1c80197e942a45033495bba79792e73")
 
 
 class TestForwardBackward:
@@ -166,6 +339,23 @@ class TestGradCheck:
         net.dense[0][1][:] = 0.1
         res = grad_check(net, tied_img, eps=1e-5, n_params=net.get_flat().size)
         assert res.n_skipped == 0
+        assert res.max_rel_error <= 1e-4
+
+    def test_support_background_flip_is_skipped(self):
+        # with zero weights every support patch ties the background, which
+        # wins; on a live channel, raising any weight moves the argmax into
+        # the support, a kink that must be skipped rather than compared
+        net = TrainableCnn(SMALL_ARCH, seed=0)
+        net.conv_w[...] = 0.0
+        net.conv_b[:] = 0.1
+        net.dense[0][1][:] = 0.1
+        pix = np.zeros((8, 8))
+        pix[3:5, 2:6] = [[0.2, 0.5, 0.4, 0.1], [0.3, 0.6, 0.2, 0.5]]
+        img = LabeledImage(image=GrayImage(pix), label=1,
+                           template_index=0, params=IDENTITY)
+        assert not net.forward_batch(pix[None])[1]["pool_idx"].any()
+        res = grad_check(net, img, eps=1e-5, n_params=net.get_flat().size)
+        assert res.n_skipped == net.conv_w.size
         assert res.max_rel_error <= 1e-4
 
     def test_eps_range_enforced(self, small_dataset):
