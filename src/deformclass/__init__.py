@@ -7,8 +7,8 @@ support regularity, and provides both an explicit scale-indexed CNN
 classifier and a small trainable CNN with verified gradients.
 """
 
-from .align import (AlignedRep, RectSupport, align_transform, build_gallery,
-                    classify_1nn, rect_support, resample_box)
+from .align import (AlignedRep, align_images, align_transform, build_gallery,
+                    classify_1nn)
 from .cnn import (BankDecision, Filter, FilterBank, build_filter_bank,
                   classify_bank, feature_max, max_tree, softmax_pair)
 from .datagen import (Dataset, DeformDistribution, LabeledImage,
@@ -19,8 +19,9 @@ from .errors import (AllZeroImage, BadMagic, ConfigError, DataError,
                      EmptyDataset, EmptyGallery, EmptyList, EmptyMask,
                      EmptySupport, FilterTooLarge, InvalidDistribution,
                      InvalidFixtureParams, InvalidParams, MalformedHeader,
-                     MultipleComponents, NumericError, ResolutionMismatch,
-                     ResolutionTooSmall, TruncatedPayload, ZeroNorm)
+                     MalformedManifest, MultipleComponents, NumericError,
+                     ResolutionMismatch, ResolutionTooSmall, TruncatedPayload,
+                     ZeroNorm)
 from .geometry import (BoundaryCurve, GammaScan, estimate_gamma, gamma_scan,
                        trace_boundary)
 from .harness import (ExperimentConfig, RiskReport, RiskRow, TwoTemplates,
@@ -31,8 +32,8 @@ from .io import (load_idx_pair, parse_idx_images, parse_idx_labels,
                  serialize_idx_labels, write_dataset, write_pgm)
 from .model import (IDENTITY, DeformParams, GrayImage, TemplateFunction,
                     cone, cross, discrete_l2_norm, normalize_l2,
-                    raster_interp, rasterize, reparametrize, shift_bounds,
-                    template_sum, tent)
+                    raster_interp, rasterize, rasterize_batch, reparametrize,
+                    shift_bounds, template_sum, tent)
 from .separation import (RiemannRow, SearchConfig, SeparationResult,
                          estimate_separation, grid_inner_product,
                          riemann_error_report)
@@ -50,21 +51,21 @@ __all__ = [
     "EmptyList", "EmptyMask", "EmptySupport", "ExperimentConfig", "Filter",
     "FilterBank", "FilterTooLarge", "GammaScan", "GradCheckResult",
     "GrayImage", "IDENTITY", "InvalidDistribution", "InvalidFixtureParams",
-    "InvalidParams", "LabeledImage", "MalformedHeader",
+    "InvalidParams", "LabeledImage", "MalformedHeader", "MalformedManifest",
     "MultipleComponents", "NonIdentifiablePair", "NumericError", "OptSpec",
-    "RectSupport", "ResolutionMismatch", "ResolutionTooSmall", "RiemannRow",
+    "ResolutionMismatch", "ResolutionTooSmall", "RiemannRow",
     "RiskReport", "RiskRow", "SearchConfig", "SeparationResult",
     "TemplateFunction", "TrainableCnn", "TruncatedPayload", "TwoTemplates",
     "ZeroNorm",
-    "align_transform", "build_filter_bank", "build_gallery", "classify_1nn",
+    "align_images", "align_transform", "build_filter_bank", "build_gallery", "classify_1nn",
     "classify_bank", "cone", "cross",
     "discrete_l2_norm", "emit_report", "estimate_gamma",
     "estimate_separation", "feature_max", "gamma_scan", "generate_dataset",
     "grad_check", "grid_inner_product", "load_checkpoint", "load_idx_pair",
     "max_tree", "non_identifiable_pair", "normalize_l2", "parse_config",
     "parse_idx_images", "parse_idx_labels", "parse_template_spec",
-    "raster_interp", "rasterize", "read_dataset", "read_pgm",
-    "rect_support", "reparametrize", "resample_box", "riemann_error_report",
+    "raster_interp", "rasterize", "rasterize_batch", "read_dataset",
+    "read_pgm", "reparametrize", "riemann_error_report",
     "run_experiment", "sample_params", "save_checkpoint",
     "serialize_idx_images", "serialize_idx_labels", "shift_bounds",
     "softmax_pair", "template_sum", "tent", "trace_boundary",

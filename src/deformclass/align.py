@@ -9,6 +9,7 @@ when the classes are separated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -20,81 +21,89 @@ from .errors import (
     ResolutionMismatch,
     ZeroNorm,
 )
-from .model import GrayImage
-
-
-@dataclass(frozen=True)
-class RectSupport:
-    """1-based inclusive pixel index bounds of the positive pixels."""
-
-    j_lo: int
-    j_hi: int
-    l_lo: int
-    l_hi: int
-
-    def spans(self) -> tuple[int, int]:
-        return (self.j_hi - self.j_lo, self.l_hi - self.l_lo)
+from .model import IMAGE_BLOCK, GrayImage, mask_spans
 
 
 @dataclass(frozen=True)
 class AlignedRep:
-    """Support-aligned resampled grid with unit Frobenius norm."""
+    """Support-aligned resampled grid with unit Frobenius norm.
+
+    A read-only float array is kept as given; any other grid is copied and
+    frozen.
+    """
 
     grid: np.ndarray
     m: int
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
-        g = g.copy()
-        g.flags.writeable = False
+        if g.flags.writeable:
+            g = g.copy()
+            g.flags.writeable = False
         object.__setattr__(self, "grid", g)
 
 
-def rect_support(img: GrayImage) -> RectSupport:
-    """Bounding box (1-based, inclusive) of the positive pixels."""
-    mask = img.support_mask()
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    if rows.size == 0:
-        raise EmptySupport("no pixel is positive")
-    return RectSupport(j_lo=int(rows[0]) + 1, j_hi=int(rows[-1]) + 1,
-                       l_lo=int(cols[0]) + 1, l_hi=int(cols[-1]) + 1)
+def align_images(images: Sequence[GrayImage], m: int | None = None
+                 ) -> list[AlignedRep]:
+    """Align every image: crop to the box of its positive pixels, resample
+    the crop onto an m x m grid, and normalize to unit Frobenius norm.
 
+    ``m`` defaults to each image's resolution.  Sample a of an axis whose
+    box runs from pixel lo to pixel hi (0-based, inclusive) reads pixel
+    floor(lo + a * (hi - lo) / (m - 1)), evaluated exactly in integers as
+    (lo*(m-1) + a*(hi-lo)) // (m-1).
 
-def resample_box(img: GrayImage, r: RectSupport, m: int) -> np.ndarray:
-    """Resample the boxed crop onto an m x m grid.
-
-    Sample a of axis j reads pixel floor(j_lo + (a/(m-1)) * (j_hi - j_lo)).
-    The floor is evaluated in integer arithmetic, (j_lo*(m-1) + a*span) // (m-1),
-    which equals the real-arithmetic floor exactly, and the result is
-    clamped to [1, d] defensively.
+    Runs of images of one resolution are aligned together, at most
+    ``IMAGE_BLOCK`` at a time.  The first image, in list order, with no
+    positive pixel raises EmptySupport; the first whose resampled grid is
+    identically zero (possible when the box corners land between the
+    support pixels) raises ZeroNorm.
     """
+    reps: list[AlignedRep] = []
+    for d, run in groupby(images, key=lambda img: img.d):
+        run = list(run)
+        for start in range(0, len(run), IMAGE_BLOCK):
+            reps.extend(_align_block(run[start:start + IMAGE_BLOCK],
+                                     d if m is None else m))
+    return reps
+
+
+def _sample_index(lo: np.ndarray, end: np.ndarray, m: int) -> np.ndarray:
+    """(n, m) pixel indices of the m samples along one axis of n boxes, each
+    given by its first index and one past its last."""
+    # An empty box (end 0) samples pixel 0 until its image raises.
+    span = np.maximum(end - 1 - lo, 0)
+    return (lo[:, None] * (m - 1) + np.arange(m) * span[:, None]) // (m - 1)
+
+
+def _align_block(images: Sequence[GrayImage], m: int) -> list[AlignedRep]:
+    """``align_images`` on images that share one resolution."""
     if m < 2:
         raise InvalidParams(f"resample grid needs m >= 2, got {m}")
-    d = img.d
-    a = np.arange(m)
-    j_idx = (r.j_lo * (m - 1) + a * (r.j_hi - r.j_lo)) // (m - 1)
-    l_idx = (r.l_lo * (m - 1) + a * (r.l_hi - r.l_lo)) // (m - 1)
-    j_idx = np.clip(j_idx, 1, d) - 1
-    l_idx = np.clip(l_idx, 1, d) - 1
-    return img.pixels[np.ix_(j_idx, l_idx)].copy()
+    px = np.stack([img.pixels for img in images])
+    n = len(px)
+    mask = px > 0
+    row_lo, row_end = mask_spans(mask.any(axis=2))
+    j = _sample_index(row_lo, row_end, m)
+    l = _sample_index(*mask_spans(mask.any(axis=1)), m)
+    # One gather of every crop; the broadcast index is never materialized.
+    z = px[np.arange(n)[:, None, None], j[:, :, None], l[:, None, :]]
+    norms = np.empty(n)
+    for i in range(n):
+        if row_end[i] == 0:
+            raise EmptySupport("no pixel is positive")
+        # One BLAS dot per grid, exactly as for a lone image.
+        norms[i] = float(np.linalg.norm(z[i]))
+        if norms[i] == 0.0:
+            raise ZeroNorm("resampled support grid is identically zero")
+    z /= norms[:, None, None]
+    z.flags.writeable = False
+    return [AlignedRep(grid=grid, m=m) for grid in z]
 
 
 def align_transform(img: GrayImage, m: int | None = None) -> AlignedRep:
-    """Crop to the box of the positive pixels, resample to m x m, normalize.
-
-    ``m`` defaults to the image resolution.  Raises EmptySupport when no
-    pixel is positive and ZeroNorm when the resampled grid is
-    identically zero (possible when the box corners land between the
-    support pixels).
-    """
-    if m is None:
-        m = img.d
-    z = resample_box(img, rect_support(img), m)
-    norm = float(np.linalg.norm(z))
-    if norm == 0.0:
-        raise ZeroNorm("resampled support grid is identically zero")
-    return AlignedRep(grid=z / norm, m=m)
+    """``align_images`` for one image."""
+    return align_images([img], m)[0]
 
 
 def _oriented_variants(z: np.ndarray) -> list[np.ndarray]:
@@ -199,5 +208,5 @@ def build_gallery(images: Sequence[GrayImage], labels: Sequence[int],
         raise InvalidParams("images and labels must have equal length")
     if m is None and images:
         m = images[0].d
-    return [(align_transform(img, m), int(lab))
-            for img, lab in zip(images, labels)]
+    return [(rep, int(lab))
+            for rep, lab in zip(align_images(images, m), labels)]

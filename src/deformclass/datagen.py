@@ -22,7 +22,8 @@ from .model import (
     GrayImage,
     TemplateFunction,
     normalize_l2,
-    rasterize,
+    rasterize,  # noqa: F401 - kept importable here for tools that patch it
+    rasterize_batch,
     reparametrize,
     shift_bounds,
     template_sum,
@@ -85,6 +86,11 @@ def sample_params(q: DeformDistribution, draw_index: int) -> DeformParams:
     q.validate()
     if draw_index < 0:
         raise InvalidParams(f"draw_index must be nonnegative, got {draw_index}")
+    return _draw_params(q, draw_index)
+
+
+def _draw_params(q: DeformDistribution, draw_index: int) -> DeformParams:
+    """``sample_params`` for a validated ``q`` and a nonnegative index."""
     rng = _substream(q.seed, _STREAM_PARAMS, draw_index)
     eta = rng.uniform(*q.eta_range)
     xi = rng.uniform(*q.xi_range)
@@ -143,7 +149,8 @@ def generate_dataset(templates0: Sequence[TemplateFunction],
     deformation from ``q``.  When ``pi`` is exactly 1/2 and ``n`` is even,
     the design is balanced: exactly n/2 items per class, in an order given
     by a seeded permutation.  Otherwise labels are independent Bernoulli(pi)
-    draws (pi is the probability of class 1).
+    draws (pi is the probability of class 1).  All draws come first, item
+    by item; then each (class, template) group is rasterized as one set.
     """
     if not templates0 or not templates1:
         raise EmptyList("both template lists must be non-empty")
@@ -161,20 +168,25 @@ def generate_dataset(templates0: Sequence[TemplateFunction],
         labels = None
 
     per_class = (tuple(templates0), tuple(templates1))
-    items = []
+    draws = []
+    groups: dict[tuple[int, int], list[int]] = {}
     for i in range(n):
         chooser = _substream(q.seed, _STREAM_CHOICE, i)
         if balanced:
             label = int(labels[i])
         else:
             label = int(chooser.random() < pi)
-        pool = per_class[label]
-        t_idx = int(chooser.integers(len(pool)))
-        params = sample_params(q, i)
-        img = rasterize(pool[t_idx], params, d)
-        items.append(LabeledImage(image=img, label=label,
-                                  template_index=t_idx, params=params))
-    return Dataset(items=tuple(items), d=d)
+        t_idx = int(chooser.integers(len(per_class[label])))
+        draws.append((label, t_idx, _draw_params(q, i)))
+        groups.setdefault((label, t_idx), []).append(i)
+    images: dict[int, GrayImage] = {}
+    for (label, t_idx), members in groups.items():
+        images.update(zip(members, rasterize_batch(
+            per_class[label][t_idx], [draws[i][2] for i in members], d)))
+    return Dataset(items=tuple(
+        LabeledImage(image=images[i], label=label, template_index=t_idx,
+                     params=params)
+        for i, (label, t_idx, params) in enumerate(draws)), d=d)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,11 @@ class MalformedHeader(DataError):
     """A header field is not a well-formed value of its type."""
 
 
+class MalformedManifest(DataError):
+    """A dataset manifest row has the wrong field count or a field that is
+    not a well-formed value of its type."""
+
+
 class DimMismatch(DataError):
     """Declared dimensions are unsupported or internally inconsistent."""
 

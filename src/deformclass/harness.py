@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .align import (AlignedRep, GalleryEntry, align_transform, build_gallery,
+from .align import (AlignedRep, GalleryEntry, align_images, build_gallery,
                     classify_1nn)
 from .cnn import FilterBank, build_filter_bank, classify_bank
 from .datagen import Dataset, DeformDistribution, generate_dataset, normalized
@@ -121,7 +121,7 @@ def _align_sets(train: Dataset, test: Dataset, m: int | None
     """The aligned train gallery and test queries that both IAC runners use."""
     gallery = build_gallery([item.image for item in train.items],
                             [item.label for item in train.items], m=m)
-    return gallery, [align_transform(item.image, m=m) for item in test.items]
+    return gallery, align_images([item.image for item in test.items], m)
 
 
 def _risk_iac(gallery: list[GalleryEntry], queries: list[AlignedRep],

@@ -18,7 +18,8 @@ import numpy as np
 
 from .datagen import Dataset, LabeledImage
 from .errors import (BadMagic, DataError, DimMismatch, EmptyDataset,
-                     InvalidParams, MalformedHeader, TruncatedPayload)
+                     InvalidParams, MalformedHeader, MalformedManifest,
+                     TruncatedPayload)
 from .model import DeformParams, GrayImage
 
 _IMAGE_MAGIC = b"\x00\x00\x08\x03"
@@ -198,26 +199,44 @@ def write_dataset(data: Dataset, directory: str | Path,
 
 
 def read_dataset(directory: str | Path) -> Dataset:
-    """Load a manifest-directory dataset written by write_dataset."""
+    """Load a manifest-directory dataset written by write_dataset.
+
+    Rows are read by column position; blank lines are skipped.  A row with
+    the wrong number of fields, a non-numeric parameter or a non-integer
+    index, label or template index raises ``MalformedManifest``.
+    """
     directory = Path(directory)
     manifest = directory / "manifest.csv"
     if not manifest.exists():
         raise EmptyDataset(f"no manifest.csv under {directory}")
+    try:
+        text = read_bytes(manifest).decode("utf-8")
+        rows = [row for row in csv.reader(_io.StringIO(text, newline=""))
+                if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedManifest(f"{manifest} is not a UTF-8 CSV file: {exc}")
+    if not rows or tuple(rows[0]) != _MANIFEST_COLUMNS:
+        raise DimMismatch(
+            f"manifest columns {rows[0] if rows else None} unexpected")
     items = []
-    with manifest.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != _MANIFEST_COLUMNS:
-            raise DimMismatch(f"manifest columns {reader.fieldnames} unexpected")
-        for row in reader:
-            img = read_pgm(read_bytes(directory / row["file"]))
-            params = DeformParams(eta=float(row["eta"]), xi=float(row["xi"]),
-                                  xi_prime=float(row["xi_prime"]),
-                                  tau=float(row["tau"]),
-                                  tau_prime=float(row["tau_prime"]),
-                                  allow_flips=True)
-            items.append(LabeledImage(image=img, label=int(row["label"]),
-                                      template_index=int(row["template_index"]),
-                                      params=params))
+    for k, row in enumerate(rows[1:], 1):
+        if len(row) != len(_MANIFEST_COLUMNS):
+            raise MalformedManifest(f"manifest row {k} has {len(row)} fields, "
+                                    f"expected {len(_MANIFEST_COLUMNS)}")
+        numbers = []
+        for i, (name, value) in enumerate(zip(_MANIFEST_COLUMNS[:8], row)):
+            kind, what = (int, "an integer") if i < 3 else (float, "a number")
+            try:
+                numbers.append(kind(value))
+            except ValueError:
+                raise MalformedManifest(
+                    f"manifest row {k}: {name} {value!r:.40} is not {what}")
+        _, label, t_idx, eta, xi, xi_prime, tau, tau_prime = numbers
+        img = read_pgm(read_bytes(directory / row[8]))
+        params = DeformParams(eta=eta, xi=xi, xi_prime=xi_prime, tau=tau,
+                              tau_prime=tau_prime, allow_flips=True)
+        items.append(LabeledImage(image=img, label=label, template_index=t_idx,
+                                  params=params))
     if not items:
         raise EmptyDataset(f"manifest under {directory} lists no items")
     return Dataset(items=tuple(items), d=items[0].image.d)

@@ -26,6 +26,10 @@ SUPPORT_HI = 0.75
 # Smallest raster resolution the pipeline supports.
 MIN_RESOLUTION = 4
 
+# Images per vectorized block when rasterizing or aligning a set; bounds
+# the size of the temporary stacks.
+IMAGE_BLOCK = 64
+
 _BOUND_TOL = 1e-12
 
 
@@ -40,7 +44,8 @@ class TemplateFunction:
     ``fn`` evaluates pointwise on numpy arrays and must return 0 outside
     the support box, in particular outside [0, 1]^2.  It must broadcast:
     given an (n, 1) array of x and a (1, m) array of y it returns the
-    (n, m) grid of values, so callers pass axis vectors, not meshgrids.
+    (n, m) grid of values, so callers pass axis vectors, not meshgrids,
+    and leading axes stack grids: (k, n, 1) and (k, 1, m) give k grids.
 
     ``lipschitz_const`` is the normalized constant C such that
     |f(x, y) - f(x', y')| <= C * l1_norm * (|x - x'| + |y - y'|).
@@ -367,12 +372,30 @@ def rasterize(f: TemplateFunction, p: DeformParams, d: int) -> GrayImage:
 
     pixel(j, l) = eta * f(xi*j/d - tau, xi_prime*l/d - tau_prime).
     """
+    p.validate()
+    return rasterize_batch(f, [p], d)[0]
+
+
+def rasterize_batch(f: TemplateFunction, params: Sequence[DeformParams],
+                    d: int) -> list[GrayImage]:
+    """``rasterize(f, p, d)`` for every p in ``params``, which are taken as
+    given (not validated).
+
+    ``f`` is evaluated once per block of at most ``IMAGE_BLOCK`` images, on
+    one (block, d, 1) array of x and one (block, 1, d) array of y.
+    """
     if d < MIN_RESOLUTION:
         raise ResolutionTooSmall(f"resolution {d} below minimum {MIN_RESOLUTION}")
-    p.validate()
     t = np.arange(1, d + 1) / d
-    return GrayImage(p.eta * f.fn((p.xi * t - p.tau)[:, None],
-                                  (p.xi_prime * t - p.tau_prime)[None, :]))
+    images = []
+    for start in range(0, len(params), IMAGE_BLOCK):
+        block = np.array([(p.eta, p.xi, p.xi_prime, p.tau, p.tau_prime)
+                          for p in params[start:start + IMAGE_BLOCK]])
+        eta, xi, xi_p, tau, tau_p = block.T[:, :, None]  # each (block, 1)
+        grids = eta[:, :, None] * f.fn((xi * t - tau)[:, :, None],
+                                       (xi_p * t - tau_p)[:, None, :])
+        images.extend(GrayImage(grid) for grid in grids)
+    return images
 
 
 def normalize_l2(img: GrayImage) -> GrayImage:

@@ -124,15 +124,11 @@ class _AxisPlan:
         return self.step * (self.k_lo + np.arange(self.count))
 
 
-def _direction(f: TemplateFunction, g: TemplateFunction, cfg: SearchConfig) -> tuple[float, tuple]:
-    """Upper bound of dist(f, g) over the configured search domain."""
+def _direction(f: TemplateFunction, g: TemplateFunction, G: np.ndarray,
+               norm_g2: float, cfg: SearchConfig) -> tuple[float, tuple]:
+    """Upper bound of dist(f, g) over the configured search domain, given
+    g's coarse grid ``G`` and its mean square ``norm_g2``."""
     q_c = cfg.coarse_quadrature
-    t = _midpoints(q_c)
-    G = g(t[:, None], t[None, :])
-    norm_g2 = float(np.mean(G * G))
-    if norm_g2 == 0.0:
-        raise InvalidParams("second template is identically zero on the grid")
-
     g_fft_cache: dict[tuple, np.ndarray] = {}
     best = (np.inf, (1.0, 1.0, 1.0, 0.0, 0.0))
 
@@ -228,8 +224,16 @@ def estimate_separation(f: TemplateFunction, g: TemplateFunction,
     """Estimate the two-sided separation between the orbits of f and g."""
     cfg = cfg or SearchConfig()
     cfg.validate()
-    d_fg, best_fg = _direction(f, g, cfg)
-    d_gf, best_gf = _direction(g, f, cfg)
+    t = _midpoints(cfg.coarse_quadrature)
+    grids = []
+    for name, h in (("first", f), ("second", g)):
+        H = h(t[:, None], t[None, :])
+        norm2 = float(np.mean(H * H))
+        if norm2 == 0.0:
+            raise InvalidParams(f"{name} template is identically zero on the grid")
+        grids.append((H, norm2))
+    d_fg, best_fg = _direction(f, g, *grids[1], cfg)
+    d_gf, best_gf = _direction(g, f, *grids[0], cfg)
     meta = {"coarse_step": cfg.coarse_step, "xi_max": cfg.xi_max,
             "coarse_quadrature": cfg.coarse_quadrature,
             "quadrature": cfg.quadrature, "refine_iters": cfg.refine_iters,

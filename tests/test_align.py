@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from deformclass import (
     AlignedRep,
+    DeformClassError,
     DeformDistribution,
     DeformParams,
     EmptyGallery,
@@ -13,16 +14,54 @@ from deformclass import (
     GrayImage,
     InvalidParams,
     ResolutionMismatch,
+    ZeroNorm,
+    align_images,
     align_transform,
     build_gallery,
     classify_1nn,
     generate_dataset,
     rasterize,
-    rect_support,
-    resample_box,
     tent,
 )
 from deformclass.align import _oriented_variants, _stack_gallery
+
+
+# Oracle: the one-image alignment that ``align_images`` vectorizes.
+
+def rect_support_oracle(img):
+    """Bounding box (1-based, inclusive) of the positive pixels."""
+    mask = img.support_mask()
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    if rows.size == 0:
+        raise EmptySupport("no pixel is positive")
+    return (int(rows[0]) + 1, int(rows[-1]) + 1, int(cols[0]) + 1,
+            int(cols[-1]) + 1)
+
+
+def resample_box_oracle(img, box, m):
+    """Sample a of axis j reads pixel floor(j_lo + (a/(m-1)) * (j_hi - j_lo)),
+    clamped to [1, d]."""
+    if m < 2:
+        raise InvalidParams(f"resample grid needs m >= 2, got {m}")
+    j_lo, j_hi, l_lo, l_hi = box
+    d = img.d
+    a = np.arange(m)
+    j_idx = (j_lo * (m - 1) + a * (j_hi - j_lo)) // (m - 1)
+    l_idx = (l_lo * (m - 1) + a * (l_hi - l_lo)) // (m - 1)
+    j_idx = np.clip(j_idx, 1, d) - 1
+    l_idx = np.clip(l_idx, 1, d) - 1
+    return img.pixels[np.ix_(j_idx, l_idx)].copy()
+
+
+def align_transform_oracle(img, m=None):
+    if m is None:
+        m = img.d
+    z = resample_box_oracle(img, rect_support_oracle(img), m)
+    norm = float(np.linalg.norm(z))
+    if norm == 0.0:
+        raise ZeroNorm("resampled support grid is identically zero")
+    return AlignedRep(grid=z / norm, m=m)
 
 
 def classify_1nn_loop(gallery, query, flips=False):
@@ -54,13 +93,16 @@ class TestRectSupport:
             [0, 0, 3, 0],
             [0, 0, 0, 0],
         ])
-        r = rect_support(img)
-        assert (r.j_lo, r.j_hi, r.l_lo, r.l_hi) == (2, 3, 2, 3)
-        assert r.spans() == (1, 1)
+        # m = 2 samples exactly the corners of the box rows 2..3, cols 2..3.
+        crop = np.array([[1.0, 2.0], [0.0, 3.0]])
+        assert np.array_equal(align_transform(img, m=2).grid,
+                              crop / np.linalg.norm(crop))
 
     def test_empty_support(self):
+        with pytest.raises(EmptySupport, match="no pixel is positive"):
+            align_images([_image([[0, 0], [0, 0]])])
         with pytest.raises(EmptySupport):
-            rect_support(_image([[0, 0], [0, 0]]))
+            align_transform(_image([[0, -1], [0, 0]]))
 
 
 class TestResampleBox:
@@ -71,9 +113,9 @@ class TestResampleBox:
             [0, 4, 3, 0],
             [0, 0, 0, 0],
         ])
-        r = rect_support(img)
-        out = resample_box(img, r, 2)
-        assert np.array_equal(out, [[1, 2], [4, 3]])
+        crop = np.array([[1.0, 2.0], [4.0, 3.0]])
+        assert np.array_equal(align_transform(img, 2).grid,
+                              crop / np.linalg.norm(crop))
 
     def test_upsample_repeats_pixels(self):
         img = _image([
@@ -82,15 +124,18 @@ class TestResampleBox:
             [0, 4, 3, 0],
             [0, 0, 0, 0],
         ])
-        out = resample_box(img, rect_support(img), 4)
-        # every output pixel must be one of the four source values
-        assert set(np.unique(out)) <= {1.0, 2.0, 3.0, 4.0}
-        assert out[0, 0] == 1 and out[-1, -1] == 3
+        grid = align_transform(img, 4).grid
+        # every output pixel is one of the four source values over one norm
+        out = grid / grid[0, 0]
+        assert set(np.round(np.unique(out), 12)) == {1.0, 2.0, 3.0, 4.0}
+        assert out[-1, -1] == pytest.approx(3.0)
 
     def test_m_floor(self):
         img = _image([[1]])
-        with pytest.raises(InvalidParams):
-            resample_box(img, rect_support(img), 1)
+        with pytest.raises(InvalidParams, match="m >= 2"):
+            align_transform(img, 1)
+        with pytest.raises(InvalidParams, match="m >= 2"):
+            align_images([_image([[0, 0], [0, 1]])], m=1)
 
 
 class TestAlignTransform:
@@ -263,3 +308,83 @@ class TestScreenedSearchProperty:
         expected = [classify_1nn_loop(gallery, query, flips) for query in queries]
         # Tuples compare labels, indices and orientations, and distances by ==.
         assert got == expected
+
+
+def _random_image(rng, d, density, negative):
+    """A d x d image whose pixels are positive with probability ``density``
+    and negative with probability ``negative``, else 0."""
+    u = rng.random((d, d))
+    px = np.where(u < density, rng.random((d, d)) + 0.01, 0.0)
+    return GrayImage(np.where(u > 1.0 - negative, -rng.random((d, d)), px))
+
+
+@st.composite
+def _image_lists(draw):
+    """Lists of sparse images, possibly of mixed resolution, some with
+    negative pixels, no positive pixel, or a zero resampled grid."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    images = []
+    for _ in range(draw(st.integers(1, 8))):
+        d = draw(st.integers(2, 9))
+        kind = draw(st.sampled_from(["sparse"] * 12
+                                    + ["empty", "diamond", "diamond"]))
+        if kind == "diamond":
+            # Positive at the four edge midpoints only: the corners of the
+            # box, and maybe every other sample, read 0.
+            px = np.zeros((d, d))
+            px[[0, d // 2, d - 1, d // 2], [d // 2, 0, d // 2, d - 1]] = 1.0
+            images.append(GrayImage(px))
+            continue
+        density = 0.0 if kind == "empty" else draw(
+            st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+        negative = draw(st.sampled_from([0.0, 0.0, 0.3]))
+        images.append(_random_image(rng, d, density, negative))
+    m = draw(st.none() | st.integers(2, max(img.d for img in images) + 3))
+    return images, m
+
+
+def _alignment_outcome(align):
+    try:
+        reps = align()
+    except DeformClassError as exc:
+        return type(exc), str(exc)
+    return [(rep.m, rep.grid.shape, rep.grid.tobytes()) for rep in reps]
+
+
+def _same_as_oracle(images, m):
+    got = _alignment_outcome(lambda: align_images(images, m))
+    expected = _alignment_outcome(
+        lambda: [align_transform_oracle(img, m) for img in images])
+    assert got == expected
+    return got
+
+
+class TestAlignImages:
+    @given(case=_image_lists())
+    def test_equals_one_image_oracle(self, case):
+        _same_as_oracle(*case)
+
+    def test_blocks_and_resolution_runs(self):
+        rng = np.random.default_rng(5)
+        # No zero pixel, so every image aligns at every m.
+        images = [_random_image(rng, d, 0.7, 0.3)
+                  for d in [8] * 70 + [5] * 3 + [8] * 140 + [6]]
+        for m in (None, 2, 7, 11):
+            assert isinstance(_same_as_oracle(images, m), list)
+
+    def test_first_bad_image_raises(self):
+        good = _image([[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+        empty = _image([[0, 0], [0, -1]])
+        # Positive pixels at the edge midpoints only: m = 2 samples the four
+        # zero corners of the box.
+        diamond = _image([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        for images, error in (([good, diamond, empty], ZeroNorm),
+                              ([good, empty, diamond], EmptySupport),
+                              ([_image(np.ones((5, 5))), diamond], ZeroNorm)):
+            outcome = _same_as_oracle(images, 2)
+            assert outcome[0] is error
+
+    def test_grids_are_read_only(self):
+        reps = align_images([_image([[0, 1], [2, 3]])] * 3)
+        assert all(not rep.grid.flags.writeable for rep in reps)
+        assert align_images([]) == []

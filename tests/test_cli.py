@@ -75,6 +75,23 @@ class TestAlign:
         assert code == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda row: row[:3],                       # short row
+        lambda row: [row[0], row[1], row[2], "abc"] + row[4:],   # eta
+        lambda row: [row[0], "1.5"] + row[2:],     # label
+    ])
+    def test_malformed_manifest_exits_3(self, dataset_dir, capsys, edit):
+        manifest = dataset_dir / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        lines[1] = ",".join(edit(lines[1].split(",")))
+        manifest.write_text("\n".join(lines) + "\n")
+        query = next(iter(sorted(dataset_dir.glob("*.pgm"))))
+        code = main(["align", "--gallery", str(dataset_dir),
+                     "--query", str(query)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "data error: manifest row 1" in err and "Traceback" not in err
+
     def test_blank_query_exits_4(self, dataset_dir, tmp_path, capsys):
         query = tmp_path / "blank.pgm"
         query.write_bytes(write_pgm(GrayImage(np.zeros((16, 16)))))

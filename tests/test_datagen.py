@@ -4,13 +4,18 @@ from hypothesis import given, strategies as st
 
 from deformclass import (
     DeformDistribution,
+    DeformParams,
     EmptyList,
     InvalidDistribution,
     InvalidFixtureParams,
     InvalidParams,
+    ResolutionTooSmall,
+    cone,
+    cross,
     discrete_l2_norm,
     generate_dataset,
     non_identifiable_pair,
+    raster_interp,
     rasterize,
     sample_params,
     shift_bounds,
@@ -124,6 +129,70 @@ class TestGenerateDataset:
         with pytest.raises(InvalidParams):
             generate_dataset([tent_template], [tent_template], mild_q,
                              n=4, d=16, pi=1.5)
+
+
+def rasterize_oracle(f, p, d):
+    """The one-image raster that ``generate_dataset`` evaluates in blocks."""
+    t = np.arange(1, d + 1) / d
+    return p.eta * f.fn((p.xi * t - p.tau)[:, None],
+                        (p.xi_prime * t - p.tau_prime)[None, :])
+
+
+_GLYPH = np.outer(np.hanning(9), np.hanning(7)) + 0.1
+_TEMPLATES = (tent(0.25), tent(0.12, center=(0.4, 0.6)), cone(0.22),
+              cone(0.1, center=(0.6, 0.5)), cross(0.25, 0.08), cross(),
+              raster_interp(_GLYPH))
+
+
+def _assert_rasters_match(data, pools, q, d):
+    for i, it in enumerate(data.items):
+        assert it.params == sample_params(q, i)
+        f = pools[it.label][it.template_index]
+        expected = rasterize_oracle(f, it.params, d)
+        assert it.image.pixels.tobytes() == expected.tobytes()
+        assert np.array_equal(it.image.pixels, rasterize(f, it.params, d).pixels)
+
+
+class TestBlockRasterizing:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           d=st.integers(4, 20), pi=st.sampled_from([0.5, 0.5, 0.2, 0.9]),
+           flip_prob=st.sampled_from([0.0, 0.5]),
+           pool0=st.lists(st.sampled_from(_TEMPLATES), min_size=1, max_size=3),
+           pool1=st.lists(st.sampled_from(_TEMPLATES), min_size=1, max_size=3))
+    def test_equals_per_item_rasterize(self, seed, n, d, pi, flip_prob,
+                                       pool0, pool1):
+        q = DeformDistribution(eta_range=(0.5, 1.5), xi_range=(0.6, 1.8),
+                               flip_prob=flip_prob, seed=seed)
+        data = generate_dataset(pool0, pool1, q, n, d, pi)
+        _assert_rasters_match(data, (pool0, pool1), q, d)
+
+    def test_groups_larger_than_a_block(self):
+        pools = ([_TEMPLATES[2]], [_TEMPLATES[4], _TEMPLATES[6]])
+        q = DeformDistribution(eta_range=(0.8, 1.2), xi_range=(1.0, 1.5),
+                               flip_prob=0.5, seed=11)
+        for n, pi in ((300, 0.5), (151, 0.5)):
+            _assert_rasters_match(generate_dataset(*pools, q, n, 12, pi),
+                                  pools, q, 12)
+
+    def test_validates_once_per_dataset_and_draw(self, monkeypatch,
+                                                 tent_template, mild_q):
+        calls = {"q": 0, "params": 0}
+        q_validate, p_validate = DeformDistribution.validate, DeformParams.validate
+
+        def count(key, validate):
+            def counted(self):
+                calls[key] += 1
+                validate(self)
+            return counted
+
+        monkeypatch.setattr(DeformDistribution, "validate", count("q", q_validate))
+        monkeypatch.setattr(DeformParams, "validate", count("params", p_validate))
+        generate_dataset([tent_template], [tent_template], mild_q, n=12, d=8)
+        assert calls == {"q": 1, "params": 12}
+
+    def test_resolution_floor(self, tent_template, mild_q):
+        with pytest.raises(ResolutionTooSmall):
+            generate_dataset([tent_template], [tent_template], mild_q, n=2, d=3)
 
 
 class TestNonIdentifiableFixture:

@@ -253,9 +253,9 @@ class TestRunExperiment:
 
         aligned, searches = [], []
 
-        def counting_align(img, m=None):
-            aligned.append(img)
-            return align_transform(img, m)
+        def counting_align(images, m=None):
+            aligned.extend(images)
+            return align_images(images, m)
 
         def counting_classify(gallery, queries, flips=False):
             searches.append(len(queries))
@@ -263,9 +263,9 @@ class TestRunExperiment:
 
         # build_gallery aligns through the align module's binding, the test
         # queries through the harness's.
-        align_transform, classify_1nn = align.align_transform, align.classify_1nn
-        monkeypatch.setattr(align, "align_transform", counting_align)
-        monkeypatch.setattr(harness, "align_transform", counting_align)
+        align_images, classify_1nn = align.align_images, align.classify_1nn
+        monkeypatch.setattr(align, "align_images", counting_align)
+        monkeypatch.setattr(harness, "align_images", counting_align)
         monkeypatch.setattr(harness, "classify_1nn", counting_classify)
         cfg = tiny_config(classifiers=("IAC", "IAC_FLIPS"), n_list=(2, 4))
         report = run_experiment(cfg)

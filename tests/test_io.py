@@ -1,3 +1,5 @@
+import csv
+import io
 import struct
 
 import numpy as np
@@ -8,12 +10,14 @@ from deformclass import (
     BadMagic,
     DataError,
     DeformClassError,
+    Dataset,
     DeformDistribution,
     DimMismatch,
     EmptyDataset,
     GrayImage,
     InvalidParams,
     MalformedHeader,
+    MalformedManifest,
     TruncatedPayload,
     generate_dataset,
     load_idx_pair,
@@ -241,6 +245,39 @@ class TestDatasetManifest:
             read_dataset(tmp_path / "d")
 
 
+    @pytest.mark.parametrize("row, message", [
+        ("0,1,0,1.0,1.0,1.0,0.0,0.0", "has 8 fields"),
+        ("0,1,0,1.0,1.0,1.0,0.0,0.0,item_00000.pgm,x", "has 10 fields"),
+        ("0,1,0,one,1.0,1.0,0.0,0.0,item_00000.pgm", "eta 'one' is not a number"),
+        ("0,1.0,0,1.0,1.0,1.0,0.0,0.0,item_00000.pgm",
+         "label '1.0' is not an integer"),
+        ("x,1,0,1.0,1.0,1.0,0.0,0.0,item_00000.pgm", "index 'x' is not"),
+        ("0,1,,1.0,1.0,1.0,0.0,0.0,item_00000.pgm", "template_index '' is not"),
+    ])
+    def test_malformed_rows(self, tmp_path, pgm_safe_dataset, row, message):
+        manifest = write_dataset(pgm_safe_dataset, tmp_path / "d")
+        header = manifest.read_text().splitlines()[0]
+        manifest.write_text(f"{header}\n{row}\n")
+        with pytest.raises(MalformedManifest, match=message):
+            read_dataset(tmp_path / "d")
+
+    def test_rows_read_by_position(self, tmp_path, pgm_safe_dataset):
+        manifest = write_dataset(pgm_safe_dataset, tmp_path / "d")
+        lines = manifest.read_text().splitlines()
+        # Blank lines are skipped and a quoted file name is unquoted.
+        first = lines[1].rsplit(",", 1)
+        manifest.write_text("\n".join([lines[0], "", f'{first[0]},"{first[1]}"']
+                                      + lines[2:]) + "\n")
+        back = read_dataset(tmp_path / "d")
+        assert [it.label for it in back.items] == [
+            it.label for it in pgm_safe_dataset.items]
+
+    def test_undecodable_manifest(self, tmp_path):
+        (tmp_path / "manifest.csv").write_bytes(b"index,label\n\xff\xfe\n")
+        with pytest.raises(MalformedManifest, match="UTF-8"):
+            read_dataset(tmp_path)
+
+
 class TestReadBytes:
     def test_reads_whole_file(self, tmp_path):
         (tmp_path / "f.bin").write_bytes(b"\x00P5\n")
@@ -270,6 +307,62 @@ def _pgm_bytes():
     return (st.binary()
             | st.binary().map(lambda b: b"P5" + b)
             | st.builds(bytes.__add__, header, st.binary(max_size=64)))
+
+
+_MANIFEST_HEADER = "index,label,template_index,eta,xi,xi_prime,tau,tau_prime,file"
+_MANIFEST_FIELD = (st.sampled_from(["0", "1", "-3", " 2", "1.5", "1e400", "nan",
+                                    "", "x", "item_00000.pgm", "item_00001.pgm",
+                                    "tiny.pgm", "absent.pgm", ".", "..",
+                                    "manifest.csv", "a\0b", '"', "\n", "\r"])
+                   | st.text(max_size=6))
+
+
+def _csv_line(fields, quoted):
+    if not quoted:
+        return ",".join(fields)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(fields)
+    return buf.getvalue()
+
+
+_VALID_ROW = ["0", "1", "0", "1.0", "0.9", "1.1", "0.0", "0.1", "item_00000.pgm"]
+
+
+@st.composite
+def _manifest_fields(draw):
+    """A valid row with up to two fields replaced and maybe cut short or
+    extended, or fields of arbitrary count."""
+    if draw(st.booleans()):
+        return draw(st.lists(_MANIFEST_FIELD, max_size=11))
+    fields = list(_VALID_ROW)
+    for _ in range(draw(st.integers(0, 2))):
+        fields[draw(st.integers(0, 8))] = draw(_MANIFEST_FIELD)
+    return (fields + ["x"])[:draw(st.sampled_from([9, 9, 9, 8, 10]))]
+
+
+def _manifest_bytes():
+    """Arbitrary bytes and text, and manifests of the right header (mostly)
+    over rows built from numbers, file names and junk."""
+    row = st.builds(_csv_line, _manifest_fields(), st.booleans())
+    header = st.sampled_from([_MANIFEST_HEADER] * 8 + ["", "index,label"])
+    structured = st.builds(lambda h, rows, end: "\n".join([h] + rows) + end,
+                           header, st.lists(row, max_size=3),
+                           st.sampled_from(["\n", "", "\r\n"]))
+    structured = structured.map(str.encode)
+    return st.one_of(st.binary(), st.text().map(str.encode), structured,
+                     structured, structured)
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    """A directory of valid PGMs (two 16 x 16, one 4 x 4) for manifests to
+    point at."""
+    out = tmp_path_factory.mktemp("manifest")
+    for i in range(2):
+        (out / f"item_{i:05d}.pgm").write_bytes(
+            write_pgm(GrayImage(np.full((16, 16), 0.25 * (i + 1)))))
+    (out / "tiny.pgm").write_bytes(write_pgm(GrayImage(np.eye(4))))
+    return out
 
 
 def byte_walk_read_pgm(data: bytes) -> GrayImage:
@@ -361,5 +454,13 @@ class TestByteBoundaries:
     def test_parse_idx_labels(self, data):
         try:
             assert all(0 <= v <= 255 for v in parse_idx_labels(data))
+        except DeformClassError:
+            pass
+
+    @given(data=_manifest_bytes())
+    def test_read_dataset(self, manifest_dir, data):
+        (manifest_dir / "manifest.csv").write_bytes(data)
+        try:
+            assert isinstance(read_dataset(manifest_dir), Dataset)
         except DeformClassError:
             pass

@@ -5,6 +5,7 @@ from deformclass import (
     InvalidParams,
     ResolutionMismatch,
     SearchConfig,
+    cone,
     cross,
     estimate_separation,
     grid_inner_product,
@@ -127,6 +128,25 @@ class TestSeparationOracles:
     def test_meta_reports_config(self, tent_template):
         res = estimate_separation(tent_template, tent_template, FAST)
         assert res.meta["quadrature"] == FAST.quadrature
+
+    @pytest.mark.parametrize("zero_first", [True, False])
+    def test_zero_template_named_before_any_fft(self, monkeypatch, zero_first):
+        calls = []
+        rfft2 = np.fft.rfft2
+
+        def counting_rfft2(*args, **kwargs):
+            calls.append(1)
+            return rfft2(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft2", counting_rfft2)
+        # An arm far narrower than the coarse grid spacing: zero on the grid.
+        thin, solid = cross(0.0001), cone()
+        pair = (thin, solid) if zero_first else (solid, thin)
+        name = "first" if zero_first else "second"
+        with pytest.raises(InvalidParams,
+                           match=f"{name} template is identically zero"):
+            estimate_separation(*pair)
+        assert calls == []
 
 
 class TestRiemannReport:
