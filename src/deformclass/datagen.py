@@ -171,12 +171,14 @@ def generate_dataset(templates0: Sequence[TemplateFunction],
     draws = []
     groups: dict[tuple[int, int], list[int]] = {}
     for i in range(n):
-        chooser = _substream(q.seed, _STREAM_CHOICE, i)
-        if balanced:
-            label = int(labels[i])
+        # the choice stream is built only where it can change the item: with
+        # a balanced label and one template, its draw would always be 0
+        if balanced and len(per_class[labels[i]]) == 1:
+            label, t_idx = int(labels[i]), 0
         else:
-            label = int(chooser.random() < pi)
-        t_idx = int(chooser.integers(len(per_class[label])))
+            chooser = _substream(q.seed, _STREAM_CHOICE, i)
+            label = int(labels[i]) if balanced else int(chooser.random() < pi)
+            t_idx = int(chooser.integers(len(per_class[label])))
         draws.append((label, t_idx, _draw_params(q, i)))
         groups.setdefault((label, t_idx), []).append(i)
     images: dict[int, GrayImage] = {}

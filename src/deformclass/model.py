@@ -152,26 +152,33 @@ def cross(arm_halfwidth: float = 1.0 / 16.0, taper: float = 1.0 / 16.0) -> Templ
     # both factors are bounded by 1; the max of Lipschitz functions keeps
     # the bound.
     raw = max(1.0 / tp, 1.0 / w)
-    return _template(fn, raw, _cross_mass(bar, w, tp), "cross", (w, tp))
+    return _template(fn, raw, _cross_mass(w, tp), "cross", (w, tp))
 
 
-def _cross_mass(bar, w: float, tp: float) -> float:
+def _cross_mass(w: float, tp: float) -> float:
     """Integral of max(bar(x, y), bar(y, x)) over the plane.
 
     Each bar integrates to (1/2 - tp) * w exactly: the along-profile is a
     plateau with two linear ramps, the across-profile a triangle.  The max
     is the sum less the min, which vanishes outside the central square
-    [1/2 - w, 1/2 + w]^2.  When w + tp <= 1/4 both along-profiles are 1
-    on that square and the min of the two triangles integrates to 4w^2/3;
-    otherwise the midpoint rule integrates it on a 1024² grid fitted to
-    the square, so no arm is narrower than the grid spacing.
+    [1/2 - w, 1/2 + w]^2.  There, with u = |x - 1/2| and v = |y - 1/2|,
+    bar(x, y) = A(u) T(v) for the along-profile A(u) = min(1, (1/4 - u)/tp)
+    and the triangle T(v) = 1 - v/w.  A/T is nondecreasing on [0, w), so
+    the min is A(u) T(v) where u <= v, and by symmetry the overlap is
+    8 * integral over 0 <= u <= v <= w of A(u) T(v).  With the ramp start
+    c = 1/4 - tp and e = w - c, that is 4w^2/3 when e <= 0 (A is 1 on the
+    whole square) and otherwise
+    (4/w) [(w^3 - e^3)/3 + ((1/4 - w) e^3/3 + e^4/4)/tp].
     """
-    if w + tp <= 0.25:
+    e = w - (0.25 - tp)
+    if e <= 0.0:
         overlap = 4.0 * w * w / 3.0
     else:
-        t = 0.5 - w + (np.arange(1024) + 0.5) * (2.0 * w / 1024)
-        x, y = t[:, None], t[None, :]
-        overlap = float(np.minimum(bar(x, y), bar(y, x)).mean()) * (2.0 * w) ** 2
+        # the same with e^3/w written as e^2 (e/w), so a subnormal w
+        # cannot overflow 4/w
+        r = e / w
+        overlap = 4.0 * ((w * w - e * e * r) / 3.0
+                         + ((0.25 - w) * e * e * r / 3.0 + e ** 3 * r / 4.0) / tp)
     return 2.0 * (0.5 - tp) * w - overlap
 
 

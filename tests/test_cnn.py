@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from deformclass import (
     DeformDistribution,
@@ -14,14 +15,19 @@ from deformclass import (
     ResolutionMismatch,
     build_filter_bank,
     classify_bank,
+    cone,
+    cross,
     feature_max,
     max_tree,
     normalize_l2,
     generate_dataset,
     rasterize,
+    sample_params,
     softmax_pair,
     tent,
 )
+from deformclass.cnn import _BLOCK, _patches_by_side
+from deformclass.model import nonzero_boxes
 
 IDENT = DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
 
@@ -329,3 +335,86 @@ class TestClassifyBank:
             assert fast.label == slow.label
             assert fast.z0 == pytest.approx(slow.z0, abs=1e-6)
             assert fast.z1 == pytest.approx(slow.z1, abs=1e-6)
+
+
+def framed_patches(pixels: np.ndarray, side: int) -> np.ndarray:
+    """float64 side x side patches of the image's support box framed by
+    side-1 zeros, one row per shift, shifts in row-major order."""
+    (r0,), (r1,), (c0,), (c1,) = nonzero_boxes(pixels[None])
+    framed = np.pad(pixels[r0:r1, c0:c1], side - 1)
+    return sliding_window_view(framed, (side, side)).reshape(-1, side * side)
+
+
+def dense_channel_maxima(bank, img) -> list[float]:
+    """The oracle's channel maxima without its per-shift loop: every live
+    filter, rebuilt in float64 by filter_at, against every shift."""
+    live = np.flatnonzero(bank.live)
+    rows = {}
+    for k in (0, 1):
+        for i in live:
+            for j in live:
+                w = bank.filter_at(k, i, j).weights
+                if w is not None:
+                    rows.setdefault((w.shape[0], k), []).append(w.ravel())
+    z = [0.0, 0.0]
+    for (side, k), ws in rows.items():
+        responses = np.array(ws) @ framed_patches(img.pixels, side).T
+        z[k] = max(z[k], float(responses.max()))
+    return z
+
+
+BANK_TEMPLATES = {"tent": tent(0.2), "cone": cone(0.2), "cross": cross(0.2, 0.1)}
+
+
+class TestPrunedBank:
+    def test_dense_reference_equals_oracle(self):
+        bank = build_filter_bank(tent(0.2), cone(0.2), 1, 12)
+        q = DeformDistribution(eta_range=(0.8, 1.2), xi_range=(0.7, 1.6), seed=3)
+        for i, f in enumerate((tent(0.2), cone(0.2))):
+            img = normalize_l2(rasterize(f, sample_params(q, i), 12))
+            slow = classify_bank(bank, img, fast=False)
+            assert dense_channel_maxima(bank, img) == pytest.approx(
+                [slow.z0, slow.z1], abs=1e-12)
+
+    def test_fast_path_matches_oracle(self):
+        sides = set()
+
+        @given(st.sampled_from(sorted(BANK_TEMPLATES)),
+               st.sampled_from(sorted(BANK_TEMPLATES)),
+               st.integers(8, 20), st.integers(1, 2), st.integers(0, 1),
+               st.integers(0, 2**32 - 1))
+        def check(name0, name1, d, xi_max, label, seed):
+            f0, f1 = BANK_TEMPLATES[name0], BANK_TEMPLATES[name1]
+            bank = build_filter_bank(f0, f1, xi_max, d)
+            sides.update(side for side, _ in bank.stacks)
+            q = DeformDistribution(eta_range=(0.8, 1.2), xi_range=(0.7, 1.6),
+                                   flip_prob=0.3, seed=seed)
+            raster = rasterize((f0, f1)[label], sample_params(q, 0), d)
+            assume(raster.pixels.any())
+            img = normalize_l2(raster)
+            fast = classify_bank(bank, img, fast=True)
+            z = dense_channel_maxima(bank, img)
+            assert fast.z0 == pytest.approx(z[0], abs=1e-6)
+            assert fast.z1 == pytest.approx(z[1], abs=1e-6)
+            assert fast.label == (0 if z[0] >= z[1] else 1)
+
+        check()
+        # the drawn banks held sides below the block (one padded block) and
+        # sides that are not a multiple of it (a padded last block)
+        assert min(sides) < _BLOCK and any(side % _BLOCK for side in sides)
+
+    @pytest.mark.parametrize("xi_max, d", [(1, 13), (2, 16), (2, 24)])
+    def test_coarse_bound_covers_every_pair(self, xi_max, d):
+        bank = build_filter_bank(tent(0.2), cross(0.2, 0.1), xi_max, d)
+        q = DeformDistribution(eta_range=(0.8, 1.2), xi_range=(0.7, 1.6),
+                               flip_prob=0.3, seed=d)
+        for i, f in enumerate((tent(0.2), cross(0.2, 0.1), cone(0.15))):
+            img = normalize_l2(rasterize(f, sample_params(q, i), d))
+            by_side = _patches_by_side(bank, img.pixels)
+            for (side, k), mat in bank.stacks.items():
+                patches = by_side[side]
+                r, c = np.indices(patches.norms.shape).reshape(2, -1)
+                bound = bank.coarse[side, k] @ patches.coarse_vectors(r, c).T
+                exact = mat.astype(np.float64) @ framed_patches(img.pixels, side).T
+                assert bound.dtype == np.float32
+                assert (bound >= exact - 1e-5).all()

@@ -121,6 +121,33 @@ class TestGenerateDataset:
         idx0 = {it.template_index for it in data.items if it.label == 0}
         assert idx0 == {0, 1}
 
+    @pytest.mark.parametrize("pools, n, pi, choices", [
+        ((1, 1), 10, 0.5, 0),   # balanced, one template per class
+        ((2, 1), 10, 0.5, 5),   # only the class-0 items pick a template
+        ((1, 1), 9, 0.5, 9),    # odd n: Bernoulli labels
+        ((1, 2), 10, 0.3, 10)])
+    def test_choice_stream_only_where_it_can_change_the_item(
+            self, monkeypatch, mild_q, pools, n, pi, choices):
+        from deformclass import datagen
+        real = datagen._substream
+        keys = []
+
+        def spy(seed, *key):
+            keys.append(key)
+            return real(seed, *key)
+
+        monkeypatch.setattr(datagen, "_substream", spy)
+        pool0, pool1 = [tent(0.25), tent(0.2)], [cross(0.25, 0.08), cone(0.2)]
+        data = generate_dataset(pool0[:pools[0]], pool1[:pools[1]], mild_q,
+                                n=n, d=8, pi=pi)
+        assert sum(key[0] == datagen._STREAM_CHOICE for key in keys) == choices
+        # every item still equals the draw of its own choice stream
+        for i, it in enumerate(data.items):
+            chooser = real(mild_q.seed, datagen._STREAM_CHOICE, i)
+            if pi != 0.5 or n % 2:
+                assert it.label == int(chooser.random() < pi)
+            assert it.template_index == int(chooser.integers(pools[it.label]))
+
     def test_rejects_empty_inputs(self, tent_template, mild_q):
         with pytest.raises(EmptyList):
             generate_dataset([], [tent_template], mild_q, n=4, d=16)

@@ -91,7 +91,9 @@ class TestTemplates:
         pytest.param(lambda: tent(1e-110), "l1 mass 0.0", id="<lambda>0"),
         pytest.param(lambda: cone(1e-200), "l1 mass 0.0", id="<lambda>1"),
         pytest.param(lambda: cross(1e-320), "Lipschitz constant inf",
-                     id="<lambda>2")])
+                     id="<lambda>2"),
+        pytest.param(lambda: cross(1e-320, 0.25), "Lipschitz constant inf",
+                     id="<lambda>3")])
     def test_underflowing_mass_rejected(self, make, match):
         # The l1 mass underflows to 0; dividing by it used to raise
         # ZeroDivisionError.  The subnormal cross keeps a positive exact
@@ -114,6 +116,34 @@ class TestTemplates:
         # overlap is integrated there; check against the whole-square rule
         f = cross(w, taper)
         assert f.l1_norm == pytest.approx(_estimate_l1(f, 2048), rel=1e-5)
+
+    @pytest.mark.parametrize("w, taper", [(0.25, 0.08), (0.2, 0.07), (0.15, 0.1),
+                                          (0.0625, 0.25), (0.1, 0.2), (0.25, 0.25)])
+    def test_cross_mass_tapered_closed_form(self, w, taper):
+        # With u = |x - 1/2| <= v = |y - 1/2| on the central square, the
+        # larger bar is A(v) T(u) and the smaller A(u) T(v); check that
+        # pointwise, then integrate 8 A(u) T(v) over 0 <= u <= v <= w piece
+        # by piece with polynomials split at the ramp start c <= w.
+        from numpy.polynomial import Polynomial as Poly
+        f = cross(w, taper)
+        c = 0.25 - taper
+
+        def along(t):
+            return np.minimum(1.0, (0.25 - t) / taper)
+
+        t = np.linspace(0.0, w, 129)
+        u, v = t[:, None], t[None, :]
+        upper = u <= v
+        assert np.allclose(f(0.5 + u, 0.5 + v)[upper],
+                           (along(v) * (1.0 - u / w))[upper], rtol=0, atol=1e-12)
+
+        tri = Poly([1.0, -1.0 / w])
+        inner_flat = Poly([0.0, 1.0])                    # int_0^v A, v <= c
+        inner_ramp = (Poly([0.25, -1.0]) / taper).integ(lbnd=c) + c  # v > c
+        outer = ((tri * inner_flat).integ(lbnd=0.0)(c)
+                 + (tri * inner_ramp).integ(lbnd=c)(w))
+        want = 2.0 * (0.5 - taper) * w - 8.0 * outer
+        assert f.l1_norm == pytest.approx(want, rel=1e-12)
 
     def test_cross_shape(self):
         f = cross(0.0625, 0.0625)
