@@ -7,8 +7,7 @@ support regularity, and provides both an explicit scale-indexed CNN
 classifier and a small trainable CNN with verified gradients.
 """
 
-from .align import (AlignedRep, align_images, align_transform, build_gallery,
-                    classify_1nn)
+from .align import AlignedRep, align_images, build_gallery, classify_1nn
 from .cnn import (BankDecision, Filter, FilterBank, build_filter_bank,
                   classify_bank, feature_max, max_tree, softmax_pair)
 from .datagen import (Dataset, DeformDistribution, LabeledImage,
@@ -22,11 +21,9 @@ from .errors import (AllZeroImage, BadMagic, ConfigError, DataError,
                      MalformedManifest, MultipleComponents, NumericError,
                      ResolutionMismatch, ResolutionTooSmall, TruncatedPayload,
                      ZeroNorm)
-from .geometry import (BoundaryCurve, GammaScan, estimate_gamma, gamma_scan,
-                       trace_boundary)
-from .harness import (ExperimentConfig, RiskReport, RiskRow, TwoTemplates,
-                      emit_report, parse_config, parse_template_spec,
-                      run_experiment)
+from .geometry import BoundaryCurve, GammaScan, gamma_scan, trace_boundary
+from .harness import (ExperimentConfig, RiskReport, RiskRow, emit_report,
+                      parse_config, parse_template_spec, run_experiment)
 from .io import (load_idx_pair, parse_idx_images, parse_idx_labels,
                  read_dataset, read_pgm, serialize_idx_images,
                  serialize_idx_labels, write_dataset, write_pgm)
@@ -55,11 +52,9 @@ __all__ = [
     "MultipleComponents", "NonIdentifiablePair", "NumericError", "OptSpec",
     "ResolutionMismatch", "ResolutionTooSmall", "RiemannRow",
     "RiskReport", "RiskRow", "SearchConfig", "SeparationResult",
-    "TemplateFunction", "TrainableCnn", "TruncatedPayload", "TwoTemplates",
-    "ZeroNorm",
-    "align_images", "align_transform", "build_filter_bank", "build_gallery", "classify_1nn",
-    "classify_bank", "cone", "cross",
-    "discrete_l2_norm", "emit_report", "estimate_gamma",
+    "TemplateFunction", "TrainableCnn", "TruncatedPayload", "ZeroNorm",
+    "align_images", "build_filter_bank", "build_gallery", "classify_1nn",
+    "classify_bank", "cone", "cross", "discrete_l2_norm", "emit_report",
     "estimate_separation", "feature_max", "gamma_scan", "generate_dataset",
     "grad_check", "grid_inner_product", "load_checkpoint", "load_idx_pair",
     "max_tree", "non_identifiable_pair", "normalize_l2", "parse_config",

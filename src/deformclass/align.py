@@ -101,11 +101,6 @@ def _align_block(images: Sequence[GrayImage], m: int) -> list[AlignedRep]:
     return [AlignedRep(grid=grid, m=m) for grid in z]
 
 
-def align_transform(img: GrayImage, m: int | None = None) -> AlignedRep:
-    """``align_images`` for one image."""
-    return align_images([img], m)[0]
-
-
 def _oriented_variants(z: np.ndarray) -> list[np.ndarray]:
     """The four axis-reversal orientations of a grid (or of a stack of grids
     along the last two axes), original first."""

@@ -13,13 +13,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .align import align_transform, build_gallery, classify_1nn
+from .align import align_images, build_gallery, classify_1nn
 from .cnn import build_filter_bank, check_temperature, classify_bank
 from .datagen import DeformDistribution, generate_dataset, normalized
 from .errors import ConfigError, DataError, DeformClassError, NumericError
 from .geometry import gamma_scan, trace_boundary
-from .harness import (emit_report, parse_config, parse_template_spec,
-                      run_experiment)
+from .harness import (ExperimentConfig, emit_report, parse_config,
+                      parse_template_spec, run_experiment)
 from .io import read_bytes, read_dataset, read_pgm, write_dataset
 from .model import IDENTITY, normalize_l2, rasterize
 from .separation import SearchConfig, estimate_separation
@@ -44,12 +44,16 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--template0", required=True, help="e.g. tent:delta=0.25")
     gen.add_argument("--template1", required=True, help="e.g. cross:arm=0.0625")
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--d", type=int, default=64)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--eta-range", type=_pair, default=(1.0, 1.0))
-    gen.add_argument("--xi-range", type=_pair, default=(1.0, 1.0))
-    gen.add_argument("--xi-prime-range", type=_pair, default=None)
-    gen.add_argument("--flip-prob", type=float, default=0.0)
+    gen.add_argument("--d", type=int, default=ExperimentConfig.d)
+    gen.add_argument("--seed", type=int, default=DeformDistribution.seed)
+    gen.add_argument("--eta-range", type=_pair,
+                     default=DeformDistribution.eta_range)
+    gen.add_argument("--xi-range", type=_pair,
+                     default=DeformDistribution.xi_range)
+    gen.add_argument("--xi-prime-range", type=_pair,
+                     default=DeformDistribution.xi_prime_range)
+    gen.add_argument("--flip-prob", type=float,
+                     default=DeformDistribution.flip_prob)
     gen.add_argument("--out", required=True)
 
     al = sub.add_parser("align", help="1-NN classify a query against a dataset")
@@ -65,20 +69,21 @@ def _build_parser() -> argparse.ArgumentParser:
     bank.add_argument("--template0", required=True)
     bank.add_argument("--template1", required=True)
     bank.add_argument("--image", required=True, help="PGM file")
-    bank.add_argument("--d", type=int, default=64)
-    bank.add_argument("--xi-max", type=int, default=2)
+    bank.add_argument("--d", type=int, default=ExperimentConfig.d)
+    bank.add_argument("--xi-max", type=int, default=ExperimentConfig.bank_xi_max)
     bank.add_argument("--beta", type=float, default=None)
 
     tr = cnn_sub.add_parser("train", help="train the small CNN on a dataset")
     tr.add_argument("--data", required=True, help="dataset directory")
     tr.add_argument("--out", required=True, help="checkpoint file")
-    tr.add_argument("--epochs", type=int, default=20)
-    tr.add_argument("--batch-size", type=int, default=16)
-    tr.add_argument("--learning-rate", type=float, default=0.01)
-    tr.add_argument("--n-filters", type=int, default=28)
-    tr.add_argument("--filter-size", type=int, default=3)
-    tr.add_argument("--beta", type=float, default=1.0)
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--epochs", type=int, default=OptSpec.epochs)
+    tr.add_argument("--batch-size", type=int, default=OptSpec.batch_size)
+    tr.add_argument("--learning-rate", type=float,
+                    default=OptSpec.learning_rate)
+    tr.add_argument("--n-filters", type=int, default=ArchSpec.n_filters)
+    tr.add_argument("--filter-size", type=int, default=ArchSpec.filter_size)
+    tr.add_argument("--beta", type=float, default=ArchSpec.beta)
+    tr.add_argument("--seed", type=int, default=OptSpec.seed)
 
     cl = cnn_sub.add_parser("classify", help="classify an image with a checkpoint")
     cl.add_argument("--checkpoint", required=True)
@@ -87,9 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sep = sub.add_parser("sep", help="separation and boundary regularity")
     sep.add_argument("--template0", required=True)
     sep.add_argument("--template1", required=True)
-    sep.add_argument("--xi-max", type=float, default=2.0)
-    sep.add_argument("--step", type=float, default=0.05)
-    sep.add_argument("--refine-iters", type=int, default=12)
+    sep.add_argument("--xi-max", type=float, default=SearchConfig.xi_max)
+    sep.add_argument("--step", type=float, default=SearchConfig.coarse_step)
+    sep.add_argument("--refine-iters", type=int,
+                     default=SearchConfig.refine_iters)
     sep.add_argument("--positive-scales", action="store_true",
                      help="skip axis-reversing candidates")
     sep.add_argument("--gamma-d", type=int, default=256,
@@ -125,7 +131,7 @@ def _cmd_align(args) -> int:
     data = read_dataset(args.gallery)
     gallery = build_gallery([it.image for it in data.items],
                             [it.label for it in data.items], m=args.m)
-    query = align_transform(_load_query(args.query), m=args.m)
+    query = align_images([_load_query(args.query)], args.m)[0]
     label, index, dist, orientation = classify_1nn(gallery, [query],
                                                    args.flips)[0]
     print(f"label={label} neighbor={index} distance={dist:.6f}"

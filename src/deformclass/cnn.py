@@ -119,7 +119,7 @@ class FilterBank:
     block means (row-major), then the residual norm |w - Pw|, where P
     replaces each block by its mean.  It is read-only float32, computed in
     float64 from the float32 row, and with a patch's coarse vector bounds
-    the row's response to that patch (see ``_channel_maxima_fast``).
+    the row's response to that patch (see ``_channel_maxima``).
     """
 
     templates: tuple[TemplateFunction, TemplateFunction]
@@ -131,10 +131,6 @@ class FilterBank:
 
     def __len__(self) -> int:
         return 2 * self.live.size ** 2
-
-    def scale_grid(self) -> np.ndarray:
-        n = 2 * self.xi_max * self.d + 1
-        return (np.arange(n) - self.xi_max * self.d) / self.d
 
     def filter_at(self, k: int, i: int, j: int) -> Filter:
         """Filter of class k at scale-grid indices (i, j)."""
@@ -396,7 +392,7 @@ def _patches_by_side(bank: FilterBank,
     return out
 
 
-def _channel_maxima_fast(bank: FilterBank, pixels: np.ndarray) -> tuple[float, float]:
+def _channel_maxima(bank: FilterBank, pixels: np.ndarray) -> tuple[float, float]:
     """max feature_max per class channel, via pruned matrix products.
 
     The image is cropped to its support box; each stack correlates against
@@ -448,27 +444,19 @@ def _channel_maxima_fast(bank: FilterBank, pixels: np.ndarray) -> tuple[float, f
     return z[0], z[1]
 
 
-def classify_bank(bank: FilterBank, img: GrayImage, beta: float | None = None,
-                  fast: bool = True) -> BankDecision:
+def classify_bank(bank: FilterBank, img: GrayImage, beta: float | None = None
+                  ) -> BankDecision:
     """Two-channel decision of the explicit scale-indexed classifier.
 
     z_k is the maximum pooled response over all class-k filters; the label
     is the argmax channel and the probabilities are the tempered softmax of
     (z0, z1).  The image is expected pre-normalized to unit Frobenius norm.
-    ``fast=False`` runs ``feature_max`` on every live filter in float64:
-    the exact oracle of the float32 stacks, and slow on a large bank.
     """
     if bank.d != img.d:
         raise ResolutionMismatch(f"bank built for d={bank.d}, image has d={img.d}")
     if beta is None:
         beta = float(bank.d)
-    if fast:
-        z0, z1 = _channel_maxima_fast(bank, img.pixels)
-    else:
-        live = np.flatnonzero(bank.live)
-        z0, z1 = (max((feature_max(bank.filter_at(k, i, j), img)
-                       for i in live for j in live), default=0.0)
-                  for k in (0, 1))
+    z0, z1 = _channel_maxima(bank, img.pixels)
     p0, p1 = softmax_pair(z0, z1, beta)
     label = 0 if z0 >= z1 else 1
     return BankDecision(p0=p0, p1=p1, label=label, z0=z0, z1=z1)

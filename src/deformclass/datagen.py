@@ -46,8 +46,8 @@ class DeformDistribution:
     scale (see ``model.shift_bounds``).
     """
 
-    eta_range: tuple[float, float]
-    xi_range: tuple[float, float]
+    eta_range: tuple[float, float] = (1.0, 1.0)
+    xi_range: tuple[float, float] = (1.0, 1.0)
     xi_prime_range: tuple[float, float] | None = None
     flip_prob: float = 0.0
     seed: int = 0
@@ -126,9 +126,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.items)
-
-    def labels(self) -> np.ndarray:
-        return np.array([it.label for it in self.items], dtype=int)
 
 
 def normalized(data: Dataset) -> Dataset:

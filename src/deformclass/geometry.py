@@ -211,8 +211,3 @@ def gamma_scan(curve: BoundaryCurve | np.ndarray, sample_budget: int = 256) -> G
         raise DegenerateCurve("all point pairs are singular")
     return GammaScan(estimate=best, points_used=n,
                      singular_pairs=singular, argmax_pair=best_pair)
-
-
-def estimate_gamma(curve: BoundaryCurve | np.ndarray, sample_budget: int = 256) -> float:
-    """Regularity-constant estimate; see ``gamma_scan`` for semantics."""
-    return gamma_scan(curve, sample_budget).estimate

@@ -31,15 +31,10 @@ CLASSIFIERS = ("IAC", "IAC_FLIPS", "CNN_EXPLICIT", "CNN_TRAINED")
 
 
 @dataclass(frozen=True)
-class TwoTemplates:
-    f0: TemplateFunction
-    f1: TemplateFunction
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    task: TwoTemplates
-    q: DeformDistribution | None = None
+    template0: TemplateFunction
+    template1: TemplateFunction
+    q: DeformDistribution = field(default_factory=DeformDistribution)
     n_list: tuple[int, ...] = (2, 4, 8, 16, 32, 64)
     n_test: int = 100
     repetitions: int = 30
@@ -48,7 +43,6 @@ class ExperimentConfig:
     seed: int = 0
     align_m: int | None = None
     bank_xi_max: int = 2
-    bank_beta: float | None = None
     cnn_arch: ArchSpec = field(default_factory=ArchSpec)
     cnn_opt: OptSpec = field(default_factory=OptSpec)
 
@@ -66,8 +60,6 @@ class ExperimentConfig:
             raise ConfigError("the experiment needs a deformation distribution q")
         if self.align_m is not None and self.align_m < 2:
             raise ConfigError(f"align.m must be >= 2, got {self.align_m}")
-        if self.bank_beta is not None and not self.bank_beta > 0:
-            raise ConfigError(f"bank.beta must be positive, got {self.bank_beta}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +96,7 @@ def _derived_seed(*key: int) -> int:
 
 def _draw_template_sets(cfg: ExperimentConfig, rep: int, n: int
                         ) -> tuple[Dataset, Dataset]:
-    t0, t1 = (cfg.task.f0,), (cfg.task.f1,)
+    t0, t1 = (cfg.template0,), (cfg.template1,)
     q_train = replace(cfg.q, seed=_derived_seed(cfg.seed, rep, n, 0))
     q_test = replace(cfg.q, seed=_derived_seed(cfg.seed, rep, n, 1))
     train = generate_dataset(t0, t1, q_train, n, cfg.d)
@@ -132,10 +124,10 @@ def _risk_iac(gallery: list[GalleryEntry], queries: list[AlignedRep],
     return wrong / len(test.items)
 
 
-def _risk_bank(bank: FilterBank, test: Dataset, beta: float | None) -> float:
+def _risk_bank(bank: FilterBank, test: Dataset) -> float:
     wrong = 0
     for item in test.items:
-        decision = classify_bank(bank, normalize_l2(item.image), beta=beta)
+        decision = classify_bank(bank, normalize_l2(item.image))
         wrong += int(decision.label != item.label)
     return wrong / len(test.items)
 
@@ -165,7 +157,8 @@ def run_experiment(cfg: ExperimentConfig) -> RiskReport:
 
     bank = None
     if "CNN_EXPLICIT" in cfg.classifiers:
-        bank = build_filter_bank(cfg.task.f0, cfg.task.f1, cfg.bank_xi_max, cfg.d)
+        bank = build_filter_bank(cfg.template0, cfg.template1, cfg.bank_xi_max,
+                                 cfg.d)
 
     def run_item(rep: int, n: int) -> list[RiskRow]:
         try:
@@ -178,7 +171,7 @@ def run_experiment(cfg: ExperimentConfig) -> RiskReport:
                         aligned = _align_sets(train, test, cfg.align_m)
                     risk = _risk_iac(*aligned, test, flips=name == "IAC_FLIPS")
                 elif name == "CNN_EXPLICIT":
-                    risk = _risk_bank(bank, test, cfg.bank_beta)
+                    risk = _risk_bank(bank, test)
                 else:
                     risk = _risk_trained(train, test, cfg.cnn_arch, cfg.cnn_opt,
                                          seed=_derived_seed(cfg.seed, rep, n, 3))
@@ -230,17 +223,6 @@ def emit_report(report: RiskReport, fmt: str = "csv", view: str = "raw") -> byte
 # ---------------------------------------------------------------------------
 # Config-file parsing
 # ---------------------------------------------------------------------------
-
-_KNOWN_KEYS = {
-    "experiment.n_list", "experiment.n_test", "experiment.repetitions",
-    "experiment.d", "experiment.classifiers", "experiment.seed",
-    "task.template0", "task.template1",
-    "q.eta_range", "q.xi_range", "q.xi_prime_range", "q.flip_prob",
-    "align.m", "bank.xi_max", "bank.beta", "cnn.n_filters", "cnn.filter_size",
-    "cnn.dense_widths", "cnn.beta", "cnn.learning_rate", "cnn.epochs",
-    "cnn.batch_size",
-}
-
 
 def parse_template_spec(spec: str) -> TemplateFunction:
     """Template from a spec string like ``tent:delta=0.25`` or ``cone:radius=0.2``.
@@ -306,6 +288,36 @@ def _int_list(value: str, key: str) -> tuple[int, ...]:
     return tuple(_int(part, key) for part in value.split(","))
 
 
+def _str_list(value: str, key: str) -> tuple[str, ...]:
+    return tuple(value.split(","))
+
+
+# Config key -> (dataclass, field, parser).  A key that a file leaves out
+# keeps the dataclass default.
+_KEYS = {
+    "experiment.n_list": (ExperimentConfig, "n_list", _int_list),
+    "experiment.n_test": (ExperimentConfig, "n_test", _int),
+    "experiment.repetitions": (ExperimentConfig, "repetitions", _int),
+    "experiment.d": (ExperimentConfig, "d", _int),
+    "experiment.classifiers": (ExperimentConfig, "classifiers", _str_list),
+    "experiment.seed": (ExperimentConfig, "seed", _int),
+    "align.m": (ExperimentConfig, "align_m", _int),
+    "bank.xi_max": (ExperimentConfig, "bank_xi_max", _int),
+    "q.eta_range": (DeformDistribution, "eta_range", _parse_pair),
+    "q.xi_range": (DeformDistribution, "xi_range", _parse_pair),
+    "q.xi_prime_range": (DeformDistribution, "xi_prime_range", _parse_pair),
+    "q.flip_prob": (DeformDistribution, "flip_prob", _num),
+    "cnn.n_filters": (ArchSpec, "n_filters", _int),
+    "cnn.filter_size": (ArchSpec, "filter_size", _int),
+    "cnn.dense_widths": (ArchSpec, "dense_widths", _int_list),
+    "cnn.beta": (ArchSpec, "beta", _num),
+    "cnn.learning_rate": (OptSpec, "learning_rate", _num),
+    "cnn.epochs": (OptSpec, "epochs", _int),
+    "cnn.batch_size": (OptSpec, "batch_size", _int),
+}
+_KNOWN_KEYS = {*_KEYS, "task.template0", "task.template1"}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Flat key=value config; keys are namespaced; unknown keys are errors."""
     kv: dict[str, str] = {}
@@ -323,52 +335,28 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if "task.template0" not in kv or "task.template1" not in kv:
         raise ConfigError("config needs task.template0 and task.template1")
-    task = TwoTemplates(parse_template_spec(kv["task.template0"]),
-                        parse_template_spec(kv["task.template1"]))
+    template0 = parse_template_spec(kv.pop("task.template0"))
+    template1 = parse_template_spec(kv.pop("task.template1"))
+    fields = {cls: {} for cls in (ExperimentConfig, DeformDistribution,
+                                  ArchSpec, OptSpec)}
+    for key, value in kv.items():
+        cls, name, parse = _KEYS[key]
+        fields[cls][name] = parse(value, key)
 
     try:
-        q = DeformDistribution(
-            eta_range=_parse_pair(kv.get("q.eta_range", "1,1"), "q.eta_range"),
-            xi_range=_parse_pair(kv.get("q.xi_range", "1,1"), "q.xi_range"),
-            xi_prime_range=(_parse_pair(kv["q.xi_prime_range"], "q.xi_prime_range")
-                            if "q.xi_prime_range" in kv else None),
-            flip_prob=_num(kv.get("q.flip_prob", "0"), "q.flip_prob"))
+        q = DeformDistribution(**fields[DeformDistribution])
         q.validate()
     except (InvalidParams, InvalidDistribution) as exc:
         raise ConfigError(f"invalid distribution: {exc}")
-
     try:
-        arch = ArchSpec(
-            n_filters=_int(kv.get("cnn.n_filters", "28"), "cnn.n_filters"),
-            filter_size=_int(kv.get("cnn.filter_size", "3"), "cnn.filter_size"),
-            dense_widths=_int_list(kv.get("cnn.dense_widths", "128"),
-                                   "cnn.dense_widths"),
-            beta=_num(kv.get("cnn.beta", "1.0"), "cnn.beta"))
-        opt = OptSpec(
-            learning_rate=_num(kv.get("cnn.learning_rate", "0.01"),
-                               "cnn.learning_rate"),
-            epochs=_int(kv.get("cnn.epochs", "20"), "cnn.epochs"),
-            batch_size=_int(kv.get("cnn.batch_size", "16"), "cnn.batch_size"))
+        arch = ArchSpec(**fields[ArchSpec])
+        opt = OptSpec(**fields[OptSpec])
         arch.validate()
         opt.validate()
     except InvalidParams as exc:
         raise ConfigError(f"invalid network spec: {exc}")
 
-    cfg = ExperimentConfig(
-        task=task,
-        q=q,
-        n_list=_int_list(kv.get("experiment.n_list", "2,4,8,16,32,64"),
-                         "experiment.n_list"),
-        n_test=_int(kv.get("experiment.n_test", "100"), "experiment.n_test"),
-        repetitions=_int(kv.get("experiment.repetitions", "30"),
-                         "experiment.repetitions"),
-        d=_int(kv.get("experiment.d", "64"), "experiment.d"),
-        classifiers=tuple(kv.get("experiment.classifiers", "IAC").split(",")),
-        seed=_int(kv.get("experiment.seed", "0"), "experiment.seed"),
-        align_m=_int(kv["align.m"], "align.m") if "align.m" in kv else None,
-        bank_xi_max=_int(kv.get("bank.xi_max", "2"), "bank.xi_max"),
-        bank_beta=_num(kv["bank.beta"], "bank.beta") if "bank.beta" in kv else None,
-        cnn_arch=arch,
-        cnn_opt=opt)
+    cfg = ExperimentConfig(template0, template1, q=q, cnn_arch=arch,
+                           cnn_opt=opt, **fields[ExperimentConfig])
     cfg.validate()
     return cfg

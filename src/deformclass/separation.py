@@ -14,12 +14,12 @@ The result is an upper bound of the infimum over the model's deformations
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import InvalidParams, ResolutionMismatch
-from .model import TemplateFunction
+from .model import TemplateFunction, shift_bounds
 
 
 def grid_inner_product(h: np.ndarray, g: np.ndarray) -> float:
@@ -79,8 +79,11 @@ def _midpoints(q: int) -> np.ndarray:
 
 
 def _shift_interval(b: float) -> tuple[float, float]:
-    """Shifts keeping the support of x -> f(b*x + c) inside [0, 1]."""
-    return (0.75 - max(b, 0.0), 0.25 - min(b, 0.0))
+    """Shifts keeping the support of x -> f(b*x + c) inside [0, 1]: the
+    model's shift interval for scale b, negated, since c = -tau."""
+    lo, hi = shift_bounds(b)
+    # 0.0 - x, not -x: at b = 3/4 the bound is +0.0, as 0.75 - b gives.
+    return 0.0 - hi, 0.0 - lo
 
 
 def _candidate_scales(cfg: SearchConfig) -> np.ndarray:
@@ -234,12 +237,8 @@ def estimate_separation(f: TemplateFunction, g: TemplateFunction,
         grids.append((H, norm2))
     d_fg, best_fg = _direction(f, g, *grids[1], cfg)
     d_gf, best_gf = _direction(g, f, *grids[0], cfg)
-    meta = {"coarse_step": cfg.coarse_step, "xi_max": cfg.xi_max,
-            "coarse_quadrature": cfg.coarse_quadrature,
-            "quadrature": cfg.quadrature, "refine_iters": cfg.refine_iters,
-            "include_flips": cfg.include_flips}
     return SeparationResult(d_fg=d_fg, d_gf=d_gf, best_fg=best_fg,
-                            best_gf=best_gf, meta=meta)
+                            best_gf=best_gf, meta=asdict(cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -176,14 +176,10 @@ class TrainableCnn:
               for s in range(0, len(x), chunk)]
         return (np.concatenate(p1) > 0.5).astype(int)
 
-    def loss_batch(self, x: np.ndarray, y: np.ndarray) -> float:
-        p1, _ = self.forward_batch(x)
-        return float(np.mean((y - p1) ** 2))
-
     def loss_and_gradients(self, x: np.ndarray, y: np.ndarray
                            ) -> tuple[float, list[np.ndarray]]:
-        """``loss_batch`` and its analytic gradient per parameter array, from a
-        single forward pass."""
+        """The mean squared loss on (x, y) and its analytic gradient per
+        parameter array, from a single forward pass."""
         p1, cache = self.forward_batch(x)
         # d loss / d z, through p1 = sigmoid(beta (z1 - z0))
         gp = 2.0 * (p1 - y) / len(x)
@@ -305,11 +301,11 @@ def grad_check(net: TrainableCnn, sample: LabeledImage, eps: float,
         orig = flat[c]
         flat[c] = orig + eps
         net.set_flat(flat)
-        lp = net.loss_batch(x, y)
+        lp = net.loss_and_gradients(x, y)[0]
         tied = not np.array_equal(pool_pattern(), base_pattern)
         flat[c] = orig - eps
         net.set_flat(flat)
-        lm = net.loss_batch(x, y)
+        lm = net.loss_and_gradients(x, y)[0]
         tied = tied or not np.array_equal(pool_pattern(), base_pattern)
         flat[c] = orig
         net.set_flat(flat)

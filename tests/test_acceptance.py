@@ -19,8 +19,7 @@ from deformclass import (
     GrayImage,
     OptSpec,
     TrainableCnn,
-    TwoTemplates,
-    align_transform,
+    align_images,
     build_filter_bank,
     classify_bank,
     cone,
@@ -150,7 +149,7 @@ def test_grid_sampling_error_bounds():
 def test_alignment_classifier_low_risk_small_sample():
     t0 = time.perf_counter()
     cfg = ExperimentConfig(
-        task=TwoTemplates(tent(0.25), cross(0.25, 0.08)),
+        template0=tent(0.25), template1=cross(0.25, 0.08),
         q=DeformDistribution(eta_range=(0.8, 1.2), xi_range=(1.0, 1.5)),
         n_list=(2,), n_test=100, repetitions=30, d=64,
         classifiers=("IAC",), seed=0)
@@ -166,7 +165,7 @@ def test_alignment_classifier_low_risk_small_sample():
 def test_trained_cnn_risk_curve():
     t0 = time.perf_counter()
     cfg = ExperimentConfig(
-        task=TwoTemplates(tent(0.25), cone(0.22)),
+        template0=tent(0.25), template1=cone(0.22),
         q=DeformDistribution(eta_range=(0.5, 1.5), xi_range=(1.0, 2.0)),
         n_list=(2, 4, 8, 16, 32, 64), n_test=100, repetitions=30, d=64,
         classifiers=("IAC", "CNN_TRAINED"), seed=0)
@@ -248,8 +247,8 @@ def test_aligned_representations_converge():
     for d in (128, 256):
         dists = []
         for pa, pb in pairs:
-            a = align_transform(rasterize(f, pa, d), m=64)
-            b = align_transform(rasterize(f, pb, d), m=64)
+            a = align_images([rasterize(f, pa, d)], m=64)[0]
+            b = align_images([rasterize(f, pb, d)], m=64)[0]
             dists.append(float(np.linalg.norm(a.grid - b.grid)))
         medians[d] = float(np.median(dists))
     ratio = medians[256] / medians[128]
@@ -263,7 +262,7 @@ def test_aligned_representations_converge():
 def test_benchmark_reports_reproducible():
     t0 = time.perf_counter()
     cfg = ExperimentConfig(
-        task=TwoTemplates(tent(0.25), cross(0.25, 0.08)),
+        template0=tent(0.25), template1=cross(0.25, 0.08),
         q=DeformDistribution(eta_range=(0.8, 1.2), xi_range=(1.0, 1.5)),
         n_list=(2, 4), n_test=20, repetitions=3, d=32,
         classifiers=("IAC", "CNN_TRAINED"), seed=0,

@@ -16,7 +16,6 @@ from deformclass import (
     ResolutionMismatch,
     ZeroNorm,
     align_images,
-    align_transform,
     build_gallery,
     classify_1nn,
     generate_dataset,
@@ -95,14 +94,14 @@ class TestRectSupport:
         ])
         # m = 2 samples exactly the corners of the box rows 2..3, cols 2..3.
         crop = np.array([[1.0, 2.0], [0.0, 3.0]])
-        assert np.array_equal(align_transform(img, m=2).grid,
+        assert np.array_equal(align_images([img], m=2)[0].grid,
                               crop / np.linalg.norm(crop))
 
     def test_empty_support(self):
         with pytest.raises(EmptySupport, match="no pixel is positive"):
             align_images([_image([[0, 0], [0, 0]])])
         with pytest.raises(EmptySupport):
-            align_transform(_image([[0, -1], [0, 0]]))
+            align_images([_image([[0, -1], [0, 0]])])
 
 
 class TestResampleBox:
@@ -114,7 +113,7 @@ class TestResampleBox:
             [0, 0, 0, 0],
         ])
         crop = np.array([[1.0, 2.0], [4.0, 3.0]])
-        assert np.array_equal(align_transform(img, 2).grid,
+        assert np.array_equal(align_images([img], 2)[0].grid,
                               crop / np.linalg.norm(crop))
 
     def test_upsample_repeats_pixels(self):
@@ -124,7 +123,7 @@ class TestResampleBox:
             [0, 4, 3, 0],
             [0, 0, 0, 0],
         ])
-        grid = align_transform(img, 4).grid
+        grid = align_images([img], 4)[0].grid
         # every output pixel is one of the four source values over one norm
         out = grid / grid[0, 0]
         assert set(np.round(np.unique(out), 12)) == {1.0, 2.0, 3.0, 4.0}
@@ -133,7 +132,7 @@ class TestResampleBox:
     def test_m_floor(self):
         img = _image([[1]])
         with pytest.raises(InvalidParams, match="m >= 2"):
-            align_transform(img, 1)
+            align_images([img], 1)
         with pytest.raises(InvalidParams, match="m >= 2"):
             align_images([_image([[0, 0], [0, 1]])], m=1)
 
@@ -141,7 +140,7 @@ class TestResampleBox:
 class TestAlignTransform:
     def test_unit_norm(self, tent_template):
         p = DeformParams(eta=1.3, xi=1.2, xi_prime=1.0, tau=0.1, tau_prime=0.0)
-        rep = align_transform(rasterize(tent_template, p, 32))
+        rep = align_images([rasterize(tent_template, p, 32)])[0]
         assert np.linalg.norm(rep.grid) == pytest.approx(1.0, abs=1e-12)
         assert rep.m == 32
 
@@ -149,24 +148,24 @@ class TestAlignTransform:
         d = 32
         p1 = DeformParams(eta=0.7, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
         p2 = DeformParams(eta=1.4, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
-        a = align_transform(rasterize(tent_template, p1, d))
-        b = align_transform(rasterize(tent_template, p2, d))
+        a = align_images([rasterize(tent_template, p1, d)])[0]
+        b = align_images([rasterize(tent_template, p2, d)])[0]
         assert np.array_equal(a.grid, b.grid)
 
     def test_grid_shift_invariance_exact(self, tent_template):
         d = 32
         p1 = DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
         p2 = DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=4 / d, tau_prime=2 / d)
-        a = align_transform(rasterize(tent_template, p1, d))
-        b = align_transform(rasterize(tent_template, p2, d))
+        a = align_images([rasterize(tent_template, p1, d)])[0]
+        b = align_images([rasterize(tent_template, p2, d)])[0]
         assert np.array_equal(a.grid, b.grid)
 
     def test_scale_approximate_invariance(self, tent_template):
         d = 128
         p1 = DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
         p2 = DeformParams(eta=1.0, xi=1.5, xi_prime=1.5, tau=0.4, tau_prime=0.4)
-        a = align_transform(rasterize(tent_template, p1, d), m=64)
-        b = align_transform(rasterize(tent_template, p2, d), m=64)
+        a = align_images([rasterize(tent_template, p1, d)], m=64)[0]
+        b = align_images([rasterize(tent_template, p2, d)], m=64)[0]
         assert np.linalg.norm(a.grid - b.grid) < 0.1
 
 
@@ -184,7 +183,7 @@ class TestClassify1nn:
     def test_recovers_generating_class(self):
         gallery, f0, f1 = self._gallery()
         p = DeformParams(eta=1.6, xi=1.0, xi_prime=1.0, tau=0.125, tau_prime=0.0)
-        query = align_transform(rasterize(f0, p, 32))
+        query = align_images([rasterize(f0, p, 32)])[0]
         label, idx, dist, orient = classify_1nn(gallery, [query])[0]
         assert orient == 0
         assert label == 0
@@ -192,15 +191,15 @@ class TestClassify1nn:
         assert dist == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_gallery(self):
-        rep = align_transform(rasterize(tent(0.25), DeformParams(
-            eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0), 16))
+        rep = align_images([rasterize(tent(0.25), DeformParams(
+            eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0), 16)])[0]
         with pytest.raises(EmptyGallery):
             classify_1nn([], [rep])
 
     def test_size_mismatch(self):
         gallery, f0, _ = self._gallery()
-        query = align_transform(rasterize(f0, DeformParams(
-            eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0), 32), m=16)
+        query = align_images([rasterize(f0, DeformParams(
+            eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0), 32)], m=16)[0]
         for flips in (False, True):
             with pytest.raises(ResolutionMismatch):
                 classify_1nn(gallery, [query], flips)
@@ -208,7 +207,7 @@ class TestClassify1nn:
     def test_tie_goes_to_first_entry(self):
         grid = np.zeros((4, 4))
         grid[1, 1] = 1.0
-        rep = align_transform(GrayImage(grid), m=2)
+        rep = align_images([GrayImage(grid)], m=2)[0]
         gallery = [(rep, 0), (rep, 1)]
         for flips in (False, True):
             label, idx, dist, orient = classify_1nn(gallery, [rep], flips)[0]
@@ -235,14 +234,14 @@ class TestClassify1nn:
         flipped = DeformParams(eta=1.0, xi=-1.0, xi_prime=1.0, tau=-1.0,
                                tau_prime=0.0, allow_flips=True)
         img = rasterize(f, flipped, d)
-        label, idx, dist, orient = classify_1nn(gallery, [align_transform(img)],
+        label, idx, dist, orient = classify_1nn(gallery, align_images([img]),
                                                 flips=True)[0]
         assert label == 0
         assert orient > 0
         # a negative scale shifts the sample lattice by one pixel, so the
         # match is close but not bit-exact
         assert dist < 0.03
-        _, _, plain_dist, _ = classify_1nn(gallery, [align_transform(img)])[0]
+        _, _, plain_dist, _ = classify_1nn(gallery, align_images([img]))[0]
         assert plain_dist > dist
 
     def test_empty_query_sequence(self):
@@ -259,7 +258,7 @@ class TestClassify1nn:
                                 replace(q, seed=4), 40, 24)
         gallery = build_gallery([it.image for it in train.items],
                                 [it.label for it in train.items])
-        queries = [align_transform(it.image) for it in test.items]
+        queries = align_images([it.image for it in test.items])
         for flips in (False, True):
             assert classify_1nn(gallery, queries, flips) == [
                 classify_1nn_loop(gallery, query, flips) for query in queries]

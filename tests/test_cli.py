@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from deformclass import GrayImage, cli, write_pgm
+from deformclass import (ArchSpec, DeformDistribution, ExperimentConfig,
+                         GrayImage, OptSpec, SearchConfig, cli, tent,
+                         write_pgm)
 from deformclass.cli import main
 
 GEN_ARGS = ["gen", "--template0", "tent:delta=0.25",
@@ -14,6 +16,32 @@ def dataset_dir(tmp_path):
     out = tmp_path / "data"
     assert main(GEN_ARGS + ["--out", str(out)]) == 0
     return out
+
+
+_EXPERIMENT = ExperimentConfig(tent(0.25), tent(0.25))
+_Q, _ARCH, _OPT, _SEARCH = DeformDistribution(), ArchSpec(), OptSpec(), SearchConfig()
+_TEMPLATES = ["--template0", "tent", "--template1", "cone"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["gen", *_TEMPLATES, "--n", "2", "--out", "x"],
+     dict(d=_EXPERIMENT.d, seed=_Q.seed, eta_range=_Q.eta_range,
+          xi_range=_Q.xi_range, xi_prime_range=_Q.xi_prime_range,
+          flip_prob=_Q.flip_prob)),
+    (["cnn", "bank", *_TEMPLATES, "--image", "x.pgm"],
+     dict(d=_EXPERIMENT.d, xi_max=_EXPERIMENT.bank_xi_max)),
+    (["cnn", "train", "--data", "x", "--out", "y"],
+     dict(epochs=_OPT.epochs, batch_size=_OPT.batch_size,
+          learning_rate=_OPT.learning_rate, seed=_OPT.seed,
+          n_filters=_ARCH.n_filters, filter_size=_ARCH.filter_size,
+          beta=_ARCH.beta)),
+    (["sep", *_TEMPLATES],
+     dict(xi_max=_SEARCH.xi_max, step=_SEARCH.coarse_step,
+          refine_iters=_SEARCH.refine_iters)),
+])
+def test_flag_defaults_are_the_dataclass_defaults(argv, expected):
+    args = vars(cli._build_parser().parse_args(argv))
+    assert {name: args[name] for name in expected} == expected
 
 
 class TestGen:
@@ -372,3 +400,10 @@ class TestBench:
         cfg.write_text(self.CONFIG + "mystery.key = 5\n")
         assert main(["bench", "--config", str(cfg)]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    def test_bank_beta_key_is_gone(self, tmp_path, capsys):
+        # The bank's temperature never changed a label or a risk.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG + "bank.beta = 1\n")
+        assert main(["bench", "--config", str(cfg)]) == 2
+        assert "line 9: unknown key 'bank.beta'" in capsys.readouterr().err

@@ -178,6 +178,30 @@ class TestSoftmaxPair:
                 softmax_pair(1.0, 0.0, beta)
 
 
+def scale_grid(bank) -> np.ndarray:
+    """The scales -Xi..Xi in steps of 1/d, indexed as filter_at indexes them."""
+    n = 2 * bank.xi_max * bank.d + 1
+    return (np.arange(n) - bank.xi_max * bank.d) / bank.d
+
+
+def oracle_channel_maxima(bank, img) -> list[float]:
+    """The exact channel maxima of the float32 stacks: feature_max of every
+    live entry, rebuilt in float64 by filter_at.  Slow on a large bank."""
+    live = np.flatnonzero(bank.live)
+    return [max((feature_max(bank.filter_at(k, i, j), img)
+                 for i in live for j in live), default=0.0) for k in (0, 1)]
+
+
+def assert_matches_oracle(bank, img) -> list[float]:
+    """classify_bank's label and channel maxima against the oracle's."""
+    z = oracle_channel_maxima(bank, img)
+    decision = classify_bank(bank, img)
+    assert decision.label == (0 if z[0] >= z[1] else 1)
+    assert decision.z0 == pytest.approx(z[0], abs=1e-6)
+    assert decision.z1 == pytest.approx(z[1], abs=1e-6)
+    return z
+
+
 class TestBuildFilterBank:
     def test_count_formula(self, tent_template, cross_template):
         bank = build_filter_bank(tent_template, cross_template, 1, 4)
@@ -185,12 +209,12 @@ class TestBuildFilterBank:
 
     def test_scale_grid(self, tent_template):
         bank = build_filter_bank(tent_template, tent_template, 1, 4)
-        assert np.allclose(bank.scale_grid(),
-                           np.arange(-4, 5) / 4)
+        scales = [bank.filter_at(0, i, 8 - i).meta[1:] for i in range(9)]
+        assert scales == [(s, -s) for s in np.arange(-4, 5) / 4]
 
     def test_unit_norm_and_meta(self, tent_template, cross_template):
         bank = build_filter_bank(tent_template, cross_template, 1, 8)
-        grid = bank.scale_grid()
+        grid = scale_grid(bank)
         n_live = 0
         for k in (0, 1):
             for i in range(len(grid)):
@@ -205,14 +229,14 @@ class TestBuildFilterBank:
     def test_zero_scale_row_is_null(self, tent_template):
         bank = build_filter_bank(tent_template, tent_template, 1, 4)
         zero_idx = 1 * 4
-        for j in range(len(bank.scale_grid())):
+        for j in range(len(scale_grid(bank))):
             assert bank.filter_at(0, zero_idx, j).is_null
 
     def test_filter_at_matches_direct_definition(self, tent_template,
                                                  cross_template):
         d = 8
         bank = build_filter_bank(tent_template, cross_template, 1, d)
-        grid = bank.scale_grid()
+        grid = scale_grid(bank)
         n_live = 0
         for k, f in enumerate((tent_template, cross_template)):
             for i, xi in enumerate(grid):
@@ -232,7 +256,7 @@ class TestBuildFilterBank:
     def test_stacks_hold_the_float32_filters(self, tent_template,
                                              cross_template):
         bank = build_filter_bank(tent_template, cross_template, 1, 8)
-        grid = bank.scale_grid()
+        grid = scale_grid(bank)
         rows = {}
         for k in (0, 1):
             for i in range(len(grid)):
@@ -286,11 +310,7 @@ class TestClassifyBank:
         for i in range(2):
             params = sample_params(mild_q, i)
             img = normalize_l2(rasterize(tent_template, params, 8))
-            fast = classify_bank(small_bank, img, fast=True)
-            slow = classify_bank(small_bank, img, fast=False)
-            assert fast.label == slow.label
-            assert fast.z0 == pytest.approx(slow.z0, abs=1e-6)
-            assert fast.z1 == pytest.approx(slow.z1, abs=1e-6)
+            assert_matches_oracle(small_bank, img)
 
     def test_beta_defaults_to_resolution(self, small_bank, tent_template):
         img = normalize_l2(rasterize(tent_template, IDENT, 8))
@@ -312,13 +332,8 @@ class TestClassifyBank:
         assert {item.label for item in data.items} == {0, 1}
         gaps = []
         for item in data.items:
-            img = normalize_l2(item.image)
-            fast = classify_bank(bank, img, fast=True)
-            slow = classify_bank(bank, img, fast=False)
-            assert fast.label == slow.label
-            assert fast.z0 == pytest.approx(slow.z0, abs=1e-6)
-            assert fast.z1 == pytest.approx(slow.z1, abs=1e-6)
-            gaps.append(abs(slow.z0 - slow.z1))
+            z0, z1 = assert_matches_oracle(bank, normalize_l2(item.image))
+            gaps.append(abs(z0 - z1))
         # a wide gap means the weaker class is pruned against its own,
         # lower bound; a shared bound would drop patches it needs
         assert max(gaps) > 0.2
@@ -329,12 +344,7 @@ class TestClassifyBank:
         sides = [{s for s, k in bank.stacks if k == c} for c in (0, 1)]
         assert sides[0] - sides[1] and sides[1] - sides[0]
         for f in (f0, f1):
-            img = normalize_l2(rasterize(f, IDENT, 8))
-            fast = classify_bank(bank, img, fast=True)
-            slow = classify_bank(bank, img, fast=False)
-            assert fast.label == slow.label
-            assert fast.z0 == pytest.approx(slow.z0, abs=1e-6)
-            assert fast.z1 == pytest.approx(slow.z1, abs=1e-6)
+            assert_matches_oracle(bank, normalize_l2(rasterize(f, IDENT, 8)))
 
 
 def framed_patches(pixels: np.ndarray, side: int) -> np.ndarray:
@@ -372,9 +382,8 @@ class TestPrunedBank:
         q = DeformDistribution(eta_range=(0.8, 1.2), xi_range=(0.7, 1.6), seed=3)
         for i, f in enumerate((tent(0.2), cone(0.2))):
             img = normalize_l2(rasterize(f, sample_params(q, i), 12))
-            slow = classify_bank(bank, img, fast=False)
             assert dense_channel_maxima(bank, img) == pytest.approx(
-                [slow.z0, slow.z1], abs=1e-12)
+                oracle_channel_maxima(bank, img), abs=1e-12)
 
     def test_fast_path_matches_oracle(self):
         sides = set()
@@ -392,11 +401,11 @@ class TestPrunedBank:
             raster = rasterize((f0, f1)[label], sample_params(q, 0), d)
             assume(raster.pixels.any())
             img = normalize_l2(raster)
-            fast = classify_bank(bank, img, fast=True)
+            decision = classify_bank(bank, img)
             z = dense_channel_maxima(bank, img)
-            assert fast.z0 == pytest.approx(z[0], abs=1e-6)
-            assert fast.z1 == pytest.approx(z[1], abs=1e-6)
-            assert fast.label == (0 if z[0] >= z[1] else 1)
+            assert decision.z0 == pytest.approx(z[0], abs=1e-6)
+            assert decision.z1 == pytest.approx(z[1], abs=1e-6)
+            assert decision.label == (0 if z[0] >= z[1] else 1)
 
         check()
         # the drawn banks held sides below the block (one padded block) and

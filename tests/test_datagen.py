@@ -90,7 +90,7 @@ class TestSampleParams:
 class TestGenerateDataset:
     def test_balanced_design(self, tent_template, cross_template, mild_q):
         data = generate_dataset([tent_template], [cross_template], mild_q, n=20, d=16)
-        labels = data.labels()
+        labels = np.array([it.label for it in data.items])
         assert labels.sum() == 10
         assert len(data) == 20
         assert data.d == 16
@@ -113,7 +113,7 @@ class TestGenerateDataset:
     def test_unbalanced_bernoulli(self, tent_template, cross_template, mild_q):
         data = generate_dataset([tent_template], [cross_template], mild_q,
                                 n=60, d=16, pi=0.9)
-        assert data.labels().mean() > 0.6
+        assert np.array([it.label for it in data.items]).mean() > 0.6
 
     def test_multi_template_pool(self, tent_template, cross_template, mild_q):
         pool0 = [tent_template, tent(0.2)]

@@ -9,7 +9,6 @@ from deformclass import (
     EmptyMask,
     InvalidParams,
     MultipleComponents,
-    estimate_gamma,
     gamma_scan,
     GammaScan,
     cone,
@@ -111,26 +110,26 @@ class TestGammaScan:
     def test_stretch_inflates_by_aspect_ratio(self):
         pts = circle_points(256)
         stretched = pts * np.array([1.0, 2.0])
-        base = estimate_gamma(pts)
-        assert estimate_gamma(stretched) <= 2 * base + 0.1
+        base = gamma_scan(pts).estimate
+        assert gamma_scan(stretched).estimate <= 2 * base + 0.1
 
     def test_diamond_oracle(self):
         # the l1 ball's worst detour straddles a corner: 1 + sqrt(2)
         p = DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
         img = rasterize(tent(0.125), p, 256)
         curve = trace_boundary(img.support_mask())
-        assert estimate_gamma(curve, sample_budget=len(curve)) == pytest.approx(
+        assert gamma_scan(curve, sample_budget=len(curve)).estimate == pytest.approx(
             1 + np.sqrt(2), abs=0.05)
 
     def test_budget_monotone(self):
         pts = circle_points(512)
-        lo = estimate_gamma(pts, sample_budget=64)
-        hi = estimate_gamma(pts, sample_budget=512)
+        lo = gamma_scan(pts, sample_budget=64).estimate
+        hi = gamma_scan(pts, sample_budget=512).estimate
         assert lo <= hi + 1e-12
 
     def test_curve_object_accepted(self):
         curve = BoundaryCurve(circle_points(16))
-        assert estimate_gamma(curve) > 1.0
+        assert gamma_scan(curve).estimate > 1.0
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateCurve):
