@@ -109,9 +109,14 @@ def _oriented_variants(z: np.ndarray) -> list[np.ndarray]:
 
 GalleryEntry = tuple[AlignedRep, int]
 
-# Queries per screening product: the screen holds at most four times this
-# many rows of gallery length.
+# Queries per screening product.  With flips the screen orients whichever
+# side is smaller, so it holds at most four times this many rows of grid
+# length.
 _QUERY_BLOCK = 256
+# Bytes of each temporary of the exact step, 16 pairs of 64 x 64 grids: the
+# memory stays bounded however many pairs tie, and larger blocks measured
+# no faster.
+_PAIR_BYTES = 512 * 1024
 
 
 def _stack_gallery(gallery: Sequence[GalleryEntry]) -> tuple[np.ndarray, np.ndarray, int]:
@@ -144,7 +149,10 @@ def classify_1nn(gallery: Sequence[GalleryEntry], queries: Sequence[AlignedRep],
     approximate squared distance ``|g|^2 + |v|^2 - 2 v.g``; only the
     pairs within a rounding slack of a query's approximate minimum are
     then evaluated exactly, and that slack provably keeps every pair that
-    could tie the exact minimum.
+    could tie the exact minimum.  With ``flips`` the product orients the
+    gallery when it has no more entries than a block of queries, and the
+    queries otherwise.  The exact step copies each kept pair's query in
+    its orientation, at most ``_PAIR_BYTES`` of rows at a time.
     """
     grids, labels, m = _stack_gallery(gallery)
     for query in queries:
@@ -153,42 +161,56 @@ def classify_1nn(gallery: Sequence[GalleryEntry], queries: Sequence[AlignedRep],
     if len(queries) == 0:
         return []
     n_orient = 4 if flips else 1
-    g_sq = np.einsum("ij,ij->i", grids, grids)
+    g_sq = np.tile(np.einsum("ij,ij->i", grids, grids), n_orient)
+    pair_rows = max(1, _PAIR_BYTES // (8 * m * m))
     results = []
     for start in range(0, len(queries), _QUERY_BLOCK):
         block = queries[start:start + _QUERY_BLOCK]
         z = np.stack([query.grid for query in block])
-        # Row q * n_orient + r holds query q in orientation r.
-        v = (np.stack(_oriented_variants(z), axis=1) if flips else z
-             ).reshape(-1, m * m)
-        v_sq = np.einsum("ij,ij->i", v, v)
-        approx = (v_sq[:, None] + g_sq[None, :] - 2.0 * (v @ grids.T)
-                  ).reshape(len(block), n_orient * len(grids))
-        # The slack.  Let u = eps/2, n = m*m and S = max|g|^2 + max|v|^2.  A
+        z_rows = z.reshape(len(block), m * m)
+        # The norm does not depend on the orientation.
+        z_sq = np.einsum("ij,ij->i", z_rows, z_rows)
+        # Column r * len(grids) + g of the product holds <flip_r(z), g>.
+        if flips and len(grids) <= len(block):
+            # Each axis reversal is its own inverse, so <flip_r(z), g> =
+            # <z, flip_r(g)>: orient the gallery, the smaller side.
+            oriented = np.stack(_oriented_variants(grids.reshape(-1, m, m)))
+            dots = z_rows @ oriented.reshape(-1, m * m).T
+        else:
+            # Row q * n_orient + r holds query q in orientation r.
+            v = (np.stack(_oriented_variants(z), axis=1) if flips else z
+                 ).reshape(-1, m * m)
+            dots = (v @ grids.T).reshape(len(block), n_orient * len(grids))
+        approx = z_sq[:, None] + g_sq[None, :] - 2.0 * dots
+        # The slack.  Let u = eps/2, n = m*m and S = max|g|^2 + max|z|^2.  A
         # length-n dot product summed in any order is off by at most
-        # gamma_n|a||b| ~ n*u|a||b|.  So the screened value of a pair is
-        # within E_a ~ (2n + 6)u*S of its true squared distance, and the
-        # exact form's sum of rounded squared differences (true value
-        # <= 2S) within E_c ~ (2n + 4)u*S.  Two sums whose distances compare
-        # equal after sqrt and /m differ by at most ~8u of 2S.  Every pair
-        # whose distance can tie the computed minimum therefore screens
-        # within 2(E_a + E_c) + 16u*S = (4n + 18)eps*S of the smallest
-        # screened value.  16n*eps*S covers that for every m >= 2, and is
-        # more than twice E_a + E_c alone.
-        slack = 16 * m * m * np.finfo(float).eps * (g_sq.max() + v_sq.max())
+        # gamma_n|a||b| ~ n*u|a||b|.  Which side is reversed only permutes
+        # the terms of <flip_r(z), g>, and reversal keeps each norm, so one
+        # |z|^2 per query serves all four orientations.  So the screened
+        # value of a pair is within E_a ~ (2n + 6)u*S of its true squared
+        # distance, and the exact form's sum of rounded squared differences
+        # (true value <= 2S) within E_c ~ (2n + 4)u*S.  Two sums whose
+        # distances compare equal after sqrt and /m differ by at most ~8u of
+        # 2S.  Every pair whose distance can tie the computed minimum
+        # therefore screens within 2(E_a + E_c) + 16u*S = (4n + 18)eps*S of
+        # the smallest screened value.  16n*eps*S covers that for every
+        # m >= 2, and is more than twice E_a + E_c alone.
+        slack = 16 * m * m * np.finfo(float).eps * (g_sq.max() + z_sq.max())
         # Written as "not above" so that a query with a non-finite grid keeps
         # every pair instead of none.
         keep = ~(approx > approx.min(axis=1, keepdims=True) + slack)
         q_idx, pair = np.nonzero(keep)
         r_idx, g_idx = np.divmod(pair, len(grids))
-        v_idx = q_idx * n_orient + r_idx
         dists = np.empty(len(pair))
-        # At most one gallery's worth of differences at a time, however many
-        # pairs tie.
-        for lo in range(0, len(pair), len(grids)):
-            hi = lo + len(grids)
-            diffs = grids[g_idx[lo:hi]] - v[v_idx[lo:hi]]
-            dists[lo:hi] = np.sqrt(np.einsum("ij,ij->i", diffs, diffs)) / m
+        # Each kept pair's query row is copied in its orientation's element
+        # order, so every distance is the same double as in a per-pair loop.
+        for r in range(n_orient):
+            of_r = np.flatnonzero(r_idx == r)
+            for lo in range(0, len(of_r), pair_rows):
+                k = of_r[lo:lo + pair_rows]
+                rows = _oriented_variants(z[q_idx[k]])[r].reshape(len(k), -1)
+                diffs = grids[g_idx[k]] - rows
+                dists[k] = np.sqrt(np.einsum("ij,ij->i", diffs, diffs)) / m
         order = np.lexsort((r_idx, g_idx, dists, q_idx))
         first = order[np.searchsorted(q_idx[order], np.arange(len(block)))]
         results.extend((int(labels[g_idx[k]]), int(g_idx[k]), float(dists[k]),

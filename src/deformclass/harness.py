@@ -319,8 +319,10 @@ _KNOWN_KEYS = {*_KEYS, "task.template0", "task.template1"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Flat key=value config; keys are namespaced; unknown keys are errors."""
+    """Flat key=value config; keys are namespaced; unknown and repeated keys
+    are errors."""
     kv: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -331,6 +333,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line "
+                              f"{first_line[key]}")
+        first_line[key] = lineno
         kv[key] = value.strip()
 
     if "task.template0" not in kv or "task.template1" not in kv:

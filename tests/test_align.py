@@ -253,15 +253,39 @@ class TestClassify1nn:
                                                    cross_template):
         q = DeformDistribution(eta_range=(0.8, 1.2), xi_range=(1.0, 1.5),
                                flip_prob=0.5, seed=3)
-        train = generate_dataset([tent_template], [cross_template], q, 16, 24)
-        test = generate_dataset([tent_template], [cross_template],
-                                replace(q, seed=4), 40, 24)
-        gallery = build_gallery([it.image for it in train.items],
-                                [it.label for it in train.items])
-        queries = align_images([it.image for it in test.items])
-        for flips in (False, True):
-            assert classify_1nn(gallery, queries, flips) == [
-                classify_1nn_loop(gallery, query, flips) for query in queries]
+        # With flips, 16 entries against 40 queries orient the gallery; the
+        # sweep's 64 entries at d = 64 orient the queries.
+        for n_train, d in ((16, 24), (64, 64)):
+            train = generate_dataset([tent_template], [cross_template], q,
+                                     n_train, d)
+            test = generate_dataset([tent_template], [cross_template],
+                                    replace(q, seed=4), 40, d)
+            gallery = build_gallery([it.image for it in train.items],
+                                    [it.label for it in train.items])
+            queries = align_images([it.image for it in test.items])
+            for flips in (False, True):
+                assert classify_1nn(gallery, queries, flips) == [
+                    classify_1nn_loop(gallery, query, flips)
+                    for query in queries]
+
+    def test_planted_ties_span_several_exact_blocks(self):
+        # Every copy of the entry ties for a query equal to it, and at
+        # m = 64 the exact step measures 16 pairs at a time.
+        rng = np.random.default_rng(11)
+        grid = rng.random((64, 64))
+        rep = AlignedRep(grid=grid / np.linalg.norm(grid), m=64)
+        other = AlignedRep(grid=np.ones((64, 64)) / 64, m=64)
+        gallery = [(other, 0)] + [(rep, 1)] * 24
+        reversed_rep = AlignedRep(grid=rep.grid[:, ::-1], m=64)
+        # 3 queries orient themselves; 27 orient the 25 entries.
+        for queries in ([rep, reversed_rep, other],
+                        [rep, reversed_rep, other] * 9):
+            for flips in (False, True):
+                assert classify_1nn(gallery, queries, flips) == [
+                    classify_1nn_loop(gallery, query, flips)
+                    for query in queries]
+            assert classify_1nn(gallery, queries, flips=True)[:3] == [
+                (1, 1, 0.0, 0), (1, 1, 0.0, 2), (0, 0, 0.0, 0)]
 
     def test_build_gallery_validates_lengths(self):
         with pytest.raises(InvalidParams):

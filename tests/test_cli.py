@@ -309,7 +309,8 @@ class TestBench:
 
     def test_failed_rows_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(self.CONFIG + "experiment.d = 2\n")
+        cfg.write_text(self.CONFIG.replace("experiment.d = 16",
+                                           "experiment.d = 2"))
         raw = tmp_path / "raw.csv"
         agg = tmp_path / "agg.csv"
         code = main(["bench", "--config", str(cfg), "--out", str(raw),
@@ -400,6 +401,13 @@ class TestBench:
         cfg.write_text(self.CONFIG + "mystery.key = 5\n")
         assert main(["bench", "--config", str(cfg)]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    def test_repeated_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG + "experiment.d = 2\n")
+        assert main(["bench", "--config", str(cfg)]) == 2
+        assert ("line 9: key 'experiment.d' repeats line 8"
+                in capsys.readouterr().err)
 
     def test_bank_beta_key_is_gone(self, tmp_path, capsys):
         # The bank's temperature never changed a label or a risk.

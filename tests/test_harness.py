@@ -204,9 +204,20 @@ class TestParseConfig:
 
     def test_bad_numeric(self):
         with pytest.raises(ConfigError, match="experiment.d"):
-            parse_config(MINIMAL_CONFIG + "experiment.d = many\n")
+            parse_config(MINIMAL_CONFIG.replace("experiment.d = 16",
+                                                "experiment.d = many"))
         with pytest.raises(ConfigError, match="align.m"):
             parse_config(MINIMAL_CONFIG + "align.m = 1\n")
+
+    def test_repeated_key_reports_both_lines(self):
+        # MINIMAL_CONFIG sets experiment.d on its line 10.
+        for first, second in (("16", "32"), ("many", "16")):
+            text = (MINIMAL_CONFIG.replace("experiment.d = 16",
+                                           f"experiment.d = {first}")
+                    + f"experiment.d = {second}\n")
+            with pytest.raises(ConfigError, match="line 11: key 'experiment.d' "
+                                                  "repeats line 10"):
+                parse_config(text)
 
     def test_missing_templates(self):
         with pytest.raises(ConfigError, match="template"):
