@@ -28,19 +28,25 @@ from .model import IMAGE_BLOCK, GrayImage, mask_spans
 class AlignedRep:
     """Support-aligned resampled grid with unit Frobenius norm.
 
-    A read-only float array is kept as given; any other grid is copied and
-    frozen.
+    The grid must be square, m x m with m >= 2.  A read-only float array is
+    kept as given; any other grid is copied and frozen.
     """
 
     grid: np.ndarray
-    m: int
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
+        if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 2:
+            raise InvalidParams(f"aligned grid must be m x m with m >= 2, "
+                                f"got shape {g.shape}")
         if g.flags.writeable:
             g = g.copy()
             g.flags.writeable = False
         object.__setattr__(self, "grid", g)
+
+    @property
+    def m(self) -> int:
+        return self.grid.shape[0]
 
 
 def align_images(images: Sequence[GrayImage], m: int | None = None
@@ -98,7 +104,7 @@ def _align_block(images: Sequence[GrayImage], m: int) -> list[AlignedRep]:
             raise ZeroNorm("resampled support grid is identically zero")
     z /= norms[:, None, None]
     z.flags.writeable = False
-    return [AlignedRep(grid=grid, m=m) for grid in z]
+    return [AlignedRep(grid=grid) for grid in z]
 
 
 def _oriented_variants(z: np.ndarray) -> list[np.ndarray]:

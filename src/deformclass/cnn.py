@@ -278,9 +278,10 @@ def max_tree(values) -> float:
 
 
 def check_temperature(beta: float) -> None:
-    """Reject a softmax temperature that is not positive (NaN included)."""
-    if not beta > 0:
-        raise InvalidParams(f"temperature must be positive, got {beta}")
+    """Reject a softmax temperature that is not finite and positive (NaN
+    included): an infinite one turns the softmax into NaN."""
+    if not 0 < beta < np.inf:
+        raise InvalidParams(f"temperature must be positive and finite, got {beta}")
 
 
 def softmax_pair(z0: float, z1: float, beta: float) -> tuple[float, float]:

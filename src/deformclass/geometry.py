@@ -20,8 +20,13 @@ from .errors import DegenerateCurve, EmptyMask, InvalidParams, MultipleComponent
 
 _SINGULAR_EPS = 1e-9
 
-# Directions on the corner lattice: +x, +y, -x, -y.
-_DIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+# The sides of a cell, in the order its edges are listed: +x, -x, +y, -y.
+# Per side, the start and end corner of its directed edge relative to the
+# cell's center on the doubled corner lattice, and the edge's direction
+# index (0 +x, 1 +y, 2 -x, 3 -y).
+_SIDE_START = np.array([(1, -1), (-1, 1), (1, 1), (-1, -1)])
+_SIDE_END = np.array([(1, 1), (-1, -1), (-1, 1), (1, -1)])
+_SIDE_DIR = (1, 3, 2, 0)
 
 
 @dataclass(frozen=True)
@@ -44,21 +49,10 @@ class BoundaryCurve:
         return self.points.shape[0]
 
 
-def _component_count(mask: np.ndarray) -> int:
-    """Number of 4-connected components of true cells."""
-    todo = {(int(r), int(c)) for r, c in zip(*np.nonzero(mask))}
-    count = 0
-    while todo:
-        count += 1
-        stack = [todo.pop()]
-        while stack:
-            r, c = stack.pop()
-            for dr, dc in _DIRS:
-                nb = (r + dr, c + dc)
-                if nb in todo:
-                    todo.remove(nb)
-                    stack.append(nb)
-    return count
+def _signed_area(pts: np.ndarray) -> float:
+    """Shoelace area of a closed polygon, positive when counterclockwise."""
+    x, y = pts[:, 0], pts[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def trace_boundary(mask: np.ndarray) -> BoundaryCurve:
@@ -66,40 +60,38 @@ def trace_boundary(mask: np.ndarray) -> BoundaryCurve:
 
     Cell (row r, col c), 0-based, is treated as the unit box centered at
     ((r+1)/d, (c+1)/d) with side 1/d.  Directed boundary edges keep the
-    interior on the left, so the outer loop comes out counterclockwise;
-    holes produce separate loops and the loop of largest area is returned.
-    Corner pinches (diagonal touches) are resolved by always taking the
-    leftmost available turn.
+    interior on the left, and corner pinches (diagonal touches) are
+    resolved by always taking the leftmost available turn, so no loop
+    crosses a pinch: each 4-connected component yields exactly one
+    counterclockwise outer loop (positive signed area) and each hole a
+    clockwise one.  More than one positive loop means more than one
+    component; otherwise the loop of largest area, the outer one, is
+    returned.
     """
     m = np.asarray(mask, dtype=bool)
     if m.ndim != 2:
         raise InvalidParams(f"mask must be 2D, got shape {m.shape}")
     if not m.any():
         raise EmptyMask("mask has no true cells")
-    if _component_count(m) > 1:
-        raise MultipleComponents("mask support is not 4-connected")
 
     d = m.shape[0]
     padded = np.zeros((m.shape[0] + 2, m.shape[1] + 2), dtype=bool)
     padded[1:-1, 1:-1] = m
+    # A cell side is a boundary edge where the neighbour across it is
+    # missing; nonzero lists them by cell in row-major order, then by side.
+    open_sides = np.stack([~padded[2:, 1:-1], ~padded[:-2, 1:-1],
+                           ~padded[1:-1, 2:], ~padded[1:-1, :-2]], axis=-1)
+    open_sides &= m[:, :, None]
+    r, c, side = np.nonzero(open_sides)
+    center = 2 * np.stack([r, c], axis=1) + 2  # on the doubled lattice
+    starts = map(tuple, (center + _SIDE_START[side]).tolist())
+    ends = map(tuple, (center + _SIDE_END[side]).tolist())
 
     # Edges on the corner lattice (2r+1 +/- 1, 2c+1 +/- 1), keyed by start
     # corner; value is (end corner, direction index).
     edges: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
-
-    def add(start, end, dir_idx):
-        edges.setdefault(start, []).append((end, dir_idx))
-
-    for r, c in zip(*np.nonzero(m)):
-        cx, cy = 2 * int(r) + 2, 2 * int(c) + 2  # center on the doubled lattice
-        if not padded[r + 2, c + 1]:  # +x neighbour missing: right side, +y
-            add((cx + 1, cy - 1), (cx + 1, cy + 1), 1)
-        if not padded[r, c + 1]:      # -x neighbour: left side, -y
-            add((cx - 1, cy + 1), (cx - 1, cy - 1), 3)
-        if not padded[r + 1, c + 2]:  # +y neighbour: top side, -x
-            add((cx + 1, cy + 1), (cx - 1, cy + 1), 2)
-        if not padded[r + 1, c]:      # -y neighbour: bottom side, +x
-            add((cx - 1, cy - 1), (cx + 1, cy - 1), 0)
+    for start, end, k in zip(starts, ends, side.tolist()):
+        edges.setdefault(start, []).append((end, _SIDE_DIR[k]))
 
     loops: list[np.ndarray] = []
     while edges:
@@ -122,11 +114,10 @@ def trace_boundary(mask: np.ndarray) -> BoundaryCurve:
                 break
         loops.append(np.array(loop[:-1], dtype=float))
 
-    def area(pts: np.ndarray) -> float:
-        x, y = pts[:, 0], pts[:, 1]
-        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-    outer = max(loops, key=lambda pts: area(pts))
+    areas = [_signed_area(pts) for pts in loops]
+    if sum(a > 0 for a in areas) > 1:
+        raise MultipleComponents("mask support is not 4-connected")
+    outer = loops[int(np.argmax(areas))]
     # Corner lattice value 2k+1 corresponds to coordinate (k + 1/2)/d, so
     # cell (r, c) stays the box of side 1/d centered at ((r+1)/d, (c+1)/d).
     return BoundaryCurve(points=outer / (2.0 * d))
@@ -141,14 +132,9 @@ def _nested_subset(n: int, budget: int) -> np.ndarray:
     if budget >= n:
         return np.arange(n)
     bits = max(1, int(np.ceil(np.log2(n))))
-    order = []
-    for k in range(1 << bits):
-        rev = int(format(k, f"0{bits}b")[::-1], 2)
-        if rev < n:
-            order.append(rev)
-        if len(order) == budget:
-            break
-    return np.sort(np.array(order, dtype=int))
+    k = np.arange(1 << bits)
+    rev = sum(((k >> b) & 1) << (bits - 1 - b) for b in range(bits))
+    return np.sort(rev[rev < n][:budget])
 
 
 @dataclass(frozen=True)

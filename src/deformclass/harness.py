@@ -247,11 +247,10 @@ def parse_template_spec(spec: str) -> TemplateFunction:
     try:
         if name == "pgm":
             return raster_interp(read_pgm(read_bytes(path)).pixels)
-        if name == "tent":
+        if name in ("tent", "cone"):
             center = (kwargs.pop("cx", 0.5), kwargs.pop("cy", 0.5))
-            return tent(kwargs.pop("delta", 0.25), center=center, **kwargs)
-        if name == "cone":
-            center = (kwargs.pop("cx", 0.5), kwargs.pop("cy", 0.5))
+            if name == "tent":
+                return tent(kwargs.pop("delta", 0.25), center=center, **kwargs)
             return cone(kwargs.pop("radius", 0.2), center=center, **kwargs)
         if name == "cross":
             return cross(kwargs.pop("arm", 1 / 16), kwargs.pop("taper", 1 / 16),

@@ -86,6 +86,15 @@ def _estimate_l1(fn, resolution: int) -> float:
     return float(fn(t[:, None], t[None, :]).mean())
 
 
+def _check_in_box(kind: str, cx: float, cy: float, name: str, size: float) -> None:
+    """Reject a support of half-width ``size`` around (cx, cy) that leaves
+    the support box."""
+    if not (SUPPORT_LO - _BOUND_TOL <= cx - size and cx + size <= SUPPORT_HI + _BOUND_TOL
+            and SUPPORT_LO - _BOUND_TOL <= cy - size and cy + size <= SUPPORT_HI + _BOUND_TOL):
+        raise InvalidParams(
+            f"{kind} support (center ({cx}, {cy}), {name} {size}) leaves the box")
+
+
 def tent(delta: float, center: tuple[float, float] = (0.5, 0.5)) -> TemplateFunction:
     """Pyramid bump (delta - |x - cx| - |y - cy|)_+ with unit slopes.
 
@@ -96,10 +105,7 @@ def tent(delta: float, center: tuple[float, float] = (0.5, 0.5)) -> TemplateFunc
     delta = float(delta)
     if not delta > 0:
         raise InvalidParams(f"tent needs delta > 0, got {delta}")
-    if not (SUPPORT_LO - _BOUND_TOL <= cx - delta and cx + delta <= SUPPORT_HI + _BOUND_TOL
-            and SUPPORT_LO - _BOUND_TOL <= cy - delta and cy + delta <= SUPPORT_HI + _BOUND_TOL):
-        raise InvalidParams(
-            f"tent support (center ({cx}, {cy}), delta {delta}) leaves the box")
+    _check_in_box("tent", cx, cy, "delta", delta)
 
     def fn(x, y):
         return np.maximum(delta - np.abs(x - cx) - np.abs(y - cy), 0.0)
@@ -113,10 +119,7 @@ def cone(radius: float = 0.2, center: tuple[float, float] = (0.5, 0.5)) -> Templ
     radius = float(radius)
     if not radius > 0:
         raise InvalidParams(f"cone needs radius > 0, got {radius}")
-    if not (SUPPORT_LO - _BOUND_TOL <= cx - radius and cx + radius <= SUPPORT_HI + _BOUND_TOL
-            and SUPPORT_LO - _BOUND_TOL <= cy - radius and cy + radius <= SUPPORT_HI + _BOUND_TOL):
-        raise InvalidParams(
-            f"cone support (center ({cx}, {cy}), radius {radius}) leaves the box")
+    _check_in_box("cone", cx, cy, "radius", radius)
 
     def fn(x, y):
         rho = np.hypot(x - cx, y - cy)

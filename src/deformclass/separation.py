@@ -135,14 +135,12 @@ def _direction(f: TemplateFunction, g: TemplateFunction, G: np.ndarray,
     g_fft_cache: dict[tuple, np.ndarray] = {}
     best = (np.inf, (1.0, 1.0, 1.0, 0.0, 0.0))
 
-    for bx in _candidate_scales(cfg):
-        px = _AxisPlan(bx, q_c)
-        if not px.valid:
-            continue
-        for by in _candidate_scales(cfg):
-            py = _AxisPlan(by, q_c)
-            if not py.valid:
-                continue
+    plans = [plan for plan in (_AxisPlan(b, q_c) for b in _candidate_scales(cfg))
+             if plan.valid]
+    for px in plans:
+        bx = px.b
+        for py in plans:
+            by = py.b
             F = f(px.points[:, None], py.points[None, :])
             nx, ny = F.shape
             fft_n = (1 << int(np.ceil(np.log2(nx))), 1 << int(np.ceil(np.log2(ny))))

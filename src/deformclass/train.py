@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .cnn import check_temperature
 from .datagen import Dataset, LabeledImage
 from .errors import (DataError, DimMismatch, EmptyDataset, InvalidParams,
                      TruncatedPayload)
@@ -60,8 +61,7 @@ class ArchSpec:
             raise InvalidParams("need at least one filter of positive size")
         if any(w < 1 for w in self.dense_widths):
             raise InvalidParams("dense widths must be positive")
-        if not self.beta > 0:
-            raise InvalidParams(f"temperature must be positive, got {self.beta}")
+        check_temperature(self.beta)
 
 
 @dataclass(frozen=True)

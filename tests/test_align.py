@@ -60,7 +60,7 @@ def align_transform_oracle(img, m=None):
     norm = float(np.linalg.norm(z))
     if norm == 0.0:
         raise ZeroNorm("resampled support grid is identically zero")
-    return AlignedRep(grid=z / norm, m=m)
+    return AlignedRep(grid=z / norm)
 
 
 def classify_1nn_loop(gallery, query, flips=False):
@@ -215,11 +215,11 @@ class TestClassify1nn:
 
     def test_each_axis_reversal_is_found(self):
         grid = np.arange(16, dtype=float).reshape(4, 4)
-        rep = AlignedRep(grid=grid / np.linalg.norm(grid), m=4)
-        gallery = [(AlignedRep(grid=np.ones((4, 4)) / 4, m=4), 0), (rep, 1)]
+        rep = AlignedRep(grid=grid / np.linalg.norm(grid))
+        gallery = [(AlignedRep(grid=np.ones((4, 4)) / 4), 0), (rep, 1)]
         variants = [grid, grid[::-1, :], grid[:, ::-1], grid[::-1, ::-1]]
         for r, variant in enumerate(variants):
-            query = AlignedRep(grid=variant / np.linalg.norm(variant), m=4)
+            query = AlignedRep(grid=variant / np.linalg.norm(variant))
             assert classify_1nn(gallery, [query], flips=True)[0] == (1, 1, 0.0, r)
 
     def test_flip_aware_variant(self):
@@ -273,10 +273,10 @@ class TestClassify1nn:
         # m = 64 the exact step measures 16 pairs at a time.
         rng = np.random.default_rng(11)
         grid = rng.random((64, 64))
-        rep = AlignedRep(grid=grid / np.linalg.norm(grid), m=64)
-        other = AlignedRep(grid=np.ones((64, 64)) / 64, m=64)
+        rep = AlignedRep(grid=grid / np.linalg.norm(grid))
+        other = AlignedRep(grid=np.ones((64, 64)) / 64)
         gallery = [(other, 0)] + [(rep, 1)] * 24
-        reversed_rep = AlignedRep(grid=rep.grid[:, ::-1], m=64)
+        reversed_rep = AlignedRep(grid=rep.grid[:, ::-1])
         # 3 queries orient themselves; 27 orient the 25 entries.
         for queries in ([rep, reversed_rep, other],
                         [rep, reversed_rep, other] * 9):
@@ -300,7 +300,7 @@ def _gallery_and_queries(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def unit(z):
-        return AlignedRep(grid=z / np.linalg.norm(z), m=m)
+        return AlignedRep(grid=z / np.linalg.norm(z))
 
     queries = [unit(rng.random((m, m)) + 0.01)
                for _ in range(draw(st.integers(1, 5)))]
@@ -319,7 +319,7 @@ def _gallery_and_queries(draw):
             if kind == "ulp":
                 i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
                 z[i, j] = np.nextafter(z[i, j], draw(st.sampled_from([0.0, 2.0])))
-            gallery.append((AlignedRep(grid=z, m=m), label))
+            gallery.append((AlignedRep(grid=z), label))
     return gallery, queries
 
 
@@ -411,3 +411,20 @@ class TestAlignImages:
         reps = align_images([_image([[0, 1], [2, 3]])] * 3)
         assert all(not rep.grid.flags.writeable for rep in reps)
         assert align_images([]) == []
+
+
+class TestAlignedRep:
+    def test_m_is_the_grid_side(self):
+        rep = AlignedRep(grid=np.ones((4, 4)) / 4)
+        assert rep.m == 4
+        assert classify_1nn([(rep, 0)], [rep])[0][:2] == (0, 0)
+
+    def test_m_cannot_disagree_with_the_grid(self):
+        # m is not a field, so no caller can pass one that the grid contradicts.
+        with pytest.raises(TypeError):
+            AlignedRep(grid=np.ones((4, 4)) / 4, m=8)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (16,), (2, 2, 2), (1, 1), (0, 0)])
+    def test_grid_must_be_square_with_side_at_least_2(self, shape):
+        with pytest.raises(InvalidParams, match="m x m"):
+            AlignedRep(grid=np.ones(shape))

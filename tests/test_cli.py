@@ -144,7 +144,7 @@ class TestCnn:
 
         monkeypatch.setattr(cli, "build_filter_bank", unreachable)
         query = next(iter(sorted(dataset_dir.glob("*.pgm"))))
-        for beta in ("nan", "-1", "0"):
+        for beta in ("nan", "-1", "0", "inf"):
             code = main(["cnn", "bank", "--template0", "tent:delta=0.25",
                          "--template1", "cross:arm=0.25,taper=0.08",
                          "--image", str(query), "--d", "16", "--xi-max", "1",
@@ -395,6 +395,16 @@ class TestBench:
         assert main(["bench", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "finite positive rate" in err and "Traceback" not in err
+
+    def test_infinite_cnn_beta_exits_2(self, tmp_path, capsys):
+        # With an infinite temperature every loss is NaN.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG + "experiment.classifiers = CNN_TRAINED\n"
+                       "cnn.beta = inf\n")
+        assert main(["bench", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "temperature must be positive and finite" in err
+        assert "Traceback" not in err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

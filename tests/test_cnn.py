@@ -173,7 +173,7 @@ class TestSoftmaxPair:
         assert 0.5 < mild < sharp < 1.0
 
     def test_temperature_must_be_positive(self):
-        for beta in (0.0, -2.0, float("nan")):
+        for beta in (0.0, -2.0, float("nan"), float("inf")):
             with pytest.raises(InvalidParams):
                 softmax_pair(1.0, 0.0, beta)
 

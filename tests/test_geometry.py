@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from deformclass import (
     BoundaryCurve,
+    DeformClassError,
     DegenerateCurve,
     DeformParams,
     EmptyMask,
@@ -18,6 +19,132 @@ from deformclass import (
     trace_boundary,
 )
 from deformclass.geometry import _SINGULAR_EPS, _nested_subset
+
+
+_DIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def component_count(mask):
+    """Number of 4-connected components of true cells, by flood fill."""
+    todo = {(int(r), int(c)) for r, c in zip(*np.nonzero(mask))}
+    count = 0
+    while todo:
+        count += 1
+        stack = [todo.pop()]
+        while stack:
+            r, c = stack.pop()
+            for dr, dc in _DIRS:
+                nb = (r + dr, c + dc)
+                if nb in todo:
+                    todo.remove(nb)
+                    stack.append(nb)
+    return count
+
+
+def trace_boundary_two_pass(mask):
+    """Reference: a flood fill counts the components, then a per-cell loop
+    lists the boundary edges that ``trace_boundary`` finds with array ops."""
+    m = np.asarray(mask, dtype=bool)
+    if m.ndim != 2:
+        raise InvalidParams(f"mask must be 2D, got shape {m.shape}")
+    if not m.any():
+        raise EmptyMask("mask has no true cells")
+    if component_count(m) > 1:
+        raise MultipleComponents("mask support is not 4-connected")
+
+    d = m.shape[0]
+    padded = np.zeros((m.shape[0] + 2, m.shape[1] + 2), dtype=bool)
+    padded[1:-1, 1:-1] = m
+    edges = {}
+
+    def add(start, end, dir_idx):
+        edges.setdefault(start, []).append((end, dir_idx))
+
+    for r, c in zip(*np.nonzero(m)):
+        cx, cy = 2 * int(r) + 2, 2 * int(c) + 2
+        if not padded[r + 2, c + 1]:
+            add((cx + 1, cy - 1), (cx + 1, cy + 1), 1)
+        if not padded[r, c + 1]:
+            add((cx - 1, cy + 1), (cx - 1, cy - 1), 3)
+        if not padded[r + 1, c + 2]:
+            add((cx + 1, cy + 1), (cx - 1, cy + 1), 2)
+        if not padded[r + 1, c]:
+            add((cx - 1, cy - 1), (cx + 1, cy - 1), 0)
+
+    loops = []
+    while edges:
+        start = next(iter(edges))
+        loop = [start]
+        pos = start
+        dir_idx = edges[pos][0][1]
+        while True:
+            options = edges.get(pos, [])
+            if not options:
+                break
+            options.sort(key=lambda e: (e[1] - dir_idx - 1) % 4)
+            nxt, ndir = options.pop(0)
+            if not options:
+                del edges[pos]
+            loop.append(nxt)
+            pos, dir_idx = nxt, ndir
+            if pos == start:
+                break
+        loops.append(np.array(loop[:-1], dtype=float))
+
+    def area(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+    outer = max(loops, key=lambda pts: area(pts))
+    return BoundaryCurve(points=outer / (2.0 * d))
+
+
+def nested_subset_by_format(n, budget):
+    """Reference: the bit reversal of each index through its binary string."""
+    if budget >= n:
+        return np.arange(n)
+    bits = max(1, int(np.ceil(np.log2(n))))
+    order = []
+    for k in range(1 << bits):
+        rev = int(format(k, f"0{bits}b")[::-1], 2)
+        if rev < n:
+            order.append(rev)
+        if len(order) == budget:
+            break
+    return np.sort(np.array(order, dtype=int))
+
+
+def assert_same_trace(mask):
+    try:
+        expected = trace_boundary_two_pass(mask)
+    except DeformClassError as exc:
+        with pytest.raises(type(exc)):
+            trace_boundary(mask)
+        return
+    assert np.array_equal(trace_boundary(mask).points, expected.points)
+
+
+@st.composite
+def masks(draw):
+    """Random masks up to 12 x 12: either independent cells at a drawn
+    density (mostly several components), or a 4-connected random walk with
+    cells punched out of it (one component, often with holes)."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.booleans(), min_size=rows * cols,
+                              max_size=rows * cols))
+        return np.array(cells, dtype=bool).reshape(rows, cols)
+    mask = np.zeros((rows, cols), dtype=bool)
+    r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+    for dr, dc in draw(st.lists(st.sampled_from(_DIRS), max_size=80)):
+        mask[r, c] = True
+        r = min(max(r + dr, 0), rows - 1)
+        c = min(max(c + dc, 0), cols - 1)
+    mask[r, c] = True
+    for pr, pc in draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                          st.integers(0, cols - 1)), max_size=6)):
+        mask[pr, pc] = False
+    return mask
 
 
 def gamma_scan_loop(curve, sample_budget=256):
@@ -99,6 +226,44 @@ class TestTraceBoundary:
         with pytest.raises(InvalidParams):
             trace_boundary(np.ones(5, dtype=bool))
 
+    @settings(max_examples=300)
+    @given(masks())
+    def test_equals_two_pass_oracle(self, mask):
+        assert_same_trace(mask)
+
+    def test_corner_touch_is_two_components(self):
+        mask = np.zeros((4, 4), dtype=bool)
+        mask[1, 1] = mask[2, 2] = True
+        with pytest.raises(MultipleComponents):
+            trace_boundary(mask)
+        assert_same_trace(mask)
+
+    def test_ring_closed_by_a_diagonal_pinch_is_one_component(self):
+        # A C of cells whose two ends touch only at a corner: the leftmost
+        # turn keeps the pinch open, so the enclosed empty cells are not a
+        # hole and one loop of positive area goes round both sides.
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[1:4, 1:4] = True
+        mask[2, 2] = mask[3, 1] = False  # ends (2, 1) and (3, 2) pinch
+        # All 7 * 4 - 2 * 6 = 16 unit edges of the path lie on that loop.
+        assert len(trace_boundary(mask)) == 16
+        assert_same_trace(mask)
+
+    def test_blob_with_two_holes(self):
+        mask = np.zeros((7, 9), dtype=bool)
+        mask[1:6, 1:8] = True
+        mask[3, 2] = mask[3, 6] = False
+        pts = trace_boundary(mask).points
+        # The outer loop only: 2 * (5 + 7) unit edges.
+        assert len(pts) == 24
+        assert_same_trace(mask)
+
+    @pytest.mark.parametrize("template", [tent(0.25), cross(0.25, 0.08), cone(0.22)],
+                             ids=["tent", "cross", "cone"])
+    def test_rasters_equal_two_pass_oracle(self, template):
+        p = DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
+        assert_same_trace(rasterize(template, p, 128).support_mask())
+
 
 class TestGammaScan:
     def test_circle_value(self):
@@ -147,6 +312,15 @@ class TestGammaScan:
             gamma_scan(pts)
         with pytest.raises(InvalidParams, match="finite"):
             BoundaryCurve(pts)
+
+    def test_nested_subset_equals_format_oracle(self):
+        gen = np.random.default_rng(0)
+        for n in range(1, 601):
+            budgets = {1, 2, 3, n // 2 + 1, n - 1, n, n + 1,
+                       *gen.integers(1, n + 1, 3).tolist()}
+            for budget in sorted(b for b in budgets if b >= 1):
+                assert np.array_equal(_nested_subset(n, budget),
+                                      nested_subset_by_format(n, budget))
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                     min_size=3, max_size=24),

@@ -209,6 +209,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="align.m"):
             parse_config(MINIMAL_CONFIG + "align.m = 1\n")
 
+    def test_infinite_temperature_rejected(self):
+        with pytest.raises(ConfigError, match="temperature must be positive and finite"):
+            parse_config(MINIMAL_CONFIG + "cnn.beta = inf\n")
+
     def test_repeated_key_reports_both_lines(self):
         # MINIMAL_CONFIG sets experiment.d on its line 10.
         for first, second in (("16", "32"), ("many", "16")):

@@ -39,7 +39,8 @@ TINY_BLOB = save_checkpoint(TrainableCnn(ArchSpec(n_filters=2, filter_size=2,
 class TestSpecs:
     def test_arch_validation(self):
         for bad in [ArchSpec(n_filters=0), ArchSpec(filter_size=0),
-                    ArchSpec(dense_widths=(0,)), ArchSpec(beta=0.0)]:
+                    ArchSpec(dense_widths=(0,)), ArchSpec(beta=0.0),
+                    ArchSpec(beta=float("inf")), ArchSpec(beta=float("nan"))]:
             with pytest.raises(InvalidParams):
                 bad.validate()
 
@@ -398,6 +399,16 @@ class TestCheckpoints:
         header = struct.pack("<4sHHHHHd", b"DCNN", 1, nf, k, 1, width, 1.0)
         with pytest.raises(DimMismatch):
             load_checkpoint(header)
+
+    def test_infinite_temperature_is_data_error(self):
+        blob = save_checkpoint(TrainableCnn(SMALL_ARCH, seed=0))
+        # The temperature is the f64 just before the body: 12 bytes of
+        # fixed header, then one u16 per dense width.
+        pos = 12 + 2 * len(SMALL_ARCH.dense_widths)
+        patched = blob[:pos] + struct.pack("<d", float("inf")) + blob[pos + 8:]
+        with pytest.raises(DimMismatch, match="temperature"):
+            load_checkpoint(patched)
+        assert load_checkpoint(blob).beta == SMALL_ARCH.beta
 
     def test_oversized_header_checked_before_building(self, monkeypatch):
         def unbuildable(*args, **kwargs):
