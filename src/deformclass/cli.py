@@ -17,11 +17,11 @@ from .align import align_images, build_gallery, classify_1nn
 from .cnn import build_filter_bank, check_temperature, classify_bank
 from .datagen import DeformDistribution, generate_dataset, normalized
 from .errors import ConfigError, DataError, DeformClassError, NumericError
-from .geometry import gamma_scan, trace_boundary
+from .geometry import check_sample_budget, gamma_scan, trace_boundary
 from .harness import (ExperimentConfig, emit_report, parse_config,
                       parse_template_spec, run_experiment)
 from .io import read_bytes, read_dataset, read_pgm, write_dataset
-from .model import IDENTITY, normalize_l2, rasterize
+from .model import IDENTITY, check_resolution, normalize_l2, rasterize
 from .separation import SearchConfig, estimate_separation
 from .train import (ArchSpec, OptSpec, load_checkpoint, save_checkpoint,
                     train_least_squares)
@@ -175,6 +175,9 @@ def _cmd_sep(args) -> int:
     cfg = SearchConfig(xi_max=args.xi_max, coarse_step=args.step,
                        refine_iters=args.refine_iters,
                        include_flips=not args.positive_scales)
+    # the search takes seconds; reject the gamma flags before it runs
+    check_resolution(args.gamma_d)
+    check_sample_budget(args.gamma_budget)
     result = estimate_separation(f0, f1, cfg)
     print(f"separation: d_fg={result.d_fg:.6f} d_gf={result.d_gf:.6f} "
           f"D={result.d_max:.6f}")

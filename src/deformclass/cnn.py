@@ -15,15 +15,19 @@ twin, about 7 MB in all: per filter, the means of its 4 x 4 blocks
 each coarse stack with the coarse vectors of its patches, which bounds
 every (filter, patch) response from above, and takes the full product only
 where a bound reaches the best response the class has already seen: for a
-64 x 64 query, about a thousand of the 25k filters.  The pruning never
-depends on the other class, so each channel maximum stays exact on its
-own.  ``FilterBank.filter_at`` rebuilds any single entry in float64 from
-the templates on demand, which keeps the exact sliding-window path
-available for every entry.
+64 x 64 query, about a thousand of the 25k filters.  That best response
+starts from the exact responses, at each side's best-norm patch, of the
+few filters per stack with the highest bound there, so no query reads the
+whole of the float32 stacks.  The pruning never depends on the other
+class, so each channel maximum stays exact on its own.
+``FilterBank.filter_at`` rebuilds any single entry in float64 from the
+templates on demand, which keeps the exact sliding-window path available
+for every entry.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -315,6 +319,8 @@ class BankDecision:
 # norms, the coarse bounds and the dot products can never discard the true
 # channel argmax; those errors stay below about 1e-5 for unit-norm images.
 _PRUNE_MARGIN = 1e-3
+# Rows per stack whose exact response at the best-norm patch seeds z.
+_SEED_ROWS = 4
 
 
 def _summed_area(x: np.ndarray) -> np.ndarray:
@@ -404,8 +410,9 @@ def _channel_maxima(bank: FilterBank, pixels: np.ndarray) -> tuple[float, float]
     raise it and is skipped.  Two bounds prove that:
 
     * Filters have unit norm, so by Cauchy-Schwarz a response never exceeds
-      the patch L2 norm.  One probe per stack at its best-norm patch seeds
-      z; a stack then keeps only the patches with norm >= z[k].
+      the patch L2 norm.  Each side selects the patches with norm at least
+      the lower of its classes' thresholds, and gathers their coarse
+      vectors, once; each stack keeps the subset with norm >= z[k].
     * Zero-pad filter w to side sp, the next multiple of _BLOCK, and extend
       patch p over the frame to the same side (the response is unchanged),
       and let P replace each _BLOCK x _BLOCK block by its mean.  Then
@@ -416,33 +423,62 @@ def _channel_maxima(bank: FilterBank, pixels: np.ndarray) -> tuple[float, float]
       reaches z[k] and the patches where one of them does: at Xi = 2,
       d = 64, a median of 944 of the 24,968 filters over 200 test images.
 
-    Both thresholds are z[k] less _PRUNE_MARGIN, which covers the float32
-    rounding of the norms, the bounds and the products.  z[k] grows as the
-    stacks are done, in bank order.  Class k's threshold never depends on
-    the other class, so each channel maximum is exact on its own, however
-    far apart z0 and z1 are.
+    z starts from the seed (``_seed``): per stack, the exact responses at
+    the best-norm patch of the _SEED_ROWS filters whose bound there is
+    highest.  Both thresholds are z[k] less _PRUNE_MARGIN, which covers the
+    float32 rounding of the norms, the bounds and the products.  z[k] grows
+    as the stacks are done, in bank order.  Class k's threshold never
+    depends on the other class, so each channel maximum is exact on its
+    own, however far apart z0 and z1 are.
     """
     by_side = _patches_by_side(bank, pixels)
     if by_side is None:
         return 0.0, 0.0
-    z = [0.0, 0.0]
-    for (side, k), mat in bank.stacks.items():
+    z = _seed(bank, by_side)
+    for side, keys in groupby(bank.stacks, key=lambda key: key[0]):
+        classes = [k for _, k in keys]
         patches = by_side[side]
-        best = np.unravel_index(int(np.argmax(patches.norms)), patches.norms.shape)
-        z[k] = max(z[k], float((mat @ patches.windows[best].reshape(-1)).max()))
-    for (side, k), mat in bank.stacks.items():
-        patches = by_side[side]
-        threshold = z[k] - _PRUNE_MARGIN
-        r, c = np.nonzero(patches.norms >= threshold)
+        r, c = np.nonzero(patches.norms >= min(z[k] for k in classes)
+                          - _PRUNE_MARGIN)
         if r.size == 0:
             continue
-        bound = bank.coarse[side, k] @ patches.coarse_vectors(r, c).T
-        rows = bound.max(axis=1) >= threshold
-        if rows.any():
-            cols = np.flatnonzero(bound[rows].max(axis=0) >= threshold)
-            kept = patches.windows[r[cols], c[cols]].reshape(cols.size, -1)
-            z[k] = max(z[k], float((mat[rows] @ kept.T).max()))
+        norms, vectors = patches.norms[r, c], patches.coarse_vectors(r, c)
+        for k in classes:
+            threshold = z[k] - _PRUNE_MARGIN
+            sel = np.flatnonzero(norms >= threshold)
+            if sel.size == 0:
+                continue
+            # the class with the lower threshold keeps every selected patch
+            subset = vectors if sel.size == r.size else vectors[sel]
+            bound = bank.coarse[side, k] @ subset.T
+            rows = bound.max(axis=1) >= threshold
+            if rows.any():
+                cols = sel[bound[rows].max(axis=0) >= threshold]
+                kept = patches.windows[r[cols], c[cols]].reshape(cols.size, -1)
+                full = bank.stacks[side, k][rows] @ kept.T
+                z[k] = max(z[k], float(full.max()))
     return z[0], z[1]
+
+
+def _seed(bank: FilterBank, by_side: dict[int, _Patches]) -> list[float]:
+    """Starting channel maxima: per stack, the exact float32 responses at the
+    side's best-norm patch of the _SEED_ROWS rows whose coarse bound there
+    is highest.  Each value is a response some filter of the class reaches."""
+    z = [0.0, 0.0]
+    for side, patches in by_side.items():
+        r, c = np.unravel_index([np.argmax(patches.norms)], patches.norms.shape)
+        vector = patches.coarse_vectors(r, c)[0]
+        window = patches.windows[r[0], c[0]].reshape(-1)
+        for k in (0, 1):
+            if (side, k) in bank.stacks:
+                # numpy's own loop: OpenBLAS's float32 matrix-vector kernel
+                # now and then raised the invalid-value flag on these shapes,
+                # with finite inputs and right results
+                bound = np.einsum("ij,j->i", bank.coarse[side, k], vector)
+                top = np.argpartition(bound, max(bound.size - _SEED_ROWS, 0))
+                rows = bank.stacks[side, k][top[-_SEED_ROWS:]]
+                z[k] = max(z[k], float((rows @ window).max()))
+    return z
 
 
 def classify_bank(bank: FilterBank, img: GrayImage, beta: float | None = None

@@ -147,6 +147,12 @@ class GammaScan:
     argmax_pair: tuple[int, int]
 
 
+def check_sample_budget(sample_budget: int) -> None:
+    """Reject a gamma_scan budget below the three points a pair scan needs."""
+    if sample_budget < 3:
+        raise InvalidParams(f"sample budget must be >= 3, got {sample_budget}")
+
+
 def gamma_scan(curve: BoundaryCurve | np.ndarray, sample_budget: int = 256) -> GammaScan:
     """Scan detour ratios over point pairs of a closed curve.
 
@@ -163,8 +169,7 @@ def gamma_scan(curve: BoundaryCurve | np.ndarray, sample_budget: int = 256) -> G
         raise DegenerateCurve(f"need at least 3 planar points, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise DegenerateCurve("curve points must be finite")
-    if sample_budget < 3:
-        raise InvalidParams(f"sample budget must be >= 3, got {sample_budget}")
+    check_sample_budget(sample_budget)
 
     sel = _nested_subset(pts.shape[0], sample_budget)
     p = pts[sel]

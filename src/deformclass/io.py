@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import math
 import re
 import struct
 import warnings
@@ -202,8 +203,9 @@ def read_dataset(directory: str | Path) -> Dataset:
     """Load a manifest-directory dataset written by write_dataset.
 
     Rows are read by column position; blank lines are skipped.  A row with
-    the wrong number of fields, a non-numeric parameter or a non-integer
-    index, label or template index raises ``MalformedManifest``.
+    the wrong number of fields, a non-numeric or non-finite parameter or a
+    non-integer index, label or template index raises ``MalformedManifest``.
+    Images may differ in size.
     """
     directory = Path(directory)
     manifest = directory / "manifest.csv"
@@ -231,6 +233,9 @@ def read_dataset(directory: str | Path) -> Dataset:
             except ValueError:
                 raise MalformedManifest(
                     f"manifest row {k}: {name} {value!r:.40} is not {what}")
+            if kind is float and not math.isfinite(numbers[-1]):
+                raise MalformedManifest(
+                    f"manifest row {k}: {name} {value!r:.40} is not finite")
         _, label, t_idx, eta, xi, xi_prime, tau, tau_prime = numbers
         img = read_pgm(read_bytes(directory / row[8]))
         params = DeformParams(eta=eta, xi=xi, xi_prime=xi_prime, tau=tau,

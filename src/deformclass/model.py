@@ -386,6 +386,12 @@ def rasterize(f: TemplateFunction, p: DeformParams, d: int) -> GrayImage:
     return rasterize_batch(f, [p], d)[0]
 
 
+def check_resolution(d: int) -> None:
+    """Reject a raster side below MIN_RESOLUTION."""
+    if d < MIN_RESOLUTION:
+        raise ResolutionTooSmall(f"resolution {d} below minimum {MIN_RESOLUTION}")
+
+
 def rasterize_batch(f: TemplateFunction, params: Sequence[DeformParams],
                     d: int) -> list[GrayImage]:
     """``rasterize(f, p, d)`` for every p in ``params``, which are taken as
@@ -394,8 +400,7 @@ def rasterize_batch(f: TemplateFunction, params: Sequence[DeformParams],
     ``f`` is evaluated once per block of at most ``IMAGE_BLOCK`` images, on
     one (block, d, 1) array of x and one (block, 1, d) array of y.
     """
-    if d < MIN_RESOLUTION:
-        raise ResolutionTooSmall(f"resolution {d} below minimum {MIN_RESOLUTION}")
+    check_resolution(d)
     t = np.arange(1, d + 1) / d
     images = []
     for start in range(0, len(params), IMAGE_BLOCK):

@@ -214,8 +214,9 @@ def train_least_squares(data: Dataset, arch: ArchSpec | None = None,
                         opt: OptSpec | None = None) -> TrainableCnn:
     """Fit the network to (image, label) pairs by Adam on the squared loss.
 
-    Images are expected pre-normalized.  The per-epoch mean loss is logged
-    on the returned network's ``loss_history``.
+    Images are expected pre-normalized and of one size (``DimMismatch``
+    otherwise).  The per-epoch mean loss is logged on the returned
+    network's ``loss_history``.
     """
     arch = arch or ArchSpec()
     opt = opt or OptSpec()
@@ -223,6 +224,10 @@ def train_least_squares(data: Dataset, arch: ArchSpec | None = None,
     opt.validate()
     if len(data) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
+    sides = sorted({item.image.d for item in data.items})
+    if len(sides) > 1:
+        raise DimMismatch(f"training images must share one side length, "
+                          f"got sides {sides}")
     x = np.stack([item.image.pixels for item in data.items])
     y = np.array([item.label for item in data.items], dtype=float)
 

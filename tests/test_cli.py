@@ -182,6 +182,17 @@ class TestCnn:
         err = capsys.readouterr().err
         assert "finite positive rate" in err and "Traceback" not in err
 
+    def test_train_mixed_sizes_exits_3(self, dataset_dir, tmp_path, capsys):
+        small = next(iter(sorted(dataset_dir.glob("*.pgm"))))
+        small.write_bytes(write_pgm(GrayImage(np.eye(12))))
+        code = main(["cnn", "train", "--data", str(dataset_dir),
+                     "--out", str(tmp_path / "net.ckpt"), "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "data error: training images must share one side length" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "net.ckpt").exists()
+
     def test_garbage_checkpoint_exits_3(self, dataset_dir, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"not a checkpoint")
@@ -228,6 +239,22 @@ class TestSep:
             assert code == 2
             err = capsys.readouterr().err
             assert "xi_max must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--gamma-budget", "2"], "sample budget must be >= 3, got 2"),
+        (["--gamma-d", "3"], "resolution 3 below minimum 4"),
+    ])
+    def test_bad_gamma_flag_exits_2_before_the_search(self, capsys, monkeypatch,
+                                                      flags, message):
+        def search(*args):
+            raise AssertionError("the separation search ran")
+
+        monkeypatch.setattr(cli, "estimate_separation", search)
+        code = main(["sep", "--template0", "tent:delta=0.25",
+                     "--template1", "cone:radius=0.2", *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err and "Traceback" not in err
 
     def test_nan_template_parameter_exits_2(self, capsys):
         code = main(["sep", "--template0", "tent:delta=nan",

@@ -376,7 +376,35 @@ def dense_channel_maxima(bank, img) -> list[float]:
 BANK_TEMPLATES = {"tent": tent(0.2), "cone": cone(0.2), "cross": cross(0.2, 0.1)}
 
 
+# (z0, z1) of the production-scale queries in TestPrunedBank, as float hex,
+# recorded while the query still probed every filter to seed z.
+PRODUCTION_GOLDEN = [
+    ("0x1.ffa0740000000p-1", "0x1.e9c6c00000000p-1"),
+    ("0x1.eb1a500000000p-1", "0x1.ffb5580000000p-1"),
+    ("0x1.ffe0020000000p-1", "0x1.ebc6ae0000000p-1"),
+    ("0x1.ebcf780000000p-1", "0x1.ffd64c0000000p-1"),
+    ("0x1.ee49c40000000p-1", "0x1.ffce7a0000000p-1"),
+    ("0x1.ee11080000000p-1", "0x1.ffb1ba0000000p-1"),
+    ("0x1.ffd3dc0000000p-1", "0x1.eb81be0000000p-1"),
+    ("0x1.ffbe300000000p-1", "0x1.eaec120000000p-1"),
+]
+
+
 class TestPrunedBank:
+    def test_production_scale_matches_golden(self):
+        """The bank workload's scale: tent vs cross at Xi = 2, d = 64."""
+        f0, f1 = tent(0.25), cross(0.25, 0.08)
+        bank = build_filter_bank(f0, f1, 2, 64)
+        q = DeformDistribution(eta_range=(0.8, 1.2), xi_range=(1.0, 1.5),
+                               seed=15)
+        data = generate_dataset([f0], [f1], q, 8, 64)
+        for item, golden in zip(data.items, PRODUCTION_GOLDEN, strict=True):
+            z = [float.fromhex(h) for h in golden]
+            decision = classify_bank(bank, normalize_l2(item.image))
+            assert decision.z0 == pytest.approx(z[0], abs=1e-6)
+            assert decision.z1 == pytest.approx(z[1], abs=1e-6)
+            assert decision.label == (0 if z[0] >= z[1] else 1) == item.label
+
     def test_dense_reference_equals_oracle(self):
         bank = build_filter_bank(tent(0.2), cone(0.2), 1, 12)
         q = DeformDistribution(eta_range=(0.8, 1.2), xi_range=(0.7, 1.6), seed=3)

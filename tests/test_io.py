@@ -253,6 +253,13 @@ class TestDatasetManifest:
          "label '1.0' is not an integer"),
         ("x,1,0,1.0,1.0,1.0,0.0,0.0,item_00000.pgm", "index 'x' is not"),
         ("0,1,,1.0,1.0,1.0,0.0,0.0,item_00000.pgm", "template_index '' is not"),
+        ("0,1,0,nan,1.0,1.0,0.0,0.0,item_00000.pgm", "eta 'nan' is not finite"),
+        ("0,1,0,1.0,inf,1.0,0.0,0.0,item_00000.pgm", "xi 'inf' is not finite"),
+        ("0,1,0,1.0,1.0,-inf,0.0,0.0,item_00000.pgm",
+         "xi_prime '-inf' is not finite"),
+        ("0,1,0,1.0,1.0,1.0,NaN,0.0,item_00000.pgm", "tau 'NaN' is not finite"),
+        ("0,1,0,1.0,1.0,1.0,0.0,1e400,item_00000.pgm",
+         "tau_prime '1e400' is not finite"),
     ])
     def test_malformed_rows(self, tmp_path, pgm_safe_dataset, row, message):
         manifest = write_dataset(pgm_safe_dataset, tmp_path / "d")
@@ -260,6 +267,13 @@ class TestDatasetManifest:
         manifest.write_text(f"{header}\n{row}\n")
         with pytest.raises(MalformedManifest, match=message):
             read_dataset(tmp_path / "d")
+
+    def test_images_may_differ_in_size(self, tmp_path, pgm_safe_dataset):
+        write_dataset(pgm_safe_dataset, tmp_path / "d")
+        (tmp_path / "d" / "item_00000.pgm").write_bytes(
+            write_pgm(GrayImage(np.eye(4))))
+        back = read_dataset(tmp_path / "d")
+        assert [it.image.d for it in back.items][:2] == [4, pgm_safe_dataset.d]
 
     def test_rows_read_by_position(self, tmp_path, pgm_safe_dataset):
         manifest = write_dataset(pgm_safe_dataset, tmp_path / "d")

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -299,6 +300,13 @@ class TestTraining:
         b = train_least_squares(small_dataset, SMALL_ARCH, opt)
         assert np.array_equal(a.get_flat(), b.get_flat())
         assert a.loss_history == b.loss_history
+
+    def test_mixed_sizes_are_a_data_error(self, small_dataset):
+        small = LabeledImage(image=GrayImage(np.eye(12)), label=0,
+                             template_index=0, params=IDENTITY)
+        data = replace(small_dataset, items=small_dataset.items + (small,))
+        with pytest.raises(DimMismatch, match=r"one side length, got sides \[12, 16\]"):
+            train_least_squares(data, SMALL_ARCH, OptSpec(epochs=1))
 
 
 class TestGradCheck:
