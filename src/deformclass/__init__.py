@@ -12,7 +12,7 @@ from .cnn import (BankDecision, Filter, FilterBank, build_filter_bank,
                   classify_bank, feature_max, max_tree, softmax_pair)
 from .datagen import (Dataset, DeformDistribution, LabeledImage,
                       NonIdentifiablePair, generate_dataset,
-                      non_identifiable_pair, sample_params)
+                      non_identifiable_pair, sample_params, unit_arrays)
 from .errors import (AllZeroImage, BadMagic, ConfigError, DataError,
                      DeformClassError, DegenerateCurve, DimMismatch,
                      EmptyDataset, EmptyGallery, EmptyList, EmptyMask,
@@ -64,5 +64,5 @@ __all__ = [
     "run_experiment", "sample_params", "save_checkpoint",
     "serialize_idx_images", "serialize_idx_labels", "shift_bounds",
     "softmax_pair", "template_sum", "tent", "trace_boundary",
-    "train_least_squares", "write_dataset", "write_pgm",
+    "train_least_squares", "unit_arrays", "write_dataset", "write_pgm",
 ]

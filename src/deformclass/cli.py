@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .align import align_images, build_gallery, classify_1nn
 from .cnn import build_filter_bank, check_temperature, classify_bank
-from .datagen import DeformDistribution, generate_dataset, normalized
+from .datagen import DeformDistribution, generate_dataset, unit_arrays
 from .errors import ConfigError, DataError, DeformClassError, NumericError
 from .geometry import check_sample_budget, gamma_scan, trace_boundary
 from .harness import (ExperimentConfig, emit_report, parse_config,
@@ -152,20 +152,20 @@ def _cmd_cnn(args) -> int:
               f"z0={decision.z0:.6f} z1={decision.z1:.6f}")
         return 0
     if args.cnn_command == "train":
-        data = normalized(read_dataset(args.data))
+        x, y = unit_arrays(read_dataset(args.data))
         arch = ArchSpec(n_filters=args.n_filters, filter_size=args.filter_size,
                         beta=args.beta)
         opt = OptSpec(learning_rate=args.learning_rate, epochs=args.epochs,
                       batch_size=args.batch_size, seed=args.seed)
-        net = train_least_squares(data, arch, opt)
+        net = train_least_squares(x, y, arch, opt)
         Path(args.out).write_bytes(save_checkpoint(net))
         print(f"final epoch loss {net.loss_history[-1]:.6f}; "
               f"checkpoint at {args.out}")
         return 0
     net = load_checkpoint(read_bytes(args.checkpoint))
     img = normalize_l2(_load_query(args.image))
-    p0, p1 = net.forward(img)
-    print(f"label={int(p1 > 0.5)} p0={p0:.6f} p1={p1:.6f}")
+    p1 = float(net.forward_batch(img.pixels[None])[0][0])
+    print(f"label={int(p1 > 0.5)} p0={1.0 - p1:.6f} p1={p1:.6f}")
     return 0
 
 

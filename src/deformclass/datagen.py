@@ -6,12 +6,15 @@ depend on how many other items are generated or in which order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
+    AllZeroImage,
+    DimMismatch,
+    EmptyDataset,
     EmptyList,
     InvalidDistribution,
     InvalidFixtureParams,
@@ -21,7 +24,6 @@ from .model import (
     DeformParams,
     GrayImage,
     TemplateFunction,
-    normalize_l2,
     rasterize,  # noqa: F401 - kept importable here for tools that patch it
     rasterize_batch,
     reparametrize,
@@ -122,16 +124,26 @@ class LabeledImage:
 @dataclass(frozen=True)
 class Dataset:
     items: tuple[LabeledImage, ...]
-    d: int
 
     def __len__(self) -> int:
         return len(self.items)
 
 
-def normalized(data: Dataset) -> Dataset:
-    """The dataset with every image scaled to unit discrete L2 norm."""
-    return replace(data, items=tuple(replace(it, image=normalize_l2(it.image))
-                                     for it in data.items))
+def unit_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The images scaled to unit Frobenius norm as one (N, d, d) stack, and
+    their 0/1 labels.  Images of several sizes are a ``DimMismatch``."""
+    if not data.items:
+        raise EmptyDataset("the dataset holds no images")
+    sides = sorted({item.image.d for item in data.items})
+    if len(sides) > 1:
+        raise DimMismatch(f"training images must share one side length, "
+                          f"got sides {sides}")
+    x = np.stack([item.image.pixels for item in data.items])
+    # one norm per image, as normalize_l2 takes it, so the bits match
+    norms = np.array([np.linalg.norm(img) for img in x])
+    if not norms.all():
+        raise AllZeroImage("cannot normalize an all-zero image")
+    return x / norms[:, None, None], np.array([item.label for item in data.items])
 
 
 def generate_dataset(templates0: Sequence[TemplateFunction],
@@ -185,7 +197,7 @@ def generate_dataset(templates0: Sequence[TemplateFunction],
     return Dataset(items=tuple(
         LabeledImage(image=images[i], label=label, template_index=t_idx,
                      params=params)
-        for i, (label, t_idx, params) in enumerate(draws)), d=d)
+        for i, (label, t_idx, params) in enumerate(draws)))
 
 
 # ---------------------------------------------------------------------------

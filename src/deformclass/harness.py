@@ -20,7 +20,7 @@ import numpy as np
 from .align import (AlignedRep, GalleryEntry, align_images, build_gallery,
                     classify_1nn)
 from .cnn import FilterBank, build_filter_bank, classify_bank
-from .datagen import Dataset, DeformDistribution, generate_dataset, normalized
+from .datagen import Dataset, DeformDistribution, generate_dataset, unit_arrays
 from .errors import ConfigError, InvalidDistribution, InvalidParams
 from .io import read_bytes, read_pgm
 from .model import (TemplateFunction, cone, cross, normalize_l2, raster_interp,
@@ -134,13 +134,12 @@ def _risk_bank(bank: FilterBank, test: Dataset) -> float:
 
 def _risk_trained(train: Dataset, test: Dataset, arch: ArchSpec, opt: OptSpec,
                   seed: int) -> float:
-    net = train_least_squares(normalized(train), arch, replace(opt, seed=seed))
-    x = np.stack([normalize_l2(item.image).pixels for item in test.items])
-    labels = np.array([item.label for item in test.items])
+    net = train_least_squares(*unit_arrays(train), arch, replace(opt, seed=seed))
+    x, labels = unit_arrays(test)
     # Chunks no larger than the training batch, so prediction never holds
     # more forward state than training did.
     predicted = net.predict_batch(x, min(opt.batch_size, len(train)))
-    return int(np.count_nonzero(predicted != labels)) / len(test.items)
+    return int(np.count_nonzero(predicted != labels)) / len(labels)
 
 
 # ---------------------------------------------------------------------------

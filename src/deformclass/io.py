@@ -244,4 +244,4 @@ def read_dataset(directory: str | Path) -> Dataset:
                                   params=params))
     if not items:
         raise EmptyDataset(f"manifest under {directory} lists no items")
-    return Dataset(items=tuple(items), d=items[0].image.d)
+    return Dataset(items=tuple(items))

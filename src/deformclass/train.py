@@ -28,6 +28,8 @@ the pooled value is the bias and the routed patch is all zeros.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -35,10 +37,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cnn import check_temperature
-from .datagen import Dataset, LabeledImage
 from .errors import (DataError, DimMismatch, EmptyDataset, InvalidParams,
-                     TruncatedPayload)
-from .model import GrayImage, nonzero_boxes
+                     NumericError, TruncatedPayload)
+from .model import nonzero_boxes
 
 _MAGIC = b"DCNN"
 _VERSION = 1
@@ -86,45 +87,44 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def param_shapes(arch: ArchSpec) -> list[tuple[int, ...]]:
+    """Shapes of the parameter arrays in their order in ``params``: the
+    conv weights and biases, then each dense layer's weights and biases."""
+    shapes = [(arch.n_filters, arch.filter_size, arch.filter_size),
+              (arch.n_filters,)]
+    fans = (arch.n_filters, *arch.dense_widths, 2)
+    for fan_in, width in zip(fans, fans[1:]):
+        shapes += [(width, fan_in), (width,)]
+    return shapes
+
+
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive slices of ``flat`` reshaped to ``shapes`` (views)."""
+    ends = list(itertools.accumulate((math.prod(s) for s in shapes), initial=0))
+    return [flat[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes)]
+
+
 class TrainableCnn:
-    """Conv -> ReLU -> global max-pool -> dense stack -> softmax pair."""
+    """Conv -> ReLU -> global max-pool -> dense stack -> softmax pair.
+
+    All parameters live in one float64 vector, ``params``; ``conv_w``,
+    ``conv_b`` and the ``dense`` (weights, biases) pairs are views into it.
+    """
 
     def __init__(self, arch: ArchSpec, seed: int = 0):
         arch.validate()
         self.arch = arch
         self.beta = float(arch.beta)
+        self.shapes = param_shapes(arch)
+        self.params = np.zeros(sum(math.prod(s) for s in self.shapes))
+        views = _views(self.params, self.shapes)
+        self.conv_w, self.conv_b = views[:2]
+        self.dense = list(zip(views[2::2], views[3::2]))
+        # He initialisation, layer by layer; biases start at zero.
         rng = np.random.default_rng(seed)
-        k, nf = arch.filter_size, arch.n_filters
-        self.conv_w = rng.standard_normal((nf, k, k)) * np.sqrt(2.0 / (k * k))
-        self.conv_b = np.zeros(nf)
-        self.dense: list[tuple[np.ndarray, np.ndarray]] = []
-        fan_in = nf
-        for width in (*arch.dense_widths, 2):
-            w = rng.standard_normal((width, fan_in)) * np.sqrt(2.0 / fan_in)
-            self.dense.append((w, np.zeros(width)))
-            fan_in = width
+        for w in views[::2]:
+            w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w[0].size)
         self.loss_history: list[float] = []
-
-    # -- parameter plumbing ------------------------------------------------
-
-    def param_arrays(self) -> list[np.ndarray]:
-        arrays = [self.conv_w, self.conv_b]
-        for w, b in self.dense:
-            arrays.extend((w, b))
-        return arrays
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.param_arrays()])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        expected = sum(a.size for a in self.param_arrays())
-        if flat.size != expected:
-            raise InvalidParams(
-                f"parameter vector size {flat.size}, expected {expected}")
-        pos = 0
-        for a in self.param_arrays():
-            a[...] = flat[pos: pos + a.size].reshape(a.shape)
-            pos += a.size
 
     # -- forward / backward ------------------------------------------------
 
@@ -134,7 +134,8 @@ class TrainableCnn:
         The conv runs on each image's support box framed by k - 1 zeros, on
         one canvas sized for the batch's largest box; column 0 of the im2col
         (``cache["cols"]``) is the all-zero background patch, and
-        ``cache["pool_idx"]`` indexes those columns.
+        ``cache["pool_idx"]`` indexes those columns.  A non-finite
+        probability raises ``NumericError``.
         """
         k = self.arch.filter_size
         b = len(x)
@@ -162,13 +163,10 @@ class TrainableCnn:
         w_out, b_out = self.dense[-1]
         z = hidden[-1] @ w_out.T + b_out
         p1 = _sigmoid(self.beta * (z[:, 1] - z[:, 0]))
+        if not np.isfinite(p1).all():
+            raise NumericError("network output is not finite")
         cache = {"cols": cols, "pool_idx": pool_idx, "hidden": hidden}
         return p1, cache
-
-    def forward(self, img: GrayImage) -> tuple[float, float]:
-        """Probability pair (p0, p1) for one image; sums to 1 exactly."""
-        p1, _ = self.forward_batch(img.pixels[None])
-        return 1.0 - float(p1[0]), float(p1[0])
 
     def predict_batch(self, x: np.ndarray, chunk: int) -> np.ndarray:
         """0/1 labels for a (B, d, d) batch, forwarded ``chunk`` images at a time."""
@@ -177,85 +175,77 @@ class TrainableCnn:
         return (np.concatenate(p1) > 0.5).astype(int)
 
     def loss_and_gradients(self, x: np.ndarray, y: np.ndarray
-                           ) -> tuple[float, list[np.ndarray]]:
-        """The mean squared loss on (x, y) and its analytic gradient per
-        parameter array, from a single forward pass."""
+                           ) -> tuple[float, np.ndarray]:
+        """The mean squared loss on (x, y) and its analytic gradient, laid
+        out like ``params``, from a single forward pass."""
         p1, cache = self.forward_batch(x)
+        grad = np.empty_like(self.params)
+        g_conv_w, g_conv_b, *g_dense = _views(grad, self.shapes)
         # d loss / d z, through p1 = sigmoid(beta (z1 - z0))
         gp = 2.0 * (p1 - y) / len(x)
         gt = gp * self.beta * p1 * (1.0 - p1)
-        gz = np.stack([-gt, gt], axis=1)
+        gcur = np.stack([-gt, gt], axis=1)
 
         hidden = cache["hidden"]
-        grads_dense: list[tuple[np.ndarray, np.ndarray]] = []
-        gcur = gz
         for layer in range(len(self.dense) - 1, -1, -1):
-            w, _ = self.dense[layer]
-            gw = gcur.T @ hidden[layer]
-            gb = gcur.sum(axis=0)
-            grads_dense.append((gw, gb))
-            gcur = (gcur @ w) * (hidden[layer] > 0)
-        grads_dense.reverse()
+            g_dense[2 * layer][...] = gcur.T @ hidden[layer]
+            g_dense[2 * layer + 1][...] = gcur.sum(axis=0)
+            gcur = (gcur @ self.dense[layer][0]) * (hidden[layer] > 0)
 
         # gcur now carries the pooled gradient masked by the ReLU (live
         # channels have raw max > 0); route it to the first argmax patch.
         patches = np.take_along_axis(cache["cols"], cache["pool_idx"][:, None, :],
                                      axis=2)
-        gw_conv = np.einsum("bf,bkf->fk", gcur, patches).reshape(self.conv_w.shape)
-        gb_conv = gcur.sum(axis=0)
-
-        grads = [gw_conv, gb_conv]
-        for gw, gb in grads_dense:
-            grads.extend((gw, gb))
-        return float(np.mean((y - p1) ** 2)), grads
+        g_conv_w[...] = np.einsum("bf,bkf->fk", gcur, patches).reshape(
+            g_conv_w.shape)
+        g_conv_b[...] = gcur.sum(axis=0)
+        return float(np.mean((y - p1) ** 2)), grad
 
 
-def train_least_squares(data: Dataset, arch: ArchSpec | None = None,
+def train_least_squares(x: np.ndarray, y: np.ndarray,
+                        arch: ArchSpec | None = None,
                         opt: OptSpec | None = None) -> TrainableCnn:
-    """Fit the network to (image, label) pairs by Adam on the squared loss.
+    """Fit the network to an (N, d, d) image stack and its 0/1 labels by
+    Adam on the squared loss.
 
-    Images are expected pre-normalized and of one size (``DimMismatch``
-    otherwise).  The per-epoch mean loss is logged on the returned
-    network's ``loss_history``.
+    Images are expected pre-normalized (``datagen.unit_arrays``).  The
+    per-epoch mean loss is logged on the returned network's
+    ``loss_history``; parameters that end up non-finite raise
+    ``NumericError``.
     """
     arch = arch or ArchSpec()
     opt = opt or OptSpec()
     arch.validate()
     opt.validate()
-    if len(data) == 0:
+    if len(x) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
-    sides = sorted({item.image.d for item in data.items})
-    if len(sides) > 1:
-        raise DimMismatch(f"training images must share one side length, "
-                          f"got sides {sides}")
-    x = np.stack([item.image.pixels for item in data.items])
-    y = np.array([item.label for item in data.items], dtype=float)
+    y = np.asarray(y, dtype=float)
 
     net = TrainableCnn(arch, seed=opt.seed)
     rng = np.random.default_rng(opt.seed + 1)
-    params = net.param_arrays()
-    m = [np.zeros_like(a) for a in params]
-    v = [np.zeros_like(a) for a in params]
+    params = net.params
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
     t = 0
-    n = len(data)
+    n = len(x)
     for _ in range(opt.epochs):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, opt.batch_size):
             idx = order[start: start + opt.batch_size]
-            xb, yb = x[idx], y[idx]
-            loss, grads = net.loss_and_gradients(xb, yb)
+            loss, g = net.loss_and_gradients(x[idx], y[idx])
             total += loss * idx.size
             t += 1
-            for a, g, mi, vi in zip(params, grads, m, v):
-                mi *= _BETA1
-                mi += (1 - _BETA1) * g
-                vi *= _BETA2
-                vi += (1 - _BETA2) * g * g
-                m_hat = mi / (1 - _BETA1 ** t)
-                v_hat = vi / (1 - _BETA2 ** t)
-                a -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
+            m *= _BETA1
+            m += (1 - _BETA1) * g
+            v *= _BETA2
+            v += (1 - _BETA2) * g * g
+            m_hat = m / (1 - _BETA1 ** t)
+            v_hat = v / (1 - _BETA2 ** t)
+            params -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
         net.loss_history.append(total / n)
+    if not np.isfinite(params).all():
+        raise NumericError("training left non-finite parameters")
     return net
 
 
@@ -273,47 +263,44 @@ class GradCheckResult:
         return self.max_rel_error
 
 
-def grad_check(net: TrainableCnn, sample: LabeledImage, eps: float,
+def grad_check(net: TrainableCnn, x: np.ndarray, y: np.ndarray, eps: float,
                n_params: int = 100, seed: int = 0) -> GradCheckResult:
-    """Central-difference check of the analytic loss gradient.
+    """Central-difference check of the analytic loss gradient on an
+    (N, d, d) image stack ``x`` with labels ``y``.
 
     Coordinates whose perturbation flips a max-pool argmax sit on a kink of
     the loss; they are skipped and counted rather than compared.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise InvalidParams(f"eps must lie in [1e-7, 1e-3], got {eps}")
-    x = sample.image.pixels[None]
-    y = np.array([float(sample.label)])
+    y = np.asarray(y, dtype=float)
 
     def pool_pattern() -> np.ndarray:
         # Only live channels (raw max > 0) pass gradient, so only their
         # argmax is a kink; a dead channel's argmax may move freely.  The
-        # image is fixed, so its canvas is too, and index 0 (background)
+        # images are fixed, so their canvas is too, and index 0 (background)
         # against any support patch still shows a move between the two.
         _, cache = net.forward_batch(x)
         return np.where(cache["hidden"][0] > 0, cache["pool_idx"], -1)
 
     base_pattern = pool_pattern()
-    analytic = np.concatenate([g.ravel() for g in net.loss_and_gradients(x, y)[1]])
-    flat = net.get_flat()
+    analytic = net.loss_and_gradients(x, y)[1]
+    params = net.params
     rng = np.random.default_rng(seed)
-    count = min(n_params, flat.size)
-    coords = rng.choice(flat.size, size=count, replace=False)
+    count = min(n_params, params.size)
+    coords = rng.choice(params.size, size=count, replace=False)
 
     max_rel = 0.0
     skipped = 0
     for c in coords:
-        orig = flat[c]
-        flat[c] = orig + eps
-        net.set_flat(flat)
+        orig = params[c]
+        params[c] = orig + eps
         lp = net.loss_and_gradients(x, y)[0]
         tied = not np.array_equal(pool_pattern(), base_pattern)
-        flat[c] = orig - eps
-        net.set_flat(flat)
+        params[c] = orig - eps
         lm = net.loss_and_gradients(x, y)[0]
         tied = tied or not np.array_equal(pool_pattern(), base_pattern)
-        flat[c] = orig
-        net.set_flat(flat)
+        params[c] = orig
         if tied:
             skipped += 1
             continue
@@ -335,8 +322,7 @@ def save_checkpoint(net: TrainableCnn) -> bytes:
                          net.arch.filter_size, len(widths))
     header += struct.pack(f"<{len(widths)}H", *widths)
     header += struct.pack("<d", net.beta)
-    body = b"".join(a.astype("<f8").tobytes() for a in net.param_arrays())
-    return header + body
+    return header + net.params.astype("<f8").tobytes()
 
 
 def load_checkpoint(blob: bytes) -> TrainableCnn:
@@ -362,11 +348,13 @@ def load_checkpoint(blob: bytes) -> TrainableCnn:
         raise DimMismatch(f"checkpoint header: {exc}") from exc
     # Check the size before building: the constructor fills every layer the
     # header declares, which a short file must not be able to inflate.
-    fans = (nf, *widths, 2)
-    expected = 8 * (nf * (k * k + 1) + sum(o * (i + 1) for i, o in zip(fans, fans[1:])))
+    expected = 8 * sum(math.prod(s) for s in param_shapes(arch))
     if len(blob) - pos != expected:
         raise TruncatedPayload(
             f"checkpoint body has {len(blob) - pos} bytes, expected {expected}")
+    weights = np.frombuffer(blob, dtype="<f8", offset=pos)
+    if not np.isfinite(weights).all():
+        raise DataError("checkpoint weights are not finite")
     net = TrainableCnn(arch)
-    net.set_flat(np.frombuffer(blob[pos:], dtype="<f8").astype(float))
+    net.params[...] = weights
     return net

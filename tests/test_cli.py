@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from deformclass import (ArchSpec, DeformDistribution, ExperimentConfig,
-                         GrayImage, OptSpec, SearchConfig, cli, tent,
-                         write_pgm)
+                         GrayImage, OptSpec, SearchConfig, TrainableCnn, cli,
+                         save_checkpoint, tent, write_pgm)
 from deformclass.cli import main
 
 GEN_ARGS = ["gen", "--template0", "tent:delta=0.25",
@@ -192,6 +192,44 @@ class TestCnn:
         assert "data error: training images must share one side length" in err
         assert "Traceback" not in err
         assert not (tmp_path / "net.ckpt").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_train_overflowing_rate_exits_4(self, tmp_path, capsys):
+        data = tmp_path / "data16"
+        assert main(GEN_ARGS[:5] + ["--n", "16"] + GEN_ARGS[7:]
+                    + ["--out", str(data)]) == 0
+        ckpt = tmp_path / "net.ckpt"
+        code = main(["cnn", "train", "--data", str(data), "--out", str(ckpt),
+                     "--epochs", "3", "--learning-rate", "1e300"])
+        assert code == 4
+        assert "numeric failure" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @staticmethod
+    def weights_checkpoint(tmp_path, value: float):
+        """A checkpoint of the default architecture whose every weight is
+        ``value``."""
+        blob = save_checkpoint(TrainableCnn(ArchSpec()))
+        header = 12 + 2 * len(ArchSpec().dense_widths) + 8
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(blob[:header] + np.full(
+            (len(blob) - header) // 8, value).astype("<f8").tobytes())
+        return path
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value, code, message", [
+        (1e308, 4, "numeric failure: network output is not finite"),
+        (float("nan"), 3, "data error: checkpoint weights are not finite"),
+    ])
+    def test_classify_non_finite(self, dataset_dir, tmp_path, capsys, value,
+                                 code, message):
+        query = next(iter(sorted(dataset_dir.glob("*.pgm"))))
+        assert main(["cnn", "classify", "--checkpoint",
+                     str(self.weights_checkpoint(tmp_path, value)),
+                     "--image", str(query)]) == code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "label=" not in captured.out
 
     def test_garbage_checkpoint_exits_3(self, dataset_dir, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
@@ -422,6 +460,23 @@ class TestBench:
         assert main(["bench", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "finite positive rate" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_learning_rate_fails_rows(self, tmp_path, capsys):
+        # Every weight overflows, so every probability is NaN; the rows
+        # must fail rather than report a risk of 1/2.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG.replace("n_list = 2", "n_list = 8")
+                       .replace("n_test = 6", "n_test = 20")
+                       + "experiment.classifiers = CNN_TRAINED\n"
+                       "cnn.learning_rate = 1e300\n")
+        raw = tmp_path / "raw.csv"
+        code = main(["bench", "--config", str(cfg), "--out", str(raw),
+                     "--aggregate-out", str(tmp_path / "agg.csv")])
+        assert code == 1
+        assert raw.read_text().splitlines()[1:] == ["CNN_TRAINED,8,0,nan",
+                                                    "CNN_TRAINED,8,1,nan"]
+        assert "2 of 2 rows failed" in capsys.readouterr().err
 
     def test_infinite_cnn_beta_exits_2(self, tmp_path, capsys):
         # With an infinite temperature every loss is NaN.

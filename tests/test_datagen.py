@@ -93,7 +93,7 @@ class TestGenerateDataset:
         labels = np.array([it.label for it in data.items])
         assert labels.sum() == 10
         assert len(data) == 20
-        assert data.d == 16
+        assert {it.image.d for it in data.items} == {16}
 
     def test_deterministic_under_seed(self, tent_template, cross_template):
         q = DeformDistribution(eta_range=(0.8, 1.2), xi_range=(1.0, 1.5), seed=21)

@@ -209,7 +209,8 @@ class TestDatasetManifest:
         assert manifest.name == "manifest.csv"
         back = read_dataset(tmp_path / "out")
         assert len(back.items) == len(pgm_safe_dataset.items)
-        assert back.d == pgm_safe_dataset.d
+        assert ([it.image.d for it in back.items]
+                == [it.image.d for it in pgm_safe_dataset.items])
         for orig, got in zip(pgm_safe_dataset.items, back.items):
             assert got.label == orig.label
             assert got.template_index == orig.template_index
@@ -273,7 +274,8 @@ class TestDatasetManifest:
         (tmp_path / "d" / "item_00000.pgm").write_bytes(
             write_pgm(GrayImage(np.eye(4))))
         back = read_dataset(tmp_path / "d")
-        assert [it.image.d for it in back.items][:2] == [4, pgm_safe_dataset.d]
+        assert ([it.image.d for it in back.items][:2]
+                == [4, pgm_safe_dataset.items[1].image.d])
 
     def test_rows_read_by_position(self, tmp_path, pgm_safe_dataset):
         manifest = write_dataset(pgm_safe_dataset, tmp_path / "d")

@@ -16,6 +16,7 @@ from deformclass import (
     GrayImage,
     InvalidParams,
     LabeledImage,
+    NumericError,
     OptSpec,
     TrainableCnn,
     TruncatedPayload,
@@ -28,13 +29,23 @@ from deformclass import (
     train_least_squares,
 )
 from deformclass import train
-from deformclass.datagen import normalized
+from deformclass.datagen import unit_arrays
 from deformclass.model import IDENTITY
 from deformclass.train import _sigmoid
 
 SMALL_ARCH = ArchSpec(n_filters=4, filter_size=3, dense_widths=(16,))
 TINY_BLOB = save_checkpoint(TrainableCnn(ArchSpec(n_filters=2, filter_size=2,
                                                   dense_widths=(3,))))
+
+
+def raw_arrays(data):
+    """The dataset's images, not normalized, as one stack, and its labels."""
+    return (np.stack([it.image.pixels for it in data.items]),
+            np.array([it.label for it in data.items]))
+
+
+def p1_of(net: TrainableCnn, img: GrayImage) -> float:
+    return float(net.forward_batch(img.pixels[None])[0][0])
 
 
 class TestSpecs:
@@ -56,17 +67,18 @@ class TestSpecs:
 class TestNetwork:
     def test_probabilities_sum_to_one(self, small_dataset):
         net = TrainableCnn(SMALL_ARCH, seed=1)
-        p0, p1 = net.forward(small_dataset.items[0].image)
+        p1 = p1_of(net, small_dataset.items[0].image)
+        p0 = 1.0 - p1
         assert p0 + p1 == 1.0
         assert 0.0 < p1 < 1.0
 
     def test_flat_roundtrip(self):
         net = TrainableCnn(SMALL_ARCH, seed=3)
-        flat = net.get_flat()
-        net.set_flat(flat * 2.0)
-        assert np.array_equal(net.get_flat(), flat * 2.0)
-        with pytest.raises(InvalidParams):
-            net.set_flat(flat[:-1])
+        flat = net.params.copy()
+        conv_w = net.conv_w.copy()
+        net.params *= 2.0
+        assert np.array_equal(net.params, flat * 2.0)
+        assert np.array_equal(net.conv_w, conv_w * 2.0)
 
 
 def sliding_window_forward(net: TrainableCnn, x: np.ndarray) -> np.ndarray:
@@ -128,7 +140,7 @@ def full_frame_loss_and_gradients(net: TrainableCnn, x: np.ndarray, y: np.ndarra
     grads = [gw_conv, gcur.sum(axis=0)]
     for gw, gb in grads_dense:
         grads.extend((gw, gb))
-    return float(np.mean((y - p1) ** 2)), grads
+    return float(np.mean((y - p1) ** 2)), np.concatenate([g.ravel() for g in grads])
 
 
 def pooled_and_routed(net: TrainableCnn, cache: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -152,8 +164,7 @@ def assert_matches_full_frame(net: TrainableCnn, x: np.ndarray, y: np.ndarray):
     loss, grads = net.loss_and_gradients(x, y)
     ref_loss, ref_grads = full_frame_loss_and_gradients(net, x, y)
     assert loss == ref_loss
-    for got, ref in zip(grads, ref_grads):
-        assert np.array_equal(got, ref)
+    assert np.array_equal(grads, ref_grads)
 
 
 def sparse_net(k: int, conv_b: list[float], seed: int, coarse: bool) -> TrainableCnn:
@@ -245,12 +256,12 @@ class TestSupportCanvas:
         # full-frame convolution
         q = DeformDistribution(eta_range=(0.5, 1.5), xi_range=(1.0, 2.0),
                                flip_prob=0.5, seed=3)
-        data = normalized(generate_dataset([tent(0.25)], [cone(0.22)], q, n=12, d=24))
-        net = train_least_squares(data, SMALL_ARCH,
+        x, y = unit_arrays(generate_dataset([tent(0.25)], [cone(0.22)], q, n=12, d=24))
+        net = train_least_squares(x, y, SMALL_ARCH,
                                   OptSpec(epochs=3, batch_size=5, seed=2))
         assert [v.hex() for v in net.loss_history] == [
             "0x1.0a79a1abd18fcp-2", "0x1.0110fd836e5f3p-2", "0x1.fd4adcfcade3fp-3"]
-        assert hashlib.sha256(net.get_flat().astype("<f8").tobytes()).hexdigest() == (
+        assert hashlib.sha256(net.params.astype("<f8").tobytes()).hexdigest() == (
             "8019459c9dcfddee00c33a679a9e9345c1c80197e942a45033495bba79792e73")
 
 
@@ -273,10 +284,10 @@ class TestForwardBackward:
         assert loss == float(np.mean((y - p1) ** 2))
 
     def test_batched_prediction_matches_per_image(self, small_dataset):
-        net = train_least_squares(small_dataset, SMALL_ARCH,
+        x, y = raw_arrays(small_dataset)
+        net = train_least_squares(x, y, SMALL_ARCH,
                                   OptSpec(epochs=10, batch_size=4, seed=3))
-        x = np.stack([it.image.pixels for it in small_dataset.items])
-        per_image = [int(net.forward(it.image)[1] > 0.5)
+        per_image = [int(p1_of(net, it.image) > 0.5)
                      for it in small_dataset.items]
         for chunk in (1, 3, 4, len(x)):
             assert net.predict_batch(x, chunk).tolist() == per_image
@@ -285,20 +296,20 @@ class TestForwardBackward:
 class TestTraining:
     def test_memorizes_small_dataset(self, small_dataset):
         net = train_least_squares(
-            small_dataset,
+            *raw_arrays(small_dataset),
             ArchSpec(n_filters=8, filter_size=3, dense_widths=(32,)),
             OptSpec(epochs=200, batch_size=8, learning_rate=0.01, seed=0))
         assert len(net.loss_history) == 200
         assert net.loss_history[-1] < 0.01
-        correct = sum(int(net.forward(it.image)[1] > 0.5) == it.label
+        correct = sum(int(p1_of(net, it.image) > 0.5) == it.label
                       for it in small_dataset.items)
         assert correct == len(small_dataset.items)
 
     def test_deterministic(self, small_dataset):
         opt = OptSpec(epochs=2, batch_size=4, seed=5)
-        a = train_least_squares(small_dataset, SMALL_ARCH, opt)
-        b = train_least_squares(small_dataset, SMALL_ARCH, opt)
-        assert np.array_equal(a.get_flat(), b.get_flat())
+        a = train_least_squares(*raw_arrays(small_dataset), SMALL_ARCH, opt)
+        b = train_least_squares(*raw_arrays(small_dataset), SMALL_ARCH, opt)
+        assert np.array_equal(a.params, b.params)
         assert a.loss_history == b.loss_history
 
     def test_mixed_sizes_are_a_data_error(self, small_dataset):
@@ -306,19 +317,21 @@ class TestTraining:
                              template_index=0, params=IDENTITY)
         data = replace(small_dataset, items=small_dataset.items + (small,))
         with pytest.raises(DimMismatch, match=r"one side length, got sides \[12, 16\]"):
-            train_least_squares(data, SMALL_ARCH, OptSpec(epochs=1))
+            unit_arrays(data)
 
 
 class TestGradCheck:
     def test_analytic_matches_numeric(self, small_dataset):
         for init in (0, 1):
             net = TrainableCnn(SMALL_ARCH, seed=init)
-            res = grad_check(net, small_dataset.items[init], eps=1e-5, seed=init)
+            x, y = raw_arrays(small_dataset)
+            res = grad_check(net, x[init: init + 1], y[init: init + 1], eps=1e-5,
+                             seed=init)
             assert float(res) <= 1e-4
             assert res.n_checked + res.n_skipped == 100
 
     @staticmethod
-    def tied_setup() -> tuple[TrainableCnn, LabeledImage]:
+    def tied_setup() -> tuple[TrainableCnn, np.ndarray, np.ndarray]:
         # two equal peaks with different neighborhoods: perturbing a conv
         # weight reorders them
         net = TrainableCnn(SMALL_ARCH, seed=0)
@@ -329,14 +342,12 @@ class TestGradCheck:
         pix[2, 3] = 0.3
         pix[5, 5] = 0.6
         pix[5, 4] = 0.3
-        tied_img = LabeledImage(image=GrayImage(pix), label=1,
-                                template_index=0, params=IDENTITY)
-        return net, tied_img
+        return net, pix[None], np.array([1])
 
     def test_exact_pool_ties_are_skipped(self):
         # on live channels the reordering is a kink: detected and skipped
-        net, tied_img = self.tied_setup()
-        res = grad_check(net, tied_img, eps=1e-5, seed=0)
+        net, x, y = self.tied_setup()
+        res = grad_check(net, x, y, eps=1e-5, seed=0)
         assert res.n_skipped > 0
         assert res.max_rel_error <= 1e-4
 
@@ -344,10 +355,10 @@ class TestGradCheck:
         # a dead channel (raw max <= 0) passes no gradient wherever its
         # argmax lands, so reordering its peaks is no kink; the dense biases
         # keep the dense ReLUs off their own kink at zero input
-        net, tied_img = self.tied_setup()
+        net, x, y = self.tied_setup()
         net.conv_b[:] = -50.0
         net.dense[0][1][:] = 0.1
-        res = grad_check(net, tied_img, eps=1e-5, n_params=net.get_flat().size)
+        res = grad_check(net, x, y, eps=1e-5, n_params=net.params.size)
         assert res.n_skipped == 0
         assert res.max_rel_error <= 1e-4
 
@@ -361,10 +372,9 @@ class TestGradCheck:
         net.dense[0][1][:] = 0.1
         pix = np.zeros((8, 8))
         pix[3:5, 2:6] = [[0.2, 0.5, 0.4, 0.1], [0.3, 0.6, 0.2, 0.5]]
-        img = LabeledImage(image=GrayImage(pix), label=1,
-                           template_index=0, params=IDENTITY)
         assert not net.forward_batch(pix[None])[1]["pool_idx"].any()
-        res = grad_check(net, img, eps=1e-5, n_params=net.get_flat().size)
+        res = grad_check(net, pix[None], np.array([1]), eps=1e-5,
+                         n_params=net.params.size)
         assert res.n_skipped == net.conv_w.size
         assert res.max_rel_error <= 1e-4
 
@@ -372,19 +382,19 @@ class TestGradCheck:
         net = TrainableCnn(SMALL_ARCH, seed=0)
         for eps in (1e-8, 1e-2):
             with pytest.raises(InvalidParams):
-                grad_check(net, small_dataset.items[0], eps=eps)
+                grad_check(net, *raw_arrays(small_dataset), eps=eps)
 
 
 class TestCheckpoints:
     def test_roundtrip_bit_exact(self, small_dataset):
-        net = train_least_squares(small_dataset, SMALL_ARCH,
+        net = train_least_squares(*raw_arrays(small_dataset), SMALL_ARCH,
                                   OptSpec(epochs=2, batch_size=4, seed=9))
         blob = save_checkpoint(net)
         restored = load_checkpoint(blob)
-        assert np.array_equal(restored.get_flat(), net.get_flat())
+        assert np.array_equal(restored.params, net.params)
         assert restored.arch == net.arch
         img = small_dataset.items[0].image
-        assert restored.forward(img) == net.forward(img)
+        assert p1_of(restored, img) == p1_of(net, img)
 
     def test_default_arch_blob_size(self):
         blob = save_checkpoint(TrainableCnn(ArchSpec(), seed=0))
@@ -444,3 +454,28 @@ class TestCheckpoints:
         patched = blob[:4] + struct.pack("<H", 2) + blob[6:]
         with pytest.raises(DataError):
             load_checkpoint(patched)
+
+
+class TestNonFinite:
+    def test_non_finite_output_is_numeric_error(self, small_dataset):
+        net = TrainableCnn(SMALL_ARCH, seed=0)
+        net.params[:] = np.nan
+        with pytest.raises(NumericError, match="not finite"):
+            net.forward_batch(raw_arrays(small_dataset)[0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_step_is_numeric_error(self):
+        # One step from p1 = 1/2 on a blank image: the output bias gradient
+        # is beta / 4 = 4, so rate times gradient overflows, while the only
+        # forward pass, taken before the step, is finite.
+        arch = ArchSpec(n_filters=2, filter_size=3, dense_widths=(4,), beta=16.0)
+        opt = OptSpec(learning_rate=1e308, epochs=1, batch_size=1)
+        with pytest.raises(NumericError, match="non-finite parameters"):
+            train_least_squares(np.zeros((1, 8, 8)), np.array([1]), arch, opt)
+
+    def test_non_finite_checkpoint_weights_are_data_error(self):
+        for value in (np.nan, np.inf, -np.inf):
+            blob = save_checkpoint(TrainableCnn(SMALL_ARCH, seed=0))
+            patched = blob[:-8] + struct.pack("<d", value)
+            with pytest.raises(DataError, match="weights are not finite"):
+                load_checkpoint(patched)
