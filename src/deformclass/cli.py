@@ -5,33 +5,26 @@ a query image against a dataset directory, ``cnn`` builds/trains/applies the
 convolutional classifiers, ``sep`` reports separation and boundary-regularity
 estimates for two templates, ``bench`` runs a full experiment from a config
 file.  Exit codes: 0 success, 1 when ``bench`` wrote its reports but some
-rows failed, 2 config error, 3 data error, 4 numeric failure.
+rows failed, 2 config error, 3 data error, 4 numeric failure.  An unreadable
+or undecodable config and an unwritable output path are config errors.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .align import align_images, build_gallery, classify_1nn
 from .cnn import build_filter_bank, check_temperature, classify_bank
 from .datagen import DeformDistribution, generate_dataset, unit_arrays
 from .errors import ConfigError, DataError, DeformClassError, NumericError
 from .geometry import check_sample_budget, gamma_scan, trace_boundary
-from .harness import (ExperimentConfig, emit_report, parse_config,
-                      parse_template_spec, run_experiment)
-from .io import read_bytes, read_dataset, read_pgm, write_dataset
+from .harness import (ExperimentConfig, _parse_pair, emit_report,
+                      parse_config, parse_template_spec, run_experiment)
+from .io import read_bytes, read_dataset, read_pgm, write_bytes, write_dataset
 from .model import IDENTITY, check_resolution, normalize_l2, rasterize
 from .separation import SearchConfig, estimate_separation
 from .train import (ArchSpec, OptSpec, load_checkpoint, save_checkpoint,
                     train_least_squares)
-
-
-def _pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,12 +39,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--d", type=int, default=ExperimentConfig.d)
     gen.add_argument("--seed", type=int, default=DeformDistribution.seed)
-    gen.add_argument("--eta-range", type=_pair,
-                     default=DeformDistribution.eta_range)
-    gen.add_argument("--xi-range", type=_pair,
-                     default=DeformDistribution.xi_range)
-    gen.add_argument("--xi-prime-range", type=_pair,
-                     default=DeformDistribution.xi_prime_range)
+    for field in ("eta_range", "xi_range", "xi_prime_range"):
+        flag = "--" + field.replace("_", "-")
+        gen.add_argument(flag, type=lambda text, key=flag: _parse_pair(text, key),
+                         default=getattr(DeformDistribution, field))
     gen.add_argument("--flip-prob", type=float,
                      default=DeformDistribution.flip_prob)
     gen.add_argument("--out", required=True)
@@ -111,10 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_query(path: str):
-    return read_pgm(read_bytes(path))
-
-
 def _cmd_gen(args) -> int:
     f0 = parse_template_spec(args.template0)
     f1 = parse_template_spec(args.template1)
@@ -131,7 +118,7 @@ def _cmd_align(args) -> int:
     data = read_dataset(args.gallery)
     gallery = build_gallery([it.image for it in data.items],
                             [it.label for it in data.items], m=args.m)
-    query = align_images([_load_query(args.query)], args.m)[0]
+    query = align_images([read_pgm(read_bytes(args.query))], args.m)[0]
     label, index, dist, orientation = classify_1nn(gallery, [query],
                                                    args.flips)[0]
     print(f"label={label} neighbor={index} distance={dist:.6f}"
@@ -143,7 +130,7 @@ def _cmd_cnn(args) -> int:
     if args.cnn_command == "bank":
         f0 = parse_template_spec(args.template0)
         f1 = parse_template_spec(args.template1)
-        img = _load_query(args.image)
+        img = read_pgm(read_bytes(args.image))
         if args.beta is not None:
             check_temperature(args.beta)
         bank = build_filter_bank(f0, f1, args.xi_max, args.d)
@@ -158,12 +145,12 @@ def _cmd_cnn(args) -> int:
         opt = OptSpec(learning_rate=args.learning_rate, epochs=args.epochs,
                       batch_size=args.batch_size, seed=args.seed)
         net = train_least_squares(x, y, arch, opt)
-        Path(args.out).write_bytes(save_checkpoint(net))
+        write_bytes(args.out, save_checkpoint(net))
         print(f"final epoch loss {net.loss_history[-1]:.6f}; "
               f"checkpoint at {args.out}")
         return 0
     net = load_checkpoint(read_bytes(args.checkpoint))
-    img = normalize_l2(_load_query(args.image))
+    img = normalize_l2(read_pgm(read_bytes(args.image)))
     p1 = float(net.forward_batch(img.pixels[None])[0][0])
     print(f"label={int(p1 > 0.5)} p0={1.0 - p1:.6f} p1={p1:.6f}")
     return 0
@@ -193,24 +180,21 @@ def _cmd_sep(args) -> int:
 
 def _cmd_bench(args) -> int:
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}")
-    cfg = parse_config(text)
-    report = run_experiment(cfg)
+        text = read_bytes(args.config).decode("utf-8")
+    except (DataError, UnicodeDecodeError) as exc:
+        # read_bytes names the path too; report the error it wraps
+        raise ConfigError(f"cannot read config {args.config}: "
+                          f"{exc.__context__ or exc}")
+    report = run_experiment(parse_config(text))
     fmt = "pretty" if args.pretty else "csv"
-    raw = emit_report(report, fmt=fmt, view="raw")
-    if args.out:
-        Path(args.out).write_bytes(raw)
-        print(f"raw rows at {args.out}")
-    else:
-        sys.stdout.write(raw.decode("utf-8"))
-    agg = emit_report(report, fmt=fmt, view="aggregate")
-    if args.aggregate_out:
-        Path(args.aggregate_out).write_bytes(agg)
-        print(f"aggregates at {args.aggregate_out}")
-    else:
-        sys.stdout.write(agg.decode("utf-8"))
+    for view, path, what in (("raw", args.out, "raw rows"),
+                             ("aggregate", args.aggregate_out, "aggregates")):
+        data = emit_report(report, fmt=fmt, view=view)
+        if path:
+            write_bytes(path, data)
+            print(f"{what} at {path}")
+        else:
+            sys.stdout.write(data.decode("utf-8"))
     failed = sum(1 for row in report.rows if row.error)
     if failed:
         print(f"{failed} of {len(report.rows)} rows failed", file=sys.stderr)
@@ -219,11 +203,10 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {"gen": _cmd_gen, "align": _cmd_align, "cnn": _cmd_cnn,
                 "sep": _cmd_sep, "bench": _cmd_bench}
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -35,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (EmptyList, FilterTooLarge, InvalidParams,
                      ResolutionMismatch)
 from .model import (SUPPORT_HI, SUPPORT_LO, GrayImage, TemplateFunction,
-                    mask_spans, nonzero_boxes)
+                    check_resolution, mask_spans, nonzero_boxes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,6 +184,7 @@ def build_filter_bank(f0: TemplateFunction, f1: TemplateFunction,
     if int(xi_max) != xi_max:
         raise InvalidParams(f"scale limit must be an integer, got {xi_max}")
     xi_max = int(xi_max)
+    check_resolution(d)
     n = 2 * xi_max * d + 1
     scales = (np.arange(n) - xi_max * d) / d
     args = scales[:, None] * (np.arange(1, d + 1) / d)[None, :]

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import Dataset, LabeledImage
-from .errors import (BadMagic, DataError, DimMismatch, EmptyDataset,
-                     InvalidParams, MalformedHeader, MalformedManifest,
-                     TruncatedPayload)
+from .errors import (BadMagic, ConfigError, DataError, DimMismatch,
+                     EmptyDataset, InvalidParams, MalformedHeader,
+                     MalformedManifest, TruncatedPayload)
 from .model import DeformParams, GrayImage
 
 _IMAGE_MAGIC = b"\x00\x00\x08\x03"
@@ -38,6 +38,15 @@ def read_bytes(path: str | Path) -> bytes:
             return fh.read()
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {path}: {exc}")
+
+
+def write_bytes(path: str | Path, data: bytes) -> None:
+    """Write a file; an unwritable path is a bad argument, a ``ConfigError``."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
 
 
 def _parse_idx_header(data: bytes, magic: bytes) -> tuple[tuple[int, ...], int]:
@@ -163,6 +172,9 @@ def read_pgm(data: bytes) -> GrayImage:
     if len(data) - start != w * h:
         raise TruncatedPayload(f"payload has {len(data) - start} bytes, expected {w * h}")
     raw = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=start)
+    # write_pgm writes maxval 255, which no byte can exceed
+    if max_val < 255 and raw.max() > max_val:
+        raise DataError(f"PGM sample {raw.max()} above maxval {max_val}")
     return GrayImage(raw.reshape(h, w) / max_val)
 
 
@@ -183,19 +195,22 @@ def write_dataset(data: Dataset, directory: str | Path,
     resolution.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot write {directory}: {exc}")
     manifest = directory / "manifest.csv"
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_MANIFEST_COLUMNS)
     for i, item in enumerate(data.items):
         name = f"item_{i:05d}.pgm"
-        (directory / name).write_bytes(write_pgm(item.image, max_val_policy))
+        write_bytes(directory / name, write_pgm(item.image, max_val_policy))
         p = item.params
         writer.writerow([i, item.label, item.template_index,
                          repr(p.eta), repr(p.xi), repr(p.xi_prime),
                          repr(p.tau), repr(p.tau_prime), name])
-    manifest.write_text(buf.getvalue(), encoding="utf-8")
+    write_bytes(manifest, buf.getvalue().encode("utf-8"))
     return manifest
 
 

@@ -134,8 +134,8 @@ class TrainableCnn:
         The conv runs on each image's support box framed by k - 1 zeros, on
         one canvas sized for the batch's largest box; column 0 of the im2col
         (``cache["cols"]``) is the all-zero background patch, and
-        ``cache["pool_idx"]`` indexes those columns.  A non-finite
-        probability raises ``NumericError``.
+        ``cache["pool_idx"]`` indexes those columns.  Non-finite logits
+        raise ``NumericError``; finite ones give finite probabilities.
         """
         k = self.arch.filter_size
         b = len(x)
@@ -152,18 +152,20 @@ class TrainableCnn:
         cols = np.zeros((b, k * k, 1 + ph * pw))
         cols[:, :, 1:].reshape(b, k, k, ph, pw)[...] = sliding_window_view(
             canvas, (ph, pw), axis=(1, 2))
-        conv = self.conv_w.reshape(-1, k * k) @ cols
-        conv += self.conv_b[:, None]
-        pool_idx = conv.argmax(axis=2)
-        raw_max = np.take_along_axis(conv, pool_idx[:, :, None], axis=2)[:, :, 0]
-
-        hidden = [np.maximum(raw_max, 0.0)]
-        for w, bias in self.dense[:-1]:
-            hidden.append(np.maximum(hidden[-1] @ w.T + bias, 0.0))
-        w_out, b_out = self.dense[-1]
-        z = hidden[-1] @ w_out.T + b_out
-        p1 = _sigmoid(self.beta * (z[:, 1] - z[:, 0]))
-        if not np.isfinite(p1).all():
+        # overflow shows as a non-finite z, which the check below reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            conv = self.conv_w.reshape(-1, k * k) @ cols
+            conv += self.conv_b[:, None]
+            pool_idx = conv.argmax(axis=2)
+            raw_max = np.take_along_axis(conv, pool_idx[:, :, None],
+                                         axis=2)[:, :, 0]
+            hidden = [np.maximum(raw_max, 0.0)]
+            for w, bias in self.dense[:-1]:
+                hidden.append(np.maximum(hidden[-1] @ w.T + bias, 0.0))
+            w_out, b_out = self.dense[-1]
+            z = hidden[-1] @ w_out.T + b_out
+            p1 = _sigmoid(self.beta * (z[:, 1] - z[:, 0]))
+        if not np.isfinite(z).all():
             raise NumericError("network output is not finite")
         cache = {"cols": cols, "pool_idx": pool_idx, "hidden": hidden}
         return p1, cache

@@ -3,7 +3,7 @@ import pytest
 
 from deformclass import (ArchSpec, DeformDistribution, ExperimentConfig,
                          GrayImage, OptSpec, SearchConfig, TrainableCnn, cli,
-                         save_checkpoint, tent, write_pgm)
+                         harness, save_checkpoint, tent, write_pgm)
 from deformclass.cli import main
 
 GEN_ARGS = ["gen", "--template0", "tent:delta=0.25",
@@ -162,6 +162,16 @@ class TestCnn:
         assert code == 3
         assert "maxval 65535 unsupported" in capsys.readouterr().err
 
+    def test_bank_below_minimum_resolution_exits_2(self, dataset_dir, capsys):
+        query = next(iter(sorted(dataset_dir.glob("*.pgm"))))
+        code = main(["cnn", "bank", "--template0", "tent:delta=0.25",
+                     "--template1", "cross:arm=0.25,taper=0.08",
+                     "--image", str(query), "--d", "2", "--xi-max", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: resolution 2 below minimum 4\n"
+        assert "label=" not in captured.out
+
     def test_train_then_classify(self, dataset_dir, tmp_path, capsys):
         ckpt = tmp_path / "net.ckpt"
         code = main(["cnn", "train", "--data", str(dataset_dir),
@@ -193,7 +203,6 @@ class TestCnn:
         assert "Traceback" not in err
         assert not (tmp_path / "net.ckpt").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_train_overflowing_rate_exits_4(self, tmp_path, capsys):
         data = tmp_path / "data16"
         assert main(GEN_ARGS[:5] + ["--n", "16"] + GEN_ARGS[7:]
@@ -202,7 +211,9 @@ class TestCnn:
         code = main(["cnn", "train", "--data", str(data), "--out", str(ckpt),
                      "--epochs", "3", "--learning-rate", "1e300"])
         assert code == 4
-        assert "numeric failure" in capsys.readouterr().err
+        # numpy's overflow warnings are not printed before the error
+        assert capsys.readouterr().err == (
+            "numeric failure: network output is not finite\n")
         assert not ckpt.exists()
 
     @staticmethod
@@ -216,7 +227,6 @@ class TestCnn:
             (len(blob) - header) // 8, value).astype("<f8").tobytes())
         return path
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("value, code, message", [
         (1e308, 4, "numeric failure: network output is not finite"),
         (float("nan"), 3, "data error: checkpoint weights are not finite"),
@@ -413,6 +423,19 @@ class TestBench:
             "IAC_FLIPS,8,0,0.050000\nIAC_FLIPS,8,1,0.100000\n"
             "IAC_FLIPS,8,2,0.000000\n")
 
+    def test_bank_below_minimum_resolution_exits_2(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("an item ran")
+
+        monkeypatch.setattr(harness, "_draw_template_sets", unreachable)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG.replace("experiment.d = 16", "experiment.d = 2")
+                       + "experiment.classifiers = IAC,CNN_EXPLICIT\n")
+        assert main(["bench", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: resolution 2 below minimum 4\n")
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["bench", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2
@@ -461,7 +484,6 @@ class TestBench:
         err = capsys.readouterr().err
         assert "finite positive rate" in err and "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_learning_rate_fails_rows(self, tmp_path, capsys):
         # Every weight overflows, so every probability is NaN; the rows
         # must fail rather than report a risk of 1/2.
@@ -507,3 +529,64 @@ class TestBench:
         cfg.write_text(self.CONFIG + "bank.beta = 1\n")
         assert main(["bench", "--config", str(cfg)]) == 2
         assert "line 9: unknown key 'bank.beta'" in capsys.readouterr().err
+
+
+class TestPathFlags:
+    """Every path flag of every subcommand, given a path that cannot be read
+    or written, exits with its documented code and one line on stderr."""
+
+    READS = [
+        (["bench", "--config", "{bad}"], 2),
+        (["align", "--gallery", "{bad}", "--query", "{query}"], 3),
+        (["align", "--gallery", "{data}", "--query", "{bad}"], 3),
+        (["cnn", "bank", *_TEMPLATES, "--image", "{bad}", "--d", "16",
+          "--xi-max", "1"], 3),
+        (["cnn", "train", "--data", "{bad}", "--out", "{ckpt}"], 3),
+        (["cnn", "classify", "--checkpoint", "{bad}", "--image", "{query}"], 3),
+        (["cnn", "classify", "--checkpoint", "{ckpt}", "--image", "{bad}"], 3),
+        (["sep", "--template0", "pgm:path={bad}", "--template1", "cone"], 3),
+    ]
+    WRITES = [
+        GEN_ARGS + ["--out", "{bad}"],
+        ["cnn", "train", "--data", "{data}", "--out", "{bad}", "--epochs", "1",
+         "--n-filters", "2", "--batch-size", "4"],
+        ["bench", "--config", "{cfg}", "--out", "{bad}"],
+        ["bench", "--config", "{cfg}", "--aggregate-out", "{bad}"],
+    ]
+
+    @pytest.fixture()
+    def paths(self, dataset_dir, tmp_path):
+        ckpt = tmp_path / "net.ckpt"
+        ckpt.write_bytes(save_checkpoint(TrainableCnn(ArchSpec())))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TestBench.CONFIG)
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "file").write_bytes(b"")
+        return {"data": dataset_dir, "query": dataset_dir / "item_00000.pgm",
+                "ckpt": ckpt, "cfg": cfg, "absent": tmp_path / "absent",
+                "directory": tmp_path / "empty", "nul": tmp_path / "a\0b",
+                "under_file": tmp_path / "file" / "out"}
+
+    @staticmethod
+    def run(argv, paths, bad, capsys):
+        code = main([arg.format(bad=paths[bad], **paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return code, err
+
+    @pytest.mark.parametrize("bad", ["absent", "directory", "nul"])
+    @pytest.mark.parametrize("argv, code", READS,
+                             ids=["config", "gallery", "query", "bank-image",
+                                  "data", "checkpoint", "classify-image",
+                                  "pgm-template"])
+    def test_unreadable_input(self, paths, capsys, argv, code, bad):
+        got, err = self.run(argv, paths, bad, capsys)
+        assert got == code
+        assert err.startswith({2: "config error: ", 3: "data error: "}[code])
+
+    @pytest.mark.parametrize("argv", WRITES, ids=["gen", "train", "bench-raw",
+                                                  "bench-aggregate"])
+    def test_unwritable_output(self, paths, capsys, argv):
+        code, err = self.run(argv, paths, "under_file", capsys)
+        assert code == 2
+        assert err.startswith(f"config error: cannot write {paths['under_file']}")

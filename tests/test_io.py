@@ -4,10 +4,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from deformclass import (
     BadMagic,
+    ConfigError,
     DataError,
     DeformClassError,
     Dataset,
@@ -30,7 +31,7 @@ from deformclass import (
     write_dataset,
     write_pgm,
 )
-from deformclass.io import read_bytes
+from deformclass.io import read_bytes, write_bytes
 
 IMAGE_MAGIC = b"\x00\x00\x08\x03"
 LABEL_MAGIC = b"\x00\x00\x08\x01"
@@ -177,6 +178,8 @@ class TestPgm:
             read_pgm(b"P5\n2 3\n255\n" + bytes(6))
         with pytest.raises(TruncatedPayload):
             read_pgm(b"P5\n2 2\n255\n" + bytes(3))
+        with pytest.raises(DataError, match="PGM sample 200 above maxval 10"):
+            read_pgm(b"P5\n2 2\n10\n" + bytes([0, 5, 10, 200]))
 
     def test_zero_maxval_rejected(self):
         with pytest.raises(DimMismatch, match="maxval 0 unsupported"):
@@ -306,6 +309,18 @@ class TestReadBytes:
             read_bytes(tmp_path / name)
 
 
+class TestWriteBytes:
+    def test_writes_whole_file(self, tmp_path):
+        write_bytes(tmp_path / "f.bin", b"\x00P5\n")
+        assert (tmp_path / "f.bin").read_bytes() == b"\x00P5\n"
+
+    @pytest.mark.parametrize("name", ["absent/f.bin", "file/f.bin", ".", "a\0b"])
+    def test_unwritable_path_is_config_error(self, tmp_path, name):
+        (tmp_path / "file").write_bytes(b"")
+        with pytest.raises(ConfigError, match="cannot write"):
+            write_bytes(tmp_path / name, b"")
+
+
 def _idx_bytes(magic: bytes, rank: int):
     """Arbitrary bytes, bytes after a right magic, and small well-formed
     headers with arbitrary payloads."""
@@ -412,6 +427,8 @@ def byte_walk_read_pgm(data: bytes) -> GrayImage:
     body = data[pos + 1:]
     if len(body) != w * h:
         raise TruncatedPayload(f"payload has {len(body)} bytes, expected {w * h}")
+    if max(body) > max_val:
+        raise DataError(f"PGM sample {max(body)} above maxval {max_val}")
     return GrayImage(np.frombuffer(body, dtype=np.uint8).reshape(h, w) / max_val)
 
 
@@ -453,11 +470,14 @@ class TestByteBoundaries:
     """Any input either parses or raises a package error."""
 
     @given(data=_pgm_bytes())
+    @example(data=b"P5\n2 2\n10\n" + bytes([0, 5, 10, 200]))
     def test_read_pgm(self, data):
         try:
-            assert isinstance(read_pgm(data), GrayImage)
+            img = read_pgm(data)
         except DeformClassError:
-            pass
+            return
+        assert isinstance(img, GrayImage)
+        assert 0.0 <= img.pixels.min() and img.pixels.max() <= 1.0
 
     @given(data=_idx_bytes(IMAGE_MAGIC, 3))
     def test_parse_idx_images(self, data):
