@@ -6,7 +6,9 @@ convolutional classifiers, ``sep`` reports separation and boundary-regularity
 estimates for two templates, ``bench`` runs a full experiment from a config
 file.  Exit codes: 0 success, 1 when ``bench`` wrote its reports but some
 rows failed, 2 config error, 3 data error, 4 numeric failure.  An unreadable
-or undecodable config and an unwritable output path are config errors.
+or undecodable config and an unwritable output path are config errors; an
+output whose directory is missing, or is not a directory, is rejected before
+the work starts.
 """
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ from .errors import ConfigError, DataError, DeformClassError, NumericError
 from .geometry import check_sample_budget, gamma_scan, trace_boundary
 from .harness import (ExperimentConfig, _parse_pair, emit_report,
                       parse_config, parse_template_spec, run_experiment)
-from .io import read_bytes, read_dataset, read_pgm, write_bytes, write_dataset
+from .io import (check_output_dir, read_bytes, read_dataset, read_pgm,
+                 write_bytes, write_dataset)
 from .model import IDENTITY, check_resolution, normalize_l2, rasterize
 from .separation import SearchConfig, estimate_separation
 from .train import (ArchSpec, OptSpec, load_checkpoint, save_checkpoint,
@@ -139,6 +142,7 @@ def _cmd_cnn(args) -> int:
               f"z0={decision.z0:.6f} z1={decision.z1:.6f}")
         return 0
     if args.cnn_command == "train":
+        check_output_dir(args.out)
         x, y = unit_arrays(read_dataset(args.data))
         arch = ArchSpec(n_filters=args.n_filters, filter_size=args.filter_size,
                         beta=args.beta)
@@ -179,6 +183,9 @@ def _cmd_sep(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    for path in (args.out, args.aggregate_out):
+        if path:
+            check_output_dir(path)
     try:
         text = read_bytes(args.config).decode("utf-8")
     except (DataError, UnicodeDecodeError) as exc:

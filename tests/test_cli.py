@@ -565,7 +565,8 @@ class TestPathFlags:
         return {"data": dataset_dir, "query": dataset_dir / "item_00000.pgm",
                 "ckpt": ckpt, "cfg": cfg, "absent": tmp_path / "absent",
                 "directory": tmp_path / "empty", "nul": tmp_path / "a\0b",
-                "under_file": tmp_path / "file" / "out"}
+                "under_file": tmp_path / "file" / "out",
+                "under_absent": tmp_path / "absent" / "out"}
 
     @staticmethod
     def run(argv, paths, bad, capsys):
@@ -590,3 +591,17 @@ class TestPathFlags:
         code, err = self.run(argv, paths, "under_file", capsys)
         assert code == 2
         assert err.startswith(f"config error: cannot write {paths['under_file']}")
+
+    @pytest.mark.parametrize("bad", ["under_file", "under_absent"])
+    @pytest.mark.parametrize("argv", WRITES[1:], ids=["train", "bench-raw",
+                                                      "bench-aggregate"])
+    def test_unwritable_output_fails_before_the_work(self, paths, capsys,
+                                                     monkeypatch, argv, bad):
+        def never(*args, **kwargs):
+            raise AssertionError("the work ran before the output was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+        monkeypatch.setattr(cli, "train_least_squares", never)
+        code, err = self.run(argv, paths, bad, capsys)
+        assert code == 2
+        assert err.startswith(f"config error: cannot write {paths[bad]}")

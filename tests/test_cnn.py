@@ -1,9 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+import deformclass
 from deformclass import (
     DeformDistribution,
     DeformParams,
@@ -21,13 +28,14 @@ from deformclass import (
     max_tree,
     normalize_l2,
     generate_dataset,
+    raster_interp,
     rasterize,
     sample_params,
     softmax_pair,
     tent,
 )
-from deformclass.cnn import _BLOCK, _patches_by_side
-from deformclass.model import nonzero_boxes
+from deformclass.cnn import _BLOCK, _coarse_stack, _crop_boxes, _patches_by_side
+from deformclass.model import SUPPORT_HI, SUPPORT_LO, nonzero_boxes
 
 IDENT = DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
 
@@ -275,6 +283,101 @@ class TestBuildFilterBank:
             build_filter_bank(tent_template, tent_template, 0, 8)
         with pytest.raises(InvalidParams):
             build_filter_bank(tent_template, tent_template, 1.5, 8)
+
+
+# Templates for build comparisons: the analytic ones and a small raster,
+# whose bilinear samples are not symmetric in either argument.
+BUILD_TEMPLATES = {"tent": tent(0.25), "cone": cone(0.22),
+                   "cross": cross(0.25, 0.08),
+                   "raster": raster_interp(np.arange(30.0).reshape(5, 6) % 7)}
+
+
+def one_pass_build(f0, f1, xi_max: int, d: int):
+    """The stacks and coarse twins of build_filter_bank as one pass built
+    them: every live first scale's block normalized whole, its crops cast
+    into per-stack lists of pieces, and each stack concatenated at the end."""
+    n = 2 * xi_max * d + 1
+    scales = (np.arange(n) - xi_max * d) / d
+    args = scales[:, None] * (np.arange(1, d + 1) / d)[None, :]
+    band = (args >= SUPPORT_LO) & (args <= SUPPORT_HI)
+    live = band.any(axis=1)
+    y_args = args[live].ravel()
+    y_band = np.flatnonzero(band[live].ravel())
+    block = np.zeros((d, y_args.size))
+    pieces = {}
+    for k, f in enumerate((f0, f1)):
+        for x_args, rows in zip(args[live], band[live]):
+            lo = int(rows.argmax())
+            hi = lo + int(rows.sum())
+            block[lo:hi, y_band] = f(x_args[lo:hi, None], y_args[None, y_band])
+            grids = block[lo:hi].reshape(hi - lo, -1, d)
+            norms = np.sqrt(np.einsum("imj,imj->m", grids, grids))
+            grids /= np.where(norms > 0.0, norms, 1.0)[:, None]
+            part = np.flatnonzero(norms > 0.0)
+            row_mask = np.zeros((part.size, d), dtype=bool)
+            row_mask[:, lo:hi] = grids.any(axis=2).T[part]
+            r0, c0, side = _crop_boxes(row_mask, grids.any(axis=0)[part])
+            c0 += part * d
+            for s in np.unique(side):
+                sel = side == s
+                crops = sliding_window_view(block, (s, s))[r0[sel], c0[sel]]
+                pieces.setdefault((int(s), k), []).append(
+                    crops.reshape(crops.shape[0], -1).astype(np.float32))
+            block[lo:hi] = 0.0
+    stacks = {key: np.concatenate(pieces[key]) for key in sorted(pieces)}
+    return stacks, {key: _coarse_stack(mat, key[0]) for key, mat in stacks.items()}
+
+
+# Ξ = 2, d = 64 tent/cross build in a fresh interpreter; prints the peak
+# RSS after the import and after the build, and the bank's bytes.  The
+# peak is the address space's VmHWM: ru_maxrss would carry over the peak
+# of the process that started the interpreter, through fork and exec.
+_MEMORY_PROBE = """
+import json
+import deformclass as dc
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return int(fh.read().split("VmHWM:")[1].split()[0])
+
+base = peak_kb()
+bank = dc.build_filter_bank(dc.tent(0.25), dc.cross(0.25, 0.08), 2, 64)
+arrays = [*bank.stacks.values(), *bank.coarse.values()]
+print(json.dumps({"base_kb": base, "peak_kb": peak_kb(),
+                  "bank_bytes": sum(a.nbytes for a in arrays)}))
+"""
+
+
+class TestBankBuildPasses:
+    @given(st.sampled_from(sorted(BUILD_TEMPLATES)),
+           st.sampled_from(sorted(BUILD_TEMPLATES)),
+           st.integers(4, 24), st.integers(1, 2))
+    def test_matches_one_pass_build(self, name0, name1, d, xi_max):
+        f0, f1 = BUILD_TEMPLATES[name0], BUILD_TEMPLATES[name1]
+        bank = build_filter_bank(f0, f1, xi_max, d)
+        stacks, coarse = one_pass_build(f0, f1, xi_max, d)
+        assert list(bank.stacks) == list(stacks) == list(bank.coarse)
+        for got, want in ((bank.stacks, stacks), (bank.coarse, coarse)):
+            for key, mat in got.items():
+                assert mat.dtype == np.float32
+                assert mat.flags.c_contiguous and not mat.flags.writeable
+                assert np.array_equal(mat, want[key])
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads the peak RSS from /proc")
+    def test_build_memory_is_about_the_bank(self):
+        """Each filter is written once, into its final stack: the build's
+        peak RSS stays near the bank's own bytes, where collecting pieces
+        and concatenating them cost about twice as much."""
+        src = str(Path(deformclass.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", _MEMORY_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        got = json.loads(done.stdout)
+        added = (got["peak_kb"] - got["base_kb"]) * 1024
+        assert added <= 1.3 * got["bank_bytes"] + 16 * 2 ** 20
 
 
 @pytest.fixture(scope="module")

@@ -463,7 +463,6 @@ class TestNonFinite:
         with pytest.raises(NumericError, match="not finite"):
             net.forward_batch(raw_arrays(small_dataset)[0])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_step_is_numeric_error(self):
         # One step from p1 = 1/2 on a blank image: the output bias gradient
         # is beta / 4 = 4, so rate times gradient overflows, while the only
