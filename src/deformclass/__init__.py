@@ -9,7 +9,7 @@ classifier and a small trainable CNN with verified gradients.
 
 from .align import AlignedRep, align_images, build_gallery, classify_1nn
 from .cnn import (BankDecision, Filter, FilterBank, build_filter_bank,
-                  classify_bank, feature_max, max_tree, softmax_pair)
+                  class1_probability, classify_bank, feature_max, max_tree)
 from .datagen import (Dataset, DeformDistribution, LabeledImage,
                       NonIdentifiablePair, generate_dataset,
                       non_identifiable_pair, sample_params, unit_arrays)
@@ -24,9 +24,8 @@ from .errors import (AllZeroImage, BadMagic, ConfigError, DataError,
 from .geometry import BoundaryCurve, GammaScan, gamma_scan, trace_boundary
 from .harness import (ExperimentConfig, RiskReport, RiskRow, emit_report,
                       parse_config, parse_template_spec, run_experiment)
-from .io import (load_idx_pair, parse_idx_images, parse_idx_labels,
-                 read_dataset, read_pgm, serialize_idx_images,
-                 serialize_idx_labels, write_dataset, write_pgm)
+from .io import (parse_idx_images, parse_idx_labels, read_dataset, read_pgm,
+                 write_dataset, write_pgm)
 from .model import (IDENTITY, DeformParams, GrayImage, TemplateFunction,
                     cone, cross, discrete_l2_norm, normalize_l2,
                     raster_interp, rasterize, rasterize_batch, reparametrize,
@@ -53,16 +52,16 @@ __all__ = [
     "ResolutionMismatch", "ResolutionTooSmall", "RiemannRow",
     "RiskReport", "RiskRow", "SearchConfig", "SeparationResult",
     "TemplateFunction", "TrainableCnn", "TruncatedPayload", "ZeroNorm",
-    "align_images", "build_filter_bank", "build_gallery", "classify_1nn",
-    "classify_bank", "cone", "cross", "discrete_l2_norm", "emit_report",
-    "estimate_separation", "feature_max", "gamma_scan", "generate_dataset",
-    "grad_check", "grid_inner_product", "load_checkpoint", "load_idx_pair",
-    "max_tree", "non_identifiable_pair", "normalize_l2", "parse_config",
+    "align_images", "build_filter_bank", "build_gallery",
+    "class1_probability", "classify_1nn", "classify_bank", "cone", "cross",
+    "discrete_l2_norm", "emit_report", "estimate_separation",
+    "feature_max", "gamma_scan", "generate_dataset", "grad_check",
+    "grid_inner_product", "load_checkpoint", "max_tree",
+    "non_identifiable_pair", "normalize_l2", "parse_config",
     "parse_idx_images", "parse_idx_labels", "parse_template_spec",
     "raster_interp", "rasterize", "rasterize_batch", "read_dataset",
-    "read_pgm", "reparametrize", "riemann_error_report",
-    "run_experiment", "sample_params", "save_checkpoint",
-    "serialize_idx_images", "serialize_idx_labels", "shift_bounds",
-    "softmax_pair", "template_sum", "tent", "trace_boundary",
-    "train_least_squares", "unit_arrays", "write_dataset", "write_pgm",
+    "read_pgm", "reparametrize", "riemann_error_report", "run_experiment",
+    "sample_params", "save_checkpoint", "shift_bounds", "template_sum",
+    "tent", "trace_boundary", "train_least_squares", "unit_arrays",
+    "write_dataset", "write_pgm",
 ]

@@ -21,7 +21,7 @@ from .errors import (
     ResolutionMismatch,
     ZeroNorm,
 )
-from .model import IMAGE_BLOCK, GrayImage, mask_spans
+from .model import IMAGE_BLOCK, GrayImage, check_norm, mask_spans
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,15 @@ def align_images(images: Sequence[GrayImage], m: int | None = None
     ``IMAGE_BLOCK`` at a time.  The first image, in list order, with no
     positive pixel raises EmptySupport; the first whose resampled grid is
     identically zero (possible when the box corners land between the
-    support pixels) raises ZeroNorm.
+    support pixels) raises ZeroNorm, and the first whose resampled grid has
+    a non-finite norm (a NaN or infinite sample) raises NumericError.
     """
     reps: list[AlignedRep] = []
     for d, run in groupby(images, key=lambda img: img.d):
         run = list(run)
         for start in range(0, len(run), IMAGE_BLOCK):
             reps.extend(_align_block(run[start:start + IMAGE_BLOCK],
-                                     d if m is None else m))
+                                     d if m is None else m, len(reps)))
     return reps
 
 
@@ -82,8 +83,10 @@ def _sample_index(lo: np.ndarray, end: np.ndarray, m: int) -> np.ndarray:
     return (lo[:, None] * (m - 1) + np.arange(m) * span[:, None]) // (m - 1)
 
 
-def _align_block(images: Sequence[GrayImage], m: int) -> list[AlignedRep]:
-    """``align_images`` on images that share one resolution."""
+def _align_block(images: Sequence[GrayImage], m: int,
+                 first: int) -> list[AlignedRep]:
+    """``align_images`` on images that share one resolution; ``first`` is
+    the list index of the first of them."""
     if m < 2:
         raise InvalidParams(f"resample grid needs m >= 2, got {m}")
     px = np.stack([img.pixels for img in images])
@@ -100,6 +103,7 @@ def _align_block(images: Sequence[GrayImage], m: int) -> list[AlignedRep]:
             raise EmptySupport("no pixel is positive")
         # One BLAS dot per grid, exactly as for a lone image.
         norms[i] = float(np.linalg.norm(z[i]))
+        check_norm(norms[i], f"the resampled grid of image {first + i}")
         if norms[i] == 0.0:
             raise ZeroNorm("resampled support grid is identically zero")
     z /= norms[:, None, None]

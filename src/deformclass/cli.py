@@ -143,11 +143,13 @@ def _cmd_cnn(args) -> int:
         return 0
     if args.cnn_command == "train":
         check_output_dir(args.out)
-        x, y = unit_arrays(read_dataset(args.data))
         arch = ArchSpec(n_filters=args.n_filters, filter_size=args.filter_size,
                         beta=args.beta)
         opt = OptSpec(learning_rate=args.learning_rate, epochs=args.epochs,
                       batch_size=args.batch_size, seed=args.seed)
+        arch.validate()
+        opt.validate()
+        x, y = unit_arrays(read_dataset(args.data))
         net = train_least_squares(x, y, arch, opt)
         write_bytes(args.out, save_checkpoint(net))
         print(f"final epoch loss {net.loss_history[-1]:.6f}; "

@@ -325,18 +325,18 @@ def check_temperature(beta: float) -> None:
         raise InvalidParams(f"temperature must be positive and finite, got {beta}")
 
 
-def softmax_pair(z0: float, z1: float, beta: float) -> tuple[float, float]:
-    """Tempered two-class softmax, computed in max-shifted form.
+def class1_probability(t: np.ndarray) -> np.ndarray:
+    """The class-1 probability of the tempered two-class softmax, the head
+    of both CNN classifiers, as the logistic function of t = beta (z1 - z0).
 
-    The outputs sum to 1 exactly; large beta sharpens the pair toward the
-    one-hot limit.
+    Each sign of t takes the form whose exponential cannot overflow.
     """
-    check_temperature(beta)
-    m = max(z0, z1)
-    e0 = float(np.exp(beta * (z0 - m)))
-    e1 = float(np.exp(beta * (z1 - m)))
-    p0 = e0 / (e0 + e1)
-    return p0, 1.0 - p0
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +524,15 @@ def classify_bank(bank: FilterBank, img: GrayImage, beta: float | None = None
 
     z_k is the maximum pooled response over all class-k filters; the label
     is the argmax channel and the probabilities are the tempered softmax of
-    (z0, z1).  The image is expected pre-normalized to unit Frobenius norm.
+    (z0, z1), the trained network's head.  The image is expected
+    pre-normalized to unit Frobenius norm.
     """
     if bank.d != img.d:
         raise ResolutionMismatch(f"bank built for d={bank.d}, image has d={img.d}")
     if beta is None:
         beta = float(bank.d)
+    check_temperature(beta)
     z0, z1 = _channel_maxima(bank, img.pixels)
-    p0, p1 = softmax_pair(z0, z1, beta)
+    p1 = float(class1_probability(np.array(beta * (z1 - z0))))
     label = 0 if z0 >= z1 else 1
-    return BankDecision(p0=p0, p1=p1, label=label, z0=z0, z1=z1)
+    return BankDecision(p0=1.0 - p1, p1=p1, label=label, z0=z0, z1=z1)

@@ -24,6 +24,7 @@ from .model import (
     DeformParams,
     GrayImage,
     TemplateFunction,
+    check_norm,
     rasterize,  # noqa: F401 - kept importable here for tools that patch it
     rasterize_batch,
     reparametrize,
@@ -103,8 +104,7 @@ def _draw_params(q: DeformDistribution, draw_index: int) -> DeformParams:
         xi_p = -xi_p
     tau = rng.uniform(*shift_bounds(xi))
     tau_p = rng.uniform(*shift_bounds(xi_p))
-    p = DeformParams(eta=eta, xi=xi, xi_prime=xi_p, tau=tau, tau_prime=tau_p,
-                     allow_flips=q.flip_prob > 0)
+    p = DeformParams(eta=eta, xi=xi, xi_prime=xi_p, tau=tau, tau_prime=tau_p)
     p.validate()
     return p
 
@@ -143,6 +143,8 @@ def unit_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     norms = np.array([np.linalg.norm(img) for img in x])
     if not norms.all():
         raise AllZeroImage("cannot normalize an all-zero image")
+    for i, norm in enumerate(norms):
+        check_norm(norm, f"image {i}")
     return x / norms[:, None, None], np.array([item.label for item in data.items])
 
 
@@ -150,31 +152,26 @@ def generate_dataset(templates0: Sequence[TemplateFunction],
                      templates1: Sequence[TemplateFunction],
                      q: DeformDistribution,
                      n: int,
-                     d: int,
-                     pi: float = 0.5) -> Dataset:
+                     d: int) -> Dataset:
     """Generate ``n`` labeled images at resolution ``d``.
 
     Class k draws its template uniformly from ``templates<k>`` and its
-    deformation from ``q``.  When ``pi`` is exactly 1/2 and ``n`` is even,
-    the design is balanced: exactly n/2 items per class, in an order given
-    by a seeded permutation.  Otherwise labels are independent Bernoulli(pi)
-    draws (pi is the probability of class 1).  All draws come first, item
-    by item; then each (class, template) group is rasterized as one set.
+    deformation from ``q``.  An even ``n`` is balanced: exactly n/2 items
+    per class, in an order given by a seeded permutation.  An odd ``n``
+    draws each label by a fair coin flip from the item's choice stream.
+    All draws come first, item by item; then each (class, template) group
+    is rasterized as one set.
     """
     if not templates0 or not templates1:
         raise EmptyList("both template lists must be non-empty")
     if n < 1:
         raise InvalidParams(f"dataset size must be >= 1, got {n}")
-    if not (0.0 <= pi <= 1.0):
-        raise InvalidParams(f"class probability must be in [0, 1], got {pi}")
     q.validate()
 
-    balanced = (pi == 0.5 and n % 2 == 0)
+    balanced = n % 2 == 0
     if balanced:
         base = np.repeat([0, 1], n // 2)
         labels = base[_substream(q.seed, _STREAM_LABELS).permutation(n)]
-    else:
-        labels = None
 
     per_class = (tuple(templates0), tuple(templates1))
     draws = []
@@ -186,7 +183,7 @@ def generate_dataset(templates0: Sequence[TemplateFunction],
             label, t_idx = int(labels[i]), 0
         else:
             chooser = _substream(q.seed, _STREAM_CHOICE, i)
-            label = int(labels[i]) if balanced else int(chooser.random() < pi)
+            label = int(labels[i]) if balanced else int(chooser.random() < 0.5)
             t_idx = int(chooser.integers(len(per_class[label])))
         draws.append((label, t_idx, _draw_params(q, i)))
         groups.setdefault((label, t_idx), []).append(i)

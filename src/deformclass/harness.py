@@ -74,7 +74,6 @@ class RiskRow:
 @dataclass(frozen=True)
 class RiskReport:
     rows: tuple[RiskRow, ...]
-    n_test: int
 
     def aggregates(self) -> list[tuple[str, int, float]]:
         """Median risk across repetitions per (classifier, n)."""
@@ -152,7 +151,7 @@ def run_experiment(cfg: ExperimentConfig) -> RiskReport:
     if not cfg.classifiers:
         print("warning: no classifiers requested; report will be empty",
               file=sys.stderr)
-        return RiskReport(rows=(), n_test=cfg.n_test)
+        return RiskReport(rows=())
 
     bank = None
     if "CNN_EXPLICIT" in cfg.classifiers:
@@ -186,7 +185,7 @@ def run_experiment(cfg: ExperimentConfig) -> RiskReport:
     rows = [row for rep in range(cfg.repetitions) for n in cfg.n_list
             for row in run_item(rep, n)]
     rows.sort(key=lambda r: (r.classifier, r.n, r.repetition))
-    return RiskReport(rows=tuple(rows), n_test=cfg.n_test)
+    return RiskReport(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

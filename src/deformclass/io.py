@@ -94,34 +94,6 @@ def parse_idx_labels(data: bytes) -> list[int]:
     return [int(b) for b in payload]
 
 
-def serialize_idx_images(images: list[GrayImage]) -> bytes:
-    """Inverse of parse_idx_images for byte-representable pixel values."""
-    if not images:
-        raise EmptyDataset("cannot serialize an empty image list")
-    d = images[0].d
-    if any(img.d != d for img in images):
-        raise DimMismatch("all images must share one side length")
-    header = _IMAGE_MAGIC + struct.pack(">3I", len(images), d, d)
-    stack = np.stack([img.pixels for img in images])
-    payload = np.clip(np.rint(stack * 255.0), 0, 255).astype(np.uint8)
-    return header + payload.tobytes()
-
-
-def serialize_idx_labels(labels: list[int]) -> bytes:
-    if any(not (0 <= v <= 255) for v in labels):
-        raise InvalidParams("labels must fit one unsigned byte")
-    return _LABEL_MAGIC + struct.pack(">I", len(labels)) + bytes(labels)
-
-
-def load_idx_pair(image_data: bytes, label_data: bytes) -> list[tuple[GrayImage, int]]:
-    """Parse matching image and label files, validating count equality."""
-    images = parse_idx_images(image_data)
-    labels = parse_idx_labels(label_data)
-    if len(images) != len(labels):
-        raise DimMismatch(f"{len(images)} images but {len(labels)} labels")
-    return list(zip(images, labels))
-
-
 # ---------------------------------------------------------------------------
 # PGM
 # ---------------------------------------------------------------------------
@@ -226,8 +198,9 @@ def read_dataset(directory: str | Path) -> Dataset:
     """Load a manifest-directory dataset written by write_dataset.
 
     Rows are read by column position; blank lines are skipped.  A row with
-    the wrong number of fields, a non-numeric or non-finite parameter or a
-    non-integer index, label or template index raises ``MalformedManifest``.
+    the wrong number of fields, a non-numeric or non-finite parameter, a
+    non-integer index, label or template index, or a label other than 0
+    or 1 raises ``MalformedManifest``.
     Images may differ in size.
     """
     directory = Path(directory)
@@ -260,9 +233,12 @@ def read_dataset(directory: str | Path) -> Dataset:
                 raise MalformedManifest(
                     f"manifest row {k}: {name} {value!r:.40} is not finite")
         _, label, t_idx, eta, xi, xi_prime, tau, tau_prime = numbers
+        if label not in (0, 1):
+            raise MalformedManifest(
+                f"manifest row {k}: label {label} is not 0 or 1")
         img = read_pgm(read_bytes(directory / row[8]))
         params = DeformParams(eta=eta, xi=xi, xi_prime=xi_prime, tau=tau,
-                              tau_prime=tau_prime, allow_flips=True)
+                              tau_prime=tau_prime)
         items.append(LabeledImage(image=img, label=label, template_index=t_idx,
                                   params=params))
     if not items:

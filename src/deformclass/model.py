@@ -8,6 +8,7 @@ at array index [j-1, l-1]; the first array axis is the x direction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import (
     AllZeroImage,
     InvalidParams,
+    NumericError,
     ResolutionTooSmall,
 )
 
@@ -294,8 +296,9 @@ def shift_bounds(scale: float) -> tuple[float, float]:
 class DeformParams:
     """One draw of the deformation: amplitude, axis scales, axis shifts.
 
-    Scales must satisfy |scale| >= 1/2 and, unless ``allow_flips`` is set,
-    be positive.  Shifts must lie in ``shift_bounds`` of their scale.
+    Each scale must satisfy |scale| >= 1/2, of either sign (a negative
+    scale reverses its axis).  Shifts must lie in ``shift_bounds`` of their
+    scale.
     """
 
     eta: float
@@ -303,7 +306,6 @@ class DeformParams:
     xi_prime: float
     tau: float
     tau_prime: float
-    allow_flips: bool = False
 
     def validate(self) -> None:
         if not np.isfinite([self.eta, self.xi, self.xi_prime,
@@ -312,11 +314,8 @@ class DeformParams:
         if self.eta <= 0:
             raise InvalidParams(f"amplitude must be positive, got {self.eta}")
         for name, scale in (("xi", self.xi), ("xi_prime", self.xi_prime)):
-            if self.allow_flips:
-                if abs(scale) < 0.5 - _BOUND_TOL:
-                    raise InvalidParams(f"|{name}| must be >= 1/2, got {scale}")
-            elif scale < 0.5 - _BOUND_TOL:
-                raise InvalidParams(f"{name} must be >= 1/2, got {scale}")
+            if abs(scale) < 0.5 - _BOUND_TOL:
+                raise InvalidParams(f"|{name}| must be >= 1/2, got {scale}")
         for name, scale, shift in (("tau", self.xi, self.tau),
                                    ("tau_prime", self.xi_prime, self.tau_prime)):
             lo, hi = shift_bounds(scale)
@@ -418,7 +417,16 @@ def normalize_l2(img: GrayImage) -> GrayImage:
     norm = float(np.linalg.norm(img.pixels))
     if norm == 0.0:
         raise AllZeroImage("cannot normalize an all-zero image")
+    check_norm(norm, f"the {img.d} x {img.d} image")
     return GrayImage(img.pixels / norm)
+
+
+def check_norm(norm: float, what: str) -> None:
+    """Raise ``NumericError`` naming ``what`` when its norm is not finite: a
+    NaN or infinite pixel, or a sum of squares that overflows."""
+    if not math.isfinite(norm):
+        raise NumericError(f"{what} has norm {norm}; its pixels must be "
+                           f"finite and their sum of squares representable")
 
 
 def discrete_l2_norm(grid: np.ndarray) -> float:

@@ -36,13 +36,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cnn import check_temperature
+from .cnn import check_temperature, class1_probability
 from .errors import (DataError, DimMismatch, EmptyDataset, InvalidParams,
                      NumericError, TruncatedPayload)
 from .model import nonzero_boxes
 
 _MAGIC = b"DCNN"
 _VERSION = 1
+# Largest filter count, filter side, dense layer count or dense width that
+# the checkpoint's unsigned 16-bit header fields hold.
+_FIELD_MAX = 0xFFFF
 
 # Adam's moment decays and denominator guard, at Kingma and Ba's defaults.
 _BETA1 = 0.9
@@ -62,6 +65,14 @@ class ArchSpec:
             raise InvalidParams("need at least one filter of positive size")
         if any(w < 1 for w in self.dense_widths):
             raise InvalidParams("dense widths must be positive")
+        if max(self.n_filters, self.filter_size, len(self.dense_widths),
+               *self.dense_widths) > _FIELD_MAX:
+            raise InvalidParams(
+                f"filter count, filter size, dense layer count and dense "
+                f"widths must be at most {_FIELD_MAX}, the checkpoint's "
+                f"limit; got {self.n_filters} filters of size "
+                f"{self.filter_size} and {len(self.dense_widths)} dense "
+                f"layers, the widest {max(self.dense_widths, default=0)}")
         check_temperature(self.beta)
 
 
@@ -76,15 +87,6 @@ class OptSpec:
         if not (0 < self.learning_rate < np.inf) or self.epochs < 1 or self.batch_size < 1:
             raise InvalidParams(
                 "optimizer spec must have a finite positive rate and positive epochs/batch")
-
-
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 def param_shapes(arch: ArchSpec) -> list[tuple[int, ...]]:
@@ -164,7 +166,7 @@ class TrainableCnn:
                 hidden.append(np.maximum(hidden[-1] @ w.T + bias, 0.0))
             w_out, b_out = self.dense[-1]
             z = hidden[-1] @ w_out.T + b_out
-            p1 = _sigmoid(self.beta * (z[:, 1] - z[:, 0]))
+            p1 = class1_probability(self.beta * (z[:, 1] - z[:, 0]))
         if not np.isfinite(z).all():
             raise NumericError("network output is not finite")
         cache = {"cols": cols, "pool_idx": pool_idx, "hidden": hidden}

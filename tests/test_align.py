@@ -13,6 +13,7 @@ from deformclass import (
     EmptySupport,
     GrayImage,
     InvalidParams,
+    NumericError,
     ResolutionMismatch,
     ZeroNorm,
     align_images,
@@ -232,7 +233,7 @@ class TestClassify1nn:
         p_id = DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
         gallery = build_gallery([rasterize(f, p_id, d)], [0])
         flipped = DeformParams(eta=1.0, xi=-1.0, xi_prime=1.0, tau=-1.0,
-                               tau_prime=0.0, allow_flips=True)
+                               tau_prime=0.0)
         img = rasterize(f, flipped, d)
         label, idx, dist, orient = classify_1nn(gallery, align_images([img]),
                                                 flips=True)[0]
@@ -406,6 +407,18 @@ class TestAlignImages:
                               ([_image(np.ones((5, 5))), diamond], ZeroNorm)):
             outcome = _same_as_oracle(images, 2)
             assert outcome[0] is error
+
+    def test_non_finite_sample_raises(self):
+        good = rasterize(tent(0.25), DeformParams(eta=1.0, xi=1.0, xi_prime=1.0,
+                                                  tau=0.0, tau_prime=0.0), 16)
+        px = good.pixels.copy()
+        px[8, 8] = np.nan  # inside the support box
+        with pytest.raises(NumericError,
+                           match="resampled grid of image 2 has norm nan"):
+            align_images([good, good, GrayImage(px)])
+        gallery = build_gallery([good], [0])
+        with pytest.raises(NumericError):
+            classify_1nn(gallery, align_images([GrayImage(px)]))
 
     def test_grids_are_read_only(self):
         reps = align_images([_image([[0, 1], [2, 3]])] * 3)

@@ -107,6 +107,7 @@ class TestAlign:
         lambda row: row[:3],                       # short row
         lambda row: [row[0], row[1], row[2], "abc"] + row[4:],   # eta
         lambda row: [row[0], "1.5"] + row[2:],     # label
+        lambda row: [row[0], "7"] + row[2:],       # label not 0 or 1
     ])
     def test_malformed_manifest_exits_3(self, dataset_dir, capsys, edit):
         manifest = dataset_dir / "manifest.csv"
@@ -202,6 +203,37 @@ class TestCnn:
         assert "data error: training images must share one side length" in err
         assert "Traceback" not in err
         assert not (tmp_path / "net.ckpt").exists()
+
+    def test_train_label_other_than_0_or_1_exits_3(self, dataset_dir,
+                                                   tmp_path, capsys):
+        manifest = dataset_dir / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        lines[1] = ",".join([lines[1].split(",")[0], "7",
+                             *lines[1].split(",")[2:]])
+        manifest.write_text("\n".join(lines) + "\n")
+        ckpt = tmp_path / "net.ckpt"
+        code = main(["cnn", "train", "--data", str(dataset_dir),
+                     "--out", str(ckpt), "--epochs", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "data error: manifest row 1: label 7 is not 0 or 1\n")
+        assert not ckpt.exists()
+
+    def test_train_too_many_filters_exits_2_before_reading(
+            self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("called before the network spec was checked")
+
+        monkeypatch.setattr(cli, "read_dataset", fail)
+        monkeypatch.setattr(cli, "train_least_squares", fail)
+        ckpt = tmp_path / "net.ckpt"
+        code = main(["cnn", "train", "--data", str(tmp_path),
+                     "--out", str(ckpt), "--n-filters", "65536"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: filter count") and "65535" in err
+        assert err.count("\n") == 1
+        assert not ckpt.exists()
 
     def test_train_overflowing_rate_exits_4(self, tmp_path, capsys):
         data = tmp_path / "data16"
@@ -499,6 +531,14 @@ class TestBench:
         assert raw.read_text().splitlines()[1:] == ["CNN_TRAINED,8,0,nan",
                                                     "CNN_TRAINED,8,1,nan"]
         assert "2 of 2 rows failed" in capsys.readouterr().err
+
+    def test_too_many_cnn_filters_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG + "experiment.classifiers = CNN_TRAINED\n"
+                       "cnn.n_filters = 65536\n")
+        assert main(["bench", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "at most 65535" in err and "Traceback" not in err
 
     def test_infinite_cnn_beta_exits_2(self, tmp_path, capsys):
         # With an infinite temperature every loss is NaN.

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,9 @@ from deformclass import (
     raster_interp,
     rasterize,
     sample_params,
-    softmax_pair,
     tent,
 )
+from deformclass import cnn
 from deformclass.cnn import _BLOCK, _coarse_stack, _crop_boxes, _patches_by_side
 from deformclass.model import SUPPORT_HI, SUPPORT_LO, nonzero_boxes
 
@@ -166,24 +167,61 @@ class TestMaxTree:
             max_tree([0.5, float("nan")])
 
 
-class TestSoftmaxPair:
-    def test_logistic_oracle(self):
-        p0, p1 = softmax_pair(1.0, 0.0, 1.0)
-        assert p0 == pytest.approx(0.7310585786300049, abs=1e-15)
-        assert p0 + p1 == 1.0
+def softmax_pair(z0: float, z1: float, beta: float) -> tuple[float, float]:
+    """Oracle of the bank's head: the tempered two-class softmax in
+    max-shifted form."""
+    m = max(z0, z1)
+    e0 = float(np.exp(beta * (z0 - m)))
+    e1 = float(np.exp(beta * (z1 - m)))
+    p0 = e0 / (e0 + e1)
+    return p0, 1.0 - p0
 
-    def test_symmetric_inputs(self):
-        assert softmax_pair(0.3, 0.3, 5.0) == (0.5, 0.5)
 
-    def test_sharpening(self):
-        mild = softmax_pair(0.6, 0.4, 1.0)[0]
-        sharp = softmax_pair(0.6, 0.4, 32.0)[0]
+def decide(bank, z0: float, z1: float, beta: float):
+    """classify_bank's decision on a blank image whose channel maxima are
+    taken to be (z0, z1)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cnn, "_channel_maxima", lambda bank, pixels: (z0, z1))
+        return classify_bank(bank, GrayImage(np.zeros((bank.d, bank.d))),
+                             beta=beta)
+
+
+class TestBankHead:
+    """The bank ends in the trained network's head, class1_probability."""
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(1e-3, 1e3))
+    def test_matches_softmax_oracle(self, small_bank, z0, z1, beta):
+        decision = decide(small_bank, z0, z1, beta)
+        assert abs(decision.p1 - softmax_pair(z0, z1, beta)[1]) <= 4e-16
+        assert decision.p0 + decision.p1 == 1.0
+        assert decision.label == (0 if z0 >= z1 else 1)
+
+    def test_logistic_oracle(self, small_bank):
+        decision = decide(small_bank, 1.0, 0.0, 1.0)
+        assert decision.p0 == pytest.approx(0.7310585786300049, abs=1e-15)
+        assert decision.p0 + decision.p1 == 1.0
+
+    def test_symmetric_inputs(self, small_bank):
+        decision = decide(small_bank, 0.3, 0.3, 5.0)
+        assert (decision.p0, decision.p1) == (0.5, 0.5)
+
+    def test_sharpening(self, small_bank):
+        mild = decide(small_bank, 0.6, 0.4, 1.0).p0
+        sharp = decide(small_bank, 0.6, 0.4, 32.0).p0
         assert 0.5 < mild < sharp < 1.0
 
-    def test_temperature_must_be_positive(self):
+    def test_temperature_must_be_positive(self, small_bank):
         for beta in (0.0, -2.0, float("nan"), float("inf")):
             with pytest.raises(InvalidParams):
-                softmax_pair(1.0, 0.0, beta)
+                classify_bank(small_bank, GrayImage(np.zeros((8, 8))), beta=beta)
+
+    def test_huge_temperature_warns_nothing(self, small_bank, tent_template):
+        img = normalize_l2(rasterize(tent_template, IDENT, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decision = classify_bank(small_bank, img, beta=1e300)
+        assert decision.label == 0 and decision.z0 > decision.z1
+        assert (decision.p0, decision.p1) == (1.0, 0.0)
 
 
 def scale_grid(bank) -> np.ndarray:

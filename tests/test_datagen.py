@@ -110,24 +110,18 @@ class TestGenerateDataset:
                                  it.params, 16)
             assert np.array_equal(it.image.pixels, expected.pixels)
 
-    def test_unbalanced_bernoulli(self, tent_template, cross_template, mild_q):
-        data = generate_dataset([tent_template], [cross_template], mild_q,
-                                n=60, d=16, pi=0.9)
-        assert np.array([it.label for it in data.items]).mean() > 0.6
-
     def test_multi_template_pool(self, tent_template, cross_template, mild_q):
         pool0 = [tent_template, tent(0.2)]
         data = generate_dataset(pool0, [cross_template], mild_q, n=30, d=16)
         idx0 = {it.template_index for it in data.items if it.label == 0}
         assert idx0 == {0, 1}
 
-    @pytest.mark.parametrize("pools, n, pi, choices", [
-        ((1, 1), 10, 0.5, 0),   # balanced, one template per class
-        ((2, 1), 10, 0.5, 5),   # only the class-0 items pick a template
-        ((1, 1), 9, 0.5, 9),    # odd n: Bernoulli labels
-        ((1, 2), 10, 0.3, 10)])
+    @pytest.mark.parametrize("pools, n, choices", [
+        ((1, 1), 10, 0),   # balanced, one template per class
+        ((2, 1), 10, 5),   # only the class-0 items pick a template
+        ((1, 1), 9, 9)])   # odd n: fair coin-flip labels
     def test_choice_stream_only_where_it_can_change_the_item(
-            self, monkeypatch, mild_q, pools, n, pi, choices):
+            self, monkeypatch, mild_q, pools, n, choices):
         from deformclass import datagen
         real = datagen._substream
         keys = []
@@ -139,13 +133,13 @@ class TestGenerateDataset:
         monkeypatch.setattr(datagen, "_substream", spy)
         pool0, pool1 = [tent(0.25), tent(0.2)], [cross(0.25, 0.08), cone(0.2)]
         data = generate_dataset(pool0[:pools[0]], pool1[:pools[1]], mild_q,
-                                n=n, d=8, pi=pi)
+                                n=n, d=8)
         assert sum(key[0] == datagen._STREAM_CHOICE for key in keys) == choices
         # every item still equals the draw of its own choice stream
         for i, it in enumerate(data.items):
             chooser = real(mild_q.seed, datagen._STREAM_CHOICE, i)
-            if pi != 0.5 or n % 2:
-                assert it.label == int(chooser.random() < pi)
+            if n % 2:
+                assert it.label == int(chooser.random() < 0.5)
             assert it.template_index == int(chooser.integers(pools[it.label]))
 
     def test_rejects_empty_inputs(self, tent_template, mild_q):
@@ -153,9 +147,6 @@ class TestGenerateDataset:
             generate_dataset([], [tent_template], mild_q, n=4, d=16)
         with pytest.raises(InvalidParams):
             generate_dataset([tent_template], [tent_template], mild_q, n=0, d=16)
-        with pytest.raises(InvalidParams):
-            generate_dataset([tent_template], [tent_template], mild_q,
-                             n=4, d=16, pi=1.5)
 
 
 def rasterize_oracle(f, p, d):
@@ -182,23 +173,22 @@ def _assert_rasters_match(data, pools, q, d):
 
 class TestBlockRasterizing:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
-           d=st.integers(4, 20), pi=st.sampled_from([0.5, 0.5, 0.2, 0.9]),
-           flip_prob=st.sampled_from([0.0, 0.5]),
+           d=st.integers(4, 20), flip_prob=st.sampled_from([0.0, 0.5]),
            pool0=st.lists(st.sampled_from(_TEMPLATES), min_size=1, max_size=3),
            pool1=st.lists(st.sampled_from(_TEMPLATES), min_size=1, max_size=3))
-    def test_equals_per_item_rasterize(self, seed, n, d, pi, flip_prob,
+    def test_equals_per_item_rasterize(self, seed, n, d, flip_prob,
                                        pool0, pool1):
         q = DeformDistribution(eta_range=(0.5, 1.5), xi_range=(0.6, 1.8),
                                flip_prob=flip_prob, seed=seed)
-        data = generate_dataset(pool0, pool1, q, n, d, pi)
+        data = generate_dataset(pool0, pool1, q, n, d)
         _assert_rasters_match(data, (pool0, pool1), q, d)
 
     def test_groups_larger_than_a_block(self):
         pools = ([_TEMPLATES[2]], [_TEMPLATES[4], _TEMPLATES[6]])
         q = DeformDistribution(eta_range=(0.8, 1.2), xi_range=(1.0, 1.5),
                                flip_prob=0.5, seed=11)
-        for n, pi in ((300, 0.5), (151, 0.5)):
-            _assert_rasters_match(generate_dataset(*pools, q, n, 12, pi),
+        for n in (300, 151):
+            _assert_rasters_match(generate_dataset(*pools, q, n, 12),
                                   pools, q, 12)
 
     def test_validates_once_per_dataset_and_draw(self, monkeypatch,

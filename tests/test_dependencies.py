@@ -34,3 +34,14 @@ def test_rule_sees_a_foreign_import():
                      "from . import model\nimport yaml as y\n")
     assert [root for _, root in _imported_roots(tree)
             if root not in ALLOWED] == ["scipy", "yaml"]
+
+
+def test_star_import_gives_every_export():
+    import deformclass
+
+    names: dict = {}
+    exec("from deformclass import *", names)
+    exports = deformclass.__all__
+    assert len(set(exports)) == len(exports)
+    assert [name for name in exports if not hasattr(deformclass, name)] == []
+    assert set(exports) <= set(names)

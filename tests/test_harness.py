@@ -361,7 +361,7 @@ class TestReporting:
             RiskRow("IAC", 2, 2, float("nan"), error="boom"),
             RiskRow("IAC", 4, 0, 0.05),
         )
-        return RiskReport(rows=rows, n_test=10)
+        return RiskReport(rows=rows)
 
     def test_aggregates_skip_error_rows(self, mixed_report):
         assert mixed_report.aggregates() == [("IAC", 2, 0.2), ("IAC", 4, 0.05)]

@@ -21,13 +21,10 @@ from deformclass import (
     MalformedManifest,
     TruncatedPayload,
     generate_dataset,
-    load_idx_pair,
     parse_idx_images,
     parse_idx_labels,
     read_dataset,
     read_pgm,
-    serialize_idx_images,
-    serialize_idx_labels,
     write_dataset,
     write_pgm,
 )
@@ -75,47 +72,16 @@ class TestIdxImages:
             with pytest.raises(DimMismatch):
                 parse_idx_images(data)
 
-    def test_bytes_roundtrip_exactly(self):
-        images = parse_idx_images(tiny_image_file())
-        assert serialize_idx_images(images) == tiny_image_file()
-
-    def test_serialize_validation(self):
-        with pytest.raises(EmptyDataset):
-            serialize_idx_images([])
-        with pytest.raises(DimMismatch):
-            serialize_idx_images([GrayImage(np.zeros((2, 2))),
-                                  GrayImage(np.zeros((3, 3)))])
-
-    def test_dataset_roundtrip_within_quantization(self, pgm_safe_dataset):
-        images = [item.image for item in pgm_safe_dataset.items]
-        back = parse_idx_images(serialize_idx_images(images))
-        worst = max(float(np.abs(a.pixels - b.pixels).max())
-                    for a, b in zip(images, back))
-        assert worst <= 1 / 510
-
 
 class TestIdxLabels:
     def test_roundtrip(self):
-        data = serialize_idx_labels([0, 1, 9])
-        assert data == LABEL_MAGIC + struct.pack(">I", 3) + bytes([0, 1, 9])
+        data = LABEL_MAGIC + struct.pack(">I", 3) + bytes([0, 1, 9])
         assert parse_idx_labels(data) == [0, 1, 9]
 
-    def test_byte_range_enforced(self):
-        with pytest.raises(InvalidParams):
-            serialize_idx_labels([0, 256])
-
     def test_truncated(self):
+        data = LABEL_MAGIC + struct.pack(">I", 3) + bytes([1, 2, 3])
         with pytest.raises(TruncatedPayload):
-            parse_idx_labels(serialize_idx_labels([1, 2, 3])[:-1])
-
-    def test_pair_count_mismatch(self):
-        with pytest.raises(DimMismatch):
-            load_idx_pair(tiny_image_file(), serialize_idx_labels([0, 1]))
-
-    def test_pair_happy_path(self):
-        pairs = load_idx_pair(tiny_image_file(), serialize_idx_labels([7]))
-        assert len(pairs) == 1
-        assert pairs[0][1] == 7
+            parse_idx_labels(data[:-1])
 
 
 class TestPgm:
@@ -264,6 +230,8 @@ class TestDatasetManifest:
         ("0,1,0,1.0,1.0,1.0,NaN,0.0,item_00000.pgm", "tau 'NaN' is not finite"),
         ("0,1,0,1.0,1.0,1.0,0.0,1e400,item_00000.pgm",
          "tau_prime '1e400' is not finite"),
+        ("0,2,0,1.0,1.0,1.0,0.0,0.0,item_00000.pgm", "row 1: label 2 is not 0 or 1"),
+        ("0,-1,0,1.0,1.0,1.0,0.0,0.0,item_00000.pgm", "label -1 is not 0 or 1"),
     ])
     def test_malformed_rows(self, tmp_path, pgm_safe_dataset, row, message):
         manifest = write_dataset(pgm_safe_dataset, tmp_path / "d")
@@ -497,6 +465,8 @@ class TestByteBoundaries:
     def test_read_dataset(self, manifest_dir, data):
         (manifest_dir / "manifest.csv").write_bytes(data)
         try:
-            assert isinstance(read_dataset(manifest_dir), Dataset)
+            back = read_dataset(manifest_dir)
         except DeformClassError:
-            pass
+            return
+        assert isinstance(back, Dataset)
+        assert all(item.label in (0, 1) for item in back.items)

@@ -8,6 +8,7 @@ from deformclass import (
     DeformParams,
     GrayImage,
     InvalidParams,
+    NumericError,
     ResolutionTooSmall,
     cone,
     cross,
@@ -269,12 +270,14 @@ class TestDeformParams:
         with pytest.raises(InvalidParams):
             DeformParams(eta=0.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0).validate()
 
-    def test_negative_scale_needs_flips(self):
-        p = DeformParams(eta=1.0, xi=-1.0, xi_prime=1.0, tau=-1.0, tau_prime=0.0)
-        with pytest.raises(InvalidParams):
-            p.validate()
-        DeformParams(eta=1.0, xi=-1.0, xi_prime=1.0, tau=-1.0, tau_prime=0.0,
-                     allow_flips=True).validate()
+    def test_negative_scale_floor(self):
+        # one rule for either sign: |scale| >= 1/2
+        DeformParams(eta=1.0, xi=-1.0, xi_prime=1.0, tau=-1.0, tau_prime=0.0).validate()
+        DeformParams(eta=1.0, xi=1.0, xi_prime=-0.5, tau=0.0,
+                     tau_prime=-0.75).validate()
+        with pytest.raises(InvalidParams, match=r"\|xi\| must be >= 1/2"):
+            DeformParams(eta=1.0, xi=-0.4, xi_prime=1.0, tau=-0.65,
+                         tau_prime=0.0).validate()
 
     def test_shift_outside_interval(self):
         with pytest.raises(InvalidParams):
@@ -350,6 +353,14 @@ class TestNorms:
     def test_normalize_l2_zero_image(self):
         with pytest.raises(AllZeroImage):
             normalize_l2(GrayImage(np.zeros((4, 4))))
+
+    def test_normalize_l2_non_finite_image(self, tent_template, identity_params):
+        with pytest.raises(NumericError, match="16 x 16 image has norm nan"):
+            normalize_l2(GrayImage(np.full((16, 16), np.nan)))
+        px = rasterize(tent_template, identity_params, 16).pixels.copy()
+        px[3, 3] = np.inf
+        with pytest.raises(NumericError, match="16 x 16 image has norm inf"):
+            normalize_l2(GrayImage(px))
 
     def test_discrete_l2_norm_constant_grid(self):
         assert discrete_l2_norm(np.full((8, 8), 3.0)) == pytest.approx(3.0)

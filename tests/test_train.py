@@ -31,7 +31,7 @@ from deformclass import (
 from deformclass import train
 from deformclass.datagen import unit_arrays
 from deformclass.model import IDENTITY
-from deformclass.train import _sigmoid
+from deformclass.cnn import class1_probability
 
 SMALL_ARCH = ArchSpec(n_filters=4, filter_size=3, dense_widths=(16,))
 TINY_BLOB = save_checkpoint(TrainableCnn(ArchSpec(n_filters=2, filter_size=2,
@@ -55,6 +55,21 @@ class TestSpecs:
                     ArchSpec(beta=float("inf")), ArchSpec(beta=float("nan"))]:
             with pytest.raises(InvalidParams):
                 bad.validate()
+
+    @pytest.mark.parametrize("field", ["n_filters", "filter_size",
+                                       "dense_count", "dense_width"])
+    def test_sizes_fit_the_checkpoint(self, field):
+        """save_checkpoint stores these in 16-bit fields."""
+        def arch(size):
+            if field == "dense_count":
+                return ArchSpec(dense_widths=(1,) * size)
+            if field == "dense_width":
+                return ArchSpec(dense_widths=(4, size))
+            return ArchSpec(**{field: size})
+
+        arch(65535).validate()
+        with pytest.raises(InvalidParams, match="at most 65535"):
+            arch(65536).validate()
 
     def test_opt_validation(self):
         for bad in [OptSpec(learning_rate=0.0), OptSpec(learning_rate=float("nan")),
@@ -97,7 +112,7 @@ def sliding_window_forward(net: TrainableCnn, x: np.ndarray) -> np.ndarray:
     for w, bias in net.dense[:-1]:
         h = np.maximum(h @ w.T + bias, 0.0)
     z = h @ net.dense[-1][0].T + net.dense[-1][1]
-    return _sigmoid(net.beta * (z[:, 1] - z[:, 0]))
+    return class1_probability(net.beta * (z[:, 1] - z[:, 0]))
 
 
 def full_frame_forward(net: TrainableCnn, x: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -117,7 +132,7 @@ def full_frame_forward(net: TrainableCnn, x: np.ndarray) -> tuple[np.ndarray, di
         hidden.append(np.maximum(hidden[-1] @ w.T + bias, 0.0))
     w_out, b_out = net.dense[-1]
     z = hidden[-1] @ w_out.T + b_out
-    p1 = _sigmoid(net.beta * (z[:, 1] - z[:, 0]))
+    p1 = class1_probability(net.beta * (z[:, 1] - z[:, 0]))
     return p1, {"cols": cols, "pool_idx": pool_idx, "hidden": hidden}
 
 
@@ -317,6 +332,15 @@ class TestTraining:
                              template_index=0, params=IDENTITY)
         data = replace(small_dataset, items=small_dataset.items + (small,))
         with pytest.raises(DimMismatch, match=r"one side length, got sides \[12, 16\]"):
+            unit_arrays(data)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_image_is_numeric_error(self, small_dataset, value):
+        px = small_dataset.items[1].image.pixels.copy()
+        px[8, 8] = value
+        bad = replace(small_dataset.items[1], image=GrayImage(px))
+        data = replace(small_dataset, items=(small_dataset.items[0], bad))
+        with pytest.raises(NumericError, match="image 1 has norm"):
             unit_arrays(data)
 
 
