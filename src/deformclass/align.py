@@ -64,7 +64,8 @@ def align_images(images: Sequence[GrayImage], m: int | None = None
     positive pixel raises EmptySupport; the first whose resampled grid is
     identically zero (possible when the box corners land between the
     support pixels) raises ZeroNorm, and the first whose resampled grid has
-    a non-finite norm (a NaN or infinite sample) raises NumericError.
+    a non-finite norm (a NaN or infinite sample) raises NumericError; each
+    message names the image's list index.
     """
     reps: list[AlignedRep] = []
     for d, run in groupby(images, key=lambda img: img.d):
@@ -100,12 +101,13 @@ def _align_block(images: Sequence[GrayImage], m: int,
     norms = np.empty(n)
     for i in range(n):
         if row_end[i] == 0:
-            raise EmptySupport("no pixel is positive")
+            raise EmptySupport(f"image {first + i}: no pixel is positive")
         # One BLAS dot per grid, exactly as for a lone image.
         norms[i] = float(np.linalg.norm(z[i]))
         check_norm(norms[i], f"the resampled grid of image {first + i}")
         if norms[i] == 0.0:
-            raise ZeroNorm("resampled support grid is identically zero")
+            raise ZeroNorm(f"the resampled grid of image {first + i} is "
+                           f"identically zero")
     z /= norms[:, None, None]
     z.flags.writeable = False
     return [AlignedRep(grid=grid) for grid in z]

@@ -147,8 +147,6 @@ def _cmd_cnn(args) -> int:
                         beta=args.beta)
         opt = OptSpec(learning_rate=args.learning_rate, epochs=args.epochs,
                       batch_size=args.batch_size, seed=args.seed)
-        arch.validate()
-        opt.validate()
         x, y = unit_arrays(read_dataset(args.data))
         net = train_least_squares(x, y, arch, opt)
         write_bytes(args.out, save_checkpoint(net))

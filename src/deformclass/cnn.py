@@ -43,7 +43,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (EmptyList, FilterTooLarge, InvalidParams,
                      ResolutionMismatch)
 from .model import (SUPPORT_HI, SUPPORT_LO, GrayImage, TemplateFunction,
-                    check_resolution, mask_spans, nonzero_boxes)
+                    check_norm, check_resolution, mask_spans, nonzero_boxes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,13 +525,15 @@ def classify_bank(bank: FilterBank, img: GrayImage, beta: float | None = None
     z_k is the maximum pooled response over all class-k filters; the label
     is the argmax channel and the probabilities are the tempered softmax of
     (z0, z1), the trained network's head.  The image is expected
-    pre-normalized to unit Frobenius norm.
+    pre-normalized to unit Frobenius norm; a non-finite one raises
+    ``NumericError``.
     """
     if bank.d != img.d:
         raise ResolutionMismatch(f"bank built for d={bank.d}, image has d={img.d}")
     if beta is None:
         beta = float(bank.d)
     check_temperature(beta)
+    check_norm(float(np.linalg.norm(img.pixels)), f"the {img.d} x {img.d} image")
     z0, z1 = _channel_maxima(bank, img.pixels)
     p1 = float(class1_probability(np.array(beta * (z1 - z0))))
     label = 0 if z0 >= z1 else 1

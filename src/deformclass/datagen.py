@@ -55,7 +55,7 @@ class DeformDistribution:
     flip_prob: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name, rng in (("eta_range", self.eta_range), ("xi_range", self.xi_range),
                           ("xi_prime_range", self.scale_range_y())):
             if not np.isfinite(rng).all():
@@ -86,14 +86,8 @@ def sample_params(q: DeformDistribution, draw_index: int) -> DeformParams:
     Fixed draw order within the item's substream: amplitude, x scale
     magnitude, x flip, y scale magnitude, y flip, x shift, y shift.
     """
-    q.validate()
     if draw_index < 0:
         raise InvalidParams(f"draw_index must be nonnegative, got {draw_index}")
-    return _draw_params(q, draw_index)
-
-
-def _draw_params(q: DeformDistribution, draw_index: int) -> DeformParams:
-    """``sample_params`` for a validated ``q`` and a nonnegative index."""
     rng = _substream(q.seed, _STREAM_PARAMS, draw_index)
     eta = rng.uniform(*q.eta_range)
     xi = rng.uniform(*q.xi_range)
@@ -104,9 +98,7 @@ def _draw_params(q: DeformDistribution, draw_index: int) -> DeformParams:
         xi_p = -xi_p
     tau = rng.uniform(*shift_bounds(xi))
     tau_p = rng.uniform(*shift_bounds(xi_p))
-    p = DeformParams(eta=eta, xi=xi, xi_prime=xi_p, tau=tau, tau_prime=tau_p)
-    p.validate()
-    return p
+    return DeformParams(eta=eta, xi=xi, xi_prime=xi_p, tau=tau, tau_prime=tau_p)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +158,6 @@ def generate_dataset(templates0: Sequence[TemplateFunction],
         raise EmptyList("both template lists must be non-empty")
     if n < 1:
         raise InvalidParams(f"dataset size must be >= 1, got {n}")
-    q.validate()
 
     balanced = n % 2 == 0
     if balanced:
@@ -185,7 +176,7 @@ def generate_dataset(templates0: Sequence[TemplateFunction],
             chooser = _substream(q.seed, _STREAM_CHOICE, i)
             label = int(labels[i]) if balanced else int(chooser.random() < 0.5)
             t_idx = int(chooser.integers(len(per_class[label])))
-        draws.append((label, t_idx, _draw_params(q, i)))
+        draws.append((label, t_idx, sample_params(q, i)))
         groups.setdefault((label, t_idx), []).append(i)
     images: dict[int, GrayImage] = {}
     for (label, t_idx), members in groups.items():
@@ -283,6 +274,5 @@ def non_identifiable_pair(d: int, eta: float = 1.0,
     f1 = template_sum([deformed, bumps])
     raster_params = DeformParams(eta=eta, xi=xi, xi_prime=xi_prime,
                                  tau=-tau, tau_prime=-tau_prime)
-    raster_params.validate()
     return NonIdentifiablePair(base=f0, composite=f1, bump_grid=bumps,
                                raster_params=raster_params, d=d, delta=delta)

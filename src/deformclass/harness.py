@@ -46,7 +46,7 @@ class ExperimentConfig:
     cnn_arch: ArchSpec = field(default_factory=ArchSpec)
     cnn_opt: OptSpec = field(default_factory=OptSpec)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ConfigError("n_list must be non-empty with entries >= 1")
         if self.repetitions < 1:
@@ -147,7 +147,6 @@ def _risk_trained(train: Dataset, test: Dataset, arch: ArchSpec, opt: OptSpec,
 
 def run_experiment(cfg: ExperimentConfig) -> RiskReport:
     """Run the full sweep; returns one row per (classifier, n, repetition)."""
-    cfg.validate()
     if not cfg.classifiers:
         print("warning: no classifiers requested; report will be empty",
               file=sys.stderr)
@@ -348,18 +347,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
     try:
         q = DeformDistribution(**fields[DeformDistribution])
-        q.validate()
     except (InvalidParams, InvalidDistribution) as exc:
         raise ConfigError(f"invalid distribution: {exc}")
     try:
         arch = ArchSpec(**fields[ArchSpec])
         opt = OptSpec(**fields[OptSpec])
-        arch.validate()
-        opt.validate()
     except InvalidParams as exc:
         raise ConfigError(f"invalid network spec: {exc}")
 
-    cfg = ExperimentConfig(template0, template1, q=q, cnn_arch=arch,
-                           cnn_opt=opt, **fields[ExperimentConfig])
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(template0, template1, q=q, cnn_arch=arch,
+                            cnn_opt=opt, **fields[ExperimentConfig])

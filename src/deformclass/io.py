@@ -199,8 +199,9 @@ def read_dataset(directory: str | Path) -> Dataset:
 
     Rows are read by column position; blank lines are skipped.  A row with
     the wrong number of fields, a non-numeric or non-finite parameter, a
-    non-integer index, label or template index, or a label other than 0
-    or 1 raises ``MalformedManifest``.
+    non-integer index, label or template index, a label other than 0
+    or 1, or parameters outside the deformation model (``DeformParams``)
+    raises ``MalformedManifest``.
     Images may differ in size.
     """
     directory = Path(directory)
@@ -236,9 +237,12 @@ def read_dataset(directory: str | Path) -> Dataset:
         if label not in (0, 1):
             raise MalformedManifest(
                 f"manifest row {k}: label {label} is not 0 or 1")
+        try:
+            params = DeformParams(eta=eta, xi=xi, xi_prime=xi_prime, tau=tau,
+                                  tau_prime=tau_prime)
+        except InvalidParams as exc:
+            raise MalformedManifest(f"manifest row {k}: {exc}")
         img = read_pgm(read_bytes(directory / row[8]))
-        params = DeformParams(eta=eta, xi=xi, xi_prime=xi_prime, tau=tau,
-                              tau_prime=tau_prime)
         items.append(LabeledImage(image=img, label=label, template_index=t_idx,
                                   params=params))
     if not items:

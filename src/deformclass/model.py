@@ -307,9 +307,11 @@ class DeformParams:
     tau: float
     tau_prime: float
 
-    def validate(self) -> None:
-        if not np.isfinite([self.eta, self.xi, self.xi_prime,
-                            self.tau, self.tau_prime]).all():
+    def __post_init__(self):
+        # math.isfinite: a numpy call per instance would double the cost of
+        # the check, which runs on every draw and every manifest row
+        if not all(map(math.isfinite, (self.eta, self.xi, self.xi_prime,
+                                       self.tau, self.tau_prime))):
             raise InvalidParams("deformation parameters must be finite")
         if self.eta <= 0:
             raise InvalidParams(f"amplitude must be positive, got {self.eta}")
@@ -381,7 +383,6 @@ def rasterize(f: TemplateFunction, p: DeformParams, d: int) -> GrayImage:
 
     pixel(j, l) = eta * f(xi*j/d - tau, xi_prime*l/d - tau_prime).
     """
-    p.validate()
     return rasterize_batch(f, [p], d)[0]
 
 
@@ -393,8 +394,7 @@ def check_resolution(d: int) -> None:
 
 def rasterize_batch(f: TemplateFunction, params: Sequence[DeformParams],
                     d: int) -> list[GrayImage]:
-    """``rasterize(f, p, d)`` for every p in ``params``, which are taken as
-    given (not validated).
+    """``rasterize(f, p, d)`` for every p in ``params``.
 
     ``f`` is evaluated once per block of at most ``IMAGE_BLOCK`` images, on
     one (block, d, 1) array of x and one (block, 1, d) array of y.

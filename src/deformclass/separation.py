@@ -50,7 +50,7 @@ class SearchConfig:
     coarse_quadrature: int = 128
     include_flips: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (0.5 <= self.xi_max < np.inf):
             raise InvalidParams(f"xi_max must be finite and >= 1/2, got {self.xi_max}")
         if not (0 < self.coarse_step <= 0.25):
@@ -224,7 +224,6 @@ def estimate_separation(f: TemplateFunction, g: TemplateFunction,
                         cfg: SearchConfig | None = None) -> SeparationResult:
     """Estimate the two-sided separation between the orbits of f and g."""
     cfg = cfg or SearchConfig()
-    cfg.validate()
     t = _midpoints(cfg.coarse_quadrature)
     grids = []
     for name, h in (("first", f), ("second", g)):

@@ -60,7 +60,7 @@ class ArchSpec:
     dense_widths: tuple[int, ...] = (128,)
     beta: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_filters < 1 or self.filter_size < 1:
             raise InvalidParams("need at least one filter of positive size")
         if any(w < 1 for w in self.dense_widths):
@@ -83,7 +83,7 @@ class OptSpec:
     batch_size: int = 16
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (0 < self.learning_rate < np.inf) or self.epochs < 1 or self.batch_size < 1:
             raise InvalidParams(
                 "optimizer spec must have a finite positive rate and positive epochs/batch")
@@ -114,7 +114,6 @@ class TrainableCnn:
     """
 
     def __init__(self, arch: ArchSpec, seed: int = 0):
-        arch.validate()
         self.arch = arch
         self.beta = float(arch.beta)
         self.shapes = param_shapes(arch)
@@ -219,8 +218,6 @@ def train_least_squares(x: np.ndarray, y: np.ndarray,
     """
     arch = arch or ArchSpec()
     opt = opt or OptSpec()
-    arch.validate()
-    opt.validate()
     if len(x) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     y = np.asarray(y, dtype=float)
@@ -346,10 +343,9 @@ def load_checkpoint(blob: bytes) -> TrainableCnn:
     pos += 2 * n_widths
     (beta,) = struct.unpack("<d", blob[pos: pos + 8])
     pos += 8
-    arch = ArchSpec(n_filters=nf, filter_size=k, dense_widths=tuple(widths),
-                    beta=beta)
     try:
-        arch.validate()
+        arch = ArchSpec(n_filters=nf, filter_size=k,
+                        dense_widths=tuple(widths), beta=beta)
     except InvalidParams as exc:
         raise DimMismatch(f"checkpoint header: {exc}") from exc
     # Check the size before building: the constructor fills every layer the

@@ -28,13 +28,14 @@ from deformclass.align import _oriented_variants, _stack_gallery
 
 # Oracle: the one-image alignment that ``align_images`` vectorizes.
 
-def rect_support_oracle(img):
-    """Bounding box (1-based, inclusive) of the positive pixels."""
+def rect_support_oracle(img, index=0):
+    """Bounding box (1-based, inclusive) of the positive pixels of the image
+    at list index ``index``."""
     mask = img.support_mask()
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
     if rows.size == 0:
-        raise EmptySupport("no pixel is positive")
+        raise EmptySupport(f"image {index}: no pixel is positive")
     return (int(rows[0]) + 1, int(rows[-1]) + 1, int(cols[0]) + 1,
             int(cols[-1]) + 1)
 
@@ -54,13 +55,14 @@ def resample_box_oracle(img, box, m):
     return img.pixels[np.ix_(j_idx, l_idx)].copy()
 
 
-def align_transform_oracle(img, m=None):
+def align_transform_oracle(img, m=None, index=0):
     if m is None:
         m = img.d
-    z = resample_box_oracle(img, rect_support_oracle(img), m)
+    z = resample_box_oracle(img, rect_support_oracle(img, index), m)
     norm = float(np.linalg.norm(z))
     if norm == 0.0:
-        raise ZeroNorm("resampled support grid is identically zero")
+        raise ZeroNorm(f"the resampled grid of image {index} is "
+                       f"identically zero")
     return AlignedRep(grid=z / norm)
 
 
@@ -378,7 +380,8 @@ def _alignment_outcome(align):
 def _same_as_oracle(images, m):
     got = _alignment_outcome(lambda: align_images(images, m))
     expected = _alignment_outcome(
-        lambda: [align_transform_oracle(img, m) for img in images])
+        lambda: [align_transform_oracle(img, m, i)
+                 for i, img in enumerate(images)])
     assert got == expected
     return got
 
@@ -407,6 +410,18 @@ class TestAlignImages:
                               ([_image(np.ones((5, 5))), diamond], ZeroNorm)):
             outcome = _same_as_oracle(images, 2)
             assert outcome[0] is error
+
+    def test_bad_image_is_named_by_its_list_index(self):
+        good = _image([[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+        blank = _image(np.zeros((3, 3)))
+        diamond = _image([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        with pytest.raises(EmptySupport, match="image 2: no pixel is positive"):
+            align_images([good, good, blank])
+        # a run of another size in between keeps the count
+        with pytest.raises(EmptySupport, match="image 2: no pixel is positive"):
+            align_images([good, _image(np.ones((5, 5))), blank])
+        with pytest.raises(ZeroNorm, match="grid of image 1 is identically zero"):
+            align_images([good, diamond], 2)
 
     def test_non_finite_sample_raises(self):
         good = rasterize(tent(0.25), DeformParams(eta=1.0, xi=1.0, xi_prime=1.0,

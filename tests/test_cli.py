@@ -108,6 +108,7 @@ class TestAlign:
         lambda row: [row[0], row[1], row[2], "abc"] + row[4:],   # eta
         lambda row: [row[0], "1.5"] + row[2:],     # label
         lambda row: [row[0], "7"] + row[2:],       # label not 0 or 1
+        lambda row: row[:4] + ["0.3"] + row[5:],   # |xi| below 1/2
     ])
     def test_malformed_manifest_exits_3(self, dataset_dir, capsys, edit):
         manifest = dataset_dir / "manifest.csv"
@@ -128,6 +129,15 @@ class TestAlign:
                      "--query", str(query)])
         assert code == 4
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_blank_gallery_image_is_named(self, dataset_dir, capsys):
+        (dataset_dir / "item_00003.pgm").write_bytes(
+            write_pgm(GrayImage(np.zeros((16, 16)))))
+        code = main(["align", "--gallery", str(dataset_dir),
+                     "--query", str(dataset_dir / "item_00000.pgm")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "image 3: no pixel is positive" in err and "Traceback" not in err
 
 
 class TestCnn:

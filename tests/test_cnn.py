@@ -20,6 +20,7 @@ from deformclass import (
     FilterTooLarge,
     GrayImage,
     InvalidParams,
+    NumericError,
     ResolutionMismatch,
     build_filter_bank,
     classify_bank,
@@ -463,6 +464,15 @@ class TestClassifyBank:
         decision = classify_bank(small_bank, GrayImage(np.zeros((8, 8))))
         assert (decision.z0, decision.z1) == (0.0, 0.0)
         assert decision.label == 0
+
+    def test_non_finite_image_is_numeric_error(self, small_bank):
+        with pytest.raises(NumericError, match="8 x 8 image has norm nan"):
+            classify_bank(small_bank, GrayImage(np.full((8, 8), np.nan)))
+        # one infinite pixel among finite ones: no numpy warning, an error
+        px = np.eye(8) / np.sqrt(8)
+        px[3, 3] = np.inf
+        with pytest.raises(NumericError, match="8 x 8 image has norm inf"):
+            classify_bank(small_bank, GrayImage(px))
 
     def test_fast_path_matches_oracle_on_both_classes(self, cross_template):
         f0 = tent(0.1)

@@ -26,19 +26,19 @@ from deformclass import (
 class TestDistribution:
     def test_validate_rejects_bad_ranges(self):
         with pytest.raises(InvalidDistribution):
-            DeformDistribution(eta_range=(0.0, 1.0), xi_range=(1.0, 1.0)).validate()
+            DeformDistribution(eta_range=(0.0, 1.0), xi_range=(1.0, 1.0))
         with pytest.raises(InvalidDistribution):
-            DeformDistribution(eta_range=(1.0, 1.0), xi_range=(0.3, 1.0)).validate()
+            DeformDistribution(eta_range=(1.0, 1.0), xi_range=(0.3, 1.0))
         with pytest.raises(InvalidDistribution):
             DeformDistribution(eta_range=(1.0, 1.0), xi_range=(1.0, 1.0),
-                               flip_prob=1.5).validate()
+                               flip_prob=1.5)
         inf = float("inf")
         for ranges in (dict(eta_range=(1.0, inf), xi_range=(1.0, 1.0)),
                        dict(eta_range=(1.0, 1.0), xi_range=(1.0, inf)),
                        dict(eta_range=(1.0, 1.0), xi_range=(1.0, 1.0),
                             xi_prime_range=(inf, inf))):
             with pytest.raises(InvalidDistribution, match="finite"):
-                DeformDistribution(**ranges).validate()
+                DeformDistribution(**ranges)
 
     def test_separate_y_range(self):
         q = DeformDistribution(eta_range=(1.0, 1.0), xi_range=(1.0, 2.0),
@@ -79,7 +79,7 @@ class TestSampleParams:
                                flip_prob=1.0, seed=0)
         p = sample_params(q, 0)
         assert p.xi < 0 and p.xi_prime < 0
-        p.validate()
+        DeformParams(**vars(p))
 
     def test_negative_draw_index(self):
         q = DeformDistribution(eta_range=(1.0, 1.0), xi_range=(1.0, 1.0))
@@ -191,21 +191,23 @@ class TestBlockRasterizing:
             _assert_rasters_match(generate_dataset(*pools, q, n, 12),
                                   pools, q, 12)
 
-    def test_validates_once_per_dataset_and_draw(self, monkeypatch,
-                                                 tent_template, mild_q):
+    def test_checks_each_draw_once(self, monkeypatch, tent_template, mild_q):
+        # q checked itself when the fixture built it; each draw is checked
+        # once, when it is built, and never again
         calls = {"q": 0, "params": 0}
-        q_validate, p_validate = DeformDistribution.validate, DeformParams.validate
+        q_check = DeformDistribution.__post_init__
+        p_check = DeformParams.__post_init__
 
-        def count(key, validate):
+        def count(key, check):
             def counted(self):
                 calls[key] += 1
-                validate(self)
+                check(self)
             return counted
 
-        monkeypatch.setattr(DeformDistribution, "validate", count("q", q_validate))
-        monkeypatch.setattr(DeformParams, "validate", count("params", p_validate))
+        monkeypatch.setattr(DeformDistribution, "__post_init__", count("q", q_check))
+        monkeypatch.setattr(DeformParams, "__post_init__", count("params", p_check))
         generate_dataset([tent_template], [tent_template], mild_q, n=12, d=8)
-        assert calls == {"q": 1, "params": 12}
+        assert calls == {"q": 0, "params": 12}
 
     def test_resolution_floor(self, tent_template, mild_q):
         with pytest.raises(ResolutionTooSmall):

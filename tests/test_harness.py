@@ -280,13 +280,13 @@ class TestParseConfig:
 class TestConfigValidation:
     def test_template_task_needs_q(self):
         with pytest.raises(ConfigError):
-            tiny_config(q=None).validate()
+            tiny_config(q=None)
 
     def test_count_floors(self):
         for bad in (dict(repetitions=0), dict(n_test=0), dict(n_list=()),
                     dict(align_m=1)):
             with pytest.raises(ConfigError):
-                tiny_config(**bad).validate()
+                tiny_config(**bad)
 
 
 class TestRunExperiment:

@@ -20,11 +20,13 @@ from deformclass import (
     MalformedHeader,
     MalformedManifest,
     TruncatedPayload,
+    cross,
     generate_dataset,
     parse_idx_images,
     parse_idx_labels,
     read_dataset,
     read_pgm,
+    tent,
     write_dataset,
     write_pgm,
 )
@@ -207,6 +209,21 @@ class TestDatasetManifest:
         with pytest.raises(DataError, match="cannot read"):
             read_dataset(tmp_path / "d")
 
+    @given(flip_prob=st.sampled_from([0.0, 0.5, 1.0]),
+           xi_range=st.sampled_from([(0.5, 0.5), (2.0, 2.0), (0.5, 2.0)]),
+           seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6))
+    def test_generated_params_read_back_equal(self, tmp_path_factory, flip_prob,
+                                              xi_range, seed, n):
+        """What generate_dataset draws passes the read-side model check."""
+        q = DeformDistribution(eta_range=(0.5, 1.5), xi_range=xi_range,
+                               flip_prob=flip_prob, seed=seed)
+        data = generate_dataset([tent(0.25)], [cross(0.25, 0.08)], q, n=n, d=8)
+        out = tmp_path_factory.mktemp("roundtrip")
+        write_dataset(data, out)
+        back = read_dataset(out)
+        assert ([it.params for it in back.items]
+                == [it.params for it in data.items])
+
     def test_header_only_manifest(self, tmp_path, pgm_safe_dataset):
         manifest = write_dataset(pgm_safe_dataset, tmp_path / "d")
         text = manifest.read_text().splitlines()[0] + "\n"
@@ -232,6 +249,12 @@ class TestDatasetManifest:
          "tau_prime '1e400' is not finite"),
         ("0,2,0,1.0,1.0,1.0,0.0,0.0,item_00000.pgm", "row 1: label 2 is not 0 or 1"),
         ("0,-1,0,1.0,1.0,1.0,0.0,0.0,item_00000.pgm", "label -1 is not 0 or 1"),
+        ("0,1,0,1.0,0.3,1.0,0.0,0.0,item_00000.pgm",
+         r"row 1: \|xi\| must be >= 1/2, got 0.3"),
+        ("0,1,0,0.0,1.0,1.0,0.0,0.0,item_00000.pgm",
+         "row 1: amplitude must be positive"),
+        ("0,1,0,1.0,1.0,1.0,0.0,0.3,item_00000.pgm",
+         "row 1: tau_prime=0.3 outside admissible"),
     ])
     def test_malformed_rows(self, tmp_path, pgm_safe_dataset, row, message):
         manifest = write_dataset(pgm_safe_dataset, tmp_path / "d")

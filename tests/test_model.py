@@ -262,26 +262,26 @@ class TestShiftBounds:
 
 class TestDeformParams:
     def test_validate_accepts_identity(self):
-        IDENTITY.validate()
+        DeformParams(**vars(IDENTITY))
 
     def test_scale_floor(self):
         with pytest.raises(InvalidParams):
-            DeformParams(eta=1.0, xi=0.4, xi_prime=1.0, tau=-0.25, tau_prime=0.0).validate()
+            DeformParams(eta=1.0, xi=0.4, xi_prime=1.0, tau=-0.25, tau_prime=0.0)
         with pytest.raises(InvalidParams):
-            DeformParams(eta=0.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0).validate()
+            DeformParams(eta=0.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
 
     def test_negative_scale_floor(self):
         # one rule for either sign: |scale| >= 1/2
-        DeformParams(eta=1.0, xi=-1.0, xi_prime=1.0, tau=-1.0, tau_prime=0.0).validate()
+        DeformParams(eta=1.0, xi=-1.0, xi_prime=1.0, tau=-1.0, tau_prime=0.0)
         DeformParams(eta=1.0, xi=1.0, xi_prime=-0.5, tau=0.0,
-                     tau_prime=-0.75).validate()
+                     tau_prime=-0.75)
         with pytest.raises(InvalidParams, match=r"\|xi\| must be >= 1/2"):
             DeformParams(eta=1.0, xi=-0.4, xi_prime=1.0, tau=-0.65,
-                         tau_prime=0.0).validate()
+                         tau_prime=0.0)
 
     def test_shift_outside_interval(self):
         with pytest.raises(InvalidParams):
-            DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.3, tau_prime=0.0).validate()
+            DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.3, tau_prime=0.0)
 
 
 class TestGrayImage:

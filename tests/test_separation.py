@@ -43,16 +43,16 @@ class TestGridInnerProduct:
 
 class TestSearchConfig:
     def test_defaults_valid(self):
-        SearchConfig().validate()
+        SearchConfig()
 
     def test_rejects_bad_values(self):
         for xi_max in (0.3, float("nan"), float("inf")):
             with pytest.raises(InvalidParams):
-                SearchConfig(xi_max=xi_max).validate()
+                SearchConfig(xi_max=xi_max)
         with pytest.raises(InvalidParams):
-            SearchConfig(coarse_step=0.0).validate()
+            SearchConfig(coarse_step=0.0)
         with pytest.raises(InvalidParams):
-            SearchConfig(quadrature=0).validate()
+            SearchConfig(quadrature=0)
 
 
 class TestSeparationOracles:

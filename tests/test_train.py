@@ -50,11 +50,11 @@ def p1_of(net: TrainableCnn, img: GrayImage) -> float:
 
 class TestSpecs:
     def test_arch_validation(self):
-        for bad in [ArchSpec(n_filters=0), ArchSpec(filter_size=0),
-                    ArchSpec(dense_widths=(0,)), ArchSpec(beta=0.0),
-                    ArchSpec(beta=float("inf")), ArchSpec(beta=float("nan"))]:
+        for bad in [dict(n_filters=0), dict(filter_size=0),
+                    dict(dense_widths=(0,)), dict(beta=0.0),
+                    dict(beta=float("inf")), dict(beta=float("nan"))]:
             with pytest.raises(InvalidParams):
-                bad.validate()
+                ArchSpec(**bad)
 
     @pytest.mark.parametrize("field", ["n_filters", "filter_size",
                                        "dense_count", "dense_width"])
@@ -67,16 +67,16 @@ class TestSpecs:
                 return ArchSpec(dense_widths=(4, size))
             return ArchSpec(**{field: size})
 
-        arch(65535).validate()
+        arch(65535)
         with pytest.raises(InvalidParams, match="at most 65535"):
-            arch(65536).validate()
+            arch(65536)
 
     def test_opt_validation(self):
-        for bad in [OptSpec(learning_rate=0.0), OptSpec(learning_rate=float("nan")),
-                    OptSpec(learning_rate=float("inf")), OptSpec(epochs=0),
-                    OptSpec(batch_size=0)]:
+        for bad in [dict(learning_rate=0.0), dict(learning_rate=float("nan")),
+                    dict(learning_rate=float("inf")), dict(epochs=0),
+                    dict(batch_size=0)]:
             with pytest.raises(InvalidParams):
-                bad.validate()
+                OptSpec(**bad)
 
 
 class TestNetwork:
