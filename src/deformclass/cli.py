@@ -121,7 +121,8 @@ def _cmd_align(args) -> int:
     data = read_dataset(args.gallery)
     gallery = build_gallery([it.image for it in data.items],
                             [it.label for it in data.items], m=args.m)
-    query = align_images([read_pgm(read_bytes(args.query))], args.m)[0]
+    # the query is resampled onto the gallery's grid, whatever its own side
+    query = align_images([read_pgm(read_bytes(args.query))], gallery[0][0].m)[0]
     label, index, dist, orientation = classify_1nn(gallery, [query],
                                                    args.flips)[0]
     print(f"label={label} neighbor={index} distance={dist:.6f}"

@@ -21,8 +21,7 @@ few filters per stack with the highest bound there, so no query reads the
 whole of the float32 stacks.  The pruning never depends on the other
 class, so each channel maximum stays exact on its own.
 ``FilterBank.filter_at`` rebuilds any single entry in float64 from the
-templates on demand, which keeps the exact sliding-window path available
-for every entry.
+templates on demand.
 
 The bank is built in two passes over the same blocks of template samples
 (``build_filter_bank``): the first keeps each filter's norm and crop box,
@@ -40,8 +39,7 @@ from itertools import groupby
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (EmptyList, FilterTooLarge, InvalidParams,
-                     ResolutionMismatch)
+from .errors import InvalidParams, ResolutionMismatch
 from .model import (SUPPORT_HI, SUPPORT_LO, GrayImage, TemplateFunction,
                     check_norm, check_resolution, mask_spans, nonzero_boxes)
 
@@ -74,32 +72,6 @@ class Filter:
     @property
     def side(self) -> int:
         return 0 if self.weights is None else self.weights.shape[0]
-
-
-def feature_max(filt: Filter, img: GrayImage) -> float:
-    """Largest ReLU'd response of the filter over the zero-padded image.
-
-    The image is framed by a border of zeros as wide as the filter, the
-    filter is cross-correlated over every patch, and the maximum entry of
-    the ReLU'd feature map is returned.  Exact sliding-window arithmetic;
-    no FFT rounding.
-    """
-    if filt.is_null:
-        return 0.0
-    side = filt.side
-    d = img.d
-    if side > d:
-        raise FilterTooLarge(f"filter side {side} exceeds image side {d}")
-    padded = np.pad(img.pixels, side)
-    windows = sliding_window_view(padded, (side, side))
-    # Per-shift product-then-sum reproduces a direct evaluation bit for bit;
-    # batched reductions and matmuls reassociate the additions.
-    best = 0.0
-    w = filt.weights
-    for row in windows:
-        for win in row:
-            best = max(best, float((win * w).sum()))
-    return max(best, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,31 +264,8 @@ def _residual_norms(sq: np.ndarray, sums: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Max network and softmax head
+# Softmax head
 # ---------------------------------------------------------------------------
-
-def max_tree(values) -> float:
-    """Exact maximum of values in [0, 1] via the pairwise ReLU tree.
-
-    The list is zero-padded to the next power of two and reduced pairwise:
-    the ReLU unit (y - z)_+ decides each pair, and the winning input is
-    carried forward unchanged.  The rounded difference of two doubles is
-    positive exactly when y > z, so the result is bit-exact against the
-    plain maximum, which (y - z)_+ + z is not.
-    """
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size == 0:
-        raise EmptyList("max_tree needs at least one value")
-    if not np.all((v >= 0) & (v <= 1)):
-        raise InvalidParams("max_tree inputs must lie in [0, 1]")
-    size = 1 << (int(v.size - 1).bit_length() if v.size > 1 else 0)
-    buf = np.zeros(size)
-    buf[: v.size] = v
-    while buf.size > 1:
-        y, z = buf[0::2], buf[1::2]
-        buf = np.where(np.maximum(y - z, 0.0) > 0, y, z)
-    return float(buf[0])
-
 
 def check_temperature(beta: float) -> None:
     """Reject a softmax temperature that is not finite and positive (NaN
@@ -437,7 +386,7 @@ def _patches_by_side(bank: FilterBank,
 
 
 def _channel_maxima(bank: FilterBank, pixels: np.ndarray) -> tuple[float, float]:
-    """max feature_max per class channel, via pruned matrix products.
+    """Largest ReLU'd response per class channel, via pruned matrix products.
 
     The image is cropped to its support box; each stack correlates against
     patches of the crop framed by side-1 zeros, which covers all shifts with

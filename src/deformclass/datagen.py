@@ -1,4 +1,4 @@
-"""Synthetic data generation: parameter sampling, labeled datasets, fixtures.
+"""Synthetic data generation: parameter sampling and labeled datasets.
 
 Randomness is fully determined by an integer seed plus the item index.
 Each item draws from its own substream, so item i's parameters do not
@@ -17,7 +17,6 @@ from .errors import (
     EmptyDataset,
     EmptyList,
     InvalidDistribution,
-    InvalidFixtureParams,
     InvalidParams,
 )
 from .model import (
@@ -27,10 +26,7 @@ from .model import (
     check_norm,
     rasterize,  # noqa: F401 - kept importable here for tools that patch it
     rasterize_batch,
-    reparametrize,
     shift_bounds,
-    template_sum,
-    tent,
 )
 
 # Substream roles under the dataset seed.
@@ -186,93 +182,3 @@ def generate_dataset(templates0: Sequence[TemplateFunction],
         LabeledImage(image=images[i], label=label, template_index=t_idx,
                      params=params)
         for i, (label, t_idx, params) in enumerate(draws)))
-
-
-# ---------------------------------------------------------------------------
-# non-identifiability fixture
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NonIdentifiablePair:
-    """Two distinct templates whose rasters coincide at resolution d.
-
-    ``raster_params`` are the deformation parameters under which ``base``
-    produces, pixel for pixel, the identity raster of ``composite``.
-    """
-
-    base: TemplateFunction
-    composite: TemplateFunction
-    bump_grid: TemplateFunction
-    raster_params: DeformParams
-    d: int
-    delta: float
-
-
-def _grid_bumps(d: int) -> TemplateFunction:
-    """Sum of (d/2)^2 micro-tents vanishing at every grid point (k/d, l/d).
-
-    Each bump is centered at a cell center a_i = 1/4 + (i - 1/2)/d, has
-    support half-width 1/(2d) in the l1 metric, slope 2 and peak 1/d, so
-    its squared mass is 1/(12 d^4).
-    """
-    half = 0.5 / d
-    cells = d // 2
-
-    def fn(x, y):
-        inside = (x > 0.25) & (x < 0.75) & (y > 0.25) & (y < 0.75)
-        ix = np.clip(np.floor((x - 0.25) * d), 0, cells - 1)
-        iy = np.clip(np.floor((y - 0.25) * d), 0, cells - 1)
-        ax = 0.25 + (ix + 0.5) / d
-        ay = 0.25 + (iy + 0.5) / d
-        val = np.maximum(1.0 / d - 2.0 * np.abs(x - ax) - 2.0 * np.abs(y - ay), 0.0)
-        return np.where(inside, val, 0.0)
-
-    # Each bump integrates to 2 * (2/3) * half^3; there are cells^2 of them.
-    l1 = cells * cells * (4.0 / 3.0) * half ** 3
-    return TemplateFunction(fn, 2.0 / l1, l1, "grid_bumps", (d,))
-
-
-def non_identifiable_pair(d: int, eta: float = 1.0,
-                          xi: float = 1.0, xi_prime: float = 1.0,
-                          tau: float = 0.0, tau_prime: float = 0.0) -> NonIdentifiablePair:
-    """Build a tent and a tent-plus-bumps template that raster identically.
-
-    The composite adds, to the deformed tent eta*f0(xi*x + tau, ...), a grid
-    of micro-tents that vanish at every sample point (k/d, l/d) yet carry
-    L2 mass at least 1/(8d).  Requires d divisible by 4 and parameters
-    satisfying the strict inequalities tau < 1/4 < xi/2 + tau < 3/4 < xi + tau
-    (and the primed analogue), which make the tent width delta positive and
-    keep everything inside the support box.
-    """
-    if d < 4 or d % 4 != 0:
-        raise InvalidFixtureParams(f"resolution must be a positive multiple of 4, got {d}")
-    if eta <= 0:
-        raise InvalidFixtureParams(f"amplitude must be positive, got {eta}")
-    for name, s, t in (("x", xi, tau), ("y", xi_prime, tau_prime)):
-        if s < 0.5:
-            raise InvalidFixtureParams(f"{name} scale must be >= 1/2, got {s}")
-        if not (t < 0.25 < s / 2 + t < 0.75 < s + t):
-            raise InvalidFixtureParams(
-                f"{name} parameters (scale {s}, shift {t}) violate the strict inequalities")
-
-    delta = min(0.5 - (0.25 - tau) / xi, (0.75 - tau) / xi - 0.5,
-                0.5 - (0.25 - tau_prime) / xi_prime, (0.75 - tau_prime) / xi_prime - 0.5)
-    if delta > 0.25:
-        raise InvalidFixtureParams(
-            f"tent width {delta} exceeds 1/4; the base support would leave the box")
-    # The deformed tent must also stay inside the box, else the composite
-    # violates the support contract.
-    for name, s, t in (("x", xi, tau), ("y", xi_prime, tau_prime)):
-        if delta > 0.5 - t - s / 4 or delta > 0.75 * s + t - 0.5:
-            raise InvalidFixtureParams(
-                f"deformed support exits the box along {name} "
-                f"(scale {s}, shift {t}, width {delta})")
-
-    f0 = tent(delta)
-    deformed = reparametrize(f0, eta, xi, tau, xi_prime, tau_prime, kind="deformed_tent")
-    bumps = _grid_bumps(d)
-    f1 = template_sum([deformed, bumps])
-    raster_params = DeformParams(eta=eta, xi=xi, xi_prime=xi_prime,
-                                 tau=-tau, tau_prime=-tau_prime)
-    return NonIdentifiablePair(base=f0, composite=f1, bump_grid=bumps,
-                               raster_params=raster_params, d=d, delta=delta)

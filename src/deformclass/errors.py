@@ -33,20 +33,12 @@ class InvalidDistribution(ConfigError):
     """Deformation distribution ranges are empty or out of bounds."""
 
 
-class InvalidFixtureParams(ConfigError):
-    """Fixture parameters violate the strict inequalities they must satisfy."""
-
-
 class ResolutionTooSmall(ConfigError):
     """Grid resolution below the supported minimum."""
 
 
 class ResolutionMismatch(ConfigError):
     """Two grids that must share a resolution do not."""
-
-
-class FilterTooLarge(ConfigError):
-    """Filter side exceeds what the image resolution supports."""
 
 
 class EmptyList(ConfigError):

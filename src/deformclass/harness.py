@@ -12,7 +12,6 @@ sweep.
 from __future__ import annotations
 
 import sys
-import traceback
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -176,7 +175,8 @@ def run_experiment(cfg: ExperimentConfig) -> RiskReport:
                                     risk=risk))
             return rows
         except Exception as exc:  # noqa: BLE001 - per-item isolation
-            traceback.print_exc(file=sys.stderr)
+            print(f"item failed (repetition {rep}, n={n}): "
+                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return [RiskRow(classifier=name, n=n, repetition=rep,
                             risk=float("nan"), error=str(exc))
                     for name in cfg.classifiers]

@@ -236,45 +236,6 @@ def raster_interp(grid: np.ndarray) -> TemplateFunction:
                      (rows, cols))
 
 
-def template_sum(parts: Sequence[TemplateFunction]) -> TemplateFunction:
-    """Pointwise sum of templates (all nonnegative, shared support box)."""
-    parts = tuple(parts)
-    if not parts:
-        raise InvalidParams("template_sum needs at least one part")
-
-    def fn(x, y):
-        total = parts[0](x, y)
-        for p in parts[1:]:
-            total = total + p(x, y)
-        return total
-
-    # Raw constants add; renormalize by the combined l1 mass.
-    raw = sum(p.lipschitz_const * p.l1_norm for p in parts)
-    return _template(fn, raw, sum(p.l1_norm for p in parts), "sum",
-                     tuple(p.kind for p in parts))
-
-
-def reparametrize(f: TemplateFunction, amplitude: float,
-                  scale_x: float, shift_x: float,
-                  scale_y: float, shift_y: float,
-                  kind: str = "reparam") -> TemplateFunction:
-    """Template g(x, y) = amplitude * f(scale_x*x + shift_x, scale_y*y + shift_y).
-
-    The caller is responsible for choosing parameters that keep the support
-    inside the box; this helper only propagates metadata.
-    """
-    if amplitude <= 0 or scale_x == 0 or scale_y == 0:
-        raise InvalidParams("reparametrize needs amplitude > 0 and nonzero scales")
-
-    def fn(x, y):
-        return amplitude * f(scale_x * x + shift_x, scale_y * y + shift_y)
-
-    l1 = amplitude * f.l1_norm / abs(scale_x * scale_y)
-    raw = f.lipschitz_const * f.l1_norm * amplitude * max(abs(scale_x), abs(scale_y))
-    return _template(fn, raw, l1, kind,
-                     (f.kind, amplitude, scale_x, shift_x, scale_y, shift_y))
-
-
 # ---------------------------------------------------------------------------
 # deformation parameters
 # ---------------------------------------------------------------------------
@@ -427,15 +388,3 @@ def check_norm(norm: float, what: str) -> None:
     if not math.isfinite(norm):
         raise NumericError(f"{what} has norm {norm}; its pixels must be "
                            f"finite and their sum of squares representable")
-
-
-def discrete_l2_norm(grid: np.ndarray) -> float:
-    """Discrete L2 norm sqrt(sum(grid^2) / d^2) of a square grid.
-
-    This is the Riemann approximation of the continuous L2 norm of the
-    function the grid samples.
-    """
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise InvalidParams(f"grid must be square, got shape {g.shape}")
-    return float(np.sqrt(np.mean(g * g)))

@@ -18,19 +18,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParams, ResolutionMismatch
+from .errors import InvalidParams
 from .model import TemplateFunction, shift_bounds
-
-
-def grid_inner_product(h: np.ndarray, g: np.ndarray) -> float:
-    """Discrete L2 inner product (1/d^2) sum h*g of two square d x d grids."""
-    ha = np.asarray(h, dtype=float)
-    ga = np.asarray(g, dtype=float)
-    if ha.ndim != 2 or ha.shape[0] != ha.shape[1]:
-        raise InvalidParams(f"first grid must be square, got {ha.shape}")
-    if ha.shape != ga.shape:
-        raise ResolutionMismatch(f"grid shapes differ: {ha.shape} vs {ga.shape}")
-    return float(np.mean(ha * ga))
 
 
 @dataclass(frozen=True)
@@ -236,57 +225,3 @@ def estimate_separation(f: TemplateFunction, g: TemplateFunction,
     d_gf, best_gf = _direction(g, f, *grids[0], cfg)
     return SeparationResult(d_fg=d_fg, d_gf=d_gf, best_fg=best_fg,
                             best_gf=best_gf, meta=asdict(cfg))
-
-
-# ---------------------------------------------------------------------------
-# Riemann-sum error reporting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RiemannRow:
-    """Observed discretization errors at one resolution, with their bounds."""
-
-    d: int
-    ip_observed: float
-    ip_bound: float
-    inv_norm_observed: float
-    inv_norm_bound: float
-
-    @property
-    def within_bounds(self) -> bool:
-        return (self.ip_observed <= self.ip_bound
-                and self.inv_norm_observed <= self.inv_norm_bound)
-
-
-def riemann_error_report(h: TemplateFunction, g: TemplateFunction,
-                         d_list: tuple[int, ...] = (16, 32, 64, 128),
-                         reference_resolution: int = 2048) -> list[RiemannRow]:
-    """Compare sample-grid inner products and norms against fine quadrature.
-
-    For each resolution d the report row holds the observed error of the
-    discrete inner product against the midpoint-rule reference, and the
-    observed error of the reciprocal discrete norm of h, together with the
-    Lipschitz error bounds they must respect.
-    """
-    if any(d < 4 for d in d_list):
-        raise InvalidParams("resolutions must be >= 4")
-    t = _midpoints(reference_resolution)
-    rx, ry = t[:, None], t[None, :]
-    ref_ip = float(np.mean(h(rx, ry) * g(rx, ry)))
-    ref_norm_h = float(np.sqrt(np.mean(h(rx, ry) ** 2)))
-
-    rows = []
-    for d in d_list:
-        s = np.arange(1, d + 1) / d
-        H = h(s[:, None], s[None, :])
-        G = g(s[:, None], s[None, :])
-        ip = float(np.mean(H * G))
-        norm_h = float(np.sqrt(np.mean(H * H)))
-        lh, lg = h.lipschitz_const, g.lipschitz_const
-        ip_bound = (2.0 / d) * g.l1_norm * h.l1_norm * (lg + lh + 2.0 * lg * lh / d)
-        inv_norm_obs = abs(1.0 / norm_h - 1.0 / ref_norm_h)
-        inv_norm_bound = (4.0 * lh + 4.0 * lh * lh / d) / (d * norm_h)
-        rows.append(RiemannRow(d=d, ip_observed=abs(ip - ref_ip), ip_bound=ip_bound,
-                               inv_norm_observed=inv_norm_obs,
-                               inv_norm_bound=inv_norm_bound))
-    return rows

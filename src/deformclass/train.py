@@ -253,68 +253,6 @@ def train_least_squares(x: np.ndarray, y: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Gradient verification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GradCheckResult:
-    max_rel_error: float
-    n_checked: int
-    n_skipped: int
-
-    def __float__(self) -> float:
-        return self.max_rel_error
-
-
-def grad_check(net: TrainableCnn, x: np.ndarray, y: np.ndarray, eps: float,
-               n_params: int = 100, seed: int = 0) -> GradCheckResult:
-    """Central-difference check of the analytic loss gradient on an
-    (N, d, d) image stack ``x`` with labels ``y``.
-
-    Coordinates whose perturbation flips a max-pool argmax sit on a kink of
-    the loss; they are skipped and counted rather than compared.
-    """
-    if not (1e-7 <= eps <= 1e-3):
-        raise InvalidParams(f"eps must lie in [1e-7, 1e-3], got {eps}")
-    y = np.asarray(y, dtype=float)
-
-    def pool_pattern() -> np.ndarray:
-        # Only live channels (raw max > 0) pass gradient, so only their
-        # argmax is a kink; a dead channel's argmax may move freely.  The
-        # images are fixed, so their canvas is too, and index 0 (background)
-        # against any support patch still shows a move between the two.
-        _, cache = net.forward_batch(x)
-        return np.where(cache["hidden"][0] > 0, cache["pool_idx"], -1)
-
-    base_pattern = pool_pattern()
-    analytic = net.loss_and_gradients(x, y)[1]
-    params = net.params
-    rng = np.random.default_rng(seed)
-    count = min(n_params, params.size)
-    coords = rng.choice(params.size, size=count, replace=False)
-
-    max_rel = 0.0
-    skipped = 0
-    for c in coords:
-        orig = params[c]
-        params[c] = orig + eps
-        lp = net.loss_and_gradients(x, y)[0]
-        tied = not np.array_equal(pool_pattern(), base_pattern)
-        params[c] = orig - eps
-        lm = net.loss_and_gradients(x, y)[0]
-        tied = tied or not np.array_equal(pool_pattern(), base_pattern)
-        params[c] = orig
-        if tied:
-            skipped += 1
-            continue
-        numeric = (lp - lm) / (2 * eps)
-        denom = max(abs(analytic[c]), abs(numeric), 1e-6)
-        max_rel = max(max_rel, abs(analytic[c] - numeric) / denom)
-    return GradCheckResult(max_rel_error=float(max_rel),
-                           n_checked=count - skipped, n_skipped=skipped)
-
-
-# ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
 

@@ -18,6 +18,7 @@ from deformclass import (
     Filter,
     GrayImage,
     OptSpec,
+    SearchConfig,
     TrainableCnn,
     align_images,
     build_filter_bank,
@@ -25,20 +26,18 @@ from deformclass import (
     cone,
     cross,
     emit_report,
-    feature_max,
+    estimate_separation,
     gamma_scan,
     generate_dataset,
-    grad_check,
-    max_tree,
-    non_identifiable_pair,
     normalize_l2,
     rasterize,
-    riemann_error_report,
     run_experiment,
     tent,
 )
 from deformclass.datagen import unit_arrays
 from deformclass.model import IDENTITY
+from oracles import (feature_max, grad_check, max_tree, non_identifiable_pair,
+                     reparametrize, riemann_error_report, template_sum)
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -184,6 +183,67 @@ def test_more_pixels_make_alignment_easier():
              ok, f"median risk at d={resolutions}: "
                  f"{['%.3f' % m for m in medians]}, non-increasing and 0 at "
                  f"d=24, {elapsed:.1f}s < 30s")
+
+
+def test_separation_frontier():
+    # The paper's minimal separation condition, measured: a pair whose
+    # templates are separated reaches zero IAC risk once d is large enough,
+    # and the smaller the separation, the larger that d.  The family
+    # f_t = tent + t * cone shares one support box with the tent, and its
+    # separation from the tent grows with t; t = 0.05 is all but
+    # inseparable and must stay near chance.
+    t0 = time.perf_counter()
+    resolutions = (8, 16, 24, 32, 64, 128, 256)
+    search = SearchConfig(coarse_step=0.25, coarse_quadrature=64,
+                          quadrature=256)
+
+    def member(t):
+        return template_sum([tent(0.25),
+                             reparametrize(cone(0.2), t, 1.0, 0.0, 1.0, 0.0)])
+
+    def median_risk(f0, f1, d):
+        cfg = ExperimentConfig(
+            template0=f0, template1=f1,
+            q=DeformDistribution(eta_range=(0.8, 1.2), xi_range=(1.0, 1.5)),
+            n_list=(2,), n_test=100, repetitions=10, d=d,
+            classifiers=("IAC",), seed=0)
+        (_, _, median), = run_experiment(cfg).aggregates()
+        return median
+
+    separated = []  # (separation, name, medians up to the first zero)
+    for name, f0, f1 in (("tent vs cross", tent(0.25), cross(0.25, 0.08)),
+                         ("t=3.2", member(3.2), tent(0.25)),
+                         ("t=0.4", member(0.4), tent(0.25))):
+        medians = []
+        for d in resolutions:
+            medians.append(median_risk(f0, f1, d))
+            if medians[-1] == 0.0:
+                break
+        separated.append((estimate_separation(f0, f1, search).d_max, name,
+                          medians))
+    faint = member(0.05)
+    faint_sep = estimate_separation(faint, tent(0.25), search).d_max
+    faint_d = [d for d in resolutions if d <= 64]
+    faint_medians = [median_risk(faint, tent(0.25), d) for d in faint_d]
+    elapsed = time.perf_counter() - t0
+
+    separated.sort(reverse=True)
+    monotone = all(all(b <= a for a, b in zip(m, m[1:])) and m[-1] == 0.0
+                   for _, _, m in separated)
+    first_zero = [resolutions[len(m) - 1] for _, _, m in separated]
+    ok = (monotone
+          and all(a <= b for a, b in zip(first_zero, first_zero[1:]))
+          and faint_sep < separated[-1][0]
+          and min(faint_medians) >= 0.4
+          and elapsed < 60)
+    rows = "; ".join(f"{name} (separation {sep:.3f}): "
+                     f"{['%.3f' % m for m in medians]}"
+                     for sep, name, medians in separated)
+    _verdict("risk reaches 0 later as separation shrinks", ok,
+             f"{rows}; first zero at d={first_zero}; t=0.05 (separation "
+             f"{faint_sep:.4f}) at d={faint_d}: "
+             f"{['%.3f' % m for m in faint_medians]} >= 0.4; "
+             f"{elapsed:.1f}s < 60s")
 
 
 def test_trained_cnn_risk_curve():

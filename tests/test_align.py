@@ -228,7 +228,7 @@ class TestClassify1nn:
     def test_flip_aware_variant(self):
         d = 32
         # two unequal bumps make the template genuinely flip-asymmetric
-        from deformclass import template_sum
+        from oracles import template_sum
 
         f = template_sum([tent(0.12, center=(0.4, 0.5)),
                           tent(0.06, center=(0.65, 0.5))])

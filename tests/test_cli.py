@@ -95,6 +95,25 @@ class TestAlign:
         assert capsys.readouterr().out == (
             "label=0 neighbor=5 distance=0.026304 orientation=2\n")
 
+    def test_query_is_aligned_on_the_gallery_grid(self, tmp_path, capsys):
+        """A 64-px query against a 32-px gallery: with no --m, both sides
+        are resampled onto the gallery's 32 x 32 grid, as --m 32 does."""
+        gallery, queries = tmp_path / "gallery", tmp_path / "queries"
+        templates = GEN_ARGS[1:5]
+        assert main(["gen", *templates, "--n", "6", "--d", "32", "--seed", "1",
+                     "--out", str(gallery)]) == 0
+        assert main(["gen", *templates, "--n", "2", "--d", "64", "--seed", "2",
+                     "--out", str(queries)]) == 0
+        capsys.readouterr()
+        argv = ["align", "--gallery", str(gallery),
+                "--query", str(queries / "item_00001.pgm")]
+        outputs = []
+        for extra in ([], ["--m", "32"]):
+            assert main(argv + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("label=")
+
     def test_missing_gallery_exits_3(self, tmp_path, capsys):
         query = tmp_path / "q.pgm"
         query.write_bytes(write_pgm(GrayImage(np.ones((4, 4)))))
@@ -435,7 +454,12 @@ class TestBench:
         assert code == 1
         assert raw.read_text().splitlines()[1:] == ["IAC,2,0,nan", "IAC,2,1,nan"]
         assert agg.read_text().splitlines() == ["classifier,n,median_R_N"]
-        assert "2 of 2 rows failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"item failed (repetition {rep}, n=2): ResolutionTooSmall: "
+            f"resolution 2 below minimum 4" for rep in (0, 1)] + [
+            "2 of 2 rows failed"]
 
     def test_iac_golden_raw_csv(self, tmp_path, capsys):
         """Both IAC classifiers on flipped data; the CSV was recorded with the

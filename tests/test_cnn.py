@@ -17,7 +17,6 @@ from deformclass import (
     DeformParams,
     EmptyList,
     Filter,
-    FilterTooLarge,
     GrayImage,
     InvalidParams,
     NumericError,
@@ -26,8 +25,6 @@ from deformclass import (
     classify_bank,
     cone,
     cross,
-    feature_max,
-    max_tree,
     normalize_l2,
     generate_dataset,
     raster_interp,
@@ -38,6 +35,7 @@ from deformclass import (
 from deformclass import cnn
 from deformclass.cnn import _BLOCK, _coarse_stack, _crop_boxes, _patches_by_side
 from deformclass.model import SUPPORT_HI, SUPPORT_LO, nonzero_boxes
+from oracles import FilterTooLarge, feature_max, max_tree
 
 IDENT = DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
 

@@ -7,20 +7,18 @@ from deformclass import (
     DeformParams,
     EmptyList,
     InvalidDistribution,
-    InvalidFixtureParams,
     InvalidParams,
     ResolutionTooSmall,
     cone,
     cross,
-    discrete_l2_norm,
     generate_dataset,
-    non_identifiable_pair,
     raster_interp,
     rasterize,
     sample_params,
     shift_bounds,
     tent,
 )
+from oracles import InvalidFixtureParams, non_identifiable_pair
 
 
 class TestDistribution:

@@ -12,16 +12,14 @@ from deformclass import (
     ResolutionTooSmall,
     cone,
     cross,
-    discrete_l2_norm,
     normalize_l2,
     raster_interp,
     rasterize,
-    reparametrize,
     shift_bounds,
-    template_sum,
     tent,
 )
 from deformclass.model import _estimate_l1, nonzero_boxes
+from oracles import discrete_l2_norm, reparametrize, template_sum
 
 
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),

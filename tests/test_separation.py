@@ -8,10 +8,9 @@ from deformclass import (
     cone,
     cross,
     estimate_separation,
-    grid_inner_product,
-    riemann_error_report,
     tent,
 )
+from oracles import grid_inner_product, riemann_error_report
 
 FAST = SearchConfig(coarse_step=0.1, refine_iters=8, quadrature=256,
                     coarse_quadrature=96)

@@ -22,7 +22,6 @@ from deformclass import (
     TruncatedPayload,
     cone,
     generate_dataset,
-    grad_check,
     load_checkpoint,
     save_checkpoint,
     tent,
@@ -32,6 +31,7 @@ from deformclass import train
 from deformclass.datagen import unit_arrays
 from deformclass.model import IDENTITY
 from deformclass.cnn import class1_probability
+from oracles import grad_check
 
 SMALL_ARCH = ArchSpec(n_filters=4, filter_size=3, dense_widths=(16,))
 TINY_BLOB = save_checkpoint(TrainableCnn(ArchSpec(n_filters=2, filter_size=2,
