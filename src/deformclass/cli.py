@@ -6,9 +6,9 @@ convolutional classifiers, ``sep`` reports separation and boundary-regularity
 estimates for two templates, ``bench`` runs a full experiment from a config
 file.  Exit codes: 0 success, 1 when ``bench`` wrote its reports but some
 rows failed, 2 config error, 3 data error, 4 numeric failure.  An unreadable
-or undecodable config and an unwritable output path are config errors; an
-output whose directory is missing, or is not a directory, is rejected before
-the work starts.
+or undecodable config, an unwritable output path and a size that needs more
+memory than numpy can allocate are config errors; an output whose directory
+is missing, or is not a directory, is rejected before the work starts.
 """
 from __future__ import annotations
 
@@ -228,6 +228,10 @@ def main(argv: list[str] | None = None) -> int:
     except DeformClassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # e.g. a raster side whose grid cannot be allocated
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -45,9 +45,6 @@ class BoundaryCurve:
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
 
 def _signed_area(pts: np.ndarray) -> float:
     """Shoelace area of a closed polygon, positive when counterclockwise."""
@@ -139,12 +136,10 @@ def _nested_subset(n: int, budget: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GammaScan:
-    """Details of a regularity-constant scan."""
+    """Result of a regularity-constant scan."""
 
     estimate: float
     points_used: int
-    singular_pairs: int
-    argmax_pair: tuple[int, int]
 
 
 def check_sample_budget(sample_budget: int) -> None:
@@ -153,26 +148,18 @@ def check_sample_budget(sample_budget: int) -> None:
         raise InvalidParams(f"sample budget must be >= 3, got {sample_budget}")
 
 
-def gamma_scan(curve: BoundaryCurve | np.ndarray, sample_budget: int = 256) -> GammaScan:
+def gamma_scan(curve: BoundaryCurve, sample_budget: int = 256) -> GammaScan:
     """Scan detour ratios over point pairs of a closed curve.
 
     For every ordered pair of sampled points the two connecting arcs are
     scanned for the largest detour sum, the smaller of the two suprema is
     taken, and the ratio to the chord length is recorded.  Pairs with
-    chord below 1e-9 are skipped and counted as singular.  The result is
-    a lower estimate of the true regularity constant that never decreases
-    as the budget grows.  Non-finite points in a raw array raise
-    ``DegenerateCurve``; a ``BoundaryCurve`` cannot hold them.
+    chord below 1e-9 are skipped; if every pair is, the curve is
+    degenerate.  The result is a lower estimate of the true regularity
+    constant that never decreases as the budget grows.
     """
-    pts = curve.points if isinstance(curve, BoundaryCurve) else np.asarray(curve, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
-        raise DegenerateCurve(f"need at least 3 planar points, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise DegenerateCurve("curve points must be finite")
     check_sample_budget(sample_budget)
-
-    sel = _nested_subset(pts.shape[0], sample_budget)
-    p = pts[sel]
+    p = curve.points[_nested_subset(len(curve.points), sample_budget)]
     n = p.shape[0]
     diff = p[:, None, :] - p[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
@@ -181,8 +168,6 @@ def gamma_scan(curve: BoundaryCurve | np.ndarray, sample_budget: int = 256) -> G
     # detour sum through each curve point for k = i + 1 + r.
     j = np.arange(n)
     best = -1.0
-    best_pair = (0, 0)
-    singular = 0
     for i in range(n - 1):
         k = j[i + 1:, None]
         chord = dist[i, i + 1:]
@@ -190,15 +175,8 @@ def gamma_scan(curve: BoundaryCurve | np.ndarray, sample_budget: int = 256) -> G
         inner = s.max(axis=1, where=(j >= i) & (j <= k), initial=-np.inf)
         outer = s.max(axis=1, where=(j >= k) | (j <= i), initial=-np.inf)
         ok = chord >= _SINGULAR_EPS
-        singular += int(np.count_nonzero(~ok))
-        if not ok.any():
-            continue
-        ratio = np.minimum(inner[ok], outer[ok]) / chord[ok]
-        r = int(np.argmax(ratio))
-        if ratio[r] > best:
-            best = float(ratio[r])
-            best_pair = (int(sel[i]), int(sel[i + 1 + np.flatnonzero(ok)[r]]))
+        best = float(np.max(np.minimum(inner[ok], outer[ok]) / chord[ok],
+                            initial=best))
     if best < 0:
         raise DegenerateCurve("all point pairs are singular")
-    return GammaScan(estimate=best, points_used=n,
-                     singular_pairs=singular, argmax_pair=best_pair)
+    return GammaScan(estimate=best, points_used=n)

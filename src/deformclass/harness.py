@@ -52,6 +52,8 @@ class ExperimentConfig:
             raise ConfigError("repetitions must be >= 1")
         if self.n_test < 1:
             raise ConfigError("n_test must be >= 1")
+        if not self.classifiers:
+            raise ConfigError(f"classifiers must name at least one of {CLASSIFIERS}")
         for c in self.classifiers:
             if c not in CLASSIFIERS:
                 raise ConfigError(f"unknown classifier {c!r}; valid: {CLASSIFIERS}")
@@ -146,11 +148,6 @@ def _risk_trained(train: Dataset, test: Dataset, arch: ArchSpec, opt: OptSpec,
 
 def run_experiment(cfg: ExperimentConfig) -> RiskReport:
     """Run the full sweep; returns one row per (classifier, n, repetition)."""
-    if not cfg.classifiers:
-        print("warning: no classifiers requested; report will be empty",
-              file=sys.stderr)
-        return RiskReport(rows=())
-
     bank = None
     if "CNN_EXPLICIT" in cfg.classifiers:
         bank = build_filter_bank(cfg.template0, cfg.template1, cfg.bank_xi_max,

@@ -14,12 +14,14 @@ The result is an upper bound of the infimum over the model's deformations
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParams
 from .model import TemplateFunction, shift_bounds
+
+MAX_MAGNITUDES = 1000
 
 
 @dataclass(frozen=True)
@@ -30,6 +32,12 @@ class SearchConfig:
     magnitude in [1/2, xi_max], scanned in steps of ``coarse_step``, with
     both signs unless ``include_flips`` is off, so the reparametrized
     support stays inside the unit square; the amplitude is nonnegative.
+
+    The grid may hold at most ``MAX_MAGNITUDES`` magnitudes per sign (the
+    default has 31).  The coarse scan runs one FFT correlation per pair of
+    scales and direction, so the cap already means 8 million of them,
+    hours at the default quadrature; a finer grid is a mistyped flag, not
+    a search, and near ``xi_max`` = 1e308 numpy could not even allocate it.
     """
 
     xi_max: float = 2.0
@@ -44,6 +52,15 @@ class SearchConfig:
             raise InvalidParams(f"xi_max must be finite and >= 1/2, got {self.xi_max}")
         if not (0 < self.coarse_step <= 0.25):
             raise InvalidParams(f"coarse_step must be in (0, 1/4], got {self.coarse_step}")
+        # The length of np.arange in _candidate_scales, worked out on Python
+        # floats before any array exists: a huge grid gives inf, no warning.
+        step = float(self.coarse_step)
+        n_mags = np.ceil((float(self.xi_max) + step / 2 - 0.5) / step)
+        if n_mags > MAX_MAGNITUDES:
+            raise InvalidParams(
+                f"the coarse grid has {n_mags:.4g} scale magnitudes per sign, "
+                f"above the cap of {MAX_MAGNITUDES}; raise coarse_step or "
+                f"lower xi_max")
         if self.refine_iters < 0:
             raise InvalidParams("refine_iters must be >= 0")
         if self.quadrature < 16 or self.coarse_quadrature < 16:
@@ -56,7 +73,6 @@ class SeparationResult:
     d_gf: float
     best_fg: tuple[float, float, float, float, float]  # (a, b, b', c, c')
     best_gf: tuple[float, float, float, float, float]
-    meta: dict = field(default_factory=dict)
 
     @property
     def d_max(self) -> float:
@@ -82,38 +98,27 @@ def _candidate_scales(cfg: SearchConfig) -> np.ndarray:
     return mags
 
 
-class _AxisPlan:
-    """Lattice of evaluation points for one axis at one scale.
+def _axis_plan(b: float, q: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Evaluation points and candidate shifts for one axis at scale ``b``
+    and quadrature ``q``; None when no shift keeps the support inside.
 
-    Candidate shifts are integer multiples of |b|/Q, so every candidate's
-    sample arguments live on the common lattice q*(p + 1/2); a window of Q
-    consecutive lattice cells holds one candidate's samples.
+    Candidate shifts are integer multiples of |b|/q, so every candidate's
+    sample arguments live on the common lattice |b|/q * (p + 1/2); a window
+    of q consecutive lattice cells holds one candidate's samples.
     """
-
-    def __init__(self, b: float, q_res: int):
-        self.b = b
-        step = abs(b) / q_res
-        lo, hi = _shift_interval(b)
-        k_lo = int(np.ceil(lo / step - 1e-9))
-        k_hi = int(np.floor(hi / step + 1e-9))
-        self.valid = k_hi >= k_lo
-        if not self.valid:
-            return
-        self.step = step
-        self.k_lo = k_lo
-        self.count = k_hi - k_lo + 1
-        # Lattice index offset: for b > 0 sample i of shift k reads lattice
-        # point i + (k - k_lo); for b < 0 it reads (k - k_lo) + (Q - 1 - i),
-        # which the correlation handles by reversing the G window instead.
-        if b > 0:
-            p0 = k_lo
-        else:
-            p0 = k_lo - q_res
-        n = q_res + self.count - 1
-        self.points = step * (np.arange(p0, p0 + n) + 0.5)
-
-    def shifts(self) -> np.ndarray:
-        return self.step * (self.k_lo + np.arange(self.count))
+    step = abs(b) / q
+    lo, hi = _shift_interval(b)
+    k_lo = int(np.ceil(lo / step - 1e-9))
+    k_hi = int(np.floor(hi / step + 1e-9))
+    if k_hi < k_lo:
+        return None
+    count = k_hi - k_lo + 1
+    # Lattice index offset: for b > 0 sample i of shift k reads lattice
+    # point i + (k - k_lo); for b < 0 it reads (k - k_lo) + (q - 1 - i),
+    # which the correlation handles by reversing the G window instead.
+    p0 = k_lo if b > 0 else k_lo - q
+    points = step * (np.arange(p0, p0 + q + count - 1) + 0.5)
+    return points, step * (k_lo + np.arange(count))
 
 
 def _direction(f: TemplateFunction, g: TemplateFunction, G: np.ndarray,
@@ -124,13 +129,11 @@ def _direction(f: TemplateFunction, g: TemplateFunction, G: np.ndarray,
     g_fft_cache: dict[tuple, np.ndarray] = {}
     best = (np.inf, (1.0, 1.0, 1.0, 0.0, 0.0))
 
-    plans = [plan for plan in (_AxisPlan(b, q_c) for b in _candidate_scales(cfg))
-             if plan.valid]
-    for px in plans:
-        bx = px.b
-        for py in plans:
-            by = py.b
-            F = f(px.points[:, None], py.points[None, :])
+    plans = [(b, plan) for b in _candidate_scales(cfg)
+             if (plan := _axis_plan(b, q_c)) is not None]
+    for bx, (xs, shifts_x) in plans:
+        for by, (ys, shifts_y) in plans:
+            F = f(xs[:, None], ys[None, :])
             nx, ny = F.shape
             fft_n = (1 << int(np.ceil(np.log2(nx))), 1 << int(np.ceil(np.log2(ny))))
             key = (fft_n, bx > 0, by > 0)
@@ -138,7 +141,7 @@ def _direction(f: TemplateFunction, g: TemplateFunction, G: np.ndarray,
                 g_used = G[:: 1 if bx > 0 else -1, :: 1 if by > 0 else -1]
                 g_fft_cache[key] = np.conj(np.fft.rfft2(g_used, s=fft_n))
             corr = np.fft.irfft2(np.fft.rfft2(F, s=fft_n) * g_fft_cache[key], s=fft_n)
-            ip = corr[: px.count, : py.count] / (q_c * q_c)
+            ip = corr[: len(shifts_x), : len(shifts_y)] / (q_c * q_c)
 
             # Every admissible window holds the full support, so the window
             # mass is shift-invariant and one total does.
@@ -151,9 +154,8 @@ def _direction(f: TemplateFunction, g: TemplateFunction, G: np.ndarray,
             val = float(dist2[kx, ky])
             if val < best[0]:
                 a = float(ip_eff[kx, ky] / norm_f2)
-                cx = px.shifts()[kx]
-                cy = py.shifts()[ky]
-                best = (val, (a, float(bx), float(by), float(cx), float(cy)))
+                best = (val, (a, float(bx), float(by),
+                              float(shifts_x[kx]), float(shifts_y[ky])))
 
     # Refine the winner (and re-score it) at the fine quadrature.
     tq = _midpoints(cfg.quadrature)
@@ -223,5 +225,4 @@ def estimate_separation(f: TemplateFunction, g: TemplateFunction,
         grids.append((H, norm2))
     d_fg, best_fg = _direction(f, g, *grids[1], cfg)
     d_gf, best_gf = _direction(g, f, *grids[0], cfg)
-    return SeparationResult(d_fg=d_fg, d_gf=d_gf, best_fg=best_fg,
-                            best_gf=best_gf, meta=asdict(cfg))
+    return SeparationResult(d_fg=d_fg, d_gf=d_gf, best_fg=best_fg, best_gf=best_gf)

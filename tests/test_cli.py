@@ -371,6 +371,26 @@ class TestSep:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--xi-max", "1e308"], ["--step", "1e-300"]])
+    def test_scale_grid_above_cap_exits_2(self, capsys, flags):
+        code = main(["sep", "--template0", "tent:delta=0.25",
+                     "--template1", "cone", *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the coarse grid has")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_out_of_memory_exits_2(self, capsys):
+        # A 10^7-pixel side asks for an 800 TB raster, more than any
+        # address space holds, so the allocation fails at once.
+        code = main(["sep", "--template0", "tent:delta=0.25",
+                     "--template1", "cone", "--step", "0.25",
+                     "--refine-iters", "0", "--gamma-d", "10000000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestPgmTemplates:
     def test_gen_sep_and_bank(self, glyph_pgms, tmp_path, capsys):

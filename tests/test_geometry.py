@@ -149,35 +149,26 @@ def masks(draw):
 
 def gamma_scan_loop(curve, sample_budget=256):
     """Reference: the pairwise double loop that ``gamma_scan`` vectorizes."""
-    pts = curve.points if isinstance(curve, BoundaryCurve) else np.asarray(curve, dtype=float)
-    sel = _nested_subset(pts.shape[0], sample_budget)
-    p = pts[sel]
+    p = curve.points[_nested_subset(len(curve.points), sample_budget)]
     n = p.shape[0]
     diff = p[:, None, :] - p[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
     best = -1.0
-    best_pair = (0, 0)
-    singular = 0
     for i in range(n - 1):
         row_i = dist[i]
         chords = dist[i, i + 1:]
         for off, chord in enumerate(chords):
             k = i + 1 + off
             if chord < _SINGULAR_EPS:
-                singular += 1
                 continue
             s = row_i + dist[k]
             inner = s[i:k + 1].max()
             outer_max = max(s[k:].max(), s[:i + 1].max())
-            ratio = min(inner, outer_max) / chord
-            if ratio > best:
-                best = ratio
-                best_pair = (int(sel[i]), int(sel[k]))
+            best = max(best, min(inner, outer_max) / chord)
     if best < 0:
         raise DegenerateCurve("all point pairs are singular")
-    return GammaScan(estimate=float(best), points_used=n,
-                     singular_pairs=singular, argmax_pair=best_pair)
+    return GammaScan(estimate=float(best), points_used=n)
 
 
 def circle_points(n=256, radius=1.0):
@@ -185,12 +176,16 @@ def circle_points(n=256, radius=1.0):
     return np.stack([radius * np.cos(t), radius * np.sin(t)], axis=1)
 
 
+def circle(n=256):
+    return BoundaryCurve(circle_points(n))
+
+
 class TestTraceBoundary:
     def test_single_cell(self):
         mask = np.zeros((4, 4), dtype=bool)
         mask[1, 2] = True
         curve = trace_boundary(mask)
-        assert len(curve) == 4
+        assert len(curve.points) == 4
         # cell (1, 2) is the box of side 1/4 centered at (2/4, 3/4)
         corners = {tuple(p) for p in np.round(curve.points * 4, 6)}
         assert corners == {(1.5, 2.5), (2.5, 2.5), (1.5, 3.5), (2.5, 3.5)}
@@ -207,7 +202,7 @@ class TestTraceBoundary:
         mask = np.zeros((8, 8), dtype=bool)
         mask[2:6, 2:6] = True
         # a 4x4 block has 16 boundary edges on the half-open corner lattice
-        assert len(trace_boundary(mask)) == 16
+        assert len(trace_boundary(mask).points) == 16
 
     def test_hole_is_ignored(self):
         mask = np.ones((5, 5), dtype=bool)
@@ -246,7 +241,7 @@ class TestTraceBoundary:
         mask[1:4, 1:4] = True
         mask[2, 2] = mask[3, 1] = False  # ends (2, 1) and (3, 2) pinch
         # All 7 * 4 - 2 * 6 = 16 unit edges of the path lie on that loop.
-        assert len(trace_boundary(mask)) == 16
+        assert len(trace_boundary(mask).points) == 16
         assert_same_trace(mask)
 
     def test_blob_with_two_holes(self):
@@ -267,49 +262,45 @@ class TestTraceBoundary:
 
 class TestGammaScan:
     def test_circle_value(self):
-        scan = gamma_scan(circle_points(256))
+        scan = gamma_scan(circle(256))
         assert scan.estimate == pytest.approx(np.sqrt(2), abs=0.05)
         assert scan.points_used == 256
-        assert scan.singular_pairs == 0
 
     def test_stretch_inflates_by_aspect_ratio(self):
         pts = circle_points(256)
         stretched = pts * np.array([1.0, 2.0])
-        base = gamma_scan(pts).estimate
-        assert gamma_scan(stretched).estimate <= 2 * base + 0.1
+        base = gamma_scan(BoundaryCurve(pts)).estimate
+        assert gamma_scan(BoundaryCurve(stretched)).estimate <= 2 * base + 0.1
 
     def test_diamond_oracle(self):
         # the l1 ball's worst detour straddles a corner: 1 + sqrt(2)
         p = DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
         img = rasterize(tent(0.125), p, 256)
         curve = trace_boundary(img.support_mask())
-        assert gamma_scan(curve, sample_budget=len(curve)).estimate == pytest.approx(
+        assert gamma_scan(curve, sample_budget=len(curve.points)).estimate == pytest.approx(
             1 + np.sqrt(2), abs=0.05)
 
     def test_budget_monotone(self):
-        pts = circle_points(512)
-        lo = gamma_scan(pts, sample_budget=64).estimate
-        hi = gamma_scan(pts, sample_budget=512).estimate
+        curve = circle(512)
+        lo = gamma_scan(curve, sample_budget=64).estimate
+        hi = gamma_scan(curve, sample_budget=512).estimate
         assert lo <= hi + 1e-12
 
     def test_curve_object_accepted(self):
-        curve = BoundaryCurve(circle_points(16))
-        assert gamma_scan(curve).estimate > 1.0
+        assert gamma_scan(circle(16)).estimate > 1.0
 
     def test_degenerate_inputs(self):
-        with pytest.raises(DegenerateCurve):
-            gamma_scan(np.zeros((2, 2)))
-        with pytest.raises(DegenerateCurve):
-            gamma_scan(np.zeros((8, 2)))  # all pairs singular
         with pytest.raises(InvalidParams):
-            gamma_scan(circle_points(16), sample_budget=2)
+            BoundaryCurve(np.zeros((2, 2)))
+        with pytest.raises(DegenerateCurve):
+            gamma_scan(BoundaryCurve(np.zeros((8, 2))))  # all pairs singular
+        with pytest.raises(InvalidParams):
+            gamma_scan(circle(16), sample_budget=2)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_point_rejected(self, bad):
         pts = circle_points(32)
         pts[5, 1] = bad
-        with pytest.raises(DegenerateCurve, match="finite"):
-            gamma_scan(pts)
         with pytest.raises(InvalidParams, match="finite"):
             BoundaryCurve(pts)
 
@@ -328,15 +319,15 @@ class TestGammaScan:
     def test_equals_loop_oracle(self, cells, data):
         # A 5x5 lattice makes duplicated points (singular pairs), collinear
         # runs and tied ratios common.
-        pts = np.array(cells, dtype=float) / 4.0
-        budget = data.draw(st.integers(3, len(pts)))
+        curve = BoundaryCurve(np.array(cells, dtype=float) / 4.0)
+        budget = data.draw(st.integers(3, len(cells)))
         try:
-            expected = gamma_scan_loop(pts, budget)
+            expected = gamma_scan_loop(curve, budget)
         except DegenerateCurve:
             with pytest.raises(DegenerateCurve):
-                gamma_scan(pts, budget)
+                gamma_scan(curve, budget)
             return
-        assert gamma_scan(pts, budget) == expected
+        assert gamma_scan(curve, budget) == expected
 
     @pytest.mark.parametrize("template", [tent(0.25), cross(0.25, 0.08), cone(0.22)],
                              ids=["tent", "cross", "cone"])
@@ -345,3 +336,18 @@ class TestGammaScan:
         p = DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
         curve = trace_boundary(rasterize(template, p, 128).support_mask())
         assert gamma_scan(curve, budget) == gamma_scan_loop(curve, budget)
+
+    @pytest.mark.parametrize("template, budget, estimate", [
+        (tent(0.25), 64, "0x1.a4ce35cddf768p+0"),
+        (tent(0.25), 128, "0x1.aa95d4b24f40dp+0"),
+        (cross(0.25, 0.08), 64, "0x1.9f6bab84160e5p+0"),
+        (cross(0.25, 0.08), 128, "0x1.a4f6a50a1f8f4p+0"),
+        (cone(0.22), 64, "0x1.6fae25d597ef6p+0"),
+        (cone(0.22), 128, "0x1.712ceabc435e4p+0"),
+    ], ids=["tent-64", "tent-128", "cross-64", "cross-128", "cone-64", "cone-128"])
+    def test_golden_bits(self, template, budget, estimate):
+        # Speed-ups of the scan must not move a single bit of the estimate.
+        p = DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
+        curve = trace_boundary(rasterize(template, p, 128).support_mask())
+        scan = gamma_scan(curve, budget)
+        assert (scan.estimate.hex(), scan.points_used) == (estimate, budget)

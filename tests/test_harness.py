@@ -346,10 +346,9 @@ class TestRunExperiment:
         # One search per item and classifier, over the whole test set.
         assert searches == [cfg.n_test] * (2 * cfg.repetitions * len(cfg.n_list))
 
-    def test_empty_classifiers_warns(self, capsys):
-        report = run_experiment(tiny_config(classifiers=()))
-        assert report.rows == ()
-        assert "no classifiers" in capsys.readouterr().err
+    def test_empty_classifiers_rejected(self):
+        with pytest.raises(ConfigError, match="classifiers must name at least one"):
+            tiny_config(classifiers=())
 
 
 class TestReporting:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from deformclass import (
     estimate_separation,
     tent,
 )
+from deformclass.separation import MAX_MAGNITUDES, _candidate_scales
 from oracles import grid_inner_product, riemann_error_report
 
 FAST = SearchConfig(coarse_step=0.1, refine_iters=8, quadrature=256,
@@ -52,6 +55,16 @@ class TestSearchConfig:
             SearchConfig(coarse_step=0.0)
         with pytest.raises(InvalidParams):
             SearchConfig(quadrature=0)
+
+    @pytest.mark.parametrize("kwargs", [{"xi_max": 1e308}, {"coarse_step": 1e-300},
+                                        {"xi_max": 50.5}])
+    def test_rejects_grid_above_cap(self, kwargs):
+        with pytest.raises(InvalidParams, match="above the cap of 1000"):
+            SearchConfig(**kwargs)
+
+    def test_cap_counts_the_grid_that_is_built(self):
+        cfg = SearchConfig(xi_max=50.45, include_flips=False)
+        assert len(_candidate_scales(cfg)) == MAX_MAGNITUDES
 
 
 class TestSeparationOracles:
@@ -124,10 +137,6 @@ class TestSeparationOracles:
         fine = estimate_separation(tent_template, cross_template, FAST)
         assert abs(coarse.d_max - fine.d_max) < 0.05
 
-    def test_meta_reports_config(self, tent_template):
-        res = estimate_separation(tent_template, tent_template, FAST)
-        assert res.meta["quadrature"] == FAST.quadrature
-
     @pytest.mark.parametrize("zero_first", [True, False])
     def test_zero_template_named_before_any_fft(self, monkeypatch, zero_first):
         calls = []
@@ -146,6 +155,105 @@ class TestSeparationOracles:
                            match=f"{name} template is identically zero"):
             estimate_separation(*pair)
         assert calls == []
+
+
+# The sep workload's search, and pairs of tent, cross and cone; the last
+# pair is off center, so the flipped scales change its d_fg.
+SEP_WORKLOAD = SearchConfig(coarse_step=0.25, coarse_quadrature=64, quadrature=256)
+GOLDEN_PAIRS = {
+    "tent-cross": (tent(0.25), cross(0.25, 0.08)),
+    "cross-tent": (cross(0.2, 0.06), tent(0.22)),
+    "tent-cone": (tent(0.2), cone(0.2)),
+    "cone-tent": (cone(0.22), tent(0.25)),
+    "cross-cone": (cross(0.25, 0.08), cone(0.22)),
+    "tent-cone-off-center": (tent(0.15, center=(0.42, 0.55)),
+                             cone(0.15, center=(0.58, 0.45))),
+}
+# (pair, include_flips) -> float.hex of d_fg, d_gf, best_fg and best_gf.
+GOLDEN_BITS = {
+    ("tent-cross", True): (
+        "0x1.3f999b3beabeap-2", "0x1.1ecddf263e000p-2",
+        ("0x1.7261e190a1455p+2", "0x1.7800000000000p-1", "0x1.7800000000000p-1",
+         "0x1.0800000000000p-3", "0x1.0800000000000p-3"),
+        ("0x1.6394314773f01p-3", "0x1.8000000000000p+0", "0x1.8000000000000p+0",
+         "-0x1.0020000000000p-2", "-0x1.ff80000000000p-3")),
+    ("cross-tent", True): (
+        "0x1.1bb3e88282f95p-2", "0x1.4f83e3df1f392p-2",
+        ("0x1.4912442b79d94p-3", "0x1.bf00000000000p+0", "0x1.c000000000000p+0",
+         "-0x1.7e60000000000p-2", "-0x1.8170000000000p-2"),
+        ("0x1.40f1bdc27c529p+2", "0x1.0800000000000p-1", "0x1.0000000000000p-1",
+         "0x1.f700000000000p-3", "0x1.0000000000000p-2")),
+    ("tent-cone", True): (
+        "0x1.7c958255a5a09p-3", "0x1.6120e0ea087cbp-3",
+        ("0x1.db4026015c9fep-1", "0x1.8200000000000p-1", "0x1.8200000000000p-1",
+         "0x1.fe00000000000p-4", "0x1.fe00000000000p-4"),
+        ("0x1.f6e70ec7d0819p-1", "0x1.4000000000000p+0", "0x1.4000000000000p+0",
+         "-0x1.ffe0000000000p-4", "-0x1.ffe0000000000p-4")),
+    ("cone-tent", True): (
+        "0x1.9d860f50c93a9p-3", "0x1.a638bfe1b464ep-3",
+        ("0x1.1fe238f818a8fp+0", "0x1.3e00000000000p+0", "0x1.0000000000000p+0",
+         "-0x1.ef00000000000p-4", "0x0.0p+0"),
+        ("0x1.e2837be740b31p-1", "0x1.fc00000000000p-1", "0x1.fc00000000000p-1",
+         "0x1.0000000000000p-8", "0x1.0000000000000p-8")),
+    ("cross-cone", True): (
+        "0x1.ee584eaf2e44bp-3", "0x1.cb6bf9b74bc0dp-3",
+        ("0x1.3ebf90212caacp-3", "0x1.4400000000000p+0", "0x1.7c00000000000p+0",
+         "-0x1.0e00000000000p-3", "-0x1.ef00000000000p-3"),
+        ("0x1.8db435716d2f0p+2", "0x1.7e00000000000p-1", "0x1.7e00000000000p-1",
+         "0x1.0080000000000p-3", "0x1.0080000000000p-3")),
+    ("tent-cone-off-center", True): (
+        "0x1.7df123c52ee9dp-3", "0x1.620b916caef39p-3",
+        ("0x1.d9728d4b63d5ap-1", "-0x1.8000000000000p-1", "0x1.8100000000000p-1",
+         "0x1.b5a0000000000p-1", "0x1.b330000000000p-3"),
+        ("0x1.f7102e14a504ap-1", "0x1.4000000000000p+0", "0x1.4000000000000p+0",
+         "0x1.c2a0000000000p-5", "-0x1.e640000000000p-3")),
+    ("tent-cross", False): (
+        "0x1.3f999b3beabeap-2", "0x1.1ecddf263e000p-2",
+        ("0x1.7261e190a1455p+2", "0x1.7800000000000p-1", "0x1.7800000000000p-1",
+         "0x1.0800000000000p-3", "0x1.0800000000000p-3"),
+        ("0x1.6394314773f01p-3", "0x1.8000000000000p+0", "0x1.8000000000000p+0",
+         "-0x1.0020000000000p-2", "-0x1.ff80000000000p-3")),
+    ("cross-tent", False): (
+        "0x1.1bb3e88282f95p-2", "0x1.4f83e3df1f392p-2",
+        ("0x1.4912442b79d94p-3", "0x1.bf00000000000p+0", "0x1.c000000000000p+0",
+         "-0x1.7e60000000000p-2", "-0x1.8170000000000p-2"),
+        ("0x1.40f1bdc27c529p+2", "0x1.0800000000000p-1", "0x1.0000000000000p-1",
+         "0x1.f700000000000p-3", "0x1.0000000000000p-2")),
+    ("tent-cone", False): (
+        "0x1.7c958255a5a09p-3", "0x1.6120e0ea087cbp-3",
+        ("0x1.db4026015c9fep-1", "0x1.8200000000000p-1", "0x1.8200000000000p-1",
+         "0x1.fe00000000000p-4", "0x1.fe00000000000p-4"),
+        ("0x1.f6e70ec7d0819p-1", "0x1.4000000000000p+0", "0x1.4000000000000p+0",
+         "-0x1.ffe0000000000p-4", "-0x1.ffe0000000000p-4")),
+    ("cone-tent", False): (
+        "0x1.9d860f50c93a9p-3", "0x1.a638bfe1b464ep-3",
+        ("0x1.1fe238f818a8fp+0", "0x1.3e00000000000p+0", "0x1.0000000000000p+0",
+         "-0x1.ef00000000000p-4", "0x0.0p+0"),
+        ("0x1.e2837be740b31p-1", "0x1.fc00000000000p-1", "0x1.fc00000000000p-1",
+         "0x1.0000000000000p-8", "0x1.0000000000000p-8")),
+    ("cross-cone", False): (
+        "0x1.ee584eaf2e44bp-3", "0x1.cb6bf9b74bc0dp-3",
+        ("0x1.3ebf90212caacp-3", "0x1.4400000000000p+0", "0x1.7c00000000000p+0",
+         "-0x1.0e00000000000p-3", "-0x1.ef00000000000p-3"),
+        ("0x1.8db435716d2f0p+2", "0x1.7e00000000000p-1", "0x1.7e00000000000p-1",
+         "0x1.0080000000000p-3", "0x1.0080000000000p-3")),
+    ("tent-cone-off-center", False): (
+        "0x1.f051a02f221b3p-3", "0x1.620b916caef39p-3",
+        ("0x1.0c8f0b01e218bp+0", "0x1.fc00000000000p-1", "0x1.8000000000000p-1",
+         "-0x1.4100000000000p-3", "0x1.b300000000000p-3"),
+        ("0x1.f7102e14a504ap-1", "0x1.4000000000000p+0", "0x1.4000000000000p+0",
+         "0x1.c2a0000000000p-5", "-0x1.e640000000000p-3")),
+}
+
+
+@pytest.mark.parametrize("name, flips", list(GOLDEN_BITS), ids=str)
+def test_golden_bits(name, flips):
+    # Speed-ups of the search must not move a single bit of its result.
+    cfg = replace(SEP_WORKLOAD, include_flips=flips)
+    res = estimate_separation(*GOLDEN_PAIRS[name], cfg)
+    got = (res.d_fg.hex(), res.d_gf.hex(), tuple(x.hex() for x in res.best_fg),
+           tuple(x.hex() for x in res.best_gf))
+    assert got == GOLDEN_BITS[name, flips]
 
 
 class TestRiemannReport:
