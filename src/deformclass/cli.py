@@ -171,15 +171,18 @@ def _cmd_sep(args) -> int:
     check_resolution(args.gamma_d)
     check_sample_budget(args.gamma_budget)
     result = estimate_separation(f0, f1, cfg)
-    print(f"separation: d_fg={result.d_fg:.6f} d_gf={result.d_gf:.6f} "
-          f"D={result.d_max:.6f}")
+    lines = [f"separation: d_fg={result.d_fg:.6f} d_gf={result.d_gf:.6f} "
+             f"D={result.d_max:.6f}"]
     for name, f in (("template0", f0), ("template1", f1)):
         img = rasterize(f, IDENTITY, args.gamma_d)
         curve = trace_boundary(img.support_mask())
         scan = gamma_scan(curve, sample_budget=args.gamma_budget)
-        print(f"{name}: gamma~{scan.estimate:.4f} "
-              f"(boundary points {len(curve.points)}, "
-              f"scan points {scan.points_used})")
+        lines.append(f"{name}: gamma~{scan.estimate:.4f} "
+                     f"(boundary points {len(curve.points)}, "
+                     f"scan points {scan.points_used})")
+    # print only once every step has succeeded: a failing run leaves no
+    # result lines on stdout
+    print("\n".join(lines))
     return 0
 
 

@@ -43,11 +43,14 @@ _BOUND_TOL = 1e-12
 class TemplateFunction:
     """Bivariate intensity function with support in [1/4, 3/4]^2.
 
-    ``fn`` evaluates pointwise on numpy arrays and must return 0 outside
-    the support box, in particular outside [0, 1]^2.  It must broadcast:
-    given an (n, 1) array of x and a (1, m) array of y it returns the
-    (n, m) grid of values, so callers pass axis vectors, not meshgrids,
-    and leading axes stack grids: (k, n, 1) and (k, 1, m) give k grids.
+    ``fn`` evaluates pointwise on numpy arrays, is nonnegative, and must
+    return +0.0 outside the support box, in particular outside [0, 1]^2.
+    The separation search relies on it: it evaluates templates only inside
+    the box (plus a small tolerance) and takes every other point as +0.0.
+    It must broadcast: given an (n, 1) array of x and a (1, m) array of y
+    it returns the (n, m) grid of values, so callers pass axis vectors, not
+    meshgrids, and leading axes stack grids: (k, n, 1) and (k, 1, m) give
+    k grids.
 
     ``lipschitz_const`` is the normalized constant C such that
     |f(x, y) - f(x', y')| <= C * l1_norm * (|x - x'| + |y - y'|).

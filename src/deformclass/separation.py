@@ -11,17 +11,29 @@ pair with an FFT correlation, solves the amplitude in closed form, and
 then refines the best candidate by pattern search at a finer quadrature.
 The result is an upper bound of the infimum over the model's deformations
 (see ``SearchConfig``) and never increases as the budget grows.
+
+The search evaluates templates only inside the support box (widened by
+``_WINDOW_TOL``) and takes every other grid point as +0.0, as the
+``TemplateFunction`` contract states; a template that breaks it gets a
+wrong distance.  Within the contract, the skipped work changes no bit of
+the result.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .errors import InvalidParams
-from .model import TemplateFunction, shift_bounds
+from .model import _BOUND_TOL, SUPPORT_HI, SUPPORT_LO, TemplateFunction, shift_bounds
 
 MAX_MAGNITUDES = 1000
+
+# Margin around the support box inside which templates are evaluated:
+# far above the _BOUND_TOL by which a support may leave the box, so that
+# no rounding in a template's own arithmetic reaches past it.
+_WINDOW_TOL = 1000 * _BOUND_TOL
 
 
 @dataclass(frozen=True)
@@ -121,60 +133,129 @@ def _axis_plan(b: float, q: int) -> tuple[np.ndarray, np.ndarray] | None:
     return points, step * (k_lo + np.arange(count))
 
 
+def _support_window(x: np.ndarray) -> slice:
+    """Index window of the monotone axis vector ``x`` whose points lie in
+    the support box widened by ``_WINDOW_TOL``; empty when none do."""
+    idx = np.flatnonzero((x >= SUPPORT_LO - _WINDOW_TOL) & (x <= SUPPORT_HI + _WINDOW_TOL))
+    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+
+
+def _template_grid(f: TemplateFunction, x: np.ndarray, y: np.ndarray,
+                   wx: slice | None = None, wy: slice | None = None) -> np.ndarray:
+    """``f(x[:, None], y[None, :])`` for monotone axis vectors, evaluated
+    only on the support windows ``wx`` and ``wy`` (computed when not
+    given); every other point is +0.0.  Each value inside comes from the
+    same elementwise operations on the same inputs, so it has the same
+    bits as the full evaluation."""
+    wx = _support_window(x) if wx is None else wx
+    wy = _support_window(y) if wy is None else wy
+    out = np.zeros((len(x), len(y)))
+    if wx.stop > wx.start and wy.stop > wy.start:
+        out[wx, wy] = f(x[wx, None], y[None, wy])
+    return out
+
+
+def _spectrum(F: np.ndarray, rows: slice, fft_n: tuple[int, int]) -> np.ndarray:
+    """``rfft2(F, fft_n)`` for an F that is zero outside ``rows``.
+
+    rfft2 is an r2c FFT of each row followed by a c2c FFT along axis 0;
+    done step by step, the r2c runs only on the rows that can be nonzero.
+    The zero rows can change only the sign of an entry that is exactly
+    zero, and so can only that of an exactly zero correlation.
+    """
+    spec = np.zeros((fft_n[0], fft_n[1] // 2 + 1), dtype=complex)
+    spec[rows] = np.fft.rfft(F[rows], n=fft_n[1], axis=1)
+    return np.fft.fft(spec, axis=0)
+
+
+def _correlate(spec: np.ndarray, g_spec: np.ndarray, fft_n: tuple[int, int],
+               n_out: int) -> np.ndarray:
+    """The first ``n_out`` rows of ``irfft2(spec * g_spec, fft_n)``: the
+    c2c inverse along axis 0, then the c2r inverse of the rows kept only."""
+    return np.fft.irfft(np.fft.ifft(spec * g_spec, axis=0)[:n_out], n=fft_n[1], axis=1)
+
+
 def _direction(f: TemplateFunction, g: TemplateFunction, G: np.ndarray,
                norm_g2: float, cfg: SearchConfig) -> tuple[float, tuple]:
     """Upper bound of dist(f, g) over the configured search domain, given
     g's coarse grid ``G`` and its mean square ``norm_g2``."""
     q_c = cfg.coarse_quadrature
     g_fft_cache: dict[tuple, np.ndarray] = {}
-    best = (np.inf, (1.0, 1.0, 1.0, 0.0, 0.0))
+    best_key, best = (np.inf, 0, 0), (1.0, 1.0, 0.0, 0.0)
 
-    plans = [(b, plan) for b in _candidate_scales(cfg)
+    plans = [(b, *plan, _support_window(plan[0])) for b in _candidate_scales(cfg)
              if (plan := _axis_plan(b, q_c)) is not None]
-    for bx, (xs, shifts_x) in plans:
-        for by, (ys, shifts_y) in plans:
-            F = f(xs[:, None], ys[None, :])
-            nx, ny = F.shape
-            fft_n = (1 << int(np.ceil(np.log2(nx))), 1 << int(np.ceil(np.log2(ny))))
-            key = (fft_n, bx > 0, by > 0)
-            if key not in g_fft_cache:
-                g_used = G[:: 1 if bx > 0 else -1, :: 1 if by > 0 else -1]
-                g_fft_cache[key] = np.conj(np.fft.rfft2(g_used, s=fft_n))
-            corr = np.fft.irfft2(np.fft.rfft2(F, s=fft_n) * g_fft_cache[key], s=fft_n)
-            ip = corr[: len(shifts_x), : len(shifts_y)] / (q_c * q_c)
-
+    # The scales b and -b sample f on the same lattice, so the sign
+    # combinations of two magnitudes share F and its spectrum.  The scan
+    # goes lattice by lattice, and a tie goes to the pair that comes first
+    # in plan order, as in a scan in that order.
+    lattices: dict[bytes, list[int]] = {}
+    for i, (_, xs, _, _) in enumerate(plans):
+        lattices.setdefault(xs.tobytes(), []).append(i)
+    for rows_of in lattices.values():
+        for cols_of in lattices.values():
+            _, xs, _, wx = plans[rows_of[0]]
+            _, ys, _, wy = plans[cols_of[0]]
+            F = _template_grid(f, xs, ys, wx, wy)
             # Every admissible window holds the full support, so the window
             # mass is shift-invariant and one total does.
             norm_f2 = float(np.sum(F * F)) / (q_c * q_c)
             if norm_f2 <= 0:
                 continue
-            ip_eff = np.maximum(ip, 0.0)
-            dist2 = norm_g2 - ip_eff * ip_eff / norm_f2
-            kx, ky = np.unravel_index(int(np.argmin(dist2)), dist2.shape)
-            val = float(dist2[kx, ky])
-            if val < best[0]:
-                a = float(ip_eff[kx, ky] / norm_f2)
-                best = (val, (a, float(bx), float(by),
-                              float(shifts_x[kx]), float(shifts_y[ky])))
+            nx, ny = F.shape
+            fft_n = (1 << int(np.ceil(np.log2(nx))), 1 << int(np.ceil(np.log2(ny))))
+            spec = _spectrum(F, wx, fft_n)
+            for i, j in product(rows_of, cols_of):
+                (bx, _, shifts_x, _), (by, _, shifts_y, _) = plans[i], plans[j]
+                key = (fft_n, bx > 0, by > 0)
+                if key not in g_fft_cache:
+                    g_used = G[:: 1 if bx > 0 else -1, :: 1 if by > 0 else -1]
+                    g_fft_cache[key] = np.conj(np.fft.rfft2(g_used, s=fft_n))
+                corr = _correlate(spec, g_fft_cache[key], fft_n, len(shifts_x))
+                ip = corr[:, : len(shifts_y)] / (q_c * q_c)
+                # The refine recomputes the amplitude, so only the scales
+                # and shifts are kept.
+                ip_eff = np.maximum(ip, 0.0)
+                dist2 = norm_g2 - ip_eff * ip_eff / norm_f2
+                kx, ky = np.unravel_index(int(np.argmin(dist2)), dist2.shape)
+                if (val := float(dist2[kx, ky]), i, j) < best_key:
+                    best_key = val, i, j
+                    best = (float(bx), float(by),
+                            float(shifts_x[kx]), float(shifts_y[ky]))
 
     # Refine the winner (and re-score it) at the fine quadrature.
     tq = _midpoints(cfg.quadrature)
-    qx, qy = tq[:, None], tq[None, :]
-    Gq = g(qx, qy)
+    Gq = _template_grid(g, tq, tq)
     norm_gq2 = float(np.mean(Gq * Gq))
+    # Outside f's window F is +0.0 and Gq >= 0, so F * F and F * Gq are
+    # +0.0 there: they are formed inside the window only, in a grid of
+    # zeros, and the means still run over the whole grid, in one order.
+    prod = np.zeros_like(Gq)
+    # The pattern search often returns to a point it has scored: a step
+    # back after an improvement, or a trial clamped onto the current one.
+    scored: dict[tuple, tuple[float, float]] = {}
 
     def objective(b: float, b2: float, c: float, c2: float) -> tuple[float, float]:
-        F = f(b * qx + c, b2 * qy + c2)
-        nf2 = float(np.mean(F * F))
-        if nf2 <= 0:
-            return norm_gq2, 0.0
-        ip = max(float(np.mean(F * Gq)), 0.0)
-        return norm_gq2 - ip * ip / nf2, ip / nf2
+        key = (b, b2, c, c2)
+        if key not in scored:
+            x, y = b * tq + c, b2 * tq + c2
+            w = _support_window(x), _support_window(y)
+            F = _template_grid(f, x, y, *w)[w]
+            prod[w] = F * F
+            nf2 = float(np.mean(prod))
+            prod[w] = F * Gq[w]
+            ip = max(float(np.mean(prod)), 0.0)
+            prod[w] = 0.0
+            if nf2 <= 0:
+                scored[key] = norm_gq2, 0.0
+            else:
+                scored[key] = norm_gq2 - ip * ip / nf2, ip / nf2
+        return scored[key]
 
     def clamp(b: float, c: float) -> float:
         return float(np.clip(c, *_shift_interval(b)))
 
-    _, (a0, b0, b20, c0, c20) = best
+    b0, b20, c0, c20 = best
     cur = (b0, b20, clamp(b0, c0), clamp(b20, c20))
     cur_val, cur_a = objective(*cur)
     # The identity is always admissible; keep it as a floor candidate.
@@ -218,7 +299,7 @@ def estimate_separation(f: TemplateFunction, g: TemplateFunction,
     t = _midpoints(cfg.coarse_quadrature)
     grids = []
     for name, h in (("first", f), ("second", g)):
-        H = h(t[:, None], t[None, :])
+        H = _template_grid(h, t, t)
         norm2 = float(np.mean(H * H))
         if norm2 == 0.0:
             raise InvalidParams(f"{name} template is identically zero on the grid")

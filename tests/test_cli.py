@@ -387,7 +387,8 @@ class TestSep:
                      "--template1", "cone", "--step", "0.25",
                      "--refine-iters", "0", "--gamma-d", "10000000"])
         assert code == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""  # the separation line, computed first, is not printed
         assert err.startswith("config error: out of memory: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from deformclass import (
     InvalidParams,
@@ -10,9 +11,19 @@ from deformclass import (
     cone,
     cross,
     estimate_separation,
+    raster_interp,
     tent,
 )
-from deformclass.separation import MAX_MAGNITUDES, _candidate_scales
+from deformclass.separation import (
+    MAX_MAGNITUDES,
+    _axis_plan,
+    _candidate_scales,
+    _correlate,
+    _midpoints,
+    _shift_interval,
+    _spectrum,
+    _template_grid,
+)
 from oracles import grid_inner_product, riemann_error_report
 
 FAST = SearchConfig(coarse_step=0.1, refine_iters=8, quadrature=256,
@@ -140,13 +151,15 @@ class TestSeparationOracles:
     @pytest.mark.parametrize("zero_first", [True, False])
     def test_zero_template_named_before_any_fft(self, monkeypatch, zero_first):
         calls = []
-        rfft2 = np.fft.rfft2
 
-        def counting_rfft2(*args, **kwargs):
-            calls.append(1)
-            return rfft2(*args, **kwargs)
+        def counting(fft):
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return fft(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(np.fft, "rfft2", counting_rfft2)
+        for name in ("rfft", "rfft2"):
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
         # An arm far narrower than the coarse grid spacing: zero on the grid.
         thin, solid = cross(0.0001), cone()
         pair = (thin, solid) if zero_first else (solid, thin)
@@ -157,8 +170,63 @@ class TestSeparationOracles:
         assert calls == []
 
 
-# The sep workload's search, and pairs of tent, cross and cone; the last
-# pair is off center, so the flipped scales change its d_fg.
+@st.composite
+def _templates(draw):
+    """Any template kind: centered or off-center tents and cones, crosses,
+    and bilinear rasters."""
+    kind = draw(st.sampled_from(["tent", "cone", "cross", "raster"]))
+    if kind == "cross":
+        return cross(draw(st.floats(0.01, 0.25)), draw(st.floats(0.01, 0.25)))
+    if kind == "raster":
+        shape = (draw(st.integers(3, 9)), draw(st.integers(3, 9)))
+        seed = draw(st.integers(0, 2**32 - 1))
+        return raster_interp(np.random.default_rng(seed).uniform(0.0, 1.0, shape))
+    size = draw(st.floats(0.01, 0.25))
+    center = (0.5, 0.5)
+    if draw(st.booleans()):
+        center = tuple(draw(st.floats(0.25 + size, 0.75 - size)) for _ in range(2))
+    return (tent if kind == "tent" else cone)(size, center=center)
+
+
+@st.composite
+def _axes(draw):
+    """An axis the search evaluates a template on: the coarse scan's
+    lattice for a scale b, or the refine's b * t + c for an admissible
+    shift c; b has either sign and magnitude in [1/2, xi_max]."""
+    b = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    q = draw(st.integers(16, 96))
+    if draw(st.booleans()) and (plan := _axis_plan(b, q)) is not None:
+        return plan[0]
+    return b * _midpoints(q) + draw(st.floats(*_shift_interval(b)))
+
+
+class TestSupportWindow:
+    @given(f=_templates(), x=_axes(), y=_axes())
+    def test_windowed_grid_has_the_bits_of_the_full_one(self, f, x, y):
+        full = f(x[:, None], y[None, :])
+        assert _template_grid(f, x, y).tobytes() == full.tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_row_split_correlation_equals_the_2d_transforms(self, seed):
+        rng = np.random.default_rng(seed)
+        nx, ny = rng.integers(8, 80, size=2)
+        fft_n = (1 << int(np.ceil(np.log2(nx))), 1 << int(np.ceil(np.log2(ny))))
+        lo = int(rng.integers(0, nx))
+        rows = slice(lo, int(rng.integers(lo, nx + 1)))
+        F = np.zeros((nx, ny))
+        F[rows] = rng.uniform(0.0, 1.0, (rows.stop - rows.start, ny))
+        g_spec = np.conj(np.fft.rfft2(rng.uniform(0.0, 1.0, (nx, ny)), s=fft_n))
+        n_out = int(rng.integers(1, nx + 1))
+        spec = _spectrum(F, rows, fft_n)
+        assert np.all(spec == np.fft.rfft2(F, s=fft_n))
+        split = _correlate(spec, g_spec, fft_n, n_out)
+        full = np.fft.irfft2(np.fft.rfft2(F, s=fft_n) * g_spec, s=fft_n)[:n_out]
+        assert split.shape == full.shape
+        assert np.all(split == full)
+
+
+# The sep workload's search, and pairs of tent, cross, cone and a raster;
+# the off-center pair and the raster's flipped scales change a distance.
 SEP_WORKLOAD = SearchConfig(coarse_step=0.25, coarse_quadrature=64, quadrature=256)
 GOLDEN_PAIRS = {
     "tent-cross": (tent(0.25), cross(0.25, 0.08)),
@@ -168,6 +236,8 @@ GOLDEN_PAIRS = {
     "cross-cone": (cross(0.25, 0.08), cone(0.22)),
     "tent-cone-off-center": (tent(0.15, center=(0.42, 0.55)),
                              cone(0.15, center=(0.58, 0.45))),
+    "raster-cone": (raster_interp(np.random.default_rng(3).uniform(0.0, 1.0, (7, 5))),
+                    cone(0.2)),
 }
 # (pair, include_flips) -> float.hex of d_fg, d_gf, best_fg and best_gf.
 GOLDEN_BITS = {
@@ -243,6 +313,18 @@ GOLDEN_BITS = {
          "-0x1.4100000000000p-3", "0x1.b300000000000p-3"),
         ("0x1.f7102e14a504ap-1", "0x1.4000000000000p+0", "0x1.4000000000000p+0",
          "0x1.c2a0000000000p-5", "-0x1.e640000000000p-3")),
+    ("raster-cone", True): (
+        "0x1.824681fe752a5p-2", "0x1.a163f05ac92f8p-2",
+        ("0x1.b82533d194ca2p-3", "0x1.8080000000000p+0", "0x1.8000000000000p+0",
+         "-0x1.fd40000000000p-3", "-0x1.05f0000000000p-2"),
+        ("0x1.1598d2c6a4ef3p+2", "-0x1.7800000000000p-1", "0x1.7800000000000p-1",
+         "0x1.bea0000000000p-1", "0x1.1580000000000p-3")),
+    ("raster-cone", False): (
+        "0x1.824681fe752a5p-2", "0x1.a12914cc8b25fp-2",
+        ("0x1.b82533d194ca2p-3", "0x1.8080000000000p+0", "0x1.8000000000000p+0",
+         "-0x1.fd40000000000p-3", "-0x1.05f0000000000p-2"),
+        ("0x1.15a094626f15cp+2", "0x1.7800000000000p-1", "0x1.7800000000000p-1",
+         "0x1.0800000000000p-3", "0x1.1400000000000p-3")),
 }
 
 
