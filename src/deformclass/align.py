@@ -14,13 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyGallery,
-    EmptySupport,
-    InvalidParams,
-    ResolutionMismatch,
-    ZeroNorm,
-)
+from .errors import ConfigError, NumericError
 from .model import IMAGE_BLOCK, GrayImage, check_norm, mask_spans
 
 
@@ -37,8 +31,8 @@ class AlignedRep:
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 2:
-            raise InvalidParams(f"aligned grid must be m x m with m >= 2, "
-                                f"got shape {g.shape}")
+            raise ConfigError(f"aligned grid must be m x m with m >= 2, "
+                              f"got shape {g.shape}")
         if g.flags.writeable:
             g = g.copy()
             g.flags.writeable = False
@@ -60,12 +54,12 @@ def align_images(images: Sequence[GrayImage], m: int | None = None
     (lo*(m-1) + a*(hi-lo)) // (m-1).
 
     Runs of images of one resolution are aligned together, at most
-    ``IMAGE_BLOCK`` at a time.  The first image, in list order, with no
-    positive pixel raises EmptySupport; the first whose resampled grid is
-    identically zero (possible when the box corners land between the
-    support pixels) raises ZeroNorm, and the first whose resampled grid has
-    a non-finite norm (a NaN or infinite sample) raises NumericError; each
-    message names the image's list index.
+    ``IMAGE_BLOCK`` at a time.  The first image, in list order, that has no
+    positive pixel, whose resampled grid is identically zero (possible when
+    the box corners land between the support pixels) or whose resampled
+    grid has a non-finite norm (a NaN or infinite sample) raises
+    NumericError; the message names the condition and the image's list
+    index.
     """
     reps: list[AlignedRep] = []
     for d, run in groupby(images, key=lambda img: img.d):
@@ -89,7 +83,7 @@ def _align_block(images: Sequence[GrayImage], m: int,
     """``align_images`` on images that share one resolution; ``first`` is
     the list index of the first of them."""
     if m < 2:
-        raise InvalidParams(f"resample grid needs m >= 2, got {m}")
+        raise ConfigError(f"resample grid needs m >= 2, got {m}")
     px = np.stack([img.pixels for img in images])
     n = len(px)
     mask = px > 0
@@ -101,13 +95,13 @@ def _align_block(images: Sequence[GrayImage], m: int,
     norms = np.empty(n)
     for i in range(n):
         if row_end[i] == 0:
-            raise EmptySupport(f"image {first + i}: no pixel is positive")
+            raise NumericError(f"image {first + i}: no pixel is positive")
         # One BLAS dot per grid, exactly as for a lone image.
         norms[i] = float(np.linalg.norm(z[i]))
         check_norm(norms[i], f"the resampled grid of image {first + i}")
         if norms[i] == 0.0:
-            raise ZeroNorm(f"the resampled grid of image {first + i} is "
-                           f"identically zero")
+            raise NumericError(f"the resampled grid of image {first + i} is "
+                               f"identically zero")
     z /= norms[:, None, None]
     z.flags.writeable = False
     return [AlignedRep(grid=grid) for grid in z]
@@ -133,11 +127,11 @@ _PAIR_BYTES = 512 * 1024
 
 def _stack_gallery(gallery: Sequence[GalleryEntry]) -> tuple[np.ndarray, np.ndarray, int]:
     if len(gallery) == 0:
-        raise EmptyGallery("gallery must contain at least one entry")
+        raise NumericError("gallery must contain at least one entry")
     m = gallery[0][0].m
     for rep, _ in gallery:
         if rep.m != m:
-            raise ResolutionMismatch(
+            raise ConfigError(
                 f"gallery mixes grid sizes {m} and {rep.m}")
     grids = np.stack([rep.grid.reshape(-1) for rep, _ in gallery])
     labels = np.array([label for _, label in gallery], dtype=int)
@@ -169,7 +163,7 @@ def classify_1nn(gallery: Sequence[GalleryEntry], queries: Sequence[AlignedRep],
     grids, labels, m = _stack_gallery(gallery)
     for query in queries:
         if query.m != m:
-            raise ResolutionMismatch(f"query grid size {query.m} != gallery {m}")
+            raise ConfigError(f"query grid size {query.m} != gallery {m}")
     if len(queries) == 0:
         return []
     n_orient = 4 if flips else 1
@@ -234,7 +228,7 @@ def build_gallery(images: Sequence[GrayImage], labels: Sequence[int],
                   m: int | None = None) -> list[GalleryEntry]:
     """Align every image and pair it with its label."""
     if len(images) != len(labels):
-        raise InvalidParams("images and labels must have equal length")
+        raise ConfigError("images and labels must have equal length")
     if m is None and images:
         m = images[0].d
     return [(rep, int(lab))

@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        # e.g. a raster side whose grid cannot be allocated
+        # e.g. a dataset size whose label array cannot be allocated
         print(f"config error: out of memory: {exc}", file=sys.stderr)
         return 2
 

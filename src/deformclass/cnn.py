@@ -39,7 +39,7 @@ from itertools import groupby
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidParams, ResolutionMismatch
+from .errors import ConfigError
 from .model import (SUPPORT_HI, SUPPORT_LO, GrayImage, TemplateFunction,
                     check_norm, check_resolution, mask_spans, nonzero_boxes)
 
@@ -60,7 +60,7 @@ class Filter:
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
-                raise InvalidParams(f"filter weights must be square, got {w.shape}")
+                raise ConfigError(f"filter weights must be square, got {w.shape}")
             w = w.copy()
             w.flags.writeable = False
             object.__setattr__(self, "weights", w)
@@ -168,9 +168,9 @@ def build_filter_bank(f0: TemplateFunction, f1: TemplateFunction,
     at 218 MB RSS for a 99 MB bank, this one at 136 MB.
     """
     if xi_max < 1:
-        raise InvalidParams(f"scale limit must be >= 1, got {xi_max}")
+        raise ConfigError(f"scale limit must be >= 1, got {xi_max}")
     if int(xi_max) != xi_max:
-        raise InvalidParams(f"scale limit must be an integer, got {xi_max}")
+        raise ConfigError(f"scale limit must be an integer, got {xi_max}")
     xi_max = int(xi_max)
     check_resolution(d)
     n = 2 * xi_max * d + 1
@@ -271,7 +271,7 @@ def check_temperature(beta: float) -> None:
     """Reject a softmax temperature that is not finite and positive (NaN
     included): an infinite one turns the softmax into NaN."""
     if not 0 < beta < np.inf:
-        raise InvalidParams(f"temperature must be positive and finite, got {beta}")
+        raise ConfigError(f"temperature must be positive and finite, got {beta}")
 
 
 def class1_probability(t: np.ndarray) -> np.ndarray:
@@ -478,7 +478,7 @@ def classify_bank(bank: FilterBank, img: GrayImage, beta: float | None = None
     ``NumericError``.
     """
     if bank.d != img.d:
-        raise ResolutionMismatch(f"bank built for d={bank.d}, image has d={img.d}")
+        raise ConfigError(f"bank built for d={bank.d}, image has d={img.d}")
     if beta is None:
         beta = float(bank.d)
     check_temperature(beta)

@@ -11,14 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AllZeroImage,
-    DimMismatch,
-    EmptyDataset,
-    EmptyList,
-    InvalidDistribution,
-    InvalidParams,
-)
+from .errors import ConfigError, DataError, NumericError
 from .model import (
     DeformParams,
     GrayImage,
@@ -55,17 +48,17 @@ class DeformDistribution:
         for name, rng in (("eta_range", self.eta_range), ("xi_range", self.xi_range),
                           ("xi_prime_range", self.scale_range_y())):
             if not np.isfinite(rng).all():
-                raise InvalidDistribution(f"{name} bounds must be finite, got {rng}")
+                raise ConfigError(f"{name} bounds must be finite, got {rng}")
         e_lo, e_hi = self.eta_range
         if not (0 < e_lo <= e_hi):
-            raise InvalidDistribution(f"amplitude range must be 0 < lo <= hi, got {self.eta_range}")
+            raise ConfigError(f"amplitude range must be 0 < lo <= hi, got {self.eta_range}")
         for name, rng in (("xi_range", self.xi_range),
                           ("xi_prime_range", self.scale_range_y())):
             lo, hi = rng
             if not (0.5 <= lo <= hi):
-                raise InvalidDistribution(f"{name} must satisfy 1/2 <= lo <= hi, got {rng}")
+                raise ConfigError(f"{name} must satisfy 1/2 <= lo <= hi, got {rng}")
         if not (0.0 <= self.flip_prob <= 1.0):
-            raise InvalidDistribution(f"flip_prob must be in [0, 1], got {self.flip_prob}")
+            raise ConfigError(f"flip_prob must be in [0, 1], got {self.flip_prob}")
 
     def scale_range_y(self) -> tuple[float, float]:
         return self.xi_prime_range if self.xi_prime_range is not None else self.xi_range
@@ -83,7 +76,7 @@ def sample_params(q: DeformDistribution, draw_index: int) -> DeformParams:
     magnitude, x flip, y scale magnitude, y flip, x shift, y shift.
     """
     if draw_index < 0:
-        raise InvalidParams(f"draw_index must be nonnegative, got {draw_index}")
+        raise ConfigError(f"draw_index must be nonnegative, got {draw_index}")
     rng = _substream(q.seed, _STREAM_PARAMS, draw_index)
     eta = rng.uniform(*q.eta_range)
     xi = rng.uniform(*q.xi_range)
@@ -119,18 +112,18 @@ class Dataset:
 
 def unit_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """The images scaled to unit Frobenius norm as one (N, d, d) stack, and
-    their 0/1 labels.  Images of several sizes are a ``DimMismatch``."""
+    their 0/1 labels.  Images of several sizes are a ``DataError``."""
     if not data.items:
-        raise EmptyDataset("the dataset holds no images")
+        raise DataError("the dataset holds no images")
     sides = sorted({item.image.d for item in data.items})
     if len(sides) > 1:
-        raise DimMismatch(f"training images must share one side length, "
-                          f"got sides {sides}")
+        raise DataError(f"training images must share one side length, "
+                        f"got sides {sides}")
     x = np.stack([item.image.pixels for item in data.items])
     # one norm per image, as normalize_l2 takes it, so the bits match
     norms = np.array([np.linalg.norm(img) for img in x])
     if not norms.all():
-        raise AllZeroImage("cannot normalize an all-zero image")
+        raise NumericError("cannot normalize an all-zero image")
     for i, norm in enumerate(norms):
         check_norm(norm, f"image {i}")
     return x / norms[:, None, None], np.array([item.label for item in data.items])
@@ -151,9 +144,9 @@ def generate_dataset(templates0: Sequence[TemplateFunction],
     is rasterized as one set.
     """
     if not templates0 or not templates1:
-        raise EmptyList("both template lists must be non-empty")
+        raise ConfigError("both template lists must be non-empty")
     if n < 1:
-        raise InvalidParams(f"dataset size must be >= 1, got {n}")
+        raise ConfigError(f"dataset size must be >= 1, got {n}")
 
     balanced = n % 2 == 0
     if balanced:

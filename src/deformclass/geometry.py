@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCurve, EmptyMask, InvalidParams, MultipleComponents
+from .errors import ConfigError, NumericError
 
 _SINGULAR_EPS = 1e-9
 
@@ -38,9 +38,9 @@ class BoundaryCurve:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
-            raise InvalidParams(f"curve needs at least 3 points of dim 2, got {pts.shape}")
+            raise ConfigError(f"curve needs at least 3 points of dim 2, got {pts.shape}")
         if not np.isfinite(pts).all():
-            raise InvalidParams("curve points must be finite")
+            raise ConfigError("curve points must be finite")
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -67,9 +67,9 @@ def trace_boundary(mask: np.ndarray) -> BoundaryCurve:
     """
     m = np.asarray(mask, dtype=bool)
     if m.ndim != 2:
-        raise InvalidParams(f"mask must be 2D, got shape {m.shape}")
+        raise ConfigError(f"mask must be 2D, got shape {m.shape}")
     if not m.any():
-        raise EmptyMask("mask has no true cells")
+        raise NumericError("mask has no true cells")
 
     d = m.shape[0]
     padded = np.zeros((m.shape[0] + 2, m.shape[1] + 2), dtype=bool)
@@ -113,7 +113,7 @@ def trace_boundary(mask: np.ndarray) -> BoundaryCurve:
 
     areas = [_signed_area(pts) for pts in loops]
     if sum(a > 0 for a in areas) > 1:
-        raise MultipleComponents("mask support is not 4-connected")
+        raise NumericError("mask support is not 4-connected")
     outer = loops[int(np.argmax(areas))]
     # Corner lattice value 2k+1 corresponds to coordinate (k + 1/2)/d, so
     # cell (r, c) stays the box of side 1/d centered at ((r+1)/d, (c+1)/d).
@@ -145,7 +145,7 @@ class GammaScan:
 def check_sample_budget(sample_budget: int) -> None:
     """Reject a gamma_scan budget below the three points a pair scan needs."""
     if sample_budget < 3:
-        raise InvalidParams(f"sample budget must be >= 3, got {sample_budget}")
+        raise ConfigError(f"sample budget must be >= 3, got {sample_budget}")
 
 
 def gamma_scan(curve: BoundaryCurve, sample_budget: int = 256) -> GammaScan:
@@ -178,5 +178,5 @@ def gamma_scan(curve: BoundaryCurve, sample_budget: int = 256) -> GammaScan:
         best = float(np.max(np.minimum(inner[ok], outer[ok]) / chord[ok],
                             initial=best))
     if best < 0:
-        raise DegenerateCurve("all point pairs are singular")
+        raise NumericError("all point pairs are singular")
     return GammaScan(estimate=best, points_used=n)

@@ -20,7 +20,7 @@ from .align import (AlignedRep, GalleryEntry, align_images, build_gallery,
                     classify_1nn)
 from .cnn import FilterBank, build_filter_bank, classify_bank
 from .datagen import Dataset, DeformDistribution, generate_dataset, unit_arrays
-from .errors import ConfigError, InvalidDistribution, InvalidParams
+from .errors import ConfigError
 from .io import read_bytes, read_pgm
 from .model import (TemplateFunction, cone, cross, normalize_l2, raster_interp,
                     tent)
@@ -251,7 +251,7 @@ def parse_template_spec(spec: str) -> TemplateFunction:
                          **kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad arguments for template {name!r}: {exc}")
-    except InvalidParams as exc:
+    except ConfigError as exc:
         raise ConfigError(f"invalid template {spec!r}: {exc}")
     raise ConfigError(f"unknown template kind {name!r} (tent, cone, cross, pgm)")
 
@@ -344,12 +344,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
     try:
         q = DeformDistribution(**fields[DeformDistribution])
-    except (InvalidParams, InvalidDistribution) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"invalid distribution: {exc}")
     try:
         arch = ArchSpec(**fields[ArchSpec])
         opt = OptSpec(**fields[OptSpec])
-    except InvalidParams as exc:
+    except ConfigError as exc:
         raise ConfigError(f"invalid network spec: {exc}")
 
     return ExperimentConfig(template0, template1, q=q, cnn_arch=arch,

@@ -18,13 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import Dataset, LabeledImage
-from .errors import (BadMagic, ConfigError, DataError, DimMismatch,
-                     EmptyDataset, InvalidParams, MalformedHeader,
-                     MalformedManifest, TruncatedPayload)
+from .errors import ConfigError, DataError
 from .model import DeformParams, GrayImage
 
 _IMAGE_MAGIC = b"\x00\x00\x08\x03"
-_LABEL_MAGIC = b"\x00\x00\x08\x01"
 
 
 def read_bytes(path: str | Path) -> bytes:
@@ -57,41 +54,24 @@ def check_output_dir(path: str | Path) -> None:
         raise ConfigError(f"cannot write {path}: {parent} is not a directory")
 
 
-def _parse_idx_header(data: bytes, magic: bytes) -> tuple[tuple[int, ...], int]:
-    if len(data) < 4:
-        raise TruncatedPayload(f"file has {len(data)} bytes, no room for magic")
-    if data[:4] != magic:
-        raise BadMagic(f"magic {data[:4]!r}, expected {magic!r}")
-    rank = data[3]
-    header_len = 4 + 4 * rank
-    if len(data) < header_len:
-        raise TruncatedPayload("file ends inside the dimension list")
-    dims = struct.unpack(f">{rank}I", data[4:header_len])
-    return dims, header_len
-
-
 def parse_idx_images(data: bytes) -> list[GrayImage]:
     """Decode an IDX image file into [0, 1]-valued grayscale images."""
-    dims, offset = _parse_idx_header(data, _IMAGE_MAGIC)
-    n, h, w = dims
+    if len(data) < 4:
+        raise DataError(f"file has {len(data)} bytes, no room for magic")
+    if data[:4] != _IMAGE_MAGIC:
+        raise DataError(f"magic {data[:4]!r}, expected {_IMAGE_MAGIC!r}")
+    # the magic, then the image count, rows and columns as big-endian u32
+    if len(data) < 16:
+        raise DataError("file ends inside the dimension list")
+    n, h, w = struct.unpack(">3I", data[4:16])
     expected = n * h * w
-    payload = data[offset:]
+    payload = data[16:]
     if len(payload) != expected:
-        raise TruncatedPayload(f"payload has {len(payload)} bytes, expected {expected}")
+        raise DataError(f"payload has {len(payload)} bytes, expected {expected}")
     if h != w or h < 1:
-        raise DimMismatch(f"images must be square and non-empty, got {h}x{w}")
+        raise DataError(f"images must be square and non-empty, got {h}x{w}")
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w)
     return [GrayImage(block / 255.0) for block in raw]
-
-
-def parse_idx_labels(data: bytes) -> list[int]:
-    """Decode an IDX label file into a list of small ints."""
-    dims, offset = _parse_idx_header(data, _LABEL_MAGIC)
-    (n,) = dims
-    payload = data[offset:]
-    if len(payload) != n:
-        raise TruncatedPayload(f"payload has {len(payload)} bytes, expected {n}")
-    return [int(b) for b in payload]
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +86,7 @@ def write_pgm(img: GrayImage, max_val_policy: str = "fixed") -> bytes:
     under "image_max" falls back to all-zero bytes with a warning.
     """
     if max_val_policy not in ("fixed", "image_max"):
-        raise InvalidParams(f"unknown max_val policy {max_val_policy!r}")
+        raise ConfigError(f"unknown max_val policy {max_val_policy!r}")
     px = img.pixels
     if max_val_policy == "image_max":
         peak = float(px.max())
@@ -134,23 +114,23 @@ def read_pgm(data: bytes) -> GrayImage:
     """Decode binary PGM back to a [0, 1]-valued image."""
     m = _PGM_HEADER.match(data)
     if m is not None and m[1] != b"P5":
-        raise BadMagic(f"PGM magic {m[1]!r}, expected b'P5'")
+        raise DataError(f"PGM magic {m[1]!r}, expected b'P5'")
     if m is None or m[4] is None:
-        raise TruncatedPayload("PGM header ended early")
+        raise DataError("PGM header ended early")
     tokens = m.groups()[1:]
     # The digit cap keeps int() below its conversion limit.
     if not all(t.isdigit() and len(t) <= 10 for t in tokens):
-        raise MalformedHeader(f"PGM size and maxval must be decimal integers "
-                              f"of at most 10 digits, got {b' '.join(tokens)!r}")
+        raise DataError(f"PGM size and maxval must be decimal integers "
+                        f"of at most 10 digits, got {b' '.join(tokens)!r}")
     w, h, max_val = (int(t) for t in tokens)
     if not 1 <= max_val <= 255:
-        raise DimMismatch(f"PGM maxval {max_val} unsupported, only 8-bit 1..255")
+        raise DataError(f"PGM maxval {max_val} unsupported, only 8-bit 1..255")
     if w != h or w < 1:
-        raise DimMismatch(f"image must be square and non-empty, got {w}x{h}")
+        raise DataError(f"image must be square and non-empty, got {w}x{h}")
     # One whitespace byte ends the header.
     start = min(m.end() + 1, len(data))
     if len(data) - start != w * h:
-        raise TruncatedPayload(f"payload has {len(data) - start} bytes, expected {w * h}")
+        raise DataError(f"payload has {len(data) - start} bytes, expected {w * h}")
     raw = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=start)
     # write_pgm writes maxval 255, which no byte can exceed
     if max_val < 255 and raw.max() > max_val:
@@ -201,50 +181,50 @@ def read_dataset(directory: str | Path) -> Dataset:
     the wrong number of fields, a non-numeric or non-finite parameter, a
     non-integer index, label or template index, a label other than 0
     or 1, or parameters outside the deformation model (``DeformParams``)
-    raises ``MalformedManifest``.
+    raises ``DataError``.
     Images may differ in size.
     """
     directory = Path(directory)
     manifest = directory / "manifest.csv"
     if not manifest.exists():
-        raise EmptyDataset(f"no manifest.csv under {directory}")
+        raise DataError(f"no manifest.csv under {directory}")
     try:
         text = read_bytes(manifest).decode("utf-8")
         rows = [row for row in csv.reader(_io.StringIO(text, newline=""))
                 if row]
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise MalformedManifest(f"{manifest} is not a UTF-8 CSV file: {exc}")
+        raise DataError(f"{manifest} is not a UTF-8 CSV file: {exc}")
     if not rows or tuple(rows[0]) != _MANIFEST_COLUMNS:
-        raise DimMismatch(
+        raise DataError(
             f"manifest columns {rows[0] if rows else None} unexpected")
     items = []
     for k, row in enumerate(rows[1:], 1):
         if len(row) != len(_MANIFEST_COLUMNS):
-            raise MalformedManifest(f"manifest row {k} has {len(row)} fields, "
-                                    f"expected {len(_MANIFEST_COLUMNS)}")
+            raise DataError(f"manifest row {k} has {len(row)} fields, "
+                            f"expected {len(_MANIFEST_COLUMNS)}")
         numbers = []
         for i, (name, value) in enumerate(zip(_MANIFEST_COLUMNS[:8], row)):
             kind, what = (int, "an integer") if i < 3 else (float, "a number")
             try:
                 numbers.append(kind(value))
             except ValueError:
-                raise MalformedManifest(
+                raise DataError(
                     f"manifest row {k}: {name} {value!r:.40} is not {what}")
             if kind is float and not math.isfinite(numbers[-1]):
-                raise MalformedManifest(
+                raise DataError(
                     f"manifest row {k}: {name} {value!r:.40} is not finite")
         _, label, t_idx, eta, xi, xi_prime, tau, tau_prime = numbers
         if label not in (0, 1):
-            raise MalformedManifest(
+            raise DataError(
                 f"manifest row {k}: label {label} is not 0 or 1")
         try:
             params = DeformParams(eta=eta, xi=xi, xi_prime=xi_prime, tau=tau,
                                   tau_prime=tau_prime)
-        except InvalidParams as exc:
-            raise MalformedManifest(f"manifest row {k}: {exc}")
+        except ConfigError as exc:
+            raise DataError(f"manifest row {k}: {exc}")
         img = read_pgm(read_bytes(directory / row[8]))
         items.append(LabeledImage(image=img, label=label, template_index=t_idx,
                                   params=params))
     if not items:
-        raise EmptyDataset(f"manifest under {directory} lists no items")
+        raise DataError(f"manifest under {directory} lists no items")
     return Dataset(items=tuple(items))

@@ -14,19 +14,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    AllZeroImage,
-    InvalidParams,
-    NumericError,
-    ResolutionTooSmall,
-)
+from .errors import ConfigError, NumericError
 
 # Template support must stay inside this closed box.
 SUPPORT_LO = 0.25
 SUPPORT_HI = 0.75
 
-# Smallest raster resolution the pipeline supports.
+# Smallest and largest raster resolutions the pipeline supports.  The
+# ceiling is 16x the largest side (256) that the tests, the benchmark
+# and the README use; one float64 grid at that side is 128 MB.  A larger
+# side is a config error before anything is allocated, not a
+# MemoryError, or a machine swapping, part way through a run.
 MIN_RESOLUTION = 4
+MAX_RESOLUTION = 4096
 
 # Images per vectorized block when rasterizing or aligning a set; bounds
 # the size of the temporary stacks.
@@ -61,28 +61,26 @@ class TemplateFunction:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     lipschitz_const: float
     l1_norm: float
-    kind: str
-    params: tuple = ()
 
     def __call__(self, x, y) -> np.ndarray:
         return self.fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
-def _template(fn, raw_lipschitz: float, l1: float, kind: str,
-              params: tuple) -> TemplateFunction:
+def _template(fn, raw_lipschitz: float, l1: float, kind: str) -> TemplateFunction:
     """Template whose Lipschitz constant is ``raw_lipschitz`` normalized by
     the l1 mass, which must be positive and finite: a tiny template
     underflows its mass to 0, and an all-zero raster has none.  The
     normalized constant must be finite too, which a subnormal width whose
-    raw slope overflows is not."""
+    raw slope overflows is not.  ``kind`` names the template in the
+    messages."""
     if not (np.isfinite(l1) and l1 > 0):
-        raise InvalidParams(f"{kind} template has l1 mass {l1}; "
-                            f"it must be positive and finite")
+        raise ConfigError(f"{kind} template has l1 mass {l1}; "
+                          f"it must be positive and finite")
     lipschitz = raw_lipschitz / l1
     if not np.isfinite(lipschitz):
-        raise InvalidParams(f"{kind} template has normalized Lipschitz constant "
-                            f"{lipschitz}; it must be finite")
-    return TemplateFunction(fn, lipschitz, l1, kind, params)
+        raise ConfigError(f"{kind} template has normalized Lipschitz constant "
+                          f"{lipschitz}; it must be finite")
+    return TemplateFunction(fn, lipschitz, l1)
 
 
 def _estimate_l1(fn, resolution: int) -> float:
@@ -96,7 +94,7 @@ def _check_in_box(kind: str, cx: float, cy: float, name: str, size: float) -> No
     the support box."""
     if not (SUPPORT_LO - _BOUND_TOL <= cx - size and cx + size <= SUPPORT_HI + _BOUND_TOL
             and SUPPORT_LO - _BOUND_TOL <= cy - size and cy + size <= SUPPORT_HI + _BOUND_TOL):
-        raise InvalidParams(
+        raise ConfigError(
             f"{kind} support (center ({cx}, {cy}), {name} {size}) leaves the box")
 
 
@@ -109,13 +107,13 @@ def tent(delta: float, center: tuple[float, float] = (0.5, 0.5)) -> TemplateFunc
     cx, cy = float(center[0]), float(center[1])
     delta = float(delta)
     if not delta > 0:
-        raise InvalidParams(f"tent needs delta > 0, got {delta}")
+        raise ConfigError(f"tent needs delta > 0, got {delta}")
     _check_in_box("tent", cx, cy, "delta", delta)
 
     def fn(x, y):
         return np.maximum(delta - np.abs(x - cx) - np.abs(y - cy), 0.0)
 
-    return _template(fn, 1.0, 2.0 * delta ** 3 / 3.0, "tent", (delta, cx, cy))
+    return _template(fn, 1.0, 2.0 * delta ** 3 / 3.0, "tent")
 
 
 def cone(radius: float = 0.2, center: tuple[float, float] = (0.5, 0.5)) -> TemplateFunction:
@@ -123,14 +121,14 @@ def cone(radius: float = 0.2, center: tuple[float, float] = (0.5, 0.5)) -> Templ
     cx, cy = float(center[0]), float(center[1])
     radius = float(radius)
     if not radius > 0:
-        raise InvalidParams(f"cone needs radius > 0, got {radius}")
+        raise ConfigError(f"cone needs radius > 0, got {radius}")
     _check_in_box("cone", cx, cy, "radius", radius)
 
     def fn(x, y):
         rho = np.hypot(x - cx, y - cy)
         return np.maximum(radius - rho, 0.0)
 
-    return _template(fn, 1.0, np.pi * radius ** 3 / 3.0, "cone", (radius, cx, cy))
+    return _template(fn, 1.0, np.pi * radius ** 3 / 3.0, "cone")
 
 
 def cross(arm_halfwidth: float = 1.0 / 16.0, taper: float = 1.0 / 16.0) -> TemplateFunction:
@@ -144,7 +142,7 @@ def cross(arm_halfwidth: float = 1.0 / 16.0, taper: float = 1.0 / 16.0) -> Templ
     w = float(arm_halfwidth)
     tp = float(taper)
     if not (0 < w <= 0.25) or not (0 < tp <= 0.25):
-        raise InvalidParams(f"cross needs half-width and taper in (0, 1/4], got {w}, {tp}")
+        raise ConfigError(f"cross needs half-width and taper in (0, 1/4], got {w}, {tp}")
 
     def bar(long_c, wide_c):
         # Clip before dividing: the quotient is the same double, and a
@@ -160,7 +158,7 @@ def cross(arm_halfwidth: float = 1.0 / 16.0, taper: float = 1.0 / 16.0) -> Templ
     # both factors are bounded by 1; the max of Lipschitz functions keeps
     # the bound.
     raw = max(1.0 / tp, 1.0 / w)
-    return _template(fn, raw, _cross_mass(w, tp), "cross", (w, tp))
+    return _template(fn, raw, _cross_mass(w, tp), "cross")
 
 
 def _cross_mass(w: float, tp: float) -> float:
@@ -201,9 +199,9 @@ def raster_interp(grid: np.ndarray) -> TemplateFunction:
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 2 or g.shape[0] < 2 or g.shape[1] < 2:
-        raise InvalidParams(f"raster template needs a 2D grid, at least 2x2, got {g.shape}")
+        raise ConfigError(f"raster template needs a 2D grid, at least 2x2, got {g.shape}")
     if np.any(g < 0):
-        raise InvalidParams("raster template values must be nonnegative")
+        raise ConfigError("raster template values must be nonnegative")
     g = g.copy()
     # Zero the outer ring so bilinear interpolation tapers to 0 at the box
     # edge and the support stays strictly inside it.
@@ -235,8 +233,7 @@ def raster_interp(grid: np.ndarray) -> TemplateFunction:
     dx = np.abs(np.diff(g, axis=0)).max(initial=0.0) * 2.0 * (rows - 1)
     dy = np.abs(np.diff(g, axis=1)).max(initial=0.0) * 2.0 * (cols - 1)
     raw = float(max(dx, dy))
-    return _template(fn, raw, _estimate_l1(fn, 512), "raster",
-                     (rows, cols))
+    return _template(fn, raw, _estimate_l1(fn, 512), "raster")
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +273,17 @@ class DeformParams:
         # the check, which runs on every draw and every manifest row
         if not all(map(math.isfinite, (self.eta, self.xi, self.xi_prime,
                                        self.tau, self.tau_prime))):
-            raise InvalidParams("deformation parameters must be finite")
+            raise ConfigError("deformation parameters must be finite")
         if self.eta <= 0:
-            raise InvalidParams(f"amplitude must be positive, got {self.eta}")
+            raise ConfigError(f"amplitude must be positive, got {self.eta}")
         for name, scale in (("xi", self.xi), ("xi_prime", self.xi_prime)):
             if abs(scale) < 0.5 - _BOUND_TOL:
-                raise InvalidParams(f"|{name}| must be >= 1/2, got {scale}")
+                raise ConfigError(f"|{name}| must be >= 1/2, got {scale}")
         for name, scale, shift in (("tau", self.xi, self.tau),
                                    ("tau_prime", self.xi_prime, self.tau_prime)):
             lo, hi = shift_bounds(scale)
             if shift < lo - _BOUND_TOL or shift > hi + _BOUND_TOL:
-                raise InvalidParams(
+                raise ConfigError(
                     f"{name}={shift} outside admissible [{lo}, {hi}] for scale {scale}")
 
 
@@ -326,9 +323,9 @@ class GrayImage:
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=float)
         if px.ndim != 2 or px.shape[0] != px.shape[1]:
-            raise InvalidParams(f"image must be square, got shape {px.shape}")
+            raise ConfigError(f"image must be square, got shape {px.shape}")
         if px.shape[0] < 1:
-            raise InvalidParams("image must have at least one pixel")
+            raise ConfigError("image must have at least one pixel")
         px = px.copy()
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
@@ -351,9 +348,12 @@ def rasterize(f: TemplateFunction, p: DeformParams, d: int) -> GrayImage:
 
 
 def check_resolution(d: int) -> None:
-    """Reject a raster side below MIN_RESOLUTION."""
+    """Reject a raster side below MIN_RESOLUTION or above MAX_RESOLUTION,
+    before any grid of that side is allocated."""
     if d < MIN_RESOLUTION:
-        raise ResolutionTooSmall(f"resolution {d} below minimum {MIN_RESOLUTION}")
+        raise ConfigError(f"resolution {d} below minimum {MIN_RESOLUTION}")
+    if d > MAX_RESOLUTION:
+        raise ConfigError(f"resolution {d} above maximum {MAX_RESOLUTION}")
 
 
 def rasterize_batch(f: TemplateFunction, params: Sequence[DeformParams],
@@ -380,7 +380,7 @@ def normalize_l2(img: GrayImage) -> GrayImage:
     """Scale the pixel grid to unit Frobenius norm."""
     norm = float(np.linalg.norm(img.pixels))
     if norm == 0.0:
-        raise AllZeroImage("cannot normalize an all-zero image")
+        raise NumericError("cannot normalize an all-zero image")
     check_norm(norm, f"the {img.d} x {img.d} image")
     return GrayImage(img.pixels / norm)
 

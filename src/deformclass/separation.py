@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import ConfigError
 from .model import _BOUND_TOL, SUPPORT_HI, SUPPORT_LO, TemplateFunction, shift_bounds
 
 MAX_MAGNITUDES = 1000
@@ -61,22 +61,22 @@ class SearchConfig:
 
     def __post_init__(self):
         if not (0.5 <= self.xi_max < np.inf):
-            raise InvalidParams(f"xi_max must be finite and >= 1/2, got {self.xi_max}")
+            raise ConfigError(f"xi_max must be finite and >= 1/2, got {self.xi_max}")
         if not (0 < self.coarse_step <= 0.25):
-            raise InvalidParams(f"coarse_step must be in (0, 1/4], got {self.coarse_step}")
+            raise ConfigError(f"coarse_step must be in (0, 1/4], got {self.coarse_step}")
         # The length of np.arange in _candidate_scales, worked out on Python
         # floats before any array exists: a huge grid gives inf, no warning.
         step = float(self.coarse_step)
         n_mags = np.ceil((float(self.xi_max) + step / 2 - 0.5) / step)
         if n_mags > MAX_MAGNITUDES:
-            raise InvalidParams(
+            raise ConfigError(
                 f"the coarse grid has {n_mags:.4g} scale magnitudes per sign, "
                 f"above the cap of {MAX_MAGNITUDES}; raise coarse_step or "
                 f"lower xi_max")
         if self.refine_iters < 0:
-            raise InvalidParams("refine_iters must be >= 0")
+            raise ConfigError("refine_iters must be >= 0")
         if self.quadrature < 16 or self.coarse_quadrature < 16:
-            raise InvalidParams("quadrature resolutions must be >= 16")
+            raise ConfigError("quadrature resolutions must be >= 16")
 
 
 @dataclass(frozen=True)
@@ -302,7 +302,7 @@ def estimate_separation(f: TemplateFunction, g: TemplateFunction,
         H = _template_grid(h, t, t)
         norm2 = float(np.mean(H * H))
         if norm2 == 0.0:
-            raise InvalidParams(f"{name} template is identically zero on the grid")
+            raise ConfigError(f"{name} template is identically zero on the grid")
         grids.append((H, norm2))
     d_fg, best_fg = _direction(f, g, *grids[1], cfg)
     d_gf, best_gf = _direction(g, f, *grids[0], cfg)

@@ -37,8 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cnn import check_temperature, class1_probability
-from .errors import (DataError, DimMismatch, EmptyDataset, InvalidParams,
-                     NumericError, TruncatedPayload)
+from .errors import ConfigError, DataError, NumericError
 from .model import nonzero_boxes
 
 _MAGIC = b"DCNN"
@@ -62,12 +61,12 @@ class ArchSpec:
 
     def __post_init__(self):
         if self.n_filters < 1 or self.filter_size < 1:
-            raise InvalidParams("need at least one filter of positive size")
+            raise ConfigError("need at least one filter of positive size")
         if any(w < 1 for w in self.dense_widths):
-            raise InvalidParams("dense widths must be positive")
+            raise ConfigError("dense widths must be positive")
         if max(self.n_filters, self.filter_size, len(self.dense_widths),
                *self.dense_widths) > _FIELD_MAX:
-            raise InvalidParams(
+            raise ConfigError(
                 f"filter count, filter size, dense layer count and dense "
                 f"widths must be at most {_FIELD_MAX}, the checkpoint's "
                 f"limit; got {self.n_filters} filters of size "
@@ -85,7 +84,7 @@ class OptSpec:
 
     def __post_init__(self):
         if not (0 < self.learning_rate < np.inf) or self.epochs < 1 or self.batch_size < 1:
-            raise InvalidParams(
+            raise ConfigError(
                 "optimizer spec must have a finite positive rate and positive epochs/batch")
 
 
@@ -219,7 +218,7 @@ def train_least_squares(x: np.ndarray, y: np.ndarray,
     arch = arch or ArchSpec()
     opt = opt or OptSpec()
     if len(x) == 0:
-        raise EmptyDataset("cannot train on an empty dataset")
+        raise DataError("cannot train on an empty dataset")
     y = np.asarray(y, dtype=float)
 
     net = TrainableCnn(arch, seed=opt.seed)
@@ -270,13 +269,13 @@ def load_checkpoint(blob: bytes) -> TrainableCnn:
     if len(blob) < 4 or blob[:4] != _MAGIC:
         raise DataError("not a checkpoint: bad magic")
     if len(blob) < 12:
-        raise TruncatedPayload("checkpoint header truncated")
+        raise DataError("checkpoint header truncated")
     version, nf, k, n_widths = struct.unpack("<HHHH", blob[4:12])
     if version != _VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
     pos = 12
     if len(blob) < pos + 2 * n_widths + 8:
-        raise TruncatedPayload("checkpoint header truncated")
+        raise DataError("checkpoint header truncated")
     widths = struct.unpack(f"<{n_widths}H", blob[pos: pos + 2 * n_widths])
     pos += 2 * n_widths
     (beta,) = struct.unpack("<d", blob[pos: pos + 8])
@@ -284,13 +283,13 @@ def load_checkpoint(blob: bytes) -> TrainableCnn:
     try:
         arch = ArchSpec(n_filters=nf, filter_size=k,
                         dense_widths=tuple(widths), beta=beta)
-    except InvalidParams as exc:
-        raise DimMismatch(f"checkpoint header: {exc}") from exc
+    except ConfigError as exc:
+        raise DataError(f"checkpoint header: {exc}") from exc
     # Check the size before building: the constructor fills every layer the
     # header declares, which a short file must not be able to inflate.
     expected = 8 * sum(math.prod(s) for s in param_shapes(arch))
     if len(blob) - pos != expected:
-        raise TruncatedPayload(
+        raise DataError(
             f"checkpoint body has {len(blob) - pos} bytes, expected {expected}")
     weights = np.frombuffer(blob, dtype="<f8", offset=pos)
     if not np.isfinite(weights).all():

@@ -21,8 +21,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from deformclass import (ConfigError, DeformParams, EmptyList, Filter,
-                         GrayImage, InvalidParams, ResolutionMismatch,
+from deformclass import (ConfigError, DeformParams, Filter, GrayImage,
                          TemplateFunction, TrainableCnn, tent)
 from deformclass.model import _template
 from deformclass.separation import _midpoints
@@ -48,7 +47,7 @@ def template_sum(parts: Sequence[TemplateFunction]) -> TemplateFunction:
     """Pointwise sum of templates (all nonnegative, shared support box)."""
     parts = tuple(parts)
     if not parts:
-        raise InvalidParams("template_sum needs at least one part")
+        raise ConfigError("template_sum needs at least one part")
 
     def fn(x, y):
         total = parts[0](x, y)
@@ -58,8 +57,7 @@ def template_sum(parts: Sequence[TemplateFunction]) -> TemplateFunction:
 
     # Raw constants add; renormalize by the combined l1 mass.
     raw = sum(p.lipschitz_const * p.l1_norm for p in parts)
-    return _template(fn, raw, sum(p.l1_norm for p in parts), "sum",
-                     tuple(p.kind for p in parts))
+    return _template(fn, raw, sum(p.l1_norm for p in parts), "sum")
 
 
 def reparametrize(f: TemplateFunction, amplitude: float,
@@ -69,18 +67,18 @@ def reparametrize(f: TemplateFunction, amplitude: float,
     """Template g(x, y) = amplitude * f(scale_x*x + shift_x, scale_y*y + shift_y).
 
     The caller is responsible for choosing parameters that keep the support
-    inside the box; this helper only propagates metadata.
+    inside the box; this helper only carries the mass and Lipschitz
+    constant over.  ``kind`` names the template in error messages.
     """
     if amplitude <= 0 or scale_x == 0 or scale_y == 0:
-        raise InvalidParams("reparametrize needs amplitude > 0 and nonzero scales")
+        raise ConfigError("reparametrize needs amplitude > 0 and nonzero scales")
 
     def fn(x, y):
         return amplitude * f(scale_x * x + shift_x, scale_y * y + shift_y)
 
     l1 = amplitude * f.l1_norm / abs(scale_x * scale_y)
     raw = f.lipschitz_const * f.l1_norm * amplitude * max(abs(scale_x), abs(scale_y))
-    return _template(fn, raw, l1, kind,
-                     (f.kind, amplitude, scale_x, shift_x, scale_y, shift_y))
+    return _template(fn, raw, l1, kind)
 
 
 def discrete_l2_norm(grid: np.ndarray) -> float:
@@ -91,7 +89,7 @@ def discrete_l2_norm(grid: np.ndarray) -> float:
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise InvalidParams(f"grid must be square, got shape {g.shape}")
+        raise ConfigError(f"grid must be square, got shape {g.shape}")
     return float(np.sqrt(np.mean(g * g)))
 
 
@@ -136,9 +134,9 @@ def max_tree(values) -> float:
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
-        raise EmptyList("max_tree needs at least one value")
+        raise ConfigError("max_tree needs at least one value")
     if not np.all((v >= 0) & (v <= 1)):
-        raise InvalidParams("max_tree inputs must lie in [0, 1]")
+        raise ConfigError("max_tree inputs must lie in [0, 1]")
     size = 1 << (int(v.size - 1).bit_length() if v.size > 1 else 0)
     buf = np.zeros(size)
     buf[: v.size] = v
@@ -189,7 +187,7 @@ def _grid_bumps(d: int) -> TemplateFunction:
 
     # Each bump integrates to 2 * (2/3) * half^3; there are cells^2 of them.
     l1 = cells * cells * (4.0 / 3.0) * half ** 3
-    return TemplateFunction(fn, 2.0 / l1, l1, "grid_bumps", (d,))
+    return TemplateFunction(fn, 2.0 / l1, l1)
 
 
 def non_identifiable_pair(d: int, eta: float = 1.0,
@@ -247,9 +245,9 @@ def grid_inner_product(h: np.ndarray, g: np.ndarray) -> float:
     ha = np.asarray(h, dtype=float)
     ga = np.asarray(g, dtype=float)
     if ha.ndim != 2 or ha.shape[0] != ha.shape[1]:
-        raise InvalidParams(f"first grid must be square, got {ha.shape}")
+        raise ConfigError(f"first grid must be square, got {ha.shape}")
     if ha.shape != ga.shape:
-        raise ResolutionMismatch(f"grid shapes differ: {ha.shape} vs {ga.shape}")
+        raise ConfigError(f"grid shapes differ: {ha.shape} vs {ga.shape}")
     return float(np.mean(ha * ga))
 
 
@@ -280,7 +278,7 @@ def riemann_error_report(h: TemplateFunction, g: TemplateFunction,
     Lipschitz error bounds they must respect.
     """
     if any(d < 4 for d in d_list):
-        raise InvalidParams("resolutions must be >= 4")
+        raise ConfigError("resolutions must be >= 4")
     t = _midpoints(reference_resolution)
     rx, ry = t[:, None], t[None, :]
     ref_ip = float(np.mean(h(rx, ry) * g(rx, ry)))
@@ -326,7 +324,7 @@ def grad_check(net: TrainableCnn, x: np.ndarray, y: np.ndarray, eps: float,
     the loss; they are skipped and counted rather than compared.
     """
     if not (1e-7 <= eps <= 1e-3):
-        raise InvalidParams(f"eps must lie in [1e-7, 1e-3], got {eps}")
+        raise ConfigError(f"eps must lie in [1e-7, 1e-3], got {eps}")
     y = np.asarray(y, dtype=float)
 
     def pool_pattern() -> np.ndarray:

@@ -352,6 +352,7 @@ class TestSep:
     @pytest.mark.parametrize("flags, message", [
         (["--gamma-budget", "2"], "sample budget must be >= 3, got 2"),
         (["--gamma-d", "3"], "resolution 3 below minimum 4"),
+        (["--gamma-d", "10000000"], "resolution 10000000 above maximum 4096"),
     ])
     def test_bad_gamma_flag_exits_2_before_the_search(self, capsys, monkeypatch,
                                                       flags, message):
@@ -380,15 +381,15 @@ class TestSep:
         assert err.startswith("config error: the coarse grid has")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_out_of_memory_exits_2(self, capsys):
-        # A 10^7-pixel side asks for an 800 TB raster, more than any
-        # address space holds, so the allocation fails at once.
-        code = main(["sep", "--template0", "tent:delta=0.25",
-                     "--template1", "cone", "--step", "0.25",
-                     "--refine-iters", "0", "--gamma-d", "10000000"])
+    def test_out_of_memory_exits_2(self, capsys, tmp_path):
+        # 10^15 items ask for an 8 PB label array, more than any address
+        # space holds, so numpy fails at once without allocating.
+        code = main(["gen", "--template0", "tent:delta=0.25",
+                     "--template1", "cone", "--n", "1000000000000000",
+                     "--out", str(tmp_path / "huge")])
         assert code == 2
         out, err = capsys.readouterr()
-        assert out == ""  # the separation line, computed first, is not printed
+        assert out == "" and not (tmp_path / "huge").exists()
         assert err.startswith("config error: out of memory: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
@@ -478,7 +479,7 @@ class TestBench:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines() == [
-            f"item failed (repetition {rep}, n=2): ResolutionTooSmall: "
+            f"item failed (repetition {rep}, n=2): ConfigError: "
             f"resolution 2 below minimum 4" for rep in (0, 1)] + [
             "2 of 2 rows failed"]
 

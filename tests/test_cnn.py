@@ -13,20 +13,18 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import deformclass
 from deformclass import (
+    ConfigError,
     DeformDistribution,
     DeformParams,
-    EmptyList,
     Filter,
     GrayImage,
-    InvalidParams,
     NumericError,
-    ResolutionMismatch,
     build_filter_bank,
     classify_bank,
     cone,
     cross,
-    normalize_l2,
     generate_dataset,
+    normalize_l2,
     raster_interp,
     rasterize,
     sample_params,
@@ -78,7 +76,7 @@ def direct_filter(f, xi: float, xi_prime: float, d: int) -> np.ndarray | None:
 
 class TestFilter:
     def test_square_required(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="filter weights must be square"):
             Filter(np.ones((2, 3)))
 
     def test_weights_frozen(self):
@@ -154,16 +152,13 @@ class TestMaxTree:
         assert max_tree([0.999, 0.29953860585274433]) == 0.999
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyList):
+        with pytest.raises(ConfigError, match="needs at least one value"):
             max_tree([])
 
     def test_range_enforced(self):
-        with pytest.raises(InvalidParams):
-            max_tree([0.5, -0.1])
-        with pytest.raises(InvalidParams):
-            max_tree([0.5, 1.1])
-        with pytest.raises(InvalidParams):
-            max_tree([0.5, float("nan")])
+        for values in ([0.5, -0.1], [0.5, 1.1], [0.5, float("nan")]):
+            with pytest.raises(ConfigError, match=r"must lie in \[0, 1\]"):
+                max_tree(values)
 
 
 def softmax_pair(z0: float, z1: float, beta: float) -> tuple[float, float]:
@@ -211,7 +206,7 @@ class TestBankHead:
 
     def test_temperature_must_be_positive(self, small_bank):
         for beta in (0.0, -2.0, float("nan"), float("inf")):
-            with pytest.raises(InvalidParams):
+            with pytest.raises(ConfigError, match="temperature must be positive"):
                 classify_bank(small_bank, GrayImage(np.zeros((8, 8))), beta=beta)
 
     def test_huge_temperature_warns_nothing(self, small_bank, tent_template):
@@ -316,9 +311,9 @@ class TestBuildFilterBank:
             assert np.array_equal(mat, np.stack(rows[key]))
 
     def test_scale_limit_validation(self, tent_template):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="scale limit must be >= 1"):
             build_filter_bank(tent_template, tent_template, 0, 8)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="scale limit must be an integer"):
             build_filter_bank(tent_template, tent_template, 1.5, 8)
 
 
@@ -424,7 +419,7 @@ def small_bank(tent_template, cross_template):
 
 class TestClassifyBank:
     def test_resolution_mismatch(self, small_bank):
-        with pytest.raises(ResolutionMismatch):
+        with pytest.raises(ConfigError, match="bank built for d=8, image has d=4"):
             classify_bank(small_bank, GrayImage(np.ones((4, 4))))
 
     def test_grid_aligned_response_is_unit(self, tent_template):

@@ -3,12 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deformclass import (
+    ConfigError,
     DeformDistribution,
     DeformParams,
-    EmptyList,
-    InvalidDistribution,
-    InvalidParams,
-    ResolutionTooSmall,
     cone,
     cross,
     generate_dataset,
@@ -23,11 +20,11 @@ from oracles import InvalidFixtureParams, non_identifiable_pair
 
 class TestDistribution:
     def test_validate_rejects_bad_ranges(self):
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(ConfigError, match="amplitude range must be 0 < lo"):
             DeformDistribution(eta_range=(0.0, 1.0), xi_range=(1.0, 1.0))
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(ConfigError, match="xi_range must satisfy 1/2 <= lo"):
             DeformDistribution(eta_range=(1.0, 1.0), xi_range=(0.3, 1.0))
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(ConfigError, match=r"flip_prob must be in \[0, 1\]"):
             DeformDistribution(eta_range=(1.0, 1.0), xi_range=(1.0, 1.0),
                                flip_prob=1.5)
         inf = float("inf")
@@ -35,7 +32,7 @@ class TestDistribution:
                        dict(eta_range=(1.0, 1.0), xi_range=(1.0, inf)),
                        dict(eta_range=(1.0, 1.0), xi_range=(1.0, 1.0),
                             xi_prime_range=(inf, inf))):
-            with pytest.raises(InvalidDistribution, match="finite"):
+            with pytest.raises(ConfigError, match="finite"):
                 DeformDistribution(**ranges)
 
     def test_separate_y_range(self):
@@ -81,7 +78,7 @@ class TestSampleParams:
 
     def test_negative_draw_index(self):
         q = DeformDistribution(eta_range=(1.0, 1.0), xi_range=(1.0, 1.0))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="draw_index must be nonnegative"):
             sample_params(q, -1)
 
 
@@ -141,9 +138,9 @@ class TestGenerateDataset:
             assert it.template_index == int(chooser.integers(pools[it.label]))
 
     def test_rejects_empty_inputs(self, tent_template, mild_q):
-        with pytest.raises(EmptyList):
+        with pytest.raises(ConfigError, match="template lists must be non-empty"):
             generate_dataset([], [tent_template], mild_q, n=4, d=16)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="dataset size must be >= 1, got 0"):
             generate_dataset([tent_template], [tent_template], mild_q, n=0, d=16)
 
 
@@ -208,7 +205,7 @@ class TestBlockRasterizing:
         assert calls == {"q": 0, "params": 12}
 
     def test_resolution_floor(self, tent_template, mild_q):
-        with pytest.raises(ResolutionTooSmall):
+        with pytest.raises(ConfigError, match="resolution 3 below minimum 4"):
             generate_dataset([tent_template], [tent_template], mild_q, n=2, d=3)
 
 

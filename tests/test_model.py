@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deformclass import (
-    IDENTITY,
-    AllZeroImage,
+    ConfigError,
     DeformParams,
     GrayImage,
-    InvalidParams,
+    IDENTITY,
     NumericError,
-    ResolutionTooSmall,
     cone,
     cross,
     normalize_l2,
@@ -57,20 +55,22 @@ class TestTemplates:
         assert f.l1_norm == pytest.approx(2 * 0.2**3 / 3)
 
     def test_tent_rejects_support_overflow(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="delta 0.3\\) leaves the box"):
             tent(0.3)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="center \\(0.7, 0.5\\).* leaves the box"):
             tent(0.2, center=(0.7, 0.5))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="tent needs delta > 0, got -0.1"):
             tent(-0.1)
 
     def test_nan_parameters_rejected(self):
         nan = float("nan")
-        for make in (lambda: tent(nan), lambda: cone(nan),
-                     lambda: tent(0.2, center=(nan, 0.5)),
-                     lambda: tent(0.2, center=(0.5, nan)),
-                     lambda: cone(0.2, center=(nan, 0.5))):
-            with pytest.raises(InvalidParams):
+        box = "leaves the box"
+        for make, match in ((lambda: tent(nan), "tent needs delta > 0, got nan"),
+                            (lambda: cone(nan), "cone needs radius > 0, got nan"),
+                            (lambda: tent(0.2, center=(nan, 0.5)), box),
+                            (lambda: tent(0.2, center=(0.5, nan)), box),
+                            (lambda: cone(0.2, center=(nan, 0.5)), box)):
+            with pytest.raises(ConfigError, match=match):
                 make()
 
     def test_tent_boundary_tolerance(self):
@@ -97,7 +97,7 @@ class TestTemplates:
         # The l1 mass underflows to 0; dividing by it used to raise
         # ZeroDivisionError.  The subnormal cross keeps a positive exact
         # mass, but its raw slope 1/w overflows.
-        with pytest.raises(InvalidParams, match=match):
+        with pytest.raises(ConfigError, match=match):
             make()
 
     @pytest.mark.parametrize("w", [1e-4, 5e-4, 0.0625])
@@ -151,7 +151,7 @@ class TestTemplates:
         assert f(0.5, 0.35) == pytest.approx(1.0)
         assert f(0.5, 0.3) == pytest.approx(0.8)
         assert f(0.3, 0.3) == 0.0
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="half-width and taper in"):
             cross(0.3, 0.1)
 
     def test_templates_vanish_outside_unit_square(self):
@@ -177,7 +177,7 @@ class TestTemplates:
         s = template_sum([f, g])
         assert s.l1_norm == pytest.approx(f.l1_norm + g.l1_norm)
         assert float(s(0.5, 0.5)) == pytest.approx(0.35)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="needs at least one part"):
             template_sum([])
 
     def test_reparametrize_scales_arguments(self):
@@ -186,10 +186,9 @@ class TestTemplates:
         # g(x, y) = 2 f(2x + 1/2, y): peak moves to x = 0
         assert float(g(0.0, 0.5)) == pytest.approx(0.5)
         assert g.l1_norm == pytest.approx(2.0 * f.l1_norm / 2.0)
-        with pytest.raises(InvalidParams):
-            reparametrize(f, 0.0, 1.0, 0.0, 1.0, 0.0)
-        with pytest.raises(InvalidParams):
-            reparametrize(f, 1.0, 0.0, 0.0, 1.0, 0.0)
+        for args in ((0.0, 1.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 1.0, 0.0)):
+            with pytest.raises(ConfigError, match="amplitude > 0 and nonzero"):
+                reparametrize(f, *args)
 
 
 AXIS_TEMPLATES = {
@@ -232,11 +231,11 @@ class TestRasterInterp:
         assert float(f(0.75, 0.75)) == 0.0
 
     def test_rejects_bad_grids(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="at least 2x2, got \\(1, 5\\)"):
             raster_interp(np.ones((1, 5)))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="values must be nonnegative"):
             raster_interp(-np.ones((4, 4)))
-        with pytest.raises(InvalidParams, match="l1 mass"):
+        with pytest.raises(ConfigError, match="l1 mass"):
             raster_interp(np.zeros((4, 4)))
 
 
@@ -263,9 +262,9 @@ class TestDeformParams:
         DeformParams(**vars(IDENTITY))
 
     def test_scale_floor(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match=r"\|xi\| must be >= 1/2, got 0.4"):
             DeformParams(eta=1.0, xi=0.4, xi_prime=1.0, tau=-0.25, tau_prime=0.0)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="amplitude must be positive"):
             DeformParams(eta=0.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
 
     def test_negative_scale_floor(self):
@@ -273,20 +272,20 @@ class TestDeformParams:
         DeformParams(eta=1.0, xi=-1.0, xi_prime=1.0, tau=-1.0, tau_prime=0.0)
         DeformParams(eta=1.0, xi=1.0, xi_prime=-0.5, tau=0.0,
                      tau_prime=-0.75)
-        with pytest.raises(InvalidParams, match=r"\|xi\| must be >= 1/2"):
+        with pytest.raises(ConfigError, match=r"\|xi\| must be >= 1/2"):
             DeformParams(eta=1.0, xi=-0.4, xi_prime=1.0, tau=-0.65,
                          tau_prime=0.0)
 
     def test_shift_outside_interval(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="tau=0.3 outside admissible"):
             DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.3, tau_prime=0.0)
 
 
 class TestGrayImage:
     def test_square_only(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match=r"must be square, got shape \(2, 3\)"):
             GrayImage(np.zeros((2, 3)))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match=r"must be square, got shape \(4,\)"):
             GrayImage(np.zeros(4))
 
     def test_single_pixel_allowed(self):
@@ -305,7 +304,7 @@ class TestGrayImage:
 
 class TestRasterize:
     def test_minimum_resolution(self, tent_template, identity_params):
-        with pytest.raises(ResolutionTooSmall):
+        with pytest.raises(ConfigError, match="resolution 3 below minimum 4"):
             rasterize(tent_template, identity_params, 3)
 
     def test_pixel_formula(self, tent_template):
@@ -349,7 +348,7 @@ class TestNorms:
         assert np.linalg.norm(out.pixels) == pytest.approx(1.0, abs=1e-12)
 
     def test_normalize_l2_zero_image(self):
-        with pytest.raises(AllZeroImage):
+        with pytest.raises(NumericError, match="cannot normalize an all-zero image"):
             normalize_l2(GrayImage(np.zeros((4, 4))))
 
     def test_normalize_l2_non_finite_image(self, tent_template, identity_params):
@@ -362,7 +361,7 @@ class TestNorms:
 
     def test_discrete_l2_norm_constant_grid(self):
         assert discrete_l2_norm(np.full((8, 8), 3.0)) == pytest.approx(3.0)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="grid must be square"):
             discrete_l2_norm(np.zeros((2, 3)))
 
     def test_discrete_l2_norm_converges_to_continuous(self, tent_template):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deformclass import (
-    InvalidParams,
-    ResolutionMismatch,
+    ConfigError,
     SearchConfig,
     cone,
     cross,
@@ -46,11 +45,11 @@ class TestGridInnerProduct:
         assert grid_inner_product(h, g) == pytest.approx(6.0)
 
     def test_resolution_mismatch(self):
-        with pytest.raises(ResolutionMismatch):
+        with pytest.raises(ConfigError, match="grid shapes differ"):
             grid_inner_product(np.ones((4, 4)), np.ones((8, 8)))
 
     def test_square_required(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="first grid must be square"):
             grid_inner_product(np.ones((4, 5)), np.ones((4, 5)))
 
 
@@ -60,17 +59,17 @@ class TestSearchConfig:
 
     def test_rejects_bad_values(self):
         for xi_max in (0.3, float("nan"), float("inf")):
-            with pytest.raises(InvalidParams):
+            with pytest.raises(ConfigError, match="xi_max must be finite and >= 1/2"):
                 SearchConfig(xi_max=xi_max)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match=r"coarse_step must be in \(0, 1/4\]"):
             SearchConfig(coarse_step=0.0)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="quadrature resolutions must be >= 16"):
             SearchConfig(quadrature=0)
 
     @pytest.mark.parametrize("kwargs", [{"xi_max": 1e308}, {"coarse_step": 1e-300},
                                         {"xi_max": 50.5}])
     def test_rejects_grid_above_cap(self, kwargs):
-        with pytest.raises(InvalidParams, match="above the cap of 1000"):
+        with pytest.raises(ConfigError, match="above the cap of 1000"):
             SearchConfig(**kwargs)
 
     def test_cap_counts_the_grid_that_is_built(self):
@@ -164,7 +163,7 @@ class TestSeparationOracles:
         thin, solid = cross(0.0001), cone()
         pair = (thin, solid) if zero_first else (solid, thin)
         name = "first" if zero_first else "second"
-        with pytest.raises(InvalidParams,
+        with pytest.raises(ConfigError,
                            match=f"{name} template is identically zero"):
             estimate_separation(*pair)
         assert calls == []

@@ -9,17 +9,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from deformclass import (
     ArchSpec,
+    ConfigError,
     DataError,
     DeformClassError,
     DeformDistribution,
-    DimMismatch,
     GrayImage,
-    InvalidParams,
     LabeledImage,
     NumericError,
     OptSpec,
     TrainableCnn,
-    TruncatedPayload,
     cone,
     generate_dataset,
     load_checkpoint,
@@ -50,10 +48,13 @@ def p1_of(net: TrainableCnn, img: GrayImage) -> float:
 
 class TestSpecs:
     def test_arch_validation(self):
-        for bad in [dict(n_filters=0), dict(filter_size=0),
-                    dict(dense_widths=(0,)), dict(beta=0.0),
-                    dict(beta=float("inf")), dict(beta=float("nan"))]:
-            with pytest.raises(InvalidParams):
+        for bad, match in [(dict(n_filters=0), "one filter of positive size"),
+                           (dict(filter_size=0), "one filter of positive size"),
+                           (dict(dense_widths=(0,)), "dense widths must be positive"),
+                           (dict(beta=0.0), "temperature must be positive"),
+                           (dict(beta=float("inf")), "temperature must be positive"),
+                           (dict(beta=float("nan")), "temperature must be positive")]:
+            with pytest.raises(ConfigError, match=match):
                 ArchSpec(**bad)
 
     @pytest.mark.parametrize("field", ["n_filters", "filter_size",
@@ -68,14 +69,14 @@ class TestSpecs:
             return ArchSpec(**{field: size})
 
         arch(65535)
-        with pytest.raises(InvalidParams, match="at most 65535"):
+        with pytest.raises(ConfigError, match="at most 65535"):
             arch(65536)
 
     def test_opt_validation(self):
         for bad in [dict(learning_rate=0.0), dict(learning_rate=float("nan")),
                     dict(learning_rate=float("inf")), dict(epochs=0),
                     dict(batch_size=0)]:
-            with pytest.raises(InvalidParams):
+            with pytest.raises(ConfigError, match="finite positive rate and positive"):
                 OptSpec(**bad)
 
 
@@ -331,7 +332,7 @@ class TestTraining:
         small = LabeledImage(image=GrayImage(np.eye(12)), label=0,
                              template_index=0, params=IDENTITY)
         data = replace(small_dataset, items=small_dataset.items + (small,))
-        with pytest.raises(DimMismatch, match=r"one side length, got sides \[12, 16\]"):
+        with pytest.raises(DataError, match=r"one side length, got sides \[12, 16\]"):
             unit_arrays(data)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -405,7 +406,7 @@ class TestGradCheck:
     def test_eps_range_enforced(self, small_dataset):
         net = TrainableCnn(SMALL_ARCH, seed=0)
         for eps in (1e-8, 1e-2):
-            with pytest.raises(InvalidParams):
+            with pytest.raises(ConfigError, match=r"eps must lie in \[1e-7, 1e-3\]"):
                 grad_check(net, *raw_arrays(small_dataset), eps=eps)
 
 
@@ -431,15 +432,15 @@ class TestCheckpoints:
 
     def test_truncations(self):
         blob = save_checkpoint(TrainableCnn(SMALL_ARCH, seed=0))
-        with pytest.raises(TruncatedPayload):
+        with pytest.raises(DataError, match="checkpoint header truncated"):
             load_checkpoint(blob[:8])
-        with pytest.raises(TruncatedPayload):
+        with pytest.raises(DataError, match="checkpoint body has .* bytes, expected"):
             load_checkpoint(blob[:-8])
 
     @pytest.mark.parametrize("nf, k, width", [(0, 3, 16), (4, 0, 16), (4, 3, 0)])
     def test_degenerate_architecture_is_data_error(self, nf, k, width):
         header = struct.pack("<4sHHHHHd", b"DCNN", 1, nf, k, 1, width, 1.0)
-        with pytest.raises(DimMismatch):
+        with pytest.raises(DataError, match="checkpoint header: .*positive"):
             load_checkpoint(header)
 
     def test_infinite_temperature_is_data_error(self):
@@ -448,7 +449,7 @@ class TestCheckpoints:
         # fixed header, then one u16 per dense width.
         pos = 12 + 2 * len(SMALL_ARCH.dense_widths)
         patched = blob[:pos] + struct.pack("<d", float("inf")) + blob[pos + 8:]
-        with pytest.raises(DimMismatch, match="temperature"):
+        with pytest.raises(DataError, match="temperature"):
             load_checkpoint(patched)
         assert load_checkpoint(blob).beta == SMALL_ARCH.beta
 
@@ -458,7 +459,7 @@ class TestCheckpoints:
 
         monkeypatch.setattr(train, "TrainableCnn", unbuildable)
         header = struct.pack("<4sHHHHHd", b"DCNN", 1, 65535, 65535, 1, 65535, 1.0)
-        with pytest.raises(TruncatedPayload, match="expected"):
+        with pytest.raises(DataError, match="expected"):
             load_checkpoint(header + bytes(64))
 
     @given(blob=st.binary()
