@@ -18,7 +18,7 @@ import sys
 from .align import align_images, build_gallery, classify_1nn
 from .cnn import build_filter_bank, check_temperature, classify_bank
 from .datagen import DeformDistribution, generate_dataset, unit_arrays
-from .errors import ConfigError, DataError, DeformClassError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .geometry import check_sample_budget, gamma_scan, trace_boundary
 from .harness import (ExperimentConfig, _parse_pair, emit_report,
                       parse_config, parse_template_spec, run_experiment)
@@ -228,9 +228,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except DeformClassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MemoryError as exc:
         # e.g. a dataset size whose label array cannot be allocated
         print(f"config error: out of memory: {exc}", file=sys.stderr)

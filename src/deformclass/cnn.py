@@ -46,32 +46,15 @@ from .model import (SUPPORT_HI, SUPPORT_LO, GrayImage, TemplateFunction,
 
 @dataclass(frozen=True, eq=False)
 class Filter:
-    """Square correlation kernel, or a null placeholder that always emits 0.
+    """One bank entry rebuilt by ``FilterBank.filter_at``.
 
-    Bank-built filters carry ``meta = (k, xi, xi_prime)`` and unit Frobenius
-    norm; null filters stand in for scale pairs whose sampling window misses
-    the template support entirely.
+    ``weights`` is the read-only square float64 kernel, or None for a null
+    entry, one whose sampling window misses the template support and which
+    always emits 0.  ``meta = (k, xi, xi_prime)``.
     """
 
     weights: np.ndarray | None
     meta: tuple | None = None
-
-    def __post_init__(self):
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
-                raise ConfigError(f"filter weights must be square, got {w.shape}")
-            w = w.copy()
-            w.flags.writeable = False
-            object.__setattr__(self, "weights", w)
-
-    @property
-    def is_null(self) -> bool:
-        return self.weights is None
-
-    @property
-    def side(self) -> int:
-        return 0 if self.weights is None else self.weights.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +113,9 @@ class FilterBank:
         w = w / norm
         (r0,), (c0,), (side,) = _crop_boxes(w.any(axis=1)[None],
                                             w.any(axis=0)[None])
-        return Filter(w[r0: r0 + side, c0: c0 + side], meta)
+        crop = w[r0: r0 + side, c0: c0 + side].copy()
+        crop.flags.writeable = False
+        return Filter(crop, meta)
 
 
 def _crop_boxes(rows: np.ndarray, cols: np.ndarray):

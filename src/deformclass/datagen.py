@@ -17,7 +17,7 @@ from .model import (
     GrayImage,
     TemplateFunction,
     check_norm,
-    rasterize,  # noqa: F401 - kept importable here for tools that patch it
+    rasterize,  # noqa: F401 - perfbench's tracer self-test reads this binding
     rasterize_batch,
     shift_bounds,
 )
@@ -112,7 +112,9 @@ class Dataset:
 
 def unit_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """The images scaled to unit Frobenius norm as one (N, d, d) stack, and
-    their 0/1 labels.  Images of several sizes are a ``DataError``."""
+    their 0/1 labels.  Images of several sizes are a ``DataError``; the first
+    image, in list order, that is all zero or has a non-finite norm raises
+    ``NumericError`` naming its index."""
     if not data.items:
         raise DataError("the dataset holds no images")
     sides = sorted({item.image.d for item in data.items})
@@ -122,10 +124,10 @@ def unit_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     x = np.stack([item.image.pixels for item in data.items])
     # one norm per image, as normalize_l2 takes it, so the bits match
     norms = np.array([np.linalg.norm(img) for img in x])
-    if not norms.all():
-        raise NumericError("cannot normalize an all-zero image")
     for i, norm in enumerate(norms):
         check_norm(norm, f"image {i}")
+        if norm == 0.0:
+            raise NumericError(f"cannot normalize image {i}: it is all zero")
     return x / norms[:, None, None], np.array([item.label for item in data.items])
 
 

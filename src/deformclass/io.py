@@ -146,13 +146,12 @@ _MANIFEST_COLUMNS = ("index", "label", "template_index", "eta", "xi",
                      "xi_prime", "tau", "tau_prime", "file")
 
 
-def write_dataset(data: Dataset, directory: str | Path,
-                  max_val_policy: str = "image_max") -> Path:
+def write_dataset(data: Dataset, directory: str | Path) -> Path:
     """Write a CSV manifest plus one PGM per image; returns the manifest path.
 
-    Parameters are stored at full precision in the manifest; the PGM pixel
-    bytes are quantized, so reading back reproduces images only to PGM
-    resolution.
+    Parameters are stored at full precision in the manifest; each PGM is
+    scaled by its image's maximum ("image_max") and quantized, so reading
+    back reproduces each image divided by its maximum, to PGM resolution.
     """
     directory = Path(directory)
     try:
@@ -165,7 +164,7 @@ def write_dataset(data: Dataset, directory: str | Path,
     writer.writerow(_MANIFEST_COLUMNS)
     for i, item in enumerate(data.items):
         name = f"item_{i:05d}.pgm"
-        write_bytes(directory / name, write_pgm(item.image, max_val_policy))
+        write_bytes(directory / name, write_pgm(item.image, "image_max"))
         p = item.params
         writer.writerow([i, item.label, item.template_index,
                          repr(p.eta), repr(p.xi), repr(p.xi_prime),

@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ from .errors import ConfigError, DataError, NumericError
 from .model import nonzero_boxes
 
 _MAGIC = b"DCNN"
-_VERSION = 1
+_VERSION = 2
 # Largest filter count, filter side, dense layer count or dense width that
 # the checkpoint's unsigned 16-bit header fields hold.
 _FIELD_MAX = 0xFFFF
@@ -256,16 +257,21 @@ def train_least_squares(x: np.ndarray, y: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(net: TrainableCnn) -> bytes:
-    """Flat binary record: magic, version, architecture, little-endian f64."""
+    """Flat binary record: magic, version, architecture, little-endian f64
+    parameters, then the little-endian CRC32 of every byte before it."""
     widths = net.arch.dense_widths
     header = struct.pack("<4sHHHH", _MAGIC, _VERSION, net.arch.n_filters,
                          net.arch.filter_size, len(widths))
     header += struct.pack(f"<{len(widths)}H", *widths)
     header += struct.pack("<d", net.beta)
-    return header + net.params.astype("<f8").tobytes()
+    record = header + net.params.astype("<f8").tobytes()
+    return record + struct.pack("<I", zlib.crc32(record))
 
 
 def load_checkpoint(blob: bytes) -> TrainableCnn:
+    """Rebuild the network ``save_checkpoint`` wrote.  The header and body
+    checks run before the checksum, so a file they reject is named by its
+    first fault; any other changed byte fails the checksum."""
     if len(blob) < 4 or blob[:4] != _MAGIC:
         raise DataError("not a checkpoint: bad magic")
     if len(blob) < 12:
@@ -285,15 +291,19 @@ def load_checkpoint(blob: bytes) -> TrainableCnn:
                         dense_widths=tuple(widths), beta=beta)
     except ConfigError as exc:
         raise DataError(f"checkpoint header: {exc}") from exc
-    # Check the size before building: the constructor fills every layer the
-    # header declares, which a short file must not be able to inflate.
-    expected = 8 * sum(math.prod(s) for s in param_shapes(arch))
+    # Check the size (the parameters, then the 4-byte checksum) before
+    # building: the constructor fills every layer the header declares, which
+    # a short file must not be able to inflate.
+    n_params = sum(math.prod(s) for s in param_shapes(arch))
+    expected = 8 * n_params + 4
     if len(blob) - pos != expected:
         raise DataError(
             f"checkpoint body has {len(blob) - pos} bytes, expected {expected}")
-    weights = np.frombuffer(blob, dtype="<f8", offset=pos)
+    weights = np.frombuffer(blob, dtype="<f8", count=n_params, offset=pos)
     if not np.isfinite(weights).all():
         raise DataError("checkpoint weights are not finite")
+    if struct.unpack("<I", blob[-4:])[0] != zlib.crc32(blob[:-4]):
+        raise DataError("checkpoint checksum mismatch")
     net = TrainableCnn(arch)
     net.params[...] = weights
     return net

@@ -105,9 +105,9 @@ def feature_max(filt: Filter, img: GrayImage) -> float:
     the ReLU'd feature map is returned.  Exact sliding-window arithmetic;
     no FFT rounding.
     """
-    if filt.is_null:
+    if filt.weights is None:
         return 0.0
-    side = filt.side
+    side = filt.weights.shape[0]
     d = img.d
     if side > d:
         raise FilterTooLarge(f"filter side {side} exceeds image side {d}")

@@ -281,11 +281,10 @@ class TestCnn:
     def weights_checkpoint(tmp_path, value: float):
         """A checkpoint of the default architecture whose every weight is
         ``value``."""
-        blob = save_checkpoint(TrainableCnn(ArchSpec()))
-        header = 12 + 2 * len(ArchSpec().dense_widths) + 8
+        net = TrainableCnn(ArchSpec())
+        net.params[...] = value
         path = tmp_path / "net.ckpt"
-        path.write_bytes(blob[:header] + np.full(
-            (len(blob) - header) // 8, value).astype("<f8").tobytes())
+        path.write_bytes(save_checkpoint(net))
         return path
 
     @pytest.mark.parametrize("value, code, message", [
@@ -301,6 +300,18 @@ class TestCnn:
         captured = capsys.readouterr()
         assert message in captured.err
         assert "label=" not in captured.out
+
+    def test_flipped_weight_bit_exits_3(self, dataset_dir, tmp_path, capsys):
+        blob = bytearray(save_checkpoint(TrainableCnn(ArchSpec())))
+        blob[-5] ^= 1  # lowest bit of the last weight's top byte
+        ckpt = tmp_path / "net.ckpt"
+        ckpt.write_bytes(bytes(blob))
+        query = next(iter(sorted(dataset_dir.glob("*.pgm"))))
+        assert main(["cnn", "classify", "--checkpoint", str(ckpt),
+                     "--image", str(query)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "data error: checkpoint checksum mismatch\n"
+        assert captured.out == ""
 
     def test_garbage_checkpoint_exits_3(self, dataset_dir, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"

@@ -75,19 +75,19 @@ def direct_filter(f, xi: float, xi_prime: float, d: int) -> np.ndarray | None:
 
 
 class TestFilter:
-    def test_square_required(self):
-        with pytest.raises(ConfigError, match="filter weights must be square"):
-            Filter(np.ones((2, 3)))
-
-    def test_weights_frozen(self):
-        f = Filter(np.ones((2, 2)))
+    def test_weights_frozen(self, tent_template):
+        f = build_filter_bank(tent_template, tent_template, 1, 4).filter_at(
+            0, 8, 8)
+        assert f.weights.shape[0] > 0
         with pytest.raises(ValueError):
             f.weights[0, 0] = 5.0
 
-    def test_null(self):
-        f = Filter(None)
-        assert f.is_null
-        assert f.side == 0
+    def test_null(self, tent_template):
+        # scale 0 samples the template at the origin only, off its support
+        f = build_filter_bank(tent_template, tent_template, 1, 4).filter_at(
+            0, 4, 8)
+        assert f.weights is None
+        assert f.meta == (0, 0.0, 1.0)
 
 
 class TestFeatureMax:
@@ -261,7 +261,7 @@ class TestBuildFilterBank:
                 for j in range(len(grid)):
                     f = bank.filter_at(k, i, j)
                     assert f.meta == (k, grid[i], grid[j])
-                    if not f.is_null:
+                    if f.weights is not None:
                         n_live += 1
                         assert np.linalg.norm(f.weights) == pytest.approx(1.0, abs=1e-12)
         assert n_live > 0
@@ -270,7 +270,7 @@ class TestBuildFilterBank:
         bank = build_filter_bank(tent_template, tent_template, 1, 4)
         zero_idx = 1 * 4
         for j in range(len(scale_grid(bank))):
-            assert bank.filter_at(0, zero_idx, j).is_null
+            assert bank.filter_at(0, zero_idx, j).weights is None
 
     def test_filter_at_matches_direct_definition(self, tent_template,
                                                  cross_template):

@@ -155,8 +155,7 @@ class TestPgm:
 
 class TestDatasetManifest:
     def test_roundtrip(self, tmp_path, pgm_safe_dataset):
-        manifest = write_dataset(pgm_safe_dataset, tmp_path / "out",
-                                 max_val_policy="fixed")
+        manifest = write_dataset(pgm_safe_dataset, tmp_path / "out")
         assert manifest.name == "manifest.csv"
         back = read_dataset(tmp_path / "out")
         assert len(back.items) == len(pgm_safe_dataset.items)
@@ -171,8 +170,9 @@ class TestDatasetManifest:
             assert got.params.xi_prime == orig.params.xi_prime
             assert got.params.tau == orig.params.tau
             assert got.params.tau_prime == orig.params.tau_prime
-            err = float(np.abs(got.image.pixels - orig.image.pixels).max())
-            assert err <= 1 / 510
+            # each PGM is scaled by its image's maximum
+            want = orig.image.pixels / orig.image.pixels.max()
+            assert float(np.abs(got.image.pixels - want).max()) <= 1 / 510
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="no manifest.csv under"):

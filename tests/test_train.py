@@ -335,13 +335,20 @@ class TestTraining:
         with pytest.raises(DataError, match=r"one side length, got sides \[12, 16\]"):
             unit_arrays(data)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_image_is_numeric_error(self, small_dataset, value):
+    @pytest.mark.parametrize("where, value, message", [
+        ((8, 8), np.nan, "image 1 has norm nan"),
+        ((8, 8), np.inf, "image 1 has norm inf"),
+        (..., 0.0, "cannot normalize image 1: it is all zero"),
+    ], ids=["nan", "inf", "zero"])
+    def test_non_finite_image_is_numeric_error(self, small_dataset, where,
+                                               value, message):
         px = small_dataset.items[1].image.pixels.copy()
-        px[8, 8] = value
+        px[where] = value
         bad = replace(small_dataset.items[1], image=GrayImage(px))
-        data = replace(small_dataset, items=(small_dataset.items[0], bad))
-        with pytest.raises(NumericError, match="image 1 has norm"):
+        zero = replace(bad, image=GrayImage(np.zeros_like(px)))
+        # the first bad image is named, not a later all-zero one
+        data = replace(small_dataset, items=(small_dataset.items[0], bad, zero))
+        with pytest.raises(NumericError, match=message):
             unit_arrays(data)
 
 
@@ -423,7 +430,7 @@ class TestCheckpoints:
 
     def test_default_arch_blob_size(self):
         blob = save_checkpoint(TrainableCnn(ArchSpec(), seed=0))
-        assert len(blob) == 34022
+        assert len(blob) == 34026
 
     def test_bad_magic(self):
         blob = save_checkpoint(TrainableCnn(SMALL_ARCH, seed=0))
@@ -439,7 +446,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("nf, k, width", [(0, 3, 16), (4, 0, 16), (4, 3, 0)])
     def test_degenerate_architecture_is_data_error(self, nf, k, width):
-        header = struct.pack("<4sHHHHHd", b"DCNN", 1, nf, k, 1, width, 1.0)
+        header = struct.pack("<4sHHHHHd", b"DCNN", 2, nf, k, 1, width, 1.0)
         with pytest.raises(DataError, match="checkpoint header: .*positive"):
             load_checkpoint(header)
 
@@ -458,12 +465,12 @@ class TestCheckpoints:
             raise AssertionError("network built before the size check")
 
         monkeypatch.setattr(train, "TrainableCnn", unbuildable)
-        header = struct.pack("<4sHHHHHd", b"DCNN", 1, 65535, 65535, 1, 65535, 1.0)
+        header = struct.pack("<4sHHHHHd", b"DCNN", 2, 65535, 65535, 1, 65535, 1.0)
         with pytest.raises(DataError, match="expected"):
             load_checkpoint(header + bytes(64))
 
     @given(blob=st.binary()
-           | st.binary().map(lambda b: b"DCNN\x01\x00" + b)
+           | st.binary().map(lambda b: b"DCNN\x02\x00" + b)
            | st.builds(lambda i, byte, cut: (TINY_BLOB[:i] + bytes([byte])
                                              + TINY_BLOB[i + 1:])[:cut],
                        st.integers(0, len(TINY_BLOB) - 1), st.integers(0, 255),
@@ -476,9 +483,20 @@ class TestCheckpoints:
 
     def test_version_gate(self):
         blob = save_checkpoint(TrainableCnn(SMALL_ARCH, seed=0))
-        patched = blob[:4] + struct.pack("<H", 2) + blob[6:]
-        with pytest.raises(DataError):
-            load_checkpoint(patched)
+        assert struct.unpack("<H", blob[4:6]) == (2,)
+        # version 1, the same record without the checksum, is rejected too
+        for version in (1, 3):
+            patched = blob[:4] + struct.pack("<H", version) + blob[6:]
+            with pytest.raises(DataError,
+                               match=f"unsupported checkpoint version {version}"):
+                load_checkpoint(patched)
+
+    def test_every_bit_flip_is_data_error(self):
+        for bit in range(8 * len(TINY_BLOB)):
+            flipped = bytearray(TINY_BLOB)
+            flipped[bit // 8] ^= 1 << bit % 8
+            with pytest.raises(DataError):
+                load_checkpoint(bytes(flipped))
 
 
 class TestNonFinite:
@@ -499,7 +517,7 @@ class TestNonFinite:
 
     def test_non_finite_checkpoint_weights_are_data_error(self):
         for value in (np.nan, np.inf, -np.inf):
-            blob = save_checkpoint(TrainableCnn(SMALL_ARCH, seed=0))
-            patched = blob[:-8] + struct.pack("<d", value)
+            net = TrainableCnn(SMALL_ARCH, seed=0)
+            net.params[-1] = value
             with pytest.raises(DataError, match="weights are not finite"):
-                load_checkpoint(patched)
+                load_checkpoint(save_checkpoint(net))
