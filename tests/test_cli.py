@@ -522,6 +522,47 @@ class TestBench:
             "IAC_FLIPS,8,0,0.050000\nIAC_FLIPS,8,1,0.100000\n"
             "IAC_FLIPS,8,2,0.000000\n")
 
+    def test_four_classifier_golden_csv(self, tmp_path, capsys):
+        """Every classifier of the sweep on flipped data, raw and aggregate
+        CSV bytes.  The bank's smallest |z0 - z1| over these test images is
+        5e-4, far above what the BLAS thread count moves it by."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("task.template0 = tent:delta=0.25\n"
+                       "task.template1 = cross:arm=0.25,taper=0.08\n"
+                       "q.eta_range = 0.8,1.2\n"
+                       "q.xi_range = 1.0,1.5\n"
+                       "q.flip_prob = 0.5\n"
+                       "experiment.n_list = 2,8\n"
+                       "experiment.n_test = 12\n"
+                       "experiment.repetitions = 2\n"
+                       "experiment.d = 16\n"
+                       "experiment.classifiers = IAC,IAC_FLIPS,CNN_EXPLICIT,"
+                       "CNN_TRAINED\n"
+                       "bank.xi_max = 1\n"
+                       "cnn.n_filters = 4\n"
+                       "cnn.dense_widths = 8\n"
+                       "cnn.epochs = 20\n"
+                       "cnn.batch_size = 4\n")
+        raw, agg = tmp_path / "raw.csv", tmp_path / "agg.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(raw),
+                     "--aggregate-out", str(agg)]) == 0
+        assert raw.read_bytes() == (
+            b"classifier,n,repetition,R_N\n"
+            b"CNN_EXPLICIT,2,0,0.333333\nCNN_EXPLICIT,2,1,0.333333\n"
+            b"CNN_EXPLICIT,8,0,0.416667\nCNN_EXPLICIT,8,1,0.416667\n"
+            b"CNN_TRAINED,2,0,0.083333\nCNN_TRAINED,2,1,0.333333\n"
+            b"CNN_TRAINED,8,0,0.083333\nCNN_TRAINED,8,1,0.000000\n"
+            b"IAC,2,0,0.083333\nIAC,2,1,0.000000\n"
+            b"IAC,8,0,0.166667\nIAC,8,1,0.000000\n"
+            b"IAC_FLIPS,2,0,0.083333\nIAC_FLIPS,2,1,0.000000\n"
+            b"IAC_FLIPS,8,0,0.166667\nIAC_FLIPS,8,1,0.000000\n")
+        assert agg.read_bytes() == (
+            b"classifier,n,median_R_N\n"
+            b"CNN_EXPLICIT,2,0.333333\nCNN_EXPLICIT,8,0.416667\n"
+            b"CNN_TRAINED,2,0.208333\nCNN_TRAINED,8,0.041667\n"
+            b"IAC,2,0.041667\nIAC,8,0.083333\n"
+            b"IAC_FLIPS,2,0.041667\nIAC_FLIPS,8,0.083333\n")
+
     def test_bank_below_minimum_resolution_exits_2(self, tmp_path, capsys,
                                                    monkeypatch):
         def unreachable(*args):
