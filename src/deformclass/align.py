@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .model import IMAGE_BLOCK, GrayImage, check_norm, mask_spans
+from .model import (IMAGE_BLOCK, MAX_RESOLUTION, GrayImage, check_norm,
+                    mask_spans)
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,11 @@ def align_images(images: Sequence[GrayImage], m: int | None = None
     """Align every image: crop to the box of its positive pixels, resample
     the crop onto an m x m grid, and normalize to unit Frobenius norm.
 
-    ``m`` defaults to each image's resolution.  Sample a of an axis whose
-    box runs from pixel lo to pixel hi (0-based, inclusive) reads pixel
-    floor(lo + a * (hi - lo) / (m - 1)), evaluated exactly in integers as
-    (lo*(m-1) + a*(hi-lo)) // (m-1).
+    ``m`` defaults to each image's resolution; an m below 2 or above
+    ``MAX_RESOLUTION`` raises ConfigError before any grid is allocated.
+    Sample a of an axis whose box runs from pixel lo to pixel hi (0-based,
+    inclusive) reads pixel floor(lo + a * (hi - lo) / (m - 1)), evaluated
+    exactly in integers as (lo*(m-1) + a*(hi-lo)) // (m-1).
 
     Runs of images of one resolution are aligned together, at most
     ``IMAGE_BLOCK`` at a time.  The first image, in list order, that has no
@@ -82,8 +84,9 @@ def _align_block(images: Sequence[GrayImage], m: int,
                  first: int) -> list[AlignedRep]:
     """``align_images`` on images that share one resolution; ``first`` is
     the list index of the first of them."""
-    if m < 2:
-        raise ConfigError(f"resample grid needs m >= 2, got {m}")
+    if not 2 <= m <= MAX_RESOLUTION:
+        raise ConfigError(f"resample grid needs m >= 2 and m <= "
+                          f"{MAX_RESOLUTION}, got {m}")
     px = np.stack([img.pixels for img in images])
     n = len(px)
     mask = px > 0

@@ -62,8 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bank = cnn_sub.add_parser("bank", help="classify with the explicit filter bank")
     bank.add_argument("--template0", required=True)
     bank.add_argument("--template1", required=True)
-    bank.add_argument("--image", required=True, help="PGM file")
-    bank.add_argument("--d", type=int, default=ExperimentConfig.d)
+    bank.add_argument("--image", required=True, help="PGM file; sets the bank's d")
     bank.add_argument("--xi-max", type=int, default=ExperimentConfig.bank_xi_max)
     bank.add_argument("--beta", type=float, default=None)
 
@@ -137,7 +136,7 @@ def _cmd_cnn(args) -> int:
         img = read_pgm(read_bytes(args.image))
         if args.beta is not None:
             check_temperature(args.beta)
-        bank = build_filter_bank(f0, f1, args.xi_max, args.d)
+        bank = build_filter_bank(f0, f1, args.xi_max, img.d)
         decision = classify_bank(bank, normalize_l2(img), beta=args.beta)
         print(f"label={decision.label} p0={decision.p0:.6f} p1={decision.p1:.6f} "
               f"z0={decision.z0:.6f} z1={decision.z1:.6f}")

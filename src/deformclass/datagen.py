@@ -59,6 +59,8 @@ class DeformDistribution:
                 raise ConfigError(f"{name} must satisfy 1/2 <= lo <= hi, got {rng}")
         if not (0.0 <= self.flip_prob <= 1.0):
             raise ConfigError(f"flip_prob must be in [0, 1], got {self.flip_prob}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def scale_range_y(self) -> tuple[float, float]:
         return self.xi_prime_range if self.xi_prime_range is not None else self.xi_range

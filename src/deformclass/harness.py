@@ -2,12 +2,12 @@
 
 For every repetition and every training-set size, a fresh balanced train
 set and a fresh test set are drawn from the two deformed templates, each
-requested classifier is fitted (or built) and scored, and the empirical
-misclassification risk is recorded.  Aggregation takes the median across
-repetitions.  Every random draw derives from the experiment seed through
-named substreams, so reports are byte-identical across runs.  Items run
-one after another; a failing item yields NaN rows and does not stop the
-sweep.
+requested classifier is fitted (or built) and labels the test set, and the
+empirical misclassification risk, the share of wrong labels, is recorded.
+Aggregation takes the median across repetitions.  Every random draw derives
+from the experiment seed through named substreams, so reports are
+byte-identical across runs.  Items run one after another; a failing item
+yields NaN rows and does not stop the sweep.
 """
 from __future__ import annotations
 
@@ -16,14 +16,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .align import (AlignedRep, GalleryEntry, align_images, build_gallery,
-                    classify_1nn)
-from .cnn import FilterBank, build_filter_bank, classify_bank
+from .align import align_images, build_gallery, classify_1nn
+from .cnn import build_filter_bank, classify_bank
 from .datagen import Dataset, DeformDistribution, generate_dataset, unit_arrays
 from .errors import ConfigError
 from .io import read_bytes, read_pgm
-from .model import (TemplateFunction, cone, cross, normalize_l2, raster_interp,
-                    tent)
+from .model import (MAX_RESOLUTION, TemplateFunction, cone, cross,
+                    normalize_l2, raster_interp, tent)
 from .train import ArchSpec, OptSpec, train_least_squares
 
 CLASSIFIERS = ("IAC", "IAC_FLIPS", "CNN_EXPLICIT", "CNN_TRAINED")
@@ -50,6 +49,8 @@ class ExperimentConfig:
             raise ConfigError("n_list must be non-empty with entries >= 1")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_test < 1:
             raise ConfigError("n_test must be >= 1")
         if not self.classifiers:
@@ -57,10 +58,17 @@ class ExperimentConfig:
         for c in self.classifiers:
             if c not in CLASSIFIERS:
                 raise ConfigError(f"unknown classifier {c!r}; valid: {CLASSIFIERS}")
+        # A repeated entry would repeat its rows and weight the median.
+        for name, entries in (("n_list", self.n_list),
+                              ("classifiers", self.classifiers)):
+            repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+            if repeated:
+                raise ConfigError(f"{name} repeats {repeated[0]!r}")
         if self.q is None:
             raise ConfigError("the experiment needs a deformation distribution q")
-        if self.align_m is not None and self.align_m < 2:
-            raise ConfigError(f"align.m must be >= 2, got {self.align_m}")
+        if self.align_m is not None and not 2 <= self.align_m <= MAX_RESOLUTION:
+            raise ConfigError(f"align.m must be in [2, {MAX_RESOLUTION}], "
+                              f"got {self.align_m}")
 
 
 @dataclass(frozen=True)
@@ -108,38 +116,13 @@ def _draw_template_sets(cfg: ExperimentConfig, rep: int, n: int
 # Classifier runners
 # ---------------------------------------------------------------------------
 
-def _align_sets(train: Dataset, test: Dataset, m: int | None
-                ) -> tuple[list[GalleryEntry], list[AlignedRep]]:
-    """The aligned train gallery and test queries that both IAC runners use."""
-    gallery = build_gallery([item.image for item in train.items],
-                            [item.label for item in train.items], m=m)
-    return gallery, align_images([item.image for item in test.items], m)
-
-
-def _risk_iac(gallery: list[GalleryEntry], queries: list[AlignedRep],
-              test: Dataset, flips: bool) -> float:
-    results = classify_1nn(gallery, queries, flips)
-    wrong = sum(int(label != item.label)
-                for (label, _, _, _), item in zip(results, test.items))
-    return wrong / len(test.items)
-
-
-def _risk_bank(bank: FilterBank, test: Dataset) -> float:
-    wrong = 0
-    for item in test.items:
-        decision = classify_bank(bank, normalize_l2(item.image))
-        wrong += int(decision.label != item.label)
-    return wrong / len(test.items)
-
-
-def _risk_trained(train: Dataset, test: Dataset, arch: ArchSpec, opt: OptSpec,
-                  seed: int) -> float:
+def _predict_trained(train: Dataset, test: Dataset, arch: ArchSpec,
+                     opt: OptSpec, seed: int) -> np.ndarray:
     net = train_least_squares(*unit_arrays(train), arch, replace(opt, seed=seed))
-    x, labels = unit_arrays(test)
     # Chunks no larger than the training batch, so prediction never holds
     # more forward state than training did.
-    predicted = net.predict_batch(x, min(opt.batch_size, len(train)))
-    return int(np.count_nonzero(predicted != labels)) / len(labels)
+    return net.predict_batch(unit_arrays(test)[0],
+                             min(opt.batch_size, len(train)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,18 +139,28 @@ def run_experiment(cfg: ExperimentConfig) -> RiskReport:
     def run_item(rep: int, n: int) -> list[RiskRow]:
         try:
             train, test = _draw_template_sets(cfg, rep, n)
+            truth = np.array([item.label for item in test.items])
             aligned = None  # built by the first IAC runner, shared by both
             rows = []
             for name in cfg.classifiers:
                 if name in ("IAC", "IAC_FLIPS"):
                     if aligned is None:
-                        aligned = _align_sets(train, test, cfg.align_m)
-                    risk = _risk_iac(*aligned, test, flips=name == "IAC_FLIPS")
+                        aligned = (
+                            build_gallery([item.image for item in train.items],
+                                          [item.label for item in train.items],
+                                          m=cfg.align_m),
+                            align_images([item.image for item in test.items],
+                                         cfg.align_m))
+                    predicted = [label for label, _, _, _ in classify_1nn(
+                        *aligned, flips=name == "IAC_FLIPS")]
                 elif name == "CNN_EXPLICIT":
-                    risk = _risk_bank(bank, test)
+                    predicted = [classify_bank(bank, normalize_l2(item.image)).label
+                                 for item in test.items]
                 else:
-                    risk = _risk_trained(train, test, cfg.cnn_arch, cfg.cnn_opt,
-                                         seed=_derived_seed(cfg.seed, rep, n, 3))
+                    predicted = _predict_trained(
+                        train, test, cfg.cnn_arch, cfg.cnn_opt,
+                        seed=_derived_seed(cfg.seed, rep, n, 3))
+                risk = int(np.count_nonzero(truth != predicted)) / len(truth)
                 rows.append(RiskRow(classifier=name, n=n, repetition=rep,
                                     risk=risk))
             return rows
@@ -282,7 +275,7 @@ def _int_list(value: str, key: str) -> tuple[int, ...]:
 
 
 def _str_list(value: str, key: str) -> tuple[str, ...]:
-    return tuple(value.split(","))
+    return tuple(part.strip() for part in value.split(","))
 
 
 # Config key -> (dataclass, field, parser).  A key that a file leaves out

@@ -87,6 +87,8 @@ class OptSpec:
         if not (0 < self.learning_rate < np.inf) or self.epochs < 1 or self.batch_size < 1:
             raise ConfigError(
                 "optimizer spec must have a finite positive rate and positive epochs/batch")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def param_shapes(arch: ArchSpec) -> list[tuple[int, ...]]:

@@ -20,6 +20,7 @@ from deformclass import (
     tent,
 )
 from deformclass.align import _oriented_variants, _stack_gallery
+from deformclass.model import MAX_RESOLUTION
 
 
 # Oracle: the one-image alignment that ``align_images`` vectorizes.
@@ -134,6 +135,13 @@ class TestResampleBox:
             align_images([img], 1)
         with pytest.raises(ConfigError, match="m >= 2"):
             align_images([_image([[0, 0], [0, 1]])], m=1)
+
+    def test_m_cap(self):
+        img = _image([[0, 0], [0, 1]])
+        # 10^12 would need terabytes: it is refused before any allocation.
+        for m in (MAX_RESOLUTION + 1, 10**12):
+            with pytest.raises(ConfigError, match=f"m <= 4096, got {m}"):
+                align_images([img], m=m)
 
 
 class TestAlignTransform:

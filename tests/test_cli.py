@@ -29,7 +29,7 @@ _TEMPLATES = ["--template0", "tent", "--template1", "cone"]
           xi_range=_Q.xi_range, xi_prime_range=_Q.xi_prime_range,
           flip_prob=_Q.flip_prob)),
     (["cnn", "bank", *_TEMPLATES, "--image", "x.pgm"],
-     dict(d=_EXPERIMENT.d, xi_max=_EXPERIMENT.bank_xi_max)),
+     dict(xi_max=_EXPERIMENT.bank_xi_max)),
     (["cnn", "train", "--data", "x", "--out", "y"],
      dict(epochs=_OPT.epochs, batch_size=_OPT.batch_size,
           learning_rate=_OPT.learning_rate, seed=_OPT.seed,
@@ -42,6 +42,20 @@ _TEMPLATES = ["--template0", "tent", "--template1", "cone"]
 def test_flag_defaults_are_the_dataclass_defaults(argv, expected):
     args = vars(cli._build_parser().parse_args(argv))
     assert {name: args[name] for name in expected} == expected
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "bench"])
+def test_negative_seed_exits_2(dataset_dir, tmp_path, capsys, command):
+    # numpy's seeding raises a bare ValueError on a negative seed.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(TestBench.CONFIG + "experiment.seed = -1\n")
+    argv = {"gen": GEN_ARGS[:-1] + ["-1", "--out", str(tmp_path / "x")],
+            "train": ["cnn", "train", "--data", str(dataset_dir),
+                      "--out", str(tmp_path / "net.ckpt"), "--seed", "-1"],
+            "bench": ["bench", "--config", str(cfg)]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: seed must be >= 0, got -1\n")
 
 
 class TestGen:
@@ -114,6 +128,17 @@ class TestAlign:
         assert outputs[0] == outputs[1]
         assert outputs[0].startswith("label=")
 
+    def test_grid_side_above_cap_exits_2(self, dataset_dir, capsys):
+        # A 10^6-px side would need terabytes; it is refused before any
+        # grid is allocated.
+        code = main(["align", "--gallery", str(dataset_dir),
+                     "--query", str(dataset_dir / "item_00000.pgm"),
+                     "--m", "1000000"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: resample grid needs m >= 2 and m <= 4096, "
+            "got 1000000\n")
+
     def test_missing_gallery_exits_3(self, tmp_path, capsys):
         query = tmp_path / "q.pgm"
         query.write_bytes(write_pgm(GrayImage(np.ones((4, 4)))))
@@ -164,9 +189,19 @@ class TestCnn:
         query = next(iter(sorted(dataset_dir.glob("*.pgm"))))
         code = main(["cnn", "bank", "--template0", "tent:delta=0.25",
                      "--template1", "cross:arm=0.25,taper=0.08",
-                     "--image", str(query), "--d", "16", "--xi-max", "1"])
+                     "--image", str(query), "--xi-max", "1"])
         assert code == 0
         assert "label=" in capsys.readouterr().out
+
+    def test_bank_is_built_at_the_image_side(self, tmp_path, capsys):
+        data = tmp_path / "data32"
+        assert main(["gen", *GEN_ARGS[1:5], "--n", "2", "--d", "32",
+                     "--out", str(data)]) == 0
+        code = main(["cnn", "bank", *GEN_ARGS[1:5],
+                     "--image", str(data / "item_00000.pgm"), "--xi-max", "1"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "label=" in captured.out
 
     def test_bank_nan_beta_exits_2(self, dataset_dir, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -177,7 +212,7 @@ class TestCnn:
         for beta in ("nan", "-1", "0", "inf"):
             code = main(["cnn", "bank", "--template0", "tent:delta=0.25",
                          "--template1", "cross:arm=0.25,taper=0.08",
-                         "--image", str(query), "--d", "16", "--xi-max", "1",
+                         "--image", str(query), "--xi-max", "1",
                          "--beta", beta])
             assert code == 2
             err = capsys.readouterr().err
@@ -188,15 +223,16 @@ class TestCnn:
         query.write_bytes(b"P5\n16 16\n65535\n" + bytes(512))
         code = main(["cnn", "bank", "--template0", "tent:delta=0.25",
                      "--template1", "cross:arm=0.25,taper=0.08",
-                     "--image", str(query), "--d", "16", "--xi-max", "1"])
+                     "--image", str(query), "--xi-max", "1"])
         assert code == 3
         assert "maxval 65535 unsupported" in capsys.readouterr().err
 
-    def test_bank_below_minimum_resolution_exits_2(self, dataset_dir, capsys):
-        query = next(iter(sorted(dataset_dir.glob("*.pgm"))))
+    def test_bank_below_minimum_resolution_exits_2(self, tmp_path, capsys):
+        query = tmp_path / "tiny.pgm"
+        query.write_bytes(write_pgm(GrayImage(np.full((2, 2), 0.5))))
         code = main(["cnn", "bank", "--template0", "tent:delta=0.25",
                      "--template1", "cross:arm=0.25,taper=0.08",
-                     "--image", str(query), "--d", "2", "--xi-max", "1"])
+                     "--image", str(query), "--xi-max", "1"])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == "config error: resolution 2 below minimum 4\n"
@@ -412,7 +448,7 @@ class TestPgmTemplates:
         assert main(["gen", "--template0", ring, "--template1", bar,
                      "--n", "4", "--d", "16", "--out", str(out)]) == 0
         assert main(["cnn", "bank", "--template0", ring, "--template1", bar,
-                     "--image", str(out / "item_00000.pgm"), "--d", "16",
+                     "--image", str(out / "item_00000.pgm"),
                      "--xi-max", "1"]) == 0
         assert main(["sep", "--template0", ring, "--template1", bar,
                      "--step", "0.25", "--refine-iters", "0",
@@ -671,6 +707,16 @@ class TestBench:
         assert ("line 9: key 'experiment.d' repeats line 8"
                 in capsys.readouterr().err)
 
+    def test_repeated_list_entry_exits_2(self, tmp_path, capsys):
+        # Each copy would print its own rows and weight the median.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG.replace("n_list = 2", "n_list = 2,2")
+                       + "experiment.classifiers = IAC,IAC\n")
+        assert main(["bench", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: n_list repeats 2\n"
+        assert captured.out == ""
+
     def test_bank_beta_key_is_gone(self, tmp_path, capsys):
         # The bank's temperature never changed a label or a risk.
         cfg = tmp_path / "exp.cfg"
@@ -687,8 +733,7 @@ class TestPathFlags:
         (["bench", "--config", "{bad}"], 2),
         (["align", "--gallery", "{bad}", "--query", "{query}"], 3),
         (["align", "--gallery", "{data}", "--query", "{bad}"], 3),
-        (["cnn", "bank", *_TEMPLATES, "--image", "{bad}", "--d", "16",
-          "--xi-max", "1"], 3),
+        (["cnn", "bank", *_TEMPLATES, "--image", "{bad}", "--xi-max", "1"], 3),
         (["cnn", "train", "--data", "{bad}", "--out", "{ckpt}"], 3),
         (["cnn", "classify", "--checkpoint", "{bad}", "--image", "{query}"], 3),
         (["cnn", "classify", "--checkpoint", "{ckpt}", "--image", "{bad}"], 3),

@@ -30,6 +30,7 @@ from deformclass import (
     write_pgm,
 )
 from deformclass.harness import _KEYS, _KNOWN_KEYS
+from deformclass.model import MAX_RESOLUTION
 
 MINIMAL_CONFIG = """
 # minimal sweep over two synthetic shapes
@@ -238,6 +239,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="classifier"):
             parse_config(MINIMAL_CONFIG + "experiment.classifiers = ORACLE\n")
 
+    def test_list_entries_may_contain_spaces(self):
+        cfg = parse_config(MINIMAL_CONFIG.replace("n_list = 2,4", "n_list = 2, 4")
+                           + "experiment.classifiers = IAC, IAC_FLIPS ,CNN_TRAINED\n")
+        assert cfg.n_list == (2, 4)
+        assert cfg.classifiers == ("IAC", "IAC_FLIPS", "CNN_TRAINED")
+
+    @pytest.mark.parametrize("line, message", [
+        ("experiment.n_list = 4,2,4", "n_list repeats 4"),
+        ("experiment.classifiers = IAC,IAC_FLIPS,IAC", "classifiers repeats 'IAC'"),
+        ("experiment.classifiers = IAC, IAC", "classifiers repeats 'IAC'"),
+    ])
+    def test_repeated_list_entry_rejected(self, line, message):
+        text = MINIMAL_CONFIG.replace("experiment.n_list = 2,4\n", "")
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text + line + "\n")
+
     @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
     def test_each_key_sets_only_its_field(self, key):
         text, path, value = NON_DEFAULT[key]
@@ -291,9 +308,11 @@ class TestConfigValidation:
 
     def test_count_floors(self):
         for bad in (dict(repetitions=0), dict(n_test=0), dict(n_list=()),
-                    dict(align_m=1)):
+                    dict(align_m=1), dict(align_m=MAX_RESOLUTION + 1),
+                    dict(seed=-1)):
             with pytest.raises(ConfigError):
                 tiny_config(**bad)
+        assert tiny_config(align_m=MAX_RESOLUTION).align_m == MAX_RESOLUTION
 
 
 class TestRunExperiment:
