@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .model import (IMAGE_BLOCK, MAX_RESOLUTION, GrayImage, check_norm,
-                    mask_spans)
+from .model import (IMAGE_BLOCK, MAX_RESOLUTION, GrayImage, mask_spans,
+                    unit_norms)
 
 
 @dataclass(frozen=True)
@@ -95,16 +95,12 @@ def _align_block(images: Sequence[GrayImage], m: int,
     l = _sample_index(*mask_spans(mask.any(axis=1)), m)
     # One gather of every crop; the broadcast index is never materialized.
     z = px[np.arange(n)[:, None, None], j[:, :, None], l[:, None, :]]
-    norms = np.empty(n)
-    for i in range(n):
-        if row_end[i] == 0:
-            raise NumericError(f"image {first + i}: no pixel is positive")
-        # One BLAS dot per grid, exactly as for a lone image.
-        norms[i] = float(np.linalg.norm(z[i]))
-        check_norm(norms[i], f"the resampled grid of image {first + i}")
-        if norms[i] == 0.0:
-            raise NumericError(f"the resampled grid of image {first + i} is "
-                               f"identically zero")
+    # Grids from the first empty box on go unchecked: that image is named.
+    empty = np.flatnonzero(row_end == 0)
+    k = int(empty[0]) if empty.size else n
+    norms = unit_norms(z[:k], lambda i: f"the resampled grid of image {first + i}")
+    if k < n:
+        raise NumericError(f"image {first + k}: no pixel is positive")
     z /= norms[:, None, None]
     z.flags.writeable = False
     return [AlignedRep(grid=grid) for grid in z]

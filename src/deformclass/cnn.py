@@ -133,6 +133,14 @@ def _crop_boxes(rows: np.ndarray, cols: np.ndarray):
             side)
 
 
+def check_scale_limit(xi_max: int) -> None:
+    """Reject a bank scale limit Xi that is below 1 or not an integer."""
+    if xi_max < 1:
+        raise ConfigError(f"scale limit must be >= 1, got {xi_max}")
+    if int(xi_max) != xi_max:
+        raise ConfigError(f"scale limit must be an integer, got {xi_max}")
+
+
 def build_filter_bank(f0: TemplateFunction, f1: TemplateFunction,
                       xi_max: int, d: int) -> FilterBank:
     """Sample each template at every scale pair on the grid {-Xi..Xi, step 1/d}.
@@ -152,10 +160,7 @@ def build_filter_bank(f0: TemplateFunction, f1: TemplateFunction,
     and the heap kept the freed pieces: at Xi = 2, d = 64 that build peaked
     at 218 MB RSS for a 99 MB bank, this one at 136 MB.
     """
-    if xi_max < 1:
-        raise ConfigError(f"scale limit must be >= 1, got {xi_max}")
-    if int(xi_max) != xi_max:
-        raise ConfigError(f"scale limit must be an integer, got {xi_max}")
+    check_scale_limit(xi_max)
     xi_max = int(xi_max)
     check_resolution(d)
     n = 2 * xi_max * d + 1

@@ -11,15 +11,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError
 from .model import (
     DeformParams,
     GrayImage,
     TemplateFunction,
-    check_norm,
     rasterize,  # noqa: F401 - perfbench's tracer self-test reads this binding
     rasterize_batch,
     shift_bounds,
+    unit_norms,
 )
 
 # Substream roles under the dataset seed.
@@ -124,12 +124,7 @@ def unit_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"training images must share one side length, "
                         f"got sides {sides}")
     x = np.stack([item.image.pixels for item in data.items])
-    # one norm per image, as normalize_l2 takes it, so the bits match
-    norms = np.array([np.linalg.norm(img) for img in x])
-    for i, norm in enumerate(norms):
-        check_norm(norm, f"image {i}")
-        if norm == 0.0:
-            raise NumericError(f"cannot normalize image {i}: it is all zero")
+    norms = unit_norms(x, lambda i: f"image {i}")
     return x / norms[:, None, None], np.array([item.label for item in data.items])
 
 

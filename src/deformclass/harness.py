@@ -17,12 +17,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .align import align_images, build_gallery, classify_1nn
-from .cnn import build_filter_bank, classify_bank
+from .cnn import build_filter_bank, check_scale_limit, classify_bank
 from .datagen import Dataset, DeformDistribution, generate_dataset, unit_arrays
 from .errors import ConfigError
 from .io import read_bytes, read_pgm
-from .model import (MAX_RESOLUTION, TemplateFunction, cone, cross,
-                    normalize_l2, raster_interp, tent)
+from .model import (MAX_RESOLUTION, TemplateFunction, check_resolution, cone,
+                    cross, normalize_l2, raster_interp, tent)
 from .train import ArchSpec, OptSpec, train_least_squares
 
 CLASSIFIERS = ("IAC", "IAC_FLIPS", "CNN_EXPLICIT", "CNN_TRAINED")
@@ -69,6 +69,12 @@ class ExperimentConfig:
         if self.align_m is not None and not 2 <= self.align_m <= MAX_RESOLUTION:
             raise ConfigError(f"align.m must be in [2, {MAX_RESOLUTION}], "
                               f"got {self.align_m}")
+        # Only the cap on d: a side below MIN_RESOLUTION still parses and
+        # fails in each item, as perfbench's d = 2 self-test expects.
+        if self.d > MAX_RESOLUTION:
+            check_resolution(self.d)
+        # Checked whatever the classifiers, as the other fields are.
+        check_scale_limit(self.bank_xi_max)
 
 
 @dataclass(frozen=True)

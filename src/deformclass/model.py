@@ -378,11 +378,20 @@ def rasterize_batch(f: TemplateFunction, params: Sequence[DeformParams],
 
 def normalize_l2(img: GrayImage) -> GrayImage:
     """Scale the pixel grid to unit Frobenius norm."""
-    norm = float(np.linalg.norm(img.pixels))
-    if norm == 0.0:
-        raise NumericError("cannot normalize an all-zero image")
-    check_norm(norm, f"the {img.d} x {img.d} image")
+    (norm,) = unit_norms(img.pixels[None], lambda i: f"the {img.d} x {img.d} image")
     return GrayImage(img.pixels / norm)
+
+
+def unit_norms(x: np.ndarray, name: Callable[[int], str]) -> np.ndarray:
+    """Frobenius norm of each grid of an (N, h, w) stack, one BLAS dot per
+    grid so that a grid gets the same bits alone or stacked.  The first norm,
+    in list order, that is not finite or is zero raises ``NumericError``."""
+    norms = np.array([np.linalg.norm(grid) for grid in x])
+    for i, norm in enumerate(norms):
+        check_norm(norm, name(i))
+        if norm == 0.0:
+            raise NumericError(f"cannot normalize {name(i)}: it is all zero")
+    return norms
 
 
 def check_norm(norm: float, what: str) -> None:

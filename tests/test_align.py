@@ -58,8 +58,8 @@ def align_transform_oracle(img, m=None, index=0):
     z = resample_box_oracle(img, rect_support_oracle(img, index), m)
     norm = float(np.linalg.norm(z))
     if norm == 0.0:
-        raise NumericError(f"the resampled grid of image {index} is "
-                           f"identically zero")
+        raise NumericError(f"cannot normalize the resampled grid of image "
+                           f"{index}: it is all zero")
     return AlignedRep(grid=z / norm)
 
 
@@ -409,7 +409,7 @@ class TestAlignImages:
         # Positive pixels at the edge midpoints only: m = 2 samples the four
         # zero corners of the box.
         diamond = _image([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-        zero = "the resampled grid of image 1 is identically zero"
+        zero = "cannot normalize the resampled grid of image 1: it is all zero"
         empty_support = "image 1: no pixel is positive"
         for images, message in (([good, diamond, empty], zero),
                                 ([good, empty, diamond], empty_support),
@@ -426,7 +426,7 @@ class TestAlignImages:
         # a run of another size in between keeps the count
         with pytest.raises(NumericError, match="image 2: no pixel is positive"):
             align_images([good, _image(np.ones((5, 5))), blank])
-        with pytest.raises(NumericError, match="grid of image 1 is identically zero"):
+        with pytest.raises(NumericError, match="grid of image 1: it is all zero"):
             align_images([good, diamond], 2)
 
     def test_non_finite_sample_raises(self):

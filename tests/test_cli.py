@@ -530,6 +530,20 @@ class TestBench:
             f"resolution 2 below minimum 4" for rep in (0, 1)] + [
             "2 of 2 rows failed"]
 
+    @pytest.mark.parametrize("d, xi_max, message", [
+        (5000, 2, "resolution 5000 above maximum 4096"),
+        (16, 0, "scale limit must be >= 1, got 0")])
+    def test_bad_config_exits_2_before_the_sweep(self, tmp_path, capsys,
+                                                 d, xi_max, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG.replace("experiment.d = 16\n", "")
+                       + f"experiment.d = {d}\nbank.xi_max = {xi_max}\n")
+        raw = tmp_path / "raw.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(raw)]) == 2
+        assert not raw.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {message}"]
+
     def test_iac_golden_raw_csv(self, tmp_path, capsys):
         """Both IAC classifiers on flipped data; the CSV was recorded with the
         one-query loop search and per-classifier alignment."""

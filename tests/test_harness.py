@@ -312,6 +312,13 @@ class TestConfigValidation:
                     dict(seed=-1)):
             with pytest.raises(ConfigError):
                 tiny_config(**bad)
+        # the cap on d and the bank's scale limit, whatever the classifiers
+        for bad, message in (
+                (dict(d=MAX_RESOLUTION + 1), "resolution 4097 above maximum 4096"),
+                (dict(bank_xi_max=0), "scale limit must be >= 1, got 0"),
+                (dict(bank_xi_max=-3), "scale limit must be >= 1, got -3")):
+            with pytest.raises(ConfigError, match=message):
+                tiny_config(**bad)
         assert tiny_config(align_m=MAX_RESOLUTION).align_m == MAX_RESOLUTION
 
 

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from deformclass import (
     ConfigError,
+    Dataset,
     DeformParams,
     GrayImage,
     IDENTITY,
+    LabeledImage,
     NumericError,
+    align_images,
     cone,
     cross,
     normalize_l2,
@@ -15,6 +18,7 @@ from deformclass import (
     rasterize,
     shift_bounds,
     tent,
+    unit_arrays,
 )
 from deformclass.model import _estimate_l1, nonzero_boxes
 from oracles import discrete_l2_norm, reparametrize, template_sum
@@ -348,7 +352,8 @@ class TestNorms:
         assert np.linalg.norm(out.pixels) == pytest.approx(1.0, abs=1e-12)
 
     def test_normalize_l2_zero_image(self):
-        with pytest.raises(NumericError, match="cannot normalize an all-zero image"):
+        with pytest.raises(NumericError,
+                           match="cannot normalize the 4 x 4 image: it is all zero"):
             normalize_l2(GrayImage(np.zeros((4, 4))))
 
     def test_normalize_l2_non_finite_image(self, tent_template, identity_params):
@@ -358,6 +363,52 @@ class TestNorms:
         px[3, 3] = np.inf
         with pytest.raises(NumericError, match="16 x 16 image has norm inf"):
             normalize_l2(GrayImage(px))
+
+    @settings(derandomize=True, max_examples=100)
+    @given(st.integers(2, 5), st.integers(1, 5), st.data(),
+           st.sampled_from(["nan", "inf", "zero"]), st.integers(0, 2**32 - 1))
+    def test_first_bad_grid_is_named_in_one_form(self, d, n, data, kind, seed):
+        """unit_arrays, normalize_l2 and align_images (at m = d) name the one
+        bad grid of a stack in one message form; for align_images an image
+        with no positive pixel, before or after it, is named if it comes
+        first."""
+        rng = np.random.default_rng(seed)
+        grids = list(rng.uniform(0.5, 2.0, (n, d, d)))
+        bad = data.draw(st.integers(0, n - 1), label="bad")
+        if kind == "zero":
+            grids[bad] = np.zeros((d, d))
+        else:
+            grids[bad][tuple(rng.integers(0, d, 2))] = float(kind)
+        empty = data.draw(st.none() | st.integers(0, n), label="empty")
+        if empty is not None:
+            grids.insert(empty, -rng.uniform(0.5, 2.0, (d, d)))
+            bad += empty <= bad
+        images = [GrayImage(g) for g in grids]
+
+        def form(what):
+            if kind == "zero":
+                return f"cannot normalize {what}: it is all zero"
+            return f"{what} has norm {kind}; "
+
+        def message(call):
+            with pytest.raises(NumericError) as exc:
+                call()
+            return str(exc.value)
+
+        data_set = Dataset(tuple(LabeledImage(img, 0, 0, IDENTITY)
+                                 for img in images))
+        assert message(lambda: unit_arrays(data_set)).startswith(
+            form(f"image {bad}"))
+        for img in images[:bad]:
+            normalize_l2(img)
+        assert message(lambda: normalize_l2(images[bad])).startswith(
+            form(f"the {d} x {d} image"))
+        empties = [i for i, g in enumerate(grids) if not (g > 0).any()]
+        if empties and empties[0] <= bad:
+            expected = f"image {empties[0]}: no pixel is positive"
+        else:
+            expected = form(f"the resampled grid of image {bad}")
+        assert message(lambda: align_images(images, d)).startswith(expected)
 
     def test_discrete_l2_norm_constant_grid(self):
         assert discrete_l2_norm(np.full((8, 8), 3.0)) == pytest.approx(3.0)
