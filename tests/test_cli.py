@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,57 @@ class TestGen:
         assert code == 2
         err = capsys.readouterr().err
         assert "eta_range bounds must be finite" in err and "Traceback" not in err
+
+    # Item i's parameters come from its own substream, so both sizes share
+    # the first seven rows' eta, xi, xi_prime, tau and tau_prime.
+    _GOLDEN_PARAMS = (
+        "1.1546263522806763,-1.419730327678435,-1.0630848815182252,"
+        "-0.8394796213092268,-0.9694815742211129",
+        "1.0973781617894451,1.0946759452558892,-1.2780821060406742,"
+        "0.21922207124202925,-1.0696450676558642",
+        "1.1447556251140425,-1.488949299102051,1.3262866121603722,"
+        "-1.4970616512960973,0.196671766333395",
+        "1.1064597167950538,1.0589685356172693,1.0247661779663848,"
+        "-0.06678001596193661,0.09019511609118314",
+        "0.9079859988654196,1.309993874001597,-1.160846280130157,"
+        "-0.08747762816376137,-1.2299311526149186",
+        "1.1114884545548285,-1.399280553771655,1.4424129436035749,"
+        "-1.597203043206771,-0.048972043607016486",
+        "1.024336275551199,1.2969170367823772,-1.1171069602825363,"
+        "0.18293676979048967,-1.0323255637168993",
+        "1.1550425645896671,-1.1547756021474052,1.3002653367384043,"
+        "-1.0858115202469896,0.29461444917919677",
+        "1.0120657192734368,1.2164007066301599,-1.245264414147841,"
+        "0.34145374597731215,-1.294947127144673",
+        "0.9153058439183733,-1.0930086832470223,-1.1184372475003557,"
+        "-0.9410379777087339,-0.9903124932131704",
+    )
+
+    @pytest.mark.parametrize("n, labels, pgm_sha256", [
+        # odd n: each label is a coin flip from the item's choice stream
+        (7, "1110001",
+         "85dd964c985d83131111671535b26185785870d21cbbbaf68c86ae33964c7db3"),
+        # even n: a seeded permutation of five labels of each class
+        (10, "1100001011",
+         "ea6fa63ca3697d94e9a02111a45a8ba6efb2d972bc0b99028a9c6ecf769f00be"),
+    ], ids=["n7", "n10"])
+    def test_golden_output(self, tmp_path, capsys, n, labels, pgm_sha256):
+        """The manifest text and one sha256 over the PGM bytes, in file-name
+        order, of a flipped two-template dataset."""
+        out = tmp_path / "data"
+        assert main(["gen", "--template0", "tent",
+                     "--template1", "cross:arm=0.25,taper=0.08",
+                     "--d", "24", "--seed", "5", "--eta-range", "0.8,1.2",
+                     "--xi-range", "1.0,1.5", "--flip-prob", "0.5",
+                     "--n", str(n), "--out", str(out)]) == 0
+        assert (out / "manifest.csv").read_text() == (
+            "index,label,template_index,eta,xi,xi_prime,tau,tau_prime,file\n"
+            + "".join(f"{i},{label},0,{self._GOLDEN_PARAMS[i]},item_{i:05d}.pgm\n"
+                      for i, label in enumerate(labels)))
+        digest = hashlib.sha256()
+        for path in sorted(out.glob("*.pgm")):
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == pgm_sha256
 
 
 class TestAlign:
