@@ -100,7 +100,6 @@ def sample_params(q: DeformDistribution, draw_index: int) -> DeformParams:
 class LabeledImage:
     image: GrayImage
     label: int
-    template_index: int
     params: DeformParams
 
 
@@ -135,42 +134,31 @@ def generate_dataset(templates0: Sequence[TemplateFunction],
                      d: int) -> Dataset:
     """Generate ``n`` labeled images at resolution ``d``.
 
-    Class k draws its template uniformly from ``templates<k>`` and its
-    deformation from ``q``.  An even ``n`` is balanced: exactly n/2 items
-    per class, in an order given by a seeded permutation.  An odd ``n``
-    draws each label by a fair coin flip from the item's choice stream.
-    All draws come first, item by item; then each (class, template) group
-    is rasterized as one set.
+    Each class is one template, given as a one-element sequence: class k
+    deforms ``templates<k>[0]`` by draws from ``q``.  An even ``n`` is
+    balanced: exactly n/2 items per class, in an order given by a seeded
+    permutation.  An odd ``n`` draws each label by a fair coin flip from the
+    item's choice stream.  All draws come first, item by item; then each
+    class is rasterized as one set.
     """
-    if not templates0 or not templates1:
-        raise ConfigError("both template lists must be non-empty")
+    if len(templates0) != 1 or len(templates1) != 1:
+        raise ConfigError(f"each class takes exactly one template, got "
+                          f"{len(templates0)} and {len(templates1)}")
     if n < 1:
         raise ConfigError(f"dataset size must be >= 1, got {n}")
 
-    balanced = n % 2 == 0
-    if balanced:
+    if n % 2 == 0:
         base = np.repeat([0, 1], n // 2)
         labels = base[_substream(q.seed, _STREAM_LABELS).permutation(n)]
-
-    per_class = (tuple(templates0), tuple(templates1))
-    draws = []
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        # the choice stream is built only where it can change the item: with
-        # a balanced label and one template, its draw would always be 0
-        if balanced and len(per_class[labels[i]]) == 1:
-            label, t_idx = int(labels[i]), 0
-        else:
-            chooser = _substream(q.seed, _STREAM_CHOICE, i)
-            label = int(labels[i]) if balanced else int(chooser.random() < 0.5)
-            t_idx = int(chooser.integers(len(per_class[label])))
-        draws.append((label, t_idx, sample_params(q, i)))
-        groups.setdefault((label, t_idx), []).append(i)
-    images: dict[int, GrayImage] = {}
-    for (label, t_idx), members in groups.items():
+    else:
+        labels = np.array([_substream(q.seed, _STREAM_CHOICE, i).random() < 0.5
+                           for i in range(n)], dtype=int)
+    params = [sample_params(q, i) for i in range(n)]
+    images = {}
+    for label, f in enumerate((templates0[0], templates1[0])):
+        members = np.flatnonzero(labels == label).tolist()
         images.update(zip(members, rasterize_batch(
-            per_class[label][t_idx], [draws[i][2] for i in members], d)))
+            f, [params[i] for i in members], d)))
     return Dataset(items=tuple(
-        LabeledImage(image=images[i], label=label, template_index=t_idx,
-                     params=params)
-        for i, (label, t_idx, params) in enumerate(draws)))
+        LabeledImage(image=images[i], label=int(labels[i]), params=params[i])
+        for i in range(n)))

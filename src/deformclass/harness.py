@@ -217,9 +217,14 @@ def emit_report(report: RiskReport, fmt: str = "csv", view: str = "raw") -> byte
 # Config-file parsing
 # ---------------------------------------------------------------------------
 
+_TEMPLATE_KINDS = {"tent": tent, "cone": cone, "cross": cross}
+
+
 def parse_template_spec(spec: str) -> TemplateFunction:
     """Template from a spec string like ``tent:delta=0.25`` or ``cone:radius=0.2``.
 
+    ``tent``, ``cone`` and ``cross`` pass each key=value part, at most once,
+    as a keyword to the constructor of that name, which holds the defaults.
     ``pgm:path=<file>`` reads a binary PGM and interpolates it bilinearly
     over the support box (``raster_interp``); everything after ``path=`` is
     the file name, relative to the working directory.
@@ -236,18 +241,14 @@ def parse_template_spec(spec: str) -> TemplateFunction:
             if not value:
                 raise ConfigError(f"template spec part {part!r} is not key=value")
             key = key.strip()
+            if key in kwargs:
+                raise ConfigError(f"template spec {spec!r} repeats key {key!r}")
             kwargs[key] = _num(value, f"template parameter {key!r}")
     try:
         if name == "pgm":
             return raster_interp(read_pgm(read_bytes(path)).pixels)
-        if name in ("tent", "cone"):
-            center = (kwargs.pop("cx", 0.5), kwargs.pop("cy", 0.5))
-            if name == "tent":
-                return tent(kwargs.pop("delta", 0.25), center=center, **kwargs)
-            return cone(kwargs.pop("radius", 0.2), center=center, **kwargs)
-        if name == "cross":
-            return cross(kwargs.pop("arm", 1 / 16), kwargs.pop("taper", 1 / 16),
-                         **kwargs)
+        if name in _TEMPLATE_KINDS:
+            return _TEMPLATE_KINDS[name](**kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad arguments for template {name!r}: {exc}")
     except ConfigError as exc:

@@ -166,7 +166,7 @@ def write_dataset(data: Dataset, directory: str | Path) -> Path:
         name = f"item_{i:05d}.pgm"
         write_bytes(directory / name, write_pgm(item.image, "image_max"))
         p = item.params
-        writer.writerow([i, item.label, item.template_index,
+        writer.writerow([i, item.label, 0,
                          repr(p.eta), repr(p.xi), repr(p.xi_prime),
                          repr(p.tau), repr(p.tau_prime), name])
     write_bytes(manifest, buf.getvalue().encode("utf-8"))
@@ -179,8 +179,8 @@ def read_dataset(directory: str | Path) -> Dataset:
     Rows are read by column position; blank lines are skipped.  A row with
     the wrong number of fields, a non-numeric or non-finite parameter, a
     non-integer index, label or template index, a label other than 0
-    or 1, or parameters outside the deformation model (``DeformParams``)
-    raises ``DataError``.
+    or 1, a template index other than 0, or parameters outside the
+    deformation model (``DeformParams``) raises ``DataError``.
     Images may differ in size.
     """
     directory = Path(directory)
@@ -216,14 +216,15 @@ def read_dataset(directory: str | Path) -> Dataset:
         if label not in (0, 1):
             raise DataError(
                 f"manifest row {k}: label {label} is not 0 or 1")
+        if t_idx != 0:
+            raise DataError(f"manifest row {k}: template_index {t_idx} is not 0")
         try:
             params = DeformParams(eta=eta, xi=xi, xi_prime=xi_prime, tau=tau,
                                   tau_prime=tau_prime)
         except ConfigError as exc:
             raise DataError(f"manifest row {k}: {exc}")
         img = read_pgm(read_bytes(directory / row[8]))
-        items.append(LabeledImage(image=img, label=label, template_index=t_idx,
-                                  params=params))
+        items.append(LabeledImage(image=img, label=label, params=params))
     if not items:
         raise DataError(f"manifest under {directory} lists no items")
     return Dataset(items=tuple(items))

@@ -98,14 +98,13 @@ def _check_in_box(kind: str, cx: float, cy: float, name: str, size: float) -> No
             f"{kind} support (center ({cx}, {cy}), {name} {size}) leaves the box")
 
 
-def tent(delta: float, center: tuple[float, float] = (0.5, 0.5)) -> TemplateFunction:
+def tent(delta: float = 0.25, cx: float = 0.5, cy: float = 0.5) -> TemplateFunction:
     """Pyramid bump (delta - |x - cx| - |y - cy|)_+ with unit slopes.
 
-    The support is the l1 ball of radius ``delta`` around ``center`` and
+    The support is the l1 ball of radius ``delta`` around (cx, cy) and
     must fit inside the support box.
     """
-    cx, cy = float(center[0]), float(center[1])
-    delta = float(delta)
+    cx, cy, delta = float(cx), float(cy), float(delta)
     if not delta > 0:
         raise ConfigError(f"tent needs delta > 0, got {delta}")
     _check_in_box("tent", cx, cy, "delta", delta)
@@ -116,10 +115,9 @@ def tent(delta: float, center: tuple[float, float] = (0.5, 0.5)) -> TemplateFunc
     return _template(fn, 1.0, 2.0 * delta ** 3 / 3.0, "tent")
 
 
-def cone(radius: float = 0.2, center: tuple[float, float] = (0.5, 0.5)) -> TemplateFunction:
+def cone(radius: float = 0.2, cx: float = 0.5, cy: float = 0.5) -> TemplateFunction:
     """Circular cone (radius - dist)_+ whose support is a disk."""
-    cx, cy = float(center[0]), float(center[1])
-    radius = float(radius)
+    cx, cy, radius = float(cx), float(cy), float(radius)
     if not radius > 0:
         raise ConfigError(f"cone needs radius > 0, got {radius}")
     _check_in_box("cone", cx, cy, "radius", radius)
@@ -131,15 +129,15 @@ def cone(radius: float = 0.2, center: tuple[float, float] = (0.5, 0.5)) -> Templ
     return _template(fn, 1.0, np.pi * radius ** 3 / 3.0, "cone")
 
 
-def cross(arm_halfwidth: float = 1.0 / 16.0, taper: float = 1.0 / 16.0) -> TemplateFunction:
+def cross(arm: float = 1.0 / 16.0, taper: float = 1.0 / 16.0) -> TemplateFunction:
     """Plus-shaped bump: two tapered bars through the center of the box.
 
     Each bar spans the full box in one direction with a triangular profile
-    of half-width ``arm_halfwidth`` across it, and ramps from 0 to 1 over
+    of half-width ``arm`` across it, and ramps from 0 to 1 over
     ``taper`` at the tips so the function stays Lipschitz.  The value is
     the maximum of the two bars.
     """
-    w = float(arm_halfwidth)
+    w = float(arm)
     tp = float(taper)
     if not (0 < w <= 0.25) or not (0 < tp <= 0.25):
         raise ConfigError(f"cross needs half-width and taper in (0, 1/4], got {w}, {tp}")

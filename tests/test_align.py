@@ -11,6 +11,7 @@ from deformclass import (
     DeformDistribution,
     DeformParams,
     GrayImage,
+    IDENTITY,
     NumericError,
     align_images,
     build_gallery,
@@ -179,7 +180,7 @@ class TestAlignTransform:
 class TestClassify1nn:
     def _gallery(self, d=32):
         f0 = tent(0.25)
-        f1 = tent(0.15, center=(0.45, 0.55))
+        f1 = tent(0.15, cx=0.45, cy=0.55)
         imgs, labels = [], []
         for label, f in ((0, f0), (1, f1)):
             p = DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
@@ -210,6 +211,13 @@ class TestClassify1nn:
         for flips in (False, True):
             with pytest.raises(ConfigError, match="query grid size 16 != gallery"):
                 classify_1nn(gallery, [query], flips)
+        # a hand-built gallery of 8 x 8 and 16 x 16 grids
+        image = rasterize(f0, IDENTITY, 32)
+        mixed = [(align_images([image], m=m)[0], label)
+                 for label, m in ((0, 8), (1, 16))]
+        for flips in (False, True):
+            with pytest.raises(ConfigError, match="gallery mixes grid sizes 8 and 16"):
+                classify_1nn(mixed, mixed[0][:1], flips)
 
     def test_tie_goes_to_first_entry(self):
         grid = np.zeros((4, 4))
@@ -234,8 +242,8 @@ class TestClassify1nn:
         # two unequal bumps make the template genuinely flip-asymmetric
         from oracles import template_sum
 
-        f = template_sum([tent(0.12, center=(0.4, 0.5)),
-                          tent(0.06, center=(0.65, 0.5))])
+        f = template_sum([tent(0.12, cx=0.4, cy=0.5),
+                          tent(0.06, cx=0.65, cy=0.5)])
         p_id = DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
         gallery = build_gallery([rasterize(f, p_id, d)], [0])
         flipped = DeformParams(eta=1.0, xi=-1.0, xi_prime=1.0, tau=-1.0,

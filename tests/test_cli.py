@@ -129,6 +129,14 @@ class TestGen:
         assert digest.hexdigest() == pgm_sha256
 
 
+    def test_range_needs_two_numbers_exits_2(self, tmp_path, capsys):
+        code = main(GEN_ARGS + ["--eta-range", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--eta-range needs two comma-separated numbers, got '1'" in err
+        assert "Traceback" not in err and not (tmp_path / "x").exists()
+
+
 class TestAlign:
     def test_classifies_member_image(self, dataset_dir, capsys):
         query = next(iter(sorted(dataset_dir.glob("*.pgm"))))
@@ -205,6 +213,7 @@ class TestAlign:
         lambda row: [row[0], row[1], row[2], "abc"] + row[4:],   # eta
         lambda row: [row[0], "1.5"] + row[2:],     # label
         lambda row: [row[0], "7"] + row[2:],       # label not 0 or 1
+        lambda row: row[:2] + ["-7"] + row[3:],    # template index not 0
         lambda row: row[:4] + ["0.3"] + row[5:],   # |xi| below 1/2
     ])
     def test_malformed_manifest_exits_3(self, dataset_dir, capsys, edit):
@@ -434,6 +443,21 @@ class TestSep:
             "separation: d_fg=0.321056 d_gf=0.280532 D=0.321056\n"
             "template0: gamma~1.6886 (boundary points 124, scan points 64)\n"
             "template1: gamma~1.6438 (boundary points 124, scan points 64)\n")
+
+    def test_repeated_template_parameter_exits_2(self, capsys):
+        code = main(["sep", "--template0", "tent:delta=0.25,delta=0.1",
+                     "--template1", "cone"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: template spec 'tent:delta=0.25,delta=0.1' "
+            "repeats key 'delta'\n")
+
+    def test_negative_refine_iters_exits_2(self, capsys):
+        code = main(["sep", "--template0", "tent", "--template1", "cone",
+                     "--refine-iters", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: refine_iters must be >= 0\n")
 
     def test_non_numeric_template_parameter_exits_2(self, capsys):
         code = main(["sep", "--template0", "tent:delta=abc",

@@ -105,18 +105,11 @@ class TestGenerateDataset:
                                  it.params, 16)
             assert np.array_equal(it.image.pixels, expected.pixels)
 
-    def test_multi_template_pool(self, tent_template, cross_template, mild_q):
-        pool0 = [tent_template, tent(0.2)]
-        data = generate_dataset(pool0, [cross_template], mild_q, n=30, d=16)
-        idx0 = {it.template_index for it in data.items if it.label == 0}
-        assert idx0 == {0, 1}
-
-    @pytest.mark.parametrize("pools, n, choices", [
-        ((1, 1), 10, 0),   # balanced, one template per class
-        ((2, 1), 10, 5),   # only the class-0 items pick a template
-        ((1, 1), 9, 9)])   # odd n: fair coin-flip labels
+    @pytest.mark.parametrize("n, choices", [
+        (10, 0),   # balanced: the labels are a seeded permutation
+        (9, 9)])   # odd n: fair coin-flip labels
     def test_choice_stream_only_where_it_can_change_the_item(
-            self, monkeypatch, mild_q, pools, n, choices):
+            self, monkeypatch, mild_q, n, choices):
         from deformclass import datagen
         real = datagen._substream
         keys = []
@@ -126,20 +119,21 @@ class TestGenerateDataset:
             return real(seed, *key)
 
         monkeypatch.setattr(datagen, "_substream", spy)
-        pool0, pool1 = [tent(0.25), tent(0.2)], [cross(0.25, 0.08), cone(0.2)]
-        data = generate_dataset(pool0[:pools[0]], pool1[:pools[1]], mild_q,
+        data = generate_dataset([tent(0.25)], [cross(0.25, 0.08)], mild_q,
                                 n=n, d=8)
         assert sum(key[0] == datagen._STREAM_CHOICE for key in keys) == choices
-        # every item still equals the draw of its own choice stream
+        # an odd n's label is the first draw of the item's own choice stream
         for i, it in enumerate(data.items):
             chooser = real(mild_q.seed, datagen._STREAM_CHOICE, i)
             if n % 2:
                 assert it.label == int(chooser.random() < 0.5)
-            assert it.template_index == int(chooser.integers(pools[it.label]))
 
     def test_rejects_empty_inputs(self, tent_template, mild_q):
-        with pytest.raises(ConfigError, match="template lists must be non-empty"):
-            generate_dataset([], [tent_template], mild_q, n=4, d=16)
+        for pools in (([], [tent_template]), ([tent_template, tent(0.2)],
+                                              [tent_template])):
+            with pytest.raises(ConfigError,
+                               match="each class takes exactly one template"):
+                generate_dataset(*pools, mild_q, n=4, d=16)
         with pytest.raises(ConfigError, match="dataset size must be >= 1, got 0"):
             generate_dataset([tent_template], [tent_template], mild_q, n=0, d=16)
 
@@ -152,15 +146,15 @@ def rasterize_oracle(f, p, d):
 
 
 _GLYPH = np.outer(np.hanning(9), np.hanning(7)) + 0.1
-_TEMPLATES = (tent(0.25), tent(0.12, center=(0.4, 0.6)), cone(0.22),
-              cone(0.1, center=(0.6, 0.5)), cross(0.25, 0.08), cross(),
+_TEMPLATES = (tent(0.25), tent(0.12, cx=0.4, cy=0.6), cone(0.22),
+              cone(0.1, cx=0.6, cy=0.5), cross(0.25, 0.08), cross(),
               raster_interp(_GLYPH))
 
 
-def _assert_rasters_match(data, pools, q, d):
+def _assert_rasters_match(data, templates, q, d):
     for i, it in enumerate(data.items):
         assert it.params == sample_params(q, i)
-        f = pools[it.label][it.template_index]
+        f = templates[it.label]
         expected = rasterize_oracle(f, it.params, d)
         assert it.image.pixels.tobytes() == expected.tobytes()
         assert np.array_equal(it.image.pixels, rasterize(f, it.params, d).pixels)
@@ -169,22 +163,20 @@ def _assert_rasters_match(data, pools, q, d):
 class TestBlockRasterizing:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
            d=st.integers(4, 20), flip_prob=st.sampled_from([0.0, 0.5]),
-           pool0=st.lists(st.sampled_from(_TEMPLATES), min_size=1, max_size=3),
-           pool1=st.lists(st.sampled_from(_TEMPLATES), min_size=1, max_size=3))
-    def test_equals_per_item_rasterize(self, seed, n, d, flip_prob,
-                                       pool0, pool1):
+           f0=st.sampled_from(_TEMPLATES), f1=st.sampled_from(_TEMPLATES))
+    def test_equals_per_item_rasterize(self, seed, n, d, flip_prob, f0, f1):
         q = DeformDistribution(eta_range=(0.5, 1.5), xi_range=(0.6, 1.8),
                                flip_prob=flip_prob, seed=seed)
-        data = generate_dataset(pool0, pool1, q, n, d)
-        _assert_rasters_match(data, (pool0, pool1), q, d)
+        data = generate_dataset([f0], [f1], q, n, d)
+        _assert_rasters_match(data, (f0, f1), q, d)
 
     def test_groups_larger_than_a_block(self):
-        pools = ([_TEMPLATES[2]], [_TEMPLATES[4], _TEMPLATES[6]])
+        templates = (_TEMPLATES[2], _TEMPLATES[6])
         q = DeformDistribution(eta_range=(0.8, 1.2), xi_range=(1.0, 1.5),
                                flip_prob=0.5, seed=11)
         for n in (300, 151):
-            _assert_rasters_match(generate_dataset(*pools, q, n, 12),
-                                  pools, q, 12)
+            data = generate_dataset([templates[0]], [templates[1]], q, n, 12)
+            _assert_rasters_match(data, templates, q, 12)
 
     def test_checks_each_draw_once(self, monkeypatch, tent_template, mild_q):
         # q checked itself when the fixture built it; each draw is checked

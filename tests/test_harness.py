@@ -98,7 +98,7 @@ def assert_same_template(f, g):
 class TestTemplateSpec:
     def test_tent_with_center(self):
         f = parse_template_spec("tent:delta=0.2,cx=0.45,cy=0.55")
-        assert_same_template(f, tent(0.2, center=(0.45, 0.55)))
+        assert_same_template(f, tent(0.2, cx=0.45, cy=0.55))
 
     def test_bare_names_use_defaults(self):
         assert_same_template(parse_template_spec("tent"), tent(0.25))
@@ -110,6 +110,11 @@ class TestTemplateSpec:
                     "tent:delta=abc", "tent:delta=nan", "cone:radius=nan",
                     "tent:cx=nan", "cone:cy=nan"):
             with pytest.raises(ConfigError):
+                parse_template_spec(bad)
+        for bad, key in (("tent:delta=0.25,delta=0.1", "delta"),
+                         ("cross:arm=0.2,arm=0.1", "arm"),
+                         ("cone:cx=0.4, cx=0.4", "cx")):
+            with pytest.raises(ConfigError, match=f"repeats key '{key}'"):
                 parse_template_spec(bad)
 
 
@@ -216,6 +221,10 @@ class TestParseConfig:
                                                 "experiment.d = many"))
         with pytest.raises(ConfigError, match="align.m"):
             parse_config(MINIMAL_CONFIG + "align.m = 1\n")
+        with pytest.raises(ConfigError, match="q.eta_range needs two "
+                                              "comma-separated numbers, got '1'"):
+            parse_config(MINIMAL_CONFIG.replace("q.eta_range = 0.8,1.2",
+                                                "q.eta_range = 1"))
 
     def test_infinite_temperature_rejected(self):
         with pytest.raises(ConfigError, match="temperature must be positive and finite"):

@@ -163,7 +163,6 @@ class TestDatasetManifest:
                 == [it.image.d for it in pgm_safe_dataset.items])
         for orig, got in zip(pgm_safe_dataset.items, back.items):
             assert got.label == orig.label
-            assert got.template_index == orig.template_index
             # repr round trip keeps the parameters exact
             assert got.params.eta == orig.params.eta
             assert got.params.xi == orig.params.xi
@@ -220,6 +219,10 @@ class TestDatasetManifest:
          "label '1.0' is not an integer"),
         ("x,1,0,1.0,1.0,1.0,0.0,0.0,item_00000.pgm", "index 'x' is not"),
         ("0,1,,1.0,1.0,1.0,0.0,0.0,item_00000.pgm", "template_index '' is not"),
+        ("0,1,-7,1.0,1.0,1.0,0.0,0.0,item_00000.pgm",
+         "row 1: template_index -7 is not 0"),
+        ("0,1,1,1.0,1.0,1.0,0.0,0.0,item_00000.pgm",
+         "row 1: template_index 1 is not 0"),
         ("0,1,0,nan,1.0,1.0,0.0,0.0,item_00000.pgm", "eta 'nan' is not finite"),
         ("0,1,0,1.0,inf,1.0,0.0,0.0,item_00000.pgm", "xi 'inf' is not finite"),
         ("0,1,0,1.0,1.0,-inf,0.0,0.0,item_00000.pgm",

@@ -62,7 +62,7 @@ class TestTemplates:
         with pytest.raises(ConfigError, match="delta 0.3\\) leaves the box"):
             tent(0.3)
         with pytest.raises(ConfigError, match="center \\(0.7, 0.5\\).* leaves the box"):
-            tent(0.2, center=(0.7, 0.5))
+            tent(0.2, cx=0.7, cy=0.5)
         with pytest.raises(ConfigError, match="tent needs delta > 0, got -0.1"):
             tent(-0.1)
 
@@ -71,16 +71,16 @@ class TestTemplates:
         box = "leaves the box"
         for make, match in ((lambda: tent(nan), "tent needs delta > 0, got nan"),
                             (lambda: cone(nan), "cone needs radius > 0, got nan"),
-                            (lambda: tent(0.2, center=(nan, 0.5)), box),
-                            (lambda: tent(0.2, center=(0.5, nan)), box),
-                            (lambda: cone(0.2, center=(nan, 0.5)), box)):
+                            (lambda: tent(0.2, cx=nan, cy=0.5), box),
+                            (lambda: tent(0.2, cx=0.5, cy=nan), box),
+                            (lambda: cone(0.2, cx=nan, cy=0.5), box)):
             with pytest.raises(ConfigError, match=match):
                 make()
 
     def test_tent_boundary_tolerance(self):
         # 0.53 + 0.22 lands a hair above 0.75 in binary floats; the
         # constructor must not reject an exactly admissible shape for that.
-        tent(0.22, center=(0.47, 0.53))
+        tent(0.22, cx=0.47, cy=0.53)
 
     def test_cone_values(self):
         f = cone(0.2)
@@ -284,6 +284,13 @@ class TestDeformParams:
         with pytest.raises(ConfigError, match="tau=0.3 outside admissible"):
             DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.3, tau_prime=0.0)
 
+    @pytest.mark.parametrize("field", ["eta", "xi", "xi_prime", "tau", "tau_prime"])
+    def test_non_finite_field(self, field):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError,
+                               match="deformation parameters must be finite"):
+                DeformParams(**{**vars(IDENTITY), field: value})
+
 
 class TestGrayImage:
     def test_square_only(self):
@@ -295,6 +302,8 @@ class TestGrayImage:
     def test_single_pixel_allowed(self):
         img = GrayImage(np.array([[0.5]]))
         assert img.d == 1
+        with pytest.raises(ConfigError, match="image must have at least one pixel"):
+            GrayImage(np.zeros((0, 0)))
 
     def test_pixels_frozen(self):
         img = GrayImage(np.zeros((4, 4)))
@@ -395,7 +404,7 @@ class TestNorms:
                 call()
             return str(exc.value)
 
-        data_set = Dataset(tuple(LabeledImage(img, 0, 0, IDENTITY)
+        data_set = Dataset(tuple(LabeledImage(img, 0, IDENTITY)
                                  for img in images))
         assert message(lambda: unit_arrays(data_set)).startswith(
             form(f"image {bad}"))

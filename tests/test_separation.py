@@ -65,6 +65,8 @@ class TestSearchConfig:
             SearchConfig(coarse_step=0.0)
         with pytest.raises(ConfigError, match="quadrature resolutions must be >= 16"):
             SearchConfig(quadrature=0)
+        with pytest.raises(ConfigError, match="refine_iters must be >= 0"):
+            SearchConfig(refine_iters=-1)
 
     @pytest.mark.parametrize("kwargs", [{"xi_max": 1e308}, {"coarse_step": 1e-300},
                                         {"xi_max": 50.5}])
@@ -100,6 +102,15 @@ class TestSeparationOracles:
         res = estimate_separation(tent_template, cross_template, FAST)
         assert 0.26 <= res.d_max <= 0.33
         assert res.d_fg >= 0 and res.d_gf >= 0
+
+    def test_scale_without_a_lattice_shift_is_skipped(self, tent_template,
+                                                      cross_template):
+        # At q = 33 no multiple of 0.5/33 is an admissible shift for |b| = 1/2,
+        # so the coarse scan skips that scale and the search goes on.
+        assert _axis_plan(0.5, 33) is None and _axis_plan(-0.5, 33) is None
+        res = estimate_separation(tent_template, cross_template, SearchConfig(
+            coarse_step=0.25, refine_iters=2, quadrature=64, coarse_quadrature=33))
+        assert (res.d_fg, res.d_gf) == pytest.approx((0.319648, 0.327152), abs=1e-6)
 
     def test_best_tuple_reproduces_distance(self, tent_template, cross_template):
         res = estimate_separation(tent_template, cross_template, FAST)
@@ -184,7 +195,7 @@ def _templates(draw):
     center = (0.5, 0.5)
     if draw(st.booleans()):
         center = tuple(draw(st.floats(0.25 + size, 0.75 - size)) for _ in range(2))
-    return (tent if kind == "tent" else cone)(size, center=center)
+    return (tent if kind == "tent" else cone)(size, *center)
 
 
 @st.composite
@@ -233,8 +244,8 @@ GOLDEN_PAIRS = {
     "tent-cone": (tent(0.2), cone(0.2)),
     "cone-tent": (cone(0.22), tent(0.25)),
     "cross-cone": (cross(0.25, 0.08), cone(0.22)),
-    "tent-cone-off-center": (tent(0.15, center=(0.42, 0.55)),
-                             cone(0.15, center=(0.58, 0.45))),
+    "tent-cone-off-center": (tent(0.15, cx=0.42, cy=0.55),
+                             cone(0.15, cx=0.58, cy=0.45)),
     "raster-cone": (raster_interp(np.random.default_rng(3).uniform(0.0, 1.0, (7, 5))),
                     cone(0.2)),
 }

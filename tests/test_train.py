@@ -328,9 +328,15 @@ class TestTraining:
         assert np.array_equal(a.params, b.params)
         assert a.loss_history == b.loss_history
 
+    def test_empty_dataset_is_a_data_error(self, small_dataset):
+        with pytest.raises(DataError, match="the dataset holds no images"):
+            unit_arrays(replace(small_dataset, items=()))
+        with pytest.raises(DataError, match="cannot train on an empty dataset"):
+            train_least_squares(np.zeros((0, 16, 16)), np.zeros(0), SMALL_ARCH)
+
     def test_mixed_sizes_are_a_data_error(self, small_dataset):
         small = LabeledImage(image=GrayImage(np.eye(12)), label=0,
-                             template_index=0, params=IDENTITY)
+                             params=IDENTITY)
         data = replace(small_dataset, items=small_dataset.items + (small,))
         with pytest.raises(DataError, match=r"one side length, got sides \[12, 16\]"):
             unit_arrays(data)
