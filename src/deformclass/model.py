@@ -140,7 +140,7 @@ def cross(arm: float = 1.0 / 16.0, taper: float = 1.0 / 16.0) -> TemplateFunctio
     w = float(arm)
     tp = float(taper)
     if not (0 < w <= 0.25) or not (0 < tp <= 0.25):
-        raise ConfigError(f"cross needs half-width and taper in (0, 1/4], got {w}, {tp}")
+        raise ConfigError(f"cross needs arm and taper in (0, 1/4], got {w}, {tp}")
 
     def bar(long_c, wide_c):
         # Clip before dividing: the quotient is the same double, and a

@@ -155,7 +155,7 @@ class TestTemplates:
         assert f(0.5, 0.35) == pytest.approx(1.0)
         assert f(0.5, 0.3) == pytest.approx(0.8)
         assert f(0.3, 0.3) == 0.0
-        with pytest.raises(ConfigError, match="half-width and taper in"):
+        with pytest.raises(ConfigError, match="arm and taper in"):
             cross(0.3, 0.1)
 
     def test_templates_vanish_outside_unit_square(self):
