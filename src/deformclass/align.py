@@ -16,28 +16,20 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .model import (IMAGE_BLOCK, MAX_RESOLUTION, GrayImage, mask_spans,
-                    unit_norms)
+                    square_grid, unit_norms)
 
 
 @dataclass(frozen=True)
 class AlignedRep:
     """Support-aligned resampled grid with unit Frobenius norm.
 
-    The grid must be square, m x m with m >= 2.  A read-only float array is
-    kept as given; any other grid is copied and frozen.
+    The grid is m x m with m >= 2, held as ``model.square_grid`` returns it.
     """
 
     grid: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 2:
-            raise ConfigError(f"aligned grid must be m x m with m >= 2, "
-                              f"got shape {g.shape}")
-        if g.flags.writeable:
-            g = g.copy()
-            g.flags.writeable = False
-        object.__setattr__(self, "grid", g)
+        object.__setattr__(self, "grid", square_grid(self.grid, "aligned grid", 2))
 
     @property
     def m(self) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import sys
+from pathlib import Path
 
 from .align import align_images, build_gallery, classify_1nn
 from .cnn import build_filter_bank, check_temperature, classify_bank
@@ -228,6 +229,10 @@ def _cmd_bench(args) -> int:
     for path in (args.out, args.aggregate_out):
         if path:
             check_output_dir(path)
+    if (args.out and args.aggregate_out
+            and Path(args.out).resolve() == Path(args.aggregate_out).resolve()):
+        raise ConfigError(f"--out and --aggregate-out name the same file, "
+                          f"{args.out}")
     try:
         text = read_bytes(args.config).decode("utf-8")
     except (DataError, UnicodeDecodeError) as exc:

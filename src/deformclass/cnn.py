@@ -40,8 +40,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
-from .model import (SUPPORT_HI, SUPPORT_LO, GrayImage, TemplateFunction,
-                    check_norm, check_resolution, mask_spans, nonzero_boxes)
+from .model import (MAX_BANK_BYTES, SUPPORT_HI, SUPPORT_LO, GrayImage,
+                    TemplateFunction, check_norm, check_resolution, mask_spans,
+                    nonzero_boxes, square_grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +114,8 @@ class FilterBank:
         w = w / norm
         (r0,), (c0,), (side,) = _crop_boxes(w.any(axis=1)[None],
                                             w.any(axis=0)[None])
-        crop = w[r0: r0 + side, c0: c0 + side].copy()
-        crop.flags.writeable = False
-        return Filter(crop, meta)
+        return Filter(square_grid(w[r0: r0 + side, c0: c0 + side],
+                                  "filter crop", 1), meta)
 
 
 def _crop_boxes(rows: np.ndarray, cols: np.ndarray):
@@ -159,6 +159,9 @@ def build_filter_bank(f0: TemplateFunction, f1: TemplateFunction,
     and concatenating them instead held the pieces and the stacks at once,
     and the heap kept the freed pieces: at Xi = 2, d = 64 that build peaked
     at 218 MB RSS for a 99 MB bank, this one at 136 MB.
+
+    Before either pass, a bank whose float32 rows may take more than
+    ``MAX_BANK_BYTES`` raises ConfigError.
     """
     check_scale_limit(xi_max)
     xi_max = int(xi_max)
@@ -168,6 +171,16 @@ def build_filter_bank(f0: TemplateFunction, f1: TemplateFunction,
     args = scales[:, None] * (np.arange(1, d + 1) / d)[None, :]
     band = (args >= SUPPORT_LO) & (args <= SUPPORT_HI)
     live = band.any(axis=1)
+    # A live pair's crop side is at most the longer in-band run L of its two
+    # scales, so the float32 rows of both classes take at most 8 * sum over
+    # live pairs of max(L_i, L_j)^2 bytes; sorted, the k-th run is the
+    # longer one in 2k + 1 ordered pairs.
+    runs = np.sort(band[live].sum(axis=1)).astype(float)
+    bound = 8 * float(runs ** 2 @ (2 * np.arange(runs.size) + 1))
+    if bound > MAX_BANK_BYTES:
+        raise ConfigError(f"the filter bank at Xi = {xi_max}, d = {d} may take "
+                          f"{bound / 2 ** 30:.1f} GiB, above the "
+                          f"{MAX_BANK_BYTES // 2 ** 30} GiB cap")
 
     # Each live first scale fills the in-band samples of one (d, partners*d)
     # block that holds the grids of all live partner scales side by side;

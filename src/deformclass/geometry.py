@@ -53,7 +53,8 @@ def _signed_area(pts: np.ndarray) -> float:
 
 
 def trace_boundary(mask: np.ndarray) -> BoundaryCurve:
-    """Trace the outer boundary of a single 4-connected pixel component.
+    """Trace the outer boundary of a single 4-connected pixel component of
+    a square d x d mask; any other shape raises ConfigError.
 
     Cell (row r, col c), 0-based, is treated as the unit box centered at
     ((r+1)/d, (c+1)/d) with side 1/d.  Directed boundary edges keep the
@@ -66,8 +67,8 @@ def trace_boundary(mask: np.ndarray) -> BoundaryCurve:
     returned.
     """
     m = np.asarray(mask, dtype=bool)
-    if m.ndim != 2:
-        raise ConfigError(f"mask must be 2D, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ConfigError(f"mask must be square and 2-D, got shape {m.shape}")
     if not m.any():
         raise NumericError("mask has no true cells")
 

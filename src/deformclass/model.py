@@ -28,6 +28,11 @@ SUPPORT_HI = 0.75
 MIN_RESOLUTION = 4
 MAX_RESOLUTION = 4096
 
+# Largest explicit filter bank, in bytes of its float32 rows, that
+# cnn.build_filter_bank builds; the tent/cross bank at Xi = 2 bounds at
+# 101 MiB for d = 64 and 507 MiB for d = 96.
+MAX_BANK_BYTES = 4 * 2 ** 30
+
 # Images per vectorized block when rasterizing or aligning a set; bounds
 # the size of the temporary stacks.
 IMAGE_BLOCK = 64
@@ -312,6 +317,20 @@ def nonzero_boxes(x: np.ndarray) -> tuple[np.ndarray, ...]:
     return (*mask_spans(nz.any(axis=2)), *mask_spans(nz.any(axis=1)))
 
 
+def square_grid(grid, what: str, min_side: int) -> np.ndarray:
+    """``grid`` as a read-only float array, square with side >= ``min_side``
+    (ConfigError otherwise).  A read-only float array is kept as given; any
+    other grid is copied and frozen."""
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < min_side:
+        raise ConfigError(f"{what} must be square with side >= {min_side}, "
+                          f"got shape {g.shape}")
+    if g.flags.writeable:
+        g = g.copy()
+        g.flags.writeable = False
+    return g
+
+
 @dataclass(frozen=True)
 class GrayImage:
     """Square pixel grid; index [j-1, l-1] holds the sample at (j/d, l/d)."""
@@ -319,14 +338,7 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=float)
-        if px.ndim != 2 or px.shape[0] != px.shape[1]:
-            raise ConfigError(f"image must be square, got shape {px.shape}")
-        if px.shape[0] < 1:
-            raise ConfigError("image must have at least one pixel")
-        px = px.copy()
-        px.flags.writeable = False
-        object.__setattr__(self, "pixels", px)
+        object.__setattr__(self, "pixels", square_grid(self.pixels, "image", 1))
 
     @property
     def d(self) -> int:
@@ -359,7 +371,8 @@ def rasterize_batch(f: TemplateFunction, params: Sequence[DeformParams],
     """``rasterize(f, p, d)`` for every p in ``params``.
 
     ``f`` is evaluated once per block of at most ``IMAGE_BLOCK`` images, on
-    one (block, d, 1) array of x and one (block, 1, d) array of y.
+    one (block, d, 1) array of x and one (block, 1, d) array of y; the block
+    is frozen, and its images are read-only views of it.
     """
     check_resolution(d)
     t = np.arange(1, d + 1) / d
@@ -370,6 +383,7 @@ def rasterize_batch(f: TemplateFunction, params: Sequence[DeformParams],
         eta, xi, xi_p, tau, tau_p = block.T[:, :, None]  # each (block, 1)
         grids = eta[:, :, None] * f.fn((xi * t - tau)[:, :, None],
                                        (xi_p * t - tau_p)[:, None, :])
+        grids.flags.writeable = False
         images.extend(GrayImage(grid) for grid in grids)
     return images
 

@@ -468,5 +468,6 @@ class TestAlignedRep:
 
     @pytest.mark.parametrize("shape", [(3, 5), (16,), (2, 2, 2), (1, 1), (0, 0)])
     def test_grid_must_be_square_with_side_at_least_2(self, shape):
-        with pytest.raises(ConfigError, match="m x m"):
+        with pytest.raises(ConfigError,
+                           match="aligned grid must be square with side >= 2"):
             AlignedRep(grid=np.ones(shape))

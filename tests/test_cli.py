@@ -308,6 +308,17 @@ class TestCnn:
         assert captured.err == "config error: resolution 2 below minimum 4\n"
         assert "label=" not in captured.out
 
+    def test_bank_above_the_size_cap_exits_2(self, tmp_path, capsys):
+        query = tmp_path / "big.pgm"
+        query.write_bytes(write_pgm(GrayImage(np.full((96, 96), 0.5))))
+        code = main(["cnn", "bank", *GEN_ARGS[1:5], "--image", str(query),
+                     "--xi-max", "100"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: the filter bank at Xi = 100, "
+                                "d = 96 may take 39.6 GiB, above the 4 GiB cap\n")
+        assert captured.out == ""
+
     def test_train_then_classify(self, dataset_dir, tmp_path, capsys):
         ckpt = tmp_path / "net.ckpt"
         code = main(["cnn", "train", "--data", str(dataset_dir),
@@ -628,6 +639,37 @@ class TestBench:
         assert not raw.exists()
         assert capsys.readouterr().err.splitlines() == [
             f"config error: {message}"]
+
+    def test_bank_above_the_size_cap_exits_2_before_the_sweep(self, tmp_path,
+                                                              capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG.replace("experiment.d = 16\n", "")
+                       + "experiment.d = 96\n"
+                       "experiment.classifiers = CNN_EXPLICIT\n"
+                       "bank.xi_max = 100\n")
+        raw = tmp_path / "raw.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(raw)]) == 2
+        assert not raw.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: the filter bank at Xi = 100, d = 96 may take "
+            "39.6 GiB, above the 4 GiB cap"]
+
+    def test_one_file_for_both_reports_exits_2(self, tmp_path, capsys,
+                                               monkeypatch):
+        def unreachable(cfg):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_experiment", unreachable)
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG)
+        (tmp_path / "sub").mkdir()
+        code = main(["bench", "--config", str(cfg), "--out", "x.csv",
+                     "--aggregate-out", str(tmp_path / "sub" / ".." / "x.csv")])
+        assert code == 2
+        assert not (tmp_path / "x.csv").exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: --out and --aggregate-out name the same file, x.csv"]
 
     def test_iac_golden_raw_csv(self, tmp_path, capsys):
         """Both IAC classifiers on flipped data; the CSV was recorded with the

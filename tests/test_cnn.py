@@ -316,6 +316,23 @@ class TestBuildFilterBank:
         with pytest.raises(ConfigError, match="scale limit must be an integer"):
             build_filter_bank(tent_template, tent_template, 1.5, 8)
 
+    def test_bank_above_the_size_cap_is_refused_before_building(self):
+        with pytest.raises(ConfigError, match=r"the filter bank at Xi = 100, "
+                           r"d = 96 may take 39\.6 GiB, above the 4 GiB cap"):
+            build_filter_bank(tent(), cross(0.25, 0.08), 100, 96)
+
+    @pytest.mark.parametrize("xi_max, d", [(1, 16), (2, 16), (3, 24)])
+    @pytest.mark.parametrize("templates", [(tent(0.25), cross(0.25, 0.08)),
+                                           (tent(0.22), cone(0.2))],
+                             ids=["tent-cross", "tent-cone"])
+    def test_size_bound_covers_the_built_rows(self, monkeypatch, templates,
+                                              xi_max, d):
+        bank = build_filter_bank(*templates, xi_max, d)
+        rows = sum(stack.nbytes for stack in bank.stacks.values())
+        monkeypatch.setattr(cnn, "MAX_BANK_BYTES", rows - 1)
+        with pytest.raises(ConfigError, match="above the 0 GiB cap"):
+            build_filter_bank(*templates, xi_max, d)
+
 
 # Templates for build comparisons: the analytic ones and a small raster,
 # whose bilinear samples are not symmetric in either argument.

@@ -45,8 +45,8 @@ def trace_boundary_two_pass(mask):
     """Reference: a flood fill counts the components, then a per-cell loop
     lists the boundary edges that ``trace_boundary`` finds with array ops."""
     m = np.asarray(mask, dtype=bool)
-    if m.ndim != 2:
-        raise ConfigError(f"mask must be 2D, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ConfigError(f"mask must be square and 2-D, got shape {m.shape}")
     if not m.any():
         raise NumericError("mask has no true cells")
     if component_count(m) > 1:
@@ -126,10 +126,10 @@ def assert_same_trace(mask):
 
 @st.composite
 def masks(draw):
-    """Random masks up to 12 x 12: either independent cells at a drawn
-    density (mostly several components), or a 4-connected random walk with
-    cells punched out of it (one component, often with holes)."""
-    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    """Random square masks up to 12 x 12: either independent cells at a
+    drawn density (mostly several components), or a 4-connected random walk
+    with cells punched out of it (one component, often with holes)."""
+    rows = cols = draw(st.integers(1, 12))
     if draw(st.booleans()):
         cells = draw(st.lists(st.booleans(), min_size=rows * cols,
                               max_size=rows * cols))
@@ -218,8 +218,10 @@ class TestTraceBoundary:
         two[0, 0] = two[3, 3] = True
         with pytest.raises(NumericError, match="not 4-connected"):
             trace_boundary(two)
-        with pytest.raises(ConfigError, match="mask must be 2D"):
-            trace_boundary(np.ones(5, dtype=bool))
+        for shape in [(5,), (4, 8)]:
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"mask must be square and 2-D, got shape {shape}")):
+                trace_boundary(np.ones(shape, dtype=bool))
 
     @settings(max_examples=300)
     @given(masks())
@@ -245,7 +247,7 @@ class TestTraceBoundary:
         assert_same_trace(mask)
 
     def test_blob_with_two_holes(self):
-        mask = np.zeros((7, 9), dtype=bool)
+        mask = np.zeros((9, 9), dtype=bool)
         mask[1:6, 1:8] = True
         mask[3, 2] = mask[3, 6] = False
         pts = trace_boundary(mask).points

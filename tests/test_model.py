@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from deformclass import (
     ConfigError,
     Dataset,
+    DeformDistribution,
     DeformParams,
     GrayImage,
     IDENTITY,
@@ -16,6 +17,8 @@ from deformclass import (
     normalize_l2,
     raster_interp,
     rasterize,
+    rasterize_batch,
+    sample_params,
     shift_bounds,
     tent,
     unit_arrays,
@@ -294,15 +297,18 @@ class TestDeformParams:
 
 class TestGrayImage:
     def test_square_only(self):
-        with pytest.raises(ConfigError, match=r"must be square, got shape \(2, 3\)"):
+        with pytest.raises(ConfigError, match=r"image must be square with side >= 1, "
+                                              r"got shape \(2, 3\)"):
             GrayImage(np.zeros((2, 3)))
-        with pytest.raises(ConfigError, match=r"must be square, got shape \(4,\)"):
+        with pytest.raises(ConfigError, match=r"image must be square with side >= 1, "
+                                              r"got shape \(4,\)"):
             GrayImage(np.zeros(4))
 
     def test_single_pixel_allowed(self):
         img = GrayImage(np.array([[0.5]]))
         assert img.d == 1
-        with pytest.raises(ConfigError, match="image must have at least one pixel"):
+        with pytest.raises(ConfigError, match=r"image must be square with side >= 1, "
+                                              r"got shape \(0, 0\)"):
             GrayImage(np.zeros((0, 0)))
 
     def test_pixels_frozen(self):
@@ -310,12 +316,36 @@ class TestGrayImage:
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1.0
 
+    def test_read_only_float_grid_is_kept_without_copy(self):
+        px = np.arange(9.0).reshape(3, 3)
+        px.flags.writeable = False
+        assert np.shares_memory(GrayImage(px).pixels, px)
+
+    def test_writeable_grid_is_copied(self):
+        px = np.ones((3, 3))
+        img = GrayImage(px)
+        px[0, 0] = 5.0
+        assert not np.shares_memory(img.pixels, px)
+        assert img.pixels[0, 0] == 1.0
+
     def test_support_mask(self):
         img = GrayImage(np.array([[0.0, 0.2], [0.1, 0.0]]))
         assert img.support_mask().sum() == 2
 
 
 class TestRasterize:
+    @pytest.mark.parametrize("template", [tent(0.25), cross(0.25, 0.08)],
+                             ids=["tent", "cross"])
+    def test_batch_images_are_views_of_one_frozen_block(self, template):
+        q = DeformDistribution(eta_range=(0.8, 1.2), xi_range=(1.0, 1.5),
+                               flip_prob=0.5, seed=3)
+        params = [sample_params(q, i) for i in range(10)]
+        images = rasterize_batch(template, params, 16)
+        block = images[0].pixels.base
+        assert block is not None and not block.flags.writeable
+        assert all(img.pixels.base is block for img in images)
+        for img, p in zip(images, params):
+            assert np.array_equal(img.pixels, rasterize(template, p, 16).pixels)
     def test_minimum_resolution(self, tent_template, identity_params):
         with pytest.raises(ConfigError, match="resolution 3 below minimum 4"):
             rasterize(tent_template, identity_params, 3)
