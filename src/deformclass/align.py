@@ -36,6 +36,15 @@ class AlignedRep:
         return self.grid.shape[0]
 
 
+def check_grid_side(m: int, what: str = "resample grid") -> None:
+    """Reject an alignment grid side ``m`` below 2 or above
+    ``MAX_RESOLUTION``, before any grid is allocated; ``what`` names the
+    setting in the message."""
+    if not 2 <= m <= MAX_RESOLUTION:
+        raise ConfigError(f"{what} needs m >= 2 and m <= {MAX_RESOLUTION}, "
+                          f"got {m}")
+
+
 def align_images(images: Sequence[GrayImage], m: int | None = None
                  ) -> list[AlignedRep]:
     """Align every image: crop to the box of its positive pixels, resample
@@ -76,9 +85,7 @@ def _align_block(images: Sequence[GrayImage], m: int,
                  first: int) -> list[AlignedRep]:
     """``align_images`` on images that share one resolution; ``first`` is
     the list index of the first of them."""
-    if not 2 <= m <= MAX_RESOLUTION:
-        raise ConfigError(f"resample grid needs m >= 2 and m <= "
-                          f"{MAX_RESOLUTION}, got {m}")
+    check_grid_side(m)
     px = np.stack([img.pixels for img in images])
     n = len(px)
     mask = px > 0

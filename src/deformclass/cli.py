@@ -19,7 +19,7 @@ import ctypes
 import sys
 from pathlib import Path
 
-from .align import align_images, build_gallery, classify_1nn
+from .align import align_images, build_gallery, check_grid_side, classify_1nn
 from .cnn import build_filter_bank, check_temperature, classify_bank
 from .datagen import DeformDistribution, generate_dataset, unit_arrays
 from .errors import ConfigError, DataError, NumericError
@@ -157,6 +157,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_align(args) -> int:
+    if args.m is not None:
+        check_grid_side(args.m)
     data = read_dataset(args.gallery)
     gallery = build_gallery([it.image for it in data.items],
                             [it.label for it in data.items], m=args.m)

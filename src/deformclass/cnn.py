@@ -42,7 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError
 from .model import (MAX_BANK_BYTES, SUPPORT_HI, SUPPORT_LO, GrayImage,
                     TemplateFunction, check_norm, check_resolution, mask_spans,
-                    nonzero_boxes, square_grid)
+                    square_grid, support_canvas)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,31 +166,37 @@ def build_filter_bank(f0: TemplateFunction, f1: TemplateFunction,
     check_scale_limit(xi_max)
     xi_max = int(xi_max)
     check_resolution(d)
-    n = 2 * xi_max * d + 1
-    scales = (np.arange(n) - xi_max * d) / d
-    args = scales[:, None] * (np.arange(1, d + 1) / d)[None, :]
+    # Scale m/d samples its template at m j / d^2, j = 1..d, so only the
+    # offsets m = 1..3d^2/4 can reach the band [1/4, 3/4]: the arrays below
+    # do not grow with Xi, and the cap refuses a bank before anything does.
+    # Offset m is index Xi d + m of the scale grid.
+    offsets = np.arange(1, min(xi_max * d, -(-3 * d * d // 4) + 1) + 1)
+    args = (offsets / d)[:, None] * (np.arange(1, d + 1) / d)[None, :]
     band = (args >= SUPPORT_LO) & (args <= SUPPORT_HI)
-    live = band.any(axis=1)
+    in_band = band.any(axis=1)
+    args, band = args[in_band], band[in_band]
     # A live pair's crop side is at most the longer in-band run L of its two
     # scales, so the float32 rows of both classes take at most 8 * sum over
     # live pairs of max(L_i, L_j)^2 bytes; sorted, the k-th run is the
     # longer one in 2k + 1 ordered pairs.
-    runs = np.sort(band[live].sum(axis=1)).astype(float)
+    runs = np.sort(band.sum(axis=1)).astype(float)
     bound = 8 * float(runs ** 2 @ (2 * np.arange(runs.size) + 1))
     if bound > MAX_BANK_BYTES:
         raise ConfigError(f"the filter bank at Xi = {xi_max}, d = {d} may take "
                           f"{bound / 2 ** 30:.1f} GiB, above the "
                           f"{MAX_BANK_BYTES // 2 ** 30} GiB cap")
+    live = np.zeros(2 * xi_max * d + 1, dtype=bool)
+    live[xi_max * d + offsets[in_band]] = True
 
     # Each live first scale fills the in-band samples of one (d, partners*d)
     # block that holds the grids of all live partner scales side by side;
     # arguments grow along a positive scale, so each band is one run.
-    y_args = args[live].ravel()
-    y_band = np.flatnonzero(band[live].ravel())
+    y_args = args.ravel()
+    y_band = np.flatnonzero(band.ravel())
     block = np.zeros((d, y_args.size))
     firsts = [(k, f, x_args, int(rows.argmax()), int(rows.argmax() + rows.sum()))
               for k, f in enumerate((f0, f1))
-              for x_args, rows in zip(args[live], band[live])]
+              for x_args, rows in zip(args, band)]
     # Plan: each live filter's norm and crop box, grouped by stack, and the
     # stack rows each group goes to.  Only rows lo:hi are read, and their
     # in-band columns were just written, so the block needs no zeroing here.
@@ -362,12 +368,11 @@ def _patches_by_side(bank: FilterBank,
     of _BLOCK (which covers side - 1 and sp - 1 for every side), and two
     float64 summed-area tables of it, for the values and their squares.
     """
-    (r0,), (r1,), (c0,), (c1,) = nonzero_boxes(pixels[None])
-    if r1 == r0:
-        return None
-    h, w = r1 - r0, c1 - c0
     pad = -(-bank.d // _BLOCK) * _BLOCK
-    frame = np.pad(pixels[r0:r1, c0:c1].astype(np.float64), pad)
+    (frame,) = support_canvas(pixels[None], pad)
+    h, w = frame.shape[0] - 2 * pad, frame.shape[1] - 2 * pad
+    if h == 0:
+        return None
     frame32 = frame.astype(np.float32)
     sat, sq_sat = _summed_area(frame), _summed_area(frame * frame)
     block_sums = _box_sums(sat, _BLOCK, 0, (frame.shape[0] - _BLOCK + 1,

@@ -16,6 +16,7 @@ from .model import (
     DeformParams,
     GrayImage,
     TemplateFunction,
+    check_resolution,
     rasterize,  # noqa: F401 - perfbench's tracer self-test reads this binding
     rasterize_batch,
     shift_bounds,
@@ -112,10 +113,10 @@ class Dataset:
 
 
 def unit_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """The images scaled to unit Frobenius norm as one (N, d, d) stack, and
-    their 0/1 labels.  Images of several sizes are a ``DataError``; the first
-    image, in list order, that is all zero or has a non-finite norm raises
-    ``NumericError`` naming its index."""
+    """The images scaled to unit Frobenius norm as one read-only (N, d, d)
+    stack, and their 0/1 labels.  Images of several sizes are a
+    ``DataError``; the first image, in list order, that is all zero or has a
+    non-finite norm raises ``NumericError`` naming its index."""
     if not data.items:
         raise DataError("the dataset holds no images")
     sides = sorted({item.image.d for item in data.items})
@@ -123,8 +124,9 @@ def unit_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"training images must share one side length, "
                         f"got sides {sides}")
     x = np.stack([item.image.pixels for item in data.items])
-    norms = unit_norms(x, lambda i: f"image {i}")
-    return x / norms[:, None, None], np.array([item.label for item in data.items])
+    x /= unit_norms(x, lambda i: f"image {i}")[:, None, None]
+    x.flags.writeable = False
+    return x, np.array([item.label for item in data.items])
 
 
 def generate_dataset(templates0: Sequence[TemplateFunction],
@@ -138,14 +140,16 @@ def generate_dataset(templates0: Sequence[TemplateFunction],
     deforms ``templates<k>[0]`` by draws from ``q``.  An even ``n`` is
     balanced: exactly n/2 items per class, in an order given by a seeded
     permutation.  An odd ``n`` draws each label by a fair coin flip from the
-    item's choice stream.  All draws come first, item by item; then each
-    class is rasterized as one set.
+    item's choice stream.  ``n`` and ``d`` are checked before anything is
+    drawn.  All draws come first, item by item; then each class is
+    rasterized as one set.
     """
     if len(templates0) != 1 or len(templates1) != 1:
         raise ConfigError(f"each class takes exactly one template, got "
                           f"{len(templates0)} and {len(templates1)}")
     if n < 1:
         raise ConfigError(f"dataset size must be >= 1, got {n}")
+    check_resolution(d)
 
     if n % 2 == 0:
         base = np.repeat([0, 1], n // 2)

@@ -16,13 +16,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .align import align_images, build_gallery, classify_1nn
+from .align import align_images, build_gallery, check_grid_side, classify_1nn
 from .cnn import build_filter_bank, check_scale_limit, classify_bank
 from .datagen import Dataset, DeformDistribution, generate_dataset, unit_arrays
 from .errors import ConfigError
 from .io import read_bytes, read_pgm
-from .model import (MAX_RESOLUTION, TemplateFunction, check_resolution, cone,
-                    cross, normalize_l2, raster_interp, tent)
+from .model import (MAX_RESOLUTION, GrayImage, TemplateFunction,
+                    check_resolution, cone, cross, raster_interp, tent)
 from .train import ArchSpec, OptSpec, train_least_squares
 
 CLASSIFIERS = ("IAC", "IAC_FLIPS", "CNN_EXPLICIT", "CNN_TRAINED")
@@ -66,9 +66,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} repeats {repeated[0]!r}")
         if self.q is None:
             raise ConfigError("the experiment needs a deformation distribution q")
-        if self.align_m is not None and not 2 <= self.align_m <= MAX_RESOLUTION:
-            raise ConfigError(f"align.m must be in [2, {MAX_RESOLUTION}], "
-                              f"got {self.align_m}")
+        if self.align_m is not None:
+            check_grid_side(self.align_m, "align.m")
         # Only the cap on d: a side below MIN_RESOLUTION still parses and
         # fails in each item, as perfbench's d = 2 self-test expects.
         if self.d > MAX_RESOLUTION:
@@ -119,19 +118,6 @@ def _draw_template_sets(cfg: ExperimentConfig, rep: int, n: int
 
 
 # ---------------------------------------------------------------------------
-# Classifier runners
-# ---------------------------------------------------------------------------
-
-def _predict_trained(train: Dataset, test: Dataset, arch: ArchSpec,
-                     opt: OptSpec, seed: int) -> np.ndarray:
-    net = train_least_squares(*unit_arrays(train), arch, replace(opt, seed=seed))
-    # Chunks no larger than the training batch, so prediction never holds
-    # more forward state than training did.
-    return net.predict_batch(unit_arrays(test)[0],
-                             min(opt.batch_size, len(train)))
-
-
-# ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
 
@@ -146,9 +132,11 @@ def run_experiment(cfg: ExperimentConfig) -> RiskReport:
         try:
             train, test = _draw_template_sets(cfg, rep, n)
             truth = np.array([item.label for item in test.items])
-            aligned = None  # built by the first IAC runner, shared by both
+            aligned = unit_test = None  # each built once, shared by two runners
             rows = []
             for name in cfg.classifiers:
+                if name in ("CNN_EXPLICIT", "CNN_TRAINED") and unit_test is None:
+                    unit_test = unit_arrays(test)[0]
                 if name in ("IAC", "IAC_FLIPS"):
                     if aligned is None:
                         aligned = (
@@ -160,12 +148,16 @@ def run_experiment(cfg: ExperimentConfig) -> RiskReport:
                     predicted = [label for label, _, _, _ in classify_1nn(
                         *aligned, flips=name == "IAC_FLIPS")]
                 elif name == "CNN_EXPLICIT":
-                    predicted = [classify_bank(bank, normalize_l2(item.image)).label
-                                 for item in test.items]
+                    predicted = [classify_bank(bank, GrayImage(x)).label
+                                 for x in unit_test]
                 else:
-                    predicted = _predict_trained(
-                        train, test, cfg.cnn_arch, cfg.cnn_opt,
-                        seed=_derived_seed(cfg.seed, rep, n, 3))
+                    seed = _derived_seed(cfg.seed, rep, n, 3)
+                    net = train_least_squares(*unit_arrays(train), cfg.cnn_arch,
+                                              replace(cfg.cnn_opt, seed=seed))
+                    # Chunks no larger than the training batch, so prediction
+                    # never holds more forward state than training did.
+                    predicted = net.predict_batch(
+                        unit_test, min(cfg.cnn_opt.batch_size, len(train)))
                 risk = int(np.count_nonzero(truth != predicted)) / len(truth)
                 rows.append(RiskRow(classifier=name, n=n, repetition=rep,
                                     risk=risk))

@@ -70,8 +70,9 @@ def parse_idx_images(data: bytes) -> list[GrayImage]:
         raise DataError(f"payload has {len(payload)} bytes, expected {expected}")
     if h != w or h < 1:
         raise DataError(f"images must be square and non-empty, got {h}x{w}")
-    raw = np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w)
-    return [GrayImage(block / 255.0) for block in raw]
+    grids = np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w) / 255.0
+    grids.flags.writeable = False
+    return [GrayImage(grid) for grid in grids]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +136,9 @@ def read_pgm(data: bytes) -> GrayImage:
     # write_pgm writes maxval 255, which no byte can exceed
     if max_val < 255 and raw.max() > max_val:
         raise DataError(f"PGM sample {raw.max()} above maxval {max_val}")
-    return GrayImage(raw.reshape(h, w) / max_val)
+    grid = raw.reshape(h, w) / max_val
+    grid.flags.writeable = False
+    return GrayImage(grid)
 
 
 # ---------------------------------------------------------------------------

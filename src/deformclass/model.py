@@ -306,15 +306,19 @@ def mask_spans(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def nonzero_boxes(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Bounding box of the nonzero pixels of each image in a (B, h, w) stack.
-
-    Returns the first row, end row, first column and end column (half-open)
-    per image; an all-zero image gets the empty box (0, 0, 0, 0).  Any pixel
-    that is not 0 counts, negative and NaN pixels included.
-    """
+def support_canvas(x: np.ndarray, pad: int) -> np.ndarray:
+    """Each image of a (B, h, w) stack cropped to the box of its pixels that
+    are not 0 (negative and NaN ones included) and placed at (pad, pad) on
+    one float64 zero canvas, sized for the largest box plus ``pad`` on every
+    side; an all-zero image leaves its slice all zero."""
     nz = x != 0
-    return (*mask_spans(nz.any(axis=2)), *mask_spans(nz.any(axis=1)))
+    (r0, r1), (c0, c1) = mask_spans(nz.any(axis=2)), mask_spans(nz.any(axis=1))
+    canvas = np.zeros((len(x), int((r1 - r0).max(initial=0)) + 2 * pad,
+                       int((c1 - c0).max(initial=0)) + 2 * pad))
+    for dst, img, top, bottom, left, right in zip(canvas, x, r0, r1, c0, c1):
+        dst[pad: pad + bottom - top, pad: pad + right - left] = (
+            img[top:bottom, left:right])
+    return canvas
 
 
 def square_grid(grid, what: str, min_side: int) -> np.ndarray:
@@ -391,7 +395,9 @@ def rasterize_batch(f: TemplateFunction, params: Sequence[DeformParams],
 def normalize_l2(img: GrayImage) -> GrayImage:
     """Scale the pixel grid to unit Frobenius norm."""
     (norm,) = unit_norms(img.pixels[None], lambda i: f"the {img.d} x {img.d} image")
-    return GrayImage(img.pixels / norm)
+    unit = img.pixels / norm
+    unit.flags.writeable = False
+    return GrayImage(unit)
 
 
 def unit_norms(x: np.ndarray, name: Callable[[int], str]) -> np.ndarray:

@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cnn import check_temperature, class1_probability
 from .errors import ConfigError, DataError, NumericError
-from .model import nonzero_boxes
+from .model import support_canvas
 
 _MAGIC = b"DCNN"
 _VERSION = 2
@@ -142,13 +142,8 @@ class TrainableCnn:
         """
         k = self.arch.filter_size
         b = len(x)
-        r0, r1, c0, c1 = nonzero_boxes(x)
-        ph = int((r1 - r0).max(initial=0)) + k - 1
-        pw = int((c1 - c0).max(initial=0)) + k - 1
-        canvas = np.zeros((b, ph + k - 1, pw + k - 1))
-        for dst, img, top, bottom, left, right in zip(canvas, x, r0, r1, c0, c1):
-            dst[k - 1: k - 1 + bottom - top, k - 1: k - 1 + right - left] = (
-                img[top:bottom, left:right])
+        canvas = support_canvas(x, k - 1)
+        ph, pw = canvas.shape[1] - (k - 1), canvas.shape[2] - (k - 1)
         # im2col: row i*k + j holds pixel (i, j) of every patch, so the conv
         # map comes out of one matmul as a contiguous (B, nf, 1 + P) array.
         # Splitting the axes of the column slice is always a view.

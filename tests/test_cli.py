@@ -208,6 +208,18 @@ class TestAlign:
             "config error: resample grid needs m >= 2 and m <= 4096, "
             "got 1000000\n")
 
+    def test_grid_side_checked_before_the_gallery_is_read(self, monkeypatch,
+                                                          tmp_path, capsys):
+        from deformclass import cli
+        reads = []
+        monkeypatch.setattr(cli, "read_dataset", reads.append)
+        code = main(["align", "--gallery", str(tmp_path / "missing"),
+                     "--query", str(tmp_path / "q.pgm"), "--m", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: resample grid needs m >= 2 and m <= 4096, got 1\n")
+        assert reads == []
+
     def test_missing_gallery_exits_3(self, tmp_path, capsys):
         query = tmp_path / "q.pgm"
         query.write_bytes(write_pgm(GrayImage(np.ones((4, 4)))))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from deformclass import (
 )
 from deformclass import cnn
 from deformclass.cnn import _BLOCK, _coarse_stack, _crop_boxes, _patches_by_side
-from deformclass.model import SUPPORT_HI, SUPPORT_LO, nonzero_boxes
+from deformclass.model import SUPPORT_HI, SUPPORT_LO
 from oracles import FilterTooLarge, feature_max, max_tree
 
 IDENT = DeformParams(eta=1.0, xi=1.0, xi_prime=1.0, tau=0.0, tau_prime=0.0)
@@ -321,6 +322,36 @@ class TestBuildFilterBank:
                            r"d = 96 may take 39\.6 GiB, above the 4 GiB cap"):
             build_filter_bank(tent(), cross(0.25, 0.08), 100, 96)
 
+    def test_size_cap_refuses_before_anything_grows_with_xi(self):
+        # Only scales up to 3d/4 can be live, so the build that the cap
+        # refuses at Xi = 1000 holds about what it holds at Xi = 72.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"the filter bank at Xi = "
+                               r"1000, d = 96 may take 39\.6 GiB, above the "
+                               r"4 GiB cap"):
+                build_filter_bank(tent(0.25), cross(0.25, 0.08), 1000, 96)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+    @pytest.mark.parametrize("d", [4, 5, 8])
+    def test_scales_past_the_band_change_nothing(self, d):
+        """At Xi = d the scale grid reaches past 3d/4, where no scale is
+        live: the bank is the full grid's, scale by scale and bit by bit."""
+        f0, f1 = tent(0.25), cross(0.25, 0.08)
+        bank = build_filter_bank(f0, f1, d, d)
+        args = (((np.arange(2 * d * d + 1) - d * d) / d)[:, None]
+                * (np.arange(1, d + 1) / d)[None, :])
+        live = ((args >= SUPPORT_LO) & (args <= SUPPORT_HI)).any(axis=1)
+        assert not live[-d:].any()
+        assert np.array_equal(bank.live, live)
+        stacks, _ = one_pass_build(f0, f1, d, d)
+        assert list(bank.stacks) == list(stacks)
+        for key, mat in bank.stacks.items():
+            assert np.array_equal(mat, stacks[key])
+
     @pytest.mark.parametrize("xi_max, d", [(1, 16), (2, 16), (3, 24)])
     @pytest.mark.parametrize("templates", [(tent(0.25), cross(0.25, 0.08)),
                                            (tent(0.22), cone(0.2))],
@@ -511,8 +542,10 @@ class TestClassifyBank:
 def framed_patches(pixels: np.ndarray, side: int) -> np.ndarray:
     """float64 side x side patches of the image's support box framed by
     side-1 zeros, one row per shift, shifts in row-major order."""
-    (r0,), (r1,), (c0,), (c1,) = nonzero_boxes(pixels[None])
-    framed = np.pad(pixels[r0:r1, c0:c1], side - 1)
+    rows = np.flatnonzero(pixels.any(axis=1))
+    cols = np.flatnonzero(pixels.any(axis=0))
+    framed = np.pad(pixels[rows[0]: rows[-1] + 1, cols[0]: cols[-1] + 1],
+                    side - 1)
     return sliding_window_view(framed, (side, side)).reshape(-1, side * side)
 
 

@@ -105,6 +105,19 @@ class TestGenerateDataset:
                                  it.params, 16)
             assert np.array_equal(it.image.pixels, expected.pixels)
 
+    @pytest.mark.parametrize("d, message", [(2, "resolution 2 below minimum 4"),
+                                            (5000, "resolution 5000 above maximum 4096")])
+    def test_resolution_checked_before_any_draw(self, monkeypatch, mild_q, d,
+                                                message):
+        from deformclass import datagen
+        draws = []
+        monkeypatch.setattr(datagen, "sample_params",
+                            lambda q, i: draws.append(i))
+        with pytest.raises(ConfigError, match=message):
+            generate_dataset([tent(0.25)], [cross(0.25, 0.08)], mild_q,
+                             n=200, d=d)
+        assert draws == []
+
     @pytest.mark.parametrize("n, choices", [
         (10, 0),   # balanced: the labels are a seeded permutation
         (9, 9)])   # odd n: fair coin-flip labels

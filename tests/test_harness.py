@@ -388,6 +388,65 @@ class TestRunExperiment:
         # One search per item and classifier, over the whole test set.
         assert searches == [cfg.n_test] * (2 * cfg.repetitions * len(cfg.n_list))
 
+    def test_cnn_classifiers_share_one_unit_norm_test_stack(self, monkeypatch):
+        import deformclass.harness as harness
+        from deformclass.train import TrainableCnn
+
+        normalized, banked, predicted = [], [], []
+
+        def counting_unit_arrays(data):
+            normalized.append(data)
+            return unit_arrays(data)
+
+        def counting_bank(bank, img, beta=None):
+            banked.append(img.pixels)
+            return classify_bank(bank, img, beta)
+
+        def counting_predict(net, x, chunk):
+            predicted.append(x)
+            return predict_batch(net, x, chunk)
+
+        unit_arrays, classify_bank = harness.unit_arrays, harness.classify_bank
+        predict_batch = TrainableCnn.predict_batch
+        monkeypatch.setattr(harness, "unit_arrays", counting_unit_arrays)
+        monkeypatch.setattr(harness, "classify_bank", counting_bank)
+        monkeypatch.setattr(TrainableCnn, "predict_batch", counting_predict)
+        cfg = tiny_config(classifiers=("CNN_EXPLICIT", "CNN_TRAINED"),
+                          bank_xi_max=1,
+                          cnn_arch=ArchSpec(n_filters=4, filter_size=3,
+                                            dense_widths=(8,)),
+                          cnn_opt=OptSpec(epochs=1, batch_size=4))
+        report = run_experiment(cfg)
+        assert all(r.error == "" for r in report.rows)
+        # Per item: the train set once, for training, and the test set once.
+        items = cfg.repetitions * len(cfg.n_list)
+        assert len(normalized) == 2 * items
+        assert len({id(data) for data in normalized}) == len(normalized)
+        # The bank's queries are the rows of the stack the net predicts on.
+        assert len(banked) == items * cfg.n_test and len(predicted) == items
+        for i, x in enumerate(predicted):
+            assert not x.flags.writeable
+            for row, pixels in zip(x, banked[i * cfg.n_test:]):
+                assert pixels.base is x and np.array_equal(pixels, row)
+
+    def test_all_zero_test_image_fails_its_cnn_item(self, monkeypatch, capsys):
+        import deformclass.harness as harness
+
+        def zero_first_test_image(cfg, rep, n):
+            train, test = draw(cfg, rep, n)
+            first = replace(test.items[0],
+                            image=GrayImage(np.zeros((cfg.d, cfg.d))))
+            return train, replace(test, items=(first, *test.items[1:]))
+
+        draw = harness._draw_template_sets
+        monkeypatch.setattr(harness, "_draw_template_sets",
+                            zero_first_test_image)
+        cfg = tiny_config(classifiers=("CNN_EXPLICIT",), bank_xi_max=1,
+                          repetitions=1)
+        (row,) = run_experiment(cfg).rows
+        assert row.error == "cannot normalize image 0: it is all zero"
+        assert "NumericError" in capsys.readouterr().err
+
     def test_empty_classifiers_rejected(self):
         with pytest.raises(ConfigError, match="classifiers must name at least one"):
             tiny_config(classifiers=())

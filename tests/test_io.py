@@ -1,6 +1,7 @@
 import csv
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,16 @@ def pgm_safe_dataset(tent_template, cross_template):
 
 
 class TestIdxImages:
+    def test_grids_are_views_of_one_frozen_block(self):
+        # the quotients are computed once, as one block, and not copied again
+        data = (b"\x00\x00\x08\x03" + struct.pack(">3I", 3, 2, 2)
+                + bytes(range(12)))
+        images = parse_idx_images(data)
+        block = images[0].pixels.base
+        assert block is not None and not block.flags.writeable
+        assert all(img.pixels.base is block for img in images)
+        assert np.array_equal(block, np.arange(12.0).reshape(3, 2, 2) / 255)
+
     def test_hand_decoded_pixels(self):
         (img,) = parse_idx_images(tiny_image_file())
         assert img.pixels[0, 0] == 0.0
@@ -67,6 +78,18 @@ class TestIdxImages:
 
 
 class TestPgm:
+    def test_grid_is_not_copied_again(self):
+        # the quotient is computed once and frozen, not copied again
+        data = b"P5\n256 256\n255\n" + bytes(range(256)) * 256
+        tracemalloc.start()
+        try:
+            img = read_pgm(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * img.pixels.nbytes
+        assert not img.pixels.flags.writeable
+
     def test_fixed_policy_bytes(self):
         img = GrayImage(np.array([[1.0]]))
         assert write_pgm(img, "fixed") == b"P5\n1 1\n255\n\xff"

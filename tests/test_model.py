@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,29 +25,36 @@ from deformclass import (
     tent,
     unit_arrays,
 )
-from deformclass.model import _estimate_l1, nonzero_boxes
+from deformclass.model import _estimate_l1, support_canvas
 from oracles import discrete_l2_norm, reparametrize, template_sum
 
 
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
                           st.sampled_from([1.0, -0.5, np.nan])),
                 max_size=6),
-       st.integers(1, 7))
-def test_nonzero_boxes_match_flatnonzero(pixels, side):
+       st.integers(1, 7), st.integers(0, 3))
+def test_support_canvas_matches_flatnonzero(pixels, side, pad):
     # negative and NaN pixels count as support; -0.0 does not
     x = np.zeros((3, side, side + 1))
     x[2, 0, 0] = -0.0
     for r, c, v in pixels:
         x[1, r % side, c % (side + 1)] = v
-    r0, r1, c0, c1 = nonzero_boxes(x)
-    for b in range(3):
-        rows = np.flatnonzero((x[b] != 0).any(axis=1))
-        cols = np.flatnonzero((x[b] != 0).any(axis=0))
-        if rows.size == 0:
-            assert (r0[b], r1[b], c0[b], c1[b]) == (0, 0, 0, 0)
-        else:
-            assert (r0[b], r1[b]) == (rows[0], rows[-1] + 1)
-            assert (c0[b], c1[b]) == (cols[0], cols[-1] + 1)
+    crops = []
+    for img in x:
+        rows = np.flatnonzero((img != 0).any(axis=1))
+        cols = np.flatnonzero((img != 0).any(axis=0))
+        crops.append(img[rows[0]: rows[-1] + 1, cols[0]: cols[-1] + 1]
+                     if rows.size else np.zeros((0, 0)))
+    canvas = support_canvas(x, pad)
+    height = max(crop.shape[0] for crop in crops)
+    width = max(crop.shape[1] for crop in crops)
+    assert canvas.shape == (3, height + 2 * pad, width + 2 * pad)
+    for crop, framed in zip(crops, canvas):
+        h, w = crop.shape
+        assert np.array_equal(framed[pad: pad + h, pad: pad + w], crop,
+                              equal_nan=True)
+        framed[pad: pad + h, pad: pad + w] = 0.0
+        assert not framed.any()
 
 
 class TestTemplates:
@@ -389,6 +398,19 @@ class TestNorms:
         img = rasterize(tent_template, identity_params, 16)
         out = normalize_l2(img)
         assert np.linalg.norm(out.pixels) == pytest.approx(1.0, abs=1e-12)
+
+    def test_normalize_l2_keeps_its_quotient(self, tent_template,
+                                             identity_params):
+        # the unit grid is computed once and frozen, not copied again
+        img = rasterize(tent_template, identity_params, 256)
+        tracemalloc.start()
+        try:
+            out = normalize_l2(img)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * img.pixels.nbytes
+        assert not out.pixels.flags.writeable
 
     def test_normalize_l2_zero_image(self):
         with pytest.raises(NumericError,
