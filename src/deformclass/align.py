@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .model import (IMAGE_BLOCK, MAX_RESOLUTION, GrayImage, mask_spans,
-                    square_grid, unit_norms)
+                    square_grid, unit_scale)
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,9 @@ def _align_block(images: Sequence[GrayImage], m: int,
     # Grids from the first empty box on go unchecked: that image is named.
     empty = np.flatnonzero(row_end == 0)
     k = int(empty[0]) if empty.size else n
-    norms = unit_norms(z[:k], lambda i: f"the resampled grid of image {first + i}")
+    z = unit_scale(z[:k], lambda i: f"the resampled grid of image {first + i}")
     if k < n:
         raise NumericError(f"image {first + k}: no pixel is positive")
-    z /= norms[:, None, None]
-    z.flags.writeable = False
     return [AlignedRep(grid=grid) for grid in z]
 
 

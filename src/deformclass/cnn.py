@@ -74,13 +74,13 @@ class FilterBank:
     """One filter per class per scale pair on the grid step 1/d, as arrays.
 
     The bank has 2*(2*Xi*d+1)**2 entries, ordered class-major, then the
-    first scale, then the second, each scale running -Xi..Xi.  Only the
-    live filters are stored: ``stacks[(side, k)]`` is a read-only float32
-    array with one raveled side x side class-k filter per row.  A scale is
-    live when one of its sample arguments lands in the support band
-    (``live``); every other entry is null.  ``filter_at`` rebuilds one
-    entry in float64 from the templates on demand.  Every row has unit
-    norm, so a patch's norm bounds every response there.
+    first scale, then the second, each scale running -Xi..Xi.  Only the live
+    filters are stored: ``stacks[(side, k)]`` is a read-only float32 array
+    with one raveled side x side class-k filter per row.  A scale is live
+    when one of its sample arguments lands in the support band (``live``,
+    one range of grid indices); every other entry is null.  ``filter_at``
+    rebuilds one entry in float64 from the templates on demand.  Every row
+    has unit norm, so a patch's norm bounds every response there.
 
     ``coarse[(side, k)]`` has one row per row of the stack: the filter,
     zero-padded to the next multiple of _BLOCK, as its _BLOCK x _BLOCK
@@ -93,18 +93,19 @@ class FilterBank:
     templates: tuple[TemplateFunction, TemplateFunction]
     xi_max: int
     d: int
-    live: np.ndarray
+    live: range
     stacks: dict[tuple[int, int], np.ndarray] = field(repr=False)
     coarse: dict[tuple[int, int], np.ndarray] = field(repr=False)
 
     def __len__(self) -> int:
-        return 2 * self.live.size ** 2
+        """len() raises OverflowError past sys.maxsize: Xi ~ 1e8 at d = 8."""
+        return 2 * (2 * self.xi_max * self.d + 1) ** 2
 
     def filter_at(self, k: int, i: int, j: int) -> Filter:
         """Filter of class k at scale-grid indices (i, j)."""
         xi, xi_prime = ((m - self.xi_max * self.d) / self.d for m in (i, j))
         meta = (k, xi, xi_prime)
-        if not (self.live[i] and self.live[j]):
+        if not (i in self.live and j in self.live):
             return Filter(None, meta)
         grid = np.arange(1, self.d + 1) / self.d
         w = self.templates[k]((xi * grid)[:, None], (xi_prime * grid)[None, :])
@@ -134,10 +135,11 @@ def _crop_boxes(rows: np.ndarray, cols: np.ndarray):
 
 
 def check_scale_limit(xi_max: int) -> None:
-    """Reject a bank scale limit Xi that is below 1 or not an integer."""
+    """Reject a bank scale limit Xi below 1 or not an integer (NaN, inf)."""
     if xi_max < 1:
         raise ConfigError(f"scale limit must be >= 1, got {xi_max}")
-    if int(xi_max) != xi_max:
+    if not isinstance(xi_max, int) and (not np.isfinite(xi_max)
+                                        or int(xi_max) != xi_max):
         raise ConfigError(f"scale limit must be an integer, got {xi_max}")
 
 
@@ -166,14 +168,16 @@ def build_filter_bank(f0: TemplateFunction, f1: TemplateFunction,
     check_scale_limit(xi_max)
     xi_max = int(xi_max)
     check_resolution(d)
-    # Scale m/d samples its template at m j / d^2, j = 1..d, so only the
-    # offsets m = 1..3d^2/4 can reach the band [1/4, 3/4]: the arrays below
-    # do not grow with Xi, and the cap refuses a bank before anything does.
-    # Offset m is index Xi d + m of the scale grid.
+    # Scale m/d (grid index Xi d + m) samples its template at m j / d^2,
+    # j = 1..d, in steps no wider than the band [1/4, 3/4] while m/d^2 <= 1/2,
+    # so it is live exactly when m/d >= 1/4 and m/d^2 <= 3/4: the live offsets
+    # are one run within 1..3d^2/4, and an Xi past 3d/4 builds the 3d/4 bank.
     offsets = np.arange(1, min(xi_max * d, -(-3 * d * d // 4) + 1) + 1)
     args = (offsets / d)[:, None] * (np.arange(1, d + 1) / d)[None, :]
     band = (args >= SUPPORT_LO) & (args <= SUPPORT_HI)
     in_band = band.any(axis=1)
+    first, last = offsets[in_band][[0, -1]]
+    live = range(xi_max * d + int(first), xi_max * d + int(last) + 1)
     args, band = args[in_band], band[in_band]
     # A live pair's crop side is at most the longer in-band run L of its two
     # scales, so the float32 rows of both classes take at most 8 * sum over
@@ -185,8 +189,6 @@ def build_filter_bank(f0: TemplateFunction, f1: TemplateFunction,
         raise ConfigError(f"the filter bank at Xi = {xi_max}, d = {d} may take "
                           f"{bound / 2 ** 30:.1f} GiB, above the "
                           f"{MAX_BANK_BYTES // 2 ** 30} GiB cap")
-    live = np.zeros(2 * xi_max * d + 1, dtype=bool)
-    live[xi_max * d + offsets[in_band]] = True
 
     # Each live first scale fills the in-band samples of one (d, partners*d)
     # block that holds the grids of all live partner scales side by side;
@@ -240,7 +242,6 @@ def build_filter_bank(f0: TemplateFunction, f1: TemplateFunction,
         coarse[key] = _coarse_stack(stack, key[0])
         stack.flags.writeable = False
         coarse[key].flags.writeable = False
-    live.flags.writeable = False
     return FilterBank(templates=(f0, f1), xi_max=xi_max, d=d, live=live,
                       stacks=stacks, coarse=coarse)
 

@@ -20,7 +20,7 @@ from .model import (
     rasterize,  # noqa: F401 - perfbench's tracer self-test reads this binding
     rasterize_batch,
     shift_bounds,
-    unit_norms,
+    unit_scale,
 )
 
 # Substream roles under the dataset seed.
@@ -123,9 +123,8 @@ def unit_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     if len(sides) > 1:
         raise DataError(f"training images must share one side length, "
                         f"got sides {sides}")
-    x = np.stack([item.image.pixels for item in data.items])
-    x /= unit_norms(x, lambda i: f"image {i}")[:, None, None]
-    x.flags.writeable = False
+    x = unit_scale(np.stack([item.image.pixels for item in data.items]),
+                   lambda i: f"image {i}")
     return x, np.array([item.label for item in data.items])
 
 

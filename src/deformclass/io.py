@@ -64,13 +64,12 @@ def parse_idx_images(data: bytes) -> list[GrayImage]:
     if len(data) < 16:
         raise DataError("file ends inside the dimension list")
     n, h, w = struct.unpack(">3I", data[4:16])
-    expected = n * h * w
-    payload = data[16:]
-    if len(payload) != expected:
-        raise DataError(f"payload has {len(payload)} bytes, expected {expected}")
+    expected, size = n * h * w, len(data) - 16
+    if size != expected:
+        raise DataError(f"payload has {size} bytes, expected {expected}")
     if h != w or h < 1:
         raise DataError(f"images must be square and non-empty, got {h}x{w}")
-    grids = np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w) / 255.0
+    grids = np.frombuffer(data, np.uint8, offset=16).reshape(n, h, w) / 255.0
     grids.flags.writeable = False
     return [GrayImage(grid) for grid in grids]
 

@@ -394,22 +394,23 @@ def rasterize_batch(f: TemplateFunction, params: Sequence[DeformParams],
 
 def normalize_l2(img: GrayImage) -> GrayImage:
     """Scale the pixel grid to unit Frobenius norm."""
-    (norm,) = unit_norms(img.pixels[None], lambda i: f"the {img.d} x {img.d} image")
-    unit = img.pixels / norm
-    unit.flags.writeable = False
-    return GrayImage(unit)
+    return GrayImage(unit_scale(img.pixels[None].copy(),
+                                lambda i: f"the {img.d} x {img.d} image")[0])
 
 
-def unit_norms(x: np.ndarray, name: Callable[[int], str]) -> np.ndarray:
-    """Frobenius norm of each grid of an (N, h, w) stack, one BLAS dot per
-    grid so that a grid gets the same bits alone or stacked.  The first norm,
-    in list order, that is not finite or is zero raises ``NumericError``."""
+def unit_scale(x: np.ndarray, name: Callable[[int], str]) -> np.ndarray:
+    """Scale each grid of a fresh (N, h, w) stack to unit norm in place, and
+    freeze and return the stack.  A norm is one BLAS dot per grid, the same
+    alone or stacked; the first, in list order, that is not finite or is
+    zero raises ``NumericError``."""
     norms = np.array([np.linalg.norm(grid) for grid in x])
     for i, norm in enumerate(norms):
         check_norm(norm, name(i))
         if norm == 0.0:
             raise NumericError(f"cannot normalize {name(i)}: it is all zero")
-    return norms
+    x /= norms[:, None, None]
+    x.flags.writeable = False
+    return x
 
 
 def check_norm(norm: float, what: str) -> None:

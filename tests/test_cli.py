@@ -331,6 +331,22 @@ class TestCnn:
                                 "d = 96 may take 39.6 GiB, above the 4 GiB cap\n")
         assert captured.out == ""
 
+    def test_scale_limit_past_the_band_builds_the_band_bank(self, tmp_path,
+                                                            capsys):
+        # at d = 8 no scale past 3d/4 = 6 is live, so any larger Xi prints
+        # what Xi = 6 prints, and nothing it allocates grows with Xi
+        query = tmp_path / "q8.pgm"
+        query.write_bytes(write_pgm(GrayImage(np.outer(np.hanning(8),
+                                                       np.hanning(8)))))
+        lines = []
+        for xi_max in ("6", "1000000000"):
+            code = main(["cnn", "bank", *GEN_ARGS[1:5], "--image", str(query),
+                         "--xi-max", xi_max])
+            captured = capsys.readouterr()
+            assert code == 0, captured.err
+            lines.append(captured.out)
+        assert lines[0].startswith("label=") and lines[1] == lines[0]
+
     def test_train_then_classify(self, dataset_dir, tmp_path, capsys):
         ckpt = tmp_path / "net.ckpt"
         code = main(["cnn", "train", "--data", str(dataset_dir),

@@ -228,9 +228,9 @@ def scale_grid(bank) -> np.ndarray:
 def oracle_channel_maxima(bank, img) -> list[float]:
     """The exact channel maxima of the float32 stacks: feature_max of every
     live entry, rebuilt in float64 by filter_at.  Slow on a large bank."""
-    live = np.flatnonzero(bank.live)
     return [max((feature_max(bank.filter_at(k, i, j), img)
-                 for i in live for j in live), default=0.0) for k in (0, 1)]
+                 for i in bank.live for j in bank.live), default=0.0)
+            for k in (0, 1)]
 
 
 def assert_matches_oracle(bank, img) -> list[float]:
@@ -314,8 +314,13 @@ class TestBuildFilterBank:
     def test_scale_limit_validation(self, tent_template):
         with pytest.raises(ConfigError, match="scale limit must be >= 1"):
             build_filter_bank(tent_template, tent_template, 0, 8)
-        with pytest.raises(ConfigError, match="scale limit must be an integer"):
-            build_filter_bank(tent_template, tent_template, 1.5, 8)
+        for xi_max in (1.5, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="scale limit must be an "
+                               f"integer, got {xi_max}"):
+                build_filter_bank(tent_template, tent_template, xi_max, 8)
+        # an int too large for a float is still an integer scale limit
+        assert build_filter_bank(tent_template, tent_template, 10 ** 400,
+                                 8).xi_max == 10 ** 400
 
     def test_bank_above_the_size_cap_is_refused_before_building(self):
         with pytest.raises(ConfigError, match=r"the filter bank at Xi = 100, "
@@ -336,17 +341,36 @@ class TestBuildFilterBank:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
 
+    def test_any_scale_limit_past_the_band_builds_the_band_bank(self):
+        # At d = 8 no scale past 3d/4 = 6 is live: Xi = 1e9 builds the
+        # Xi = 6 bank, and nothing it holds or allocates grows with Xi.
+        f0, f1 = tent(0.25), cross(0.25, 0.08)
+        small = build_filter_bank(f0, f1, 6, 8)
+        tracemalloc.start()
+        try:
+            bank = build_filter_bank(f0, f1, 10 ** 9, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+        assert list(bank.stacks) == list(small.stacks)
+        for key in small.stacks:
+            assert np.array_equal(bank.stacks[key], small.stacks[key])
+            assert np.array_equal(bank.coarse[key], small.coarse[key])
+        assert len(bank.live) == len(small.live)
+
     @pytest.mark.parametrize("d", [4, 5, 8])
     def test_scales_past_the_band_change_nothing(self, d):
         """At Xi = d the scale grid reaches past 3d/4, where no scale is
-        live: the bank is the full grid's, scale by scale and bit by bit."""
+        live: the bank is the full grid's, scale by scale and bit by bit,
+        and the live scales of the full grid are the one run ``live``."""
         f0, f1 = tent(0.25), cross(0.25, 0.08)
         bank = build_filter_bank(f0, f1, d, d)
         args = (((np.arange(2 * d * d + 1) - d * d) / d)[:, None]
                 * (np.arange(1, d + 1) / d)[None, :])
         live = ((args >= SUPPORT_LO) & (args <= SUPPORT_HI)).any(axis=1)
         assert not live[-d:].any()
-        assert np.array_equal(bank.live, live)
+        assert list(bank.live) == np.flatnonzero(live).tolist()
         stacks, _ = one_pass_build(f0, f1, d, d)
         assert list(bank.stacks) == list(stacks)
         for key, mat in bank.stacks.items():
@@ -552,11 +576,10 @@ def framed_patches(pixels: np.ndarray, side: int) -> np.ndarray:
 def dense_channel_maxima(bank, img) -> list[float]:
     """The oracle's channel maxima without its per-shift loop: every live
     filter, rebuilt in float64 by filter_at, against every shift."""
-    live = np.flatnonzero(bank.live)
     rows = {}
     for k in (0, 1):
-        for i in live:
-            for j in live:
+        for i in bank.live:
+            for j in bank.live:
                 w = bank.filter_at(k, i, j).weights
                 if w is not None:
                     rows.setdefault((w.shape[0], k), []).append(w.ravel())

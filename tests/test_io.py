@@ -50,6 +50,20 @@ class TestIdxImages:
         assert all(img.pixels.base is block for img in images)
         assert np.array_equal(block, np.arange(12.0).reshape(3, 2, 2) / 255)
 
+    def test_pixels_are_read_in_place(self):
+        # the payload is read where it lies, not sliced off into a copy
+        n, side = 4, 128
+        data = (IMAGE_MAGIC + struct.pack(">3I", n, side, side)
+                + bytes(range(256)) * (n * side * side // 256))
+        tracemalloc.start()
+        try:
+            images = parse_idx_images(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(images) == n
+        assert peak < 4.75 * side * side * 8
+
     def test_hand_decoded_pixels(self):
         (img,) = parse_idx_images(tiny_image_file())
         assert img.pixels[0, 0] == 0.0
