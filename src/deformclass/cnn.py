@@ -102,7 +102,12 @@ class FilterBank:
         return 2 * (2 * self.xi_max * self.d + 1) ** 2
 
     def filter_at(self, k: int, i: int, j: int) -> Filter:
-        """Filter of class k at scale-grid indices (i, j)."""
+        """Filter of class k at scale-grid indices (i, j).  ``k`` must be 0
+        or 1 and each index lie in 0..2*Xi*d, or ``ConfigError`` is raised."""
+        top = 2 * self.xi_max * self.d
+        if k not in (0, 1) or not (0 <= i <= top and 0 <= j <= top):
+            raise ConfigError(f"filter_at needs k in (0, 1) and scale indices "
+                              f"in 0..{top}, got k={k}, i={i}, j={j}")
         xi, xi_prime = ((m - self.xi_max * self.d) / self.d for m in (i, j))
         meta = (k, xi, xi_prime)
         if not (i in self.live and j in self.live):

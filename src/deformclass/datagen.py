@@ -75,22 +75,32 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
 def sample_params(q: DeformDistribution, draw_index: int) -> DeformParams:
     """Draw deformation parameters for item ``draw_index``.
 
-    Fixed draw order within the item's substream: amplitude, x scale
-    magnitude, x flip, y scale magnitude, y flip, x shift, y shift.
+    One call draws seven doubles from the item's substream, in a fixed
+    order: amplitude, x scale magnitude, x flip, y scale magnitude, y flip,
+    x shift, y shift.  An axis scale is negated when its flip double is
+    below ``flip_prob``.  A value on [lo, hi] is ``lo + (hi - lo) * u``,
+    numpy's own ``uniform`` arithmetic, so every field has the bits that
+    one ``uniform`` or ``random`` call per double gives.
     """
     if draw_index < 0:
         raise ConfigError(f"draw_index must be nonnegative, got {draw_index}")
-    rng = _substream(q.seed, _STREAM_PARAMS, draw_index)
-    eta = rng.uniform(*q.eta_range)
-    xi = rng.uniform(*q.xi_range)
-    if rng.random() < q.flip_prob:
+    u_eta, u_xi, u_flip, u_xi_p, u_flip_p, u_tau, u_tau_p = _substream(
+        q.seed, _STREAM_PARAMS, draw_index).random(7).tolist()
+    xi = _uniform(q.xi_range, u_xi)
+    if u_flip < q.flip_prob:
         xi = -xi
-    xi_p = rng.uniform(*q.scale_range_y())
-    if rng.random() < q.flip_prob:
+    xi_p = _uniform(q.scale_range_y(), u_xi_p)
+    if u_flip_p < q.flip_prob:
         xi_p = -xi_p
-    tau = rng.uniform(*shift_bounds(xi))
-    tau_p = rng.uniform(*shift_bounds(xi_p))
-    return DeformParams(eta=eta, xi=xi, xi_prime=xi_p, tau=tau, tau_prime=tau_p)
+    return DeformParams(eta=_uniform(q.eta_range, u_eta), xi=xi, xi_prime=xi_p,
+                        tau=_uniform(shift_bounds(xi), u_tau),
+                        tau_prime=_uniform(shift_bounds(xi_p), u_tau_p))
+
+
+def _uniform(bounds: tuple[float, float], u: float) -> float:
+    """The value ``Generator.uniform(lo, hi)`` takes on its double u."""
+    lo, hi = map(float, bounds)
+    return lo + (hi - lo) * u
 
 
 # ---------------------------------------------------------------------------

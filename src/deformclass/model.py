@@ -34,8 +34,8 @@ MAX_RESOLUTION = 4096
 MAX_BANK_BYTES = 4 * 2 ** 30
 
 # Images per vectorized block when rasterizing or aligning a set; bounds
-# the size of the temporary stacks.
-IMAGE_BLOCK = 64
+# the size of the temporary stacks (align._align_block says why 32).
+IMAGE_BLOCK = 32
 
 _BOUND_TOL = 1e-12
 
@@ -400,14 +400,18 @@ def normalize_l2(img: GrayImage) -> GrayImage:
 
 def unit_scale(x: np.ndarray, name: Callable[[int], str]) -> np.ndarray:
     """Scale each grid of a fresh (N, h, w) stack to unit norm in place, and
-    freeze and return the stack.  A norm is one BLAS dot per grid, the same
-    alone or stacked; the first, in list order, that is not finite or is
-    zero raises ``NumericError``."""
-    norms = np.array([np.linalg.norm(grid) for grid in x])
-    for i, norm in enumerate(norms):
-        check_norm(norm, name(i))
-        if norm == 0.0:
-            raise NumericError(f"cannot normalize {name(i)}: it is all zero")
+    freeze and return the stack.  A norm is the sqrt of one BLAS dot of the
+    raveled grid, exactly what ``np.linalg.norm`` computes, so it is the
+    same alone or stacked.  One vectorized test over the stack finds a bad
+    norm; only then are the grids checked one by one, so the first, in list
+    order, that is not finite or is zero raises ``NumericError``."""
+    rows = x.reshape(len(x), x.shape[1] * x.shape[2])
+    norms = np.sqrt([row.dot(row) for row in rows])
+    if not (np.isfinite(norms) & (norms != 0.0)).all():
+        for i, norm in enumerate(norms):
+            check_norm(norm, name(i))
+            if norm == 0.0:
+                raise NumericError(f"cannot normalize {name(i)}: it is all zero")
     x /= norms[:, None, None]
     x.flags.writeable = False
     return x

@@ -11,7 +11,9 @@ tests that use them:
 * ``template_sum`` and ``reparametrize``: composite templates, from which
   ``non_identifiable_pair`` builds two templates that raster identically;
 * ``discrete_l2_norm``, ``grid_inner_product`` and ``riemann_error_report``:
-  sample-grid norms and inner products against their quadrature bounds.
+  sample-grid norms and inner products against their quadrature bounds;
+* ``seven_call_params``: deformation parameters drawn one generator call
+  per double, the reference for ``sample_params``'s single draw.
 """
 from __future__ import annotations
 
@@ -21,8 +23,10 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from deformclass import (ConfigError, DeformParams, Filter, GrayImage,
-                         TemplateFunction, TrainableCnn, tent)
+from deformclass import (ConfigError, DeformDistribution, DeformParams, Filter,
+                         GrayImage, TemplateFunction, TrainableCnn, shift_bounds,
+                         tent)
+from deformclass.datagen import _STREAM_PARAMS, _substream
 from deformclass.model import _template
 from deformclass.separation import _midpoints
 
@@ -91,6 +95,22 @@ def discrete_l2_norm(grid: np.ndarray) -> float:
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ConfigError(f"grid must be square, got shape {g.shape}")
     return float(np.sqrt(np.mean(g * g)))
+
+
+def seven_call_params(q: DeformDistribution, draw_index: int) -> DeformParams:
+    """``sample_params`` with one ``uniform`` or ``random`` call per double,
+    in the documented order."""
+    rng = _substream(q.seed, _STREAM_PARAMS, draw_index)
+    eta = rng.uniform(*q.eta_range)
+    xi = rng.uniform(*q.xi_range)
+    if rng.random() < q.flip_prob:
+        xi = -xi
+    xi_p = rng.uniform(*q.scale_range_y())
+    if rng.random() < q.flip_prob:
+        xi_p = -xi_p
+    tau = rng.uniform(*shift_bounds(xi))
+    tau_p = rng.uniform(*shift_bounds(xi_p))
+    return DeformParams(eta=eta, xi=xi, xi_prime=xi_p, tau=tau, tau_prime=tau_p)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from deformclass import (
     tent,
 )
 from deformclass.align import _oriented_variants, _stack_gallery
-from deformclass.model import MAX_RESOLUTION
+from deformclass.model import IMAGE_BLOCK, MAX_RESOLUTION
 
 
 # Oracle: the one-image alignment that ``align_images`` vectorizes.
@@ -410,6 +410,24 @@ class TestAlignImages:
                   for d in [8] * 70 + [5] * 3 + [8] * 140 + [6]]
         for m in (None, 2, 7, 11):
             assert isinstance(_same_as_oracle(images, m), list)
+
+    def test_run_across_two_block_boundaries(self):
+        """A run of 64 x 64 images that spans three blocks aligns with the
+        bits of one image at a time, and a bad image in the last block is
+        named by its list index."""
+        rng = np.random.default_rng(11)
+        n = 2 * IMAGE_BLOCK + 6
+        images = [_random_image(rng, 64, 0.3, 0.1) for _ in range(n)]
+        for m in (None, 48):
+            assert len(_same_as_oracle(images, m)) == n
+        nan = images[n - 2].pixels.copy()
+        nan[np.unravel_index(np.argmax(nan), nan.shape)] = np.nan
+        with pytest.raises(NumericError,
+                           match=f"resampled grid of image {n - 2} has norm nan"):
+            align_images(images[:n - 2] + [GrayImage(nan)] + images[n - 1:])
+        blank = images[:2 * IMAGE_BLOCK + 1] + [_image(np.zeros((64, 64)))]
+        assert _same_as_oracle(blank, None) == (
+            NumericError, f"image {2 * IMAGE_BLOCK + 1}: no pixel is positive")
 
     def test_first_bad_image_raises(self):
         good = _image([[0, 0, 0], [0, 1, 0], [0, 0, 0]])

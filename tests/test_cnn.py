@@ -273,6 +273,16 @@ class TestBuildFilterBank:
         for j in range(len(scale_grid(bank))):
             assert bank.filter_at(0, zero_idx, j).weights is None
 
+    @pytest.mark.parametrize("k, i, j", [(0, 17, 9), (0, -1, -1), (5, 0, 0),
+                                         (1, 0, 17)])
+    def test_filter_at_rejects_indices_off_the_bank(self, tent_template,
+                                                    cross_template, k, i, j):
+        # Xi = 1, d = 8: k is 0 or 1, and each scale index runs 0..16.
+        bank = build_filter_bank(tent_template, cross_template, 1, 8)
+        with pytest.raises(ConfigError, match=r"scale indices in 0\.\.16"):
+            bank.filter_at(k, i, j)
+        assert bank.filter_at(1, 16, 16).meta == (1, 1.0, 1.0)
+
     def test_filter_at_matches_direct_definition(self, tent_template,
                                                  cross_template):
         d = 8

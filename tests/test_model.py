@@ -25,7 +25,7 @@ from deformclass import (
     tent,
     unit_arrays,
 )
-from deformclass.model import _estimate_l1, support_canvas
+from deformclass.model import _estimate_l1, support_canvas, unit_scale
 from oracles import discrete_l2_norm, reparametrize, template_sum
 
 
@@ -424,6 +424,29 @@ class TestNorms:
         px[3, 3] = np.inf
         with pytest.raises(NumericError, match="16 x 16 image has norm inf"):
             normalize_l2(GrayImage(px))
+
+    @pytest.mark.parametrize("shape", [(40, 64, 64), (7, 3, 5), (1, 1, 1)])
+    def test_unit_scale_divides_by_numpys_norm(self, shape):
+        """Each grid is divided by its ``np.linalg.norm``, bit for bit, on
+        stacks whose values span 1e-150 to 1e150."""
+        rng = np.random.default_rng(7)
+        exponents = rng.uniform(-150, 150, shape[0])[:, None, None]
+        x = rng.uniform(-1, 1, shape) * 10.0 ** exponents
+        expected = np.stack([grid / np.linalg.norm(grid) for grid in x])
+        got = unit_scale(x.copy(), lambda i: f"grid {i}")
+        assert got.tobytes() == expected.tobytes()
+        assert not got.flags.writeable
+
+    def test_unit_scale_names_the_first_bad_grid(self):
+        x = np.ones((5, 4, 4))
+        x[3, 2, 1] = np.nan
+        x[1] = 0.0
+        with pytest.raises(NumericError,
+                           match=r"^cannot normalize grid 1: it is all zero$"):
+            unit_scale(x, lambda i: f"grid {i}")
+        x[1] = 1.0
+        with pytest.raises(NumericError, match=r"^grid 3 has norm nan; "):
+            unit_scale(x, lambda i: f"grid {i}")
 
     @settings(derandomize=True, max_examples=100)
     @given(st.integers(2, 5), st.integers(1, 5), st.data(),
